@@ -38,7 +38,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.exceptions import InfeasibleInstanceError
 from repro.telemetry import clock
-from repro.kernels import HAS_NUMPY, available_backends
+from repro.kernels import HAS_NUMPY, registered_backends
 from repro.setcover.greedy import greedy_cover_trace
 from repro.setcover.instance import SetSystem
 from repro.utils.bitset import bitset_size
@@ -106,7 +106,7 @@ def bench_entry(n: int, m: int, seed: int, repeats: int) -> Dict[str, object]:
 
     systems = {
         backend: SetSystem.from_masks(n, masks, backend=backend)
-        for backend in available_backends()
+        for backend in registered_backends()
     }
     reference_system = SetSystem.from_masks(n, masks, backend="python")
 
@@ -155,7 +155,7 @@ def run(grid, repeats: int = 3, echo=print) -> Dict[str, object]:
         "schema": "bench_kernels/v1",
         "python": platform.python_version(),
         "numpy": None,
-        "backends": available_backends(),
+        "backends": registered_backends(),
         "grid": [],
     }
     if HAS_NUMPY:
@@ -171,7 +171,7 @@ def run(grid, repeats: int = 3, echo=print) -> Dict[str, object]:
             + "  ".join(
                 f"{backend}={greedy[f'lazy_{backend}_s'] * 1e3:8.1f}ms"
                 f" ({greedy[f'speedup_{backend}']:.1f}x)"
-                for backend in available_backends()
+                for backend in registered_backends()
             )
         )
         echo(line)

@@ -44,7 +44,7 @@ from typing import Dict, List, Optional
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.kernels import HAS_NUMPY, available_backends
+from repro.kernels import HAS_NUMPY, registered_backends
 from repro.resilience.durability import canonical_json
 from repro.runtime import RuntimeTask, TaskExecutor, freeze_params
 from repro.setcover.greedy import greedy_set_cover
@@ -168,7 +168,7 @@ def run(grid, echo=print) -> Dict[str, object]:
         "schema": "bench_outofcore/v1",
         "python": platform.python_version(),
         "numpy": None,
-        "backends": available_backends(),
+        "backends": registered_backends(),
         "grid": [],
     }
     if HAS_NUMPY:

@@ -54,7 +54,7 @@ from repro.core.element_sampling import element_sample, sampling_probability
 from repro.core.maxcover_stream import StreamingMaxCoverage
 from repro.core.value_estimation import CountingBoundEstimator
 from repro.exceptions import InfeasibleInstanceError
-from repro.kernels import HAS_NUMPY, available_backends
+from repro.kernels import HAS_NUMPY, registered_backends
 from repro.setcover.instance import SetSystem
 from repro.streaming.algorithm_base import StreamingAlgorithm, StreamingResult
 from repro.streaming.stream import SetStream
@@ -549,7 +549,7 @@ def bench_entry(n: int, m: int, seed: int, repeats: int) -> Dict[str, object]:
     seed_system = SetSystem.from_masks(n, masks, backend="python")
     systems = {
         backend: SetSystem.from_masks(n, masks, backend=backend)
-        for backend in available_backends()
+        for backend in registered_backends()
     }
     for system in systems.values():
         system.kernel()  # construction charged to instance setup, as a sweep would
@@ -605,7 +605,7 @@ def run(grid, repeats: int = 3, echo=print) -> Dict[str, object]:
         "schema": "bench_streaming/v1",
         "python": platform.python_version(),
         "numpy": None,
-        "backends": available_backends(),
+        "backends": registered_backends(),
         "grid": [],
     }
     if HAS_NUMPY:
@@ -621,7 +621,7 @@ def run(grid, repeats: int = 3, echo=print) -> Dict[str, object]:
             + "  ".join(
                 f"{backend}={sweep[f'{backend}_s'] * 1e3:8.1f}ms"
                 f" ({sweep[f'speedup_{backend}']:.1f}x)"
-                for backend in available_backends()
+                for backend in registered_backends()
             )
         )
         echo(line)

@@ -55,8 +55,8 @@ from repro.workloads import (
 from repro.kernels import (
     HAS_NUMPY,
     PyIntKernel,
-    available_backends,
     make_kernel,
+    registered_backends,
     resolve_backend,
 )
 
@@ -91,8 +91,8 @@ __all__ = [
     "coverage_workload",
     "HAS_NUMPY",
     "PyIntKernel",
-    "available_backends",
     "make_kernel",
+    "registered_backends",
     "resolve_backend",
     "__version__",
 ]

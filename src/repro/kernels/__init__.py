@@ -14,24 +14,23 @@ backends exist, forming a tier ladder:
     (``pip install -e .[perf]``).
 ``compiled``
     :class:`~repro.kernels.compiled.CompiledKernel` — numba-jitted parallel
-    sweeps over the same packed matrix (``pip install -e .[compiled]``),
-    degrading to a vectorized NumPy fallback (one warning) when numba is
-    missing.  ``REPRO_KERNEL_THREADS=N`` chunks the row sweeps across
-    threads; results are byte-identical at every thread count.
+    sweeps over the same packed matrix (``pip install -e .[compiled]``);
+    registered only when numba imports.
 
 Backend selection (:func:`resolve_backend`):
 
-* ``backend="python"`` / ``backend="numpy"`` force a backend (forcing NumPy
-  without NumPy installed raises :class:`ValueError`); ``backend="compiled"``
-  degrades — to the NumPy fallback flavour without numba, to pure Python
-  without NumPy — with a single warning, never an exception;
-* ``backend="auto"`` (the default everywhere) climbs the ladder on large
-  systems (``n·m`` at least :data:`AUTO_NUMPY_THRESHOLD` cells — below that,
-  packing overhead beats the vectorization win): ``compiled`` when numba is
-  installed, else ``numpy`` when NumPy is, else ``python``;
+* ``backend="python"`` / ``"numpy"`` / ``"compiled"`` request a tier.  A
+  tier this environment has not registered degrades silently to the highest
+  registered tier below it, except that forcing NumPy without NumPy
+  installed raises :class:`ValueError`;
+* ``backend="auto"`` (the default everywhere) picks the highest registered
+  tier on large systems (``n·m`` at least :data:`AUTO_NUMPY_THRESHOLD`
+  cells — below that, packing overhead beats the vectorization win) and
+  ``python`` otherwise;
 * the ``REPRO_KERNEL`` environment variable (``python``/``numpy``/
   ``compiled``/``auto``) overrides the *auto* choice without touching call
-  sites — handy for benchmarking all backends on the same workload.
+  sites, degrading like a request — handy for benchmarking all backends on
+  the same workload.
 
 All backends are output-identical bit for bit — enforced by the conformance
 harness in ``tests/kernel_conformance.py``, which every registered backend
@@ -51,7 +50,6 @@ Example — build a kernel over two masks and query a batched primitive::
 from __future__ import annotations
 
 import os
-import warnings
 from typing import Callable, Dict, List, Sequence
 
 from repro.kernels.base import Kernel
@@ -81,38 +79,23 @@ AUTO_NUMPY_THRESHOLD = 1 << 16
 #: Environment variable overriding the *auto* backend choice.
 KERNEL_ENV_VAR = "REPRO_KERNEL"
 
-#: Re-exported worker-thread env var (see :mod:`repro.kernels.compiled`).
-KERNEL_THREADS_ENV_VAR = "REPRO_KERNEL_THREADS"
 
-_WARNED_NO_NUMPY_FOR_COMPILED = False
-
-
-def _factory_python(
-    universe_size: int, masks: Sequence[int], packed=None, threads=None
-) -> Kernel:
+def _factory_python(universe_size: int, masks: Sequence[int], packed=None) -> Kernel:
     return PyIntKernel(universe_size, masks)
 
 
-def _factory_numpy(
-    universe_size: int, masks: Sequence[int], packed=None, threads=None
-) -> Kernel:
+def _factory_numpy(universe_size: int, masks: Sequence[int], packed=None) -> Kernel:
     from repro.kernels.numpy_backend import NumpyKernel
 
     return NumpyKernel(universe_size, masks, packed=packed)
 
 
 def _factory_compiled(
-    universe_size: int, masks: Sequence[int], packed=None, threads=None, chunk_rows=None
+    universe_size: int, masks: Sequence[int], packed=None, **options
 ) -> Kernel:
-    from repro.kernels.compiled import DEFAULT_CHUNK_ROWS, CompiledKernel
+    from repro.kernels.compiled import CompiledKernel
 
-    return CompiledKernel(
-        universe_size,
-        masks,
-        packed=packed,
-        threads=threads,
-        chunk_rows=chunk_rows or DEFAULT_CHUNK_ROWS,
-    )
+    return CompiledKernel(universe_size, masks, packed=packed, **options)
 
 
 def kernel_registry() -> Dict[str, Callable[..., Kernel]]:
@@ -121,14 +104,14 @@ def kernel_registry() -> Dict[str, Callable[..., Kernel]]:
     The single source of truth for what can run *in this environment*: the
     conformance harness, the property suites, and the benchmarks all
     enumerate this registry, so a newly registered backend is covered by
-    every cross-backend gate automatically.
+    every cross-backend gate automatically.  A tier is registered only when
+    its dependencies import (``numpy`` needs NumPy, ``compiled`` numba too).
     """
     registry: Dict[str, Callable[..., Kernel]] = {"python": _factory_python}
     if HAS_NUMPY:
         registry["numpy"] = _factory_numpy
-        # The compiled backend is constructible whenever NumPy is (its
-        # no-numba fallback mode); numba only changes which flavour runs.
-        registry["compiled"] = _factory_compiled
+        if HAS_NUMBA:
+            registry["compiled"] = _factory_compiled
     return registry
 
 
@@ -137,92 +120,37 @@ def registered_backends() -> List[str]:
     return list(kernel_registry())
 
 
-def available_backends() -> List[str]:
-    """Alias of :func:`registered_backends` (historical name)."""
-    return registered_backends()
-
-
-def capability_report() -> Dict[str, Dict[str, object]]:
-    """Per-backend capability probe for the registered backends."""
-    report: Dict[str, Dict[str, object]] = {}
-    for name in registered_backends():
-        if name == "compiled":
-            from repro.kernels.compiled import CompiledKernel
-
-            report[name] = CompiledKernel.capabilities()
-        else:
-            report[name] = {"jit": False, "parallel_sweeps": False}
-    return report
-
-
-def _warn_compiled_without_numpy() -> None:
-    global _WARNED_NO_NUMPY_FOR_COMPILED
-    if not _WARNED_NO_NUMPY_FOR_COMPILED:
-        _WARNED_NO_NUMPY_FOR_COMPILED = True
-        warnings.warn(
-            "backend 'compiled' requested but NumPy is not installed; "
-            "falling back to the pure-Python kernel — results are identical, "
-            "only slower",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-
-
 def resolve_backend(backend: str = "auto", universe_size: int = 0, num_sets: int = 0) -> str:
-    """Resolve a backend request into a concrete backend name.
+    """Resolve a backend request into a concrete, registered backend name.
 
     ``auto`` consults the :data:`KERNEL_ENV_VAR` environment variable first,
-    then climbs the tier ladder for large systems.  An explicit ``"numpy"``
-    request without NumPy installed raises; an explicit ``"compiled"``
-    request degrades with one warning (the compiled tier promises graceful
-    fallback all the way down to pure Python); an environment-level hint
-    degrades silently (the env var is advisory, call sites must keep working
-    on any install).
+    then picks the highest registered tier for large systems.  A request for
+    a tier this environment cannot build degrades silently to the highest
+    registered tier below it — containers, pickles and service specs carry
+    the request across hosts, and every tier answers the same bits.  The one
+    exception is an explicit ``"numpy"`` request without NumPy installed,
+    which raises: that caller asked for the ``[perf]`` extra by name.
     """
     if backend not in BACKENDS:
         raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
-    if backend == "python":
-        return "python"
-    if backend == "numpy":
-        if not HAS_NUMPY:
-            raise ValueError(
-                "backend 'numpy' requested but NumPy is not installed; "
-                "install the [perf] extra or use backend='auto'"
-            )
-        return "numpy"
-    if backend == "compiled":
-        if HAS_NUMPY:
-            return "compiled"
-        _warn_compiled_without_numpy()
-        return "python"
-    hint = os.environ.get(KERNEL_ENV_VAR, "auto").strip().lower() or "auto"
-    if hint not in BACKENDS:
+    if backend == "numpy" and not HAS_NUMPY:
         raise ValueError(
-            f"{KERNEL_ENV_VAR} must be one of {BACKENDS}, got {hint!r}"
+            "backend 'numpy' requested but NumPy is not installed; "
+            "install the [perf] extra or use backend='auto'"
         )
-    if hint == "python":
-        return "python"
-    if hint == "compiled" and HAS_NUMPY:
-        return "compiled"
-    if hint == "numpy" and HAS_NUMPY:
-        return "numpy"
-    if HAS_NUMPY and universe_size * num_sets >= AUTO_NUMPY_THRESHOLD:
-        # Auto-tier: the jitted backend only outranks NumPy when numba is
-        # actually installed — the fallback flavour would match NumPy's
-        # wall-clock while adding nothing, so auto never picks it.
-        return "compiled" if HAS_NUMBA else "numpy"
-    return "python"
-
-
-#: Degradation ladder per resolved backend: a tier that fails to build
-#: (broken install, injected kernel.make fault) falls to the next rung —
-#: all rungs are bit-identical by the conformance suite, so a fallback
-#: costs wall-clock, never bytes.
-_FALLBACK_LADDER = {
-    "python": ("python",),
-    "numpy": ("numpy", "python"),
-    "compiled": ("compiled", "numpy", "python"),
-}
+    if backend == "auto":
+        hint = os.environ.get(KERNEL_ENV_VAR, "auto").strip().lower() or "auto"
+        if hint not in BACKENDS:
+            raise ValueError(
+                f"{KERNEL_ENV_VAR} must be one of {BACKENDS}, got {hint!r}"
+            )
+        backend = hint
+    registered = registered_backends()
+    if backend == "auto":
+        large = universe_size * num_sets >= AUTO_NUMPY_THRESHOLD
+        return registered[-1] if large else "python"
+    rank = BACKENDS.index(backend)
+    return [name for name in registered if BACKENDS.index(name) <= rank][-1]
 
 
 def make_kernel(
@@ -230,34 +158,26 @@ def make_kernel(
     masks: Sequence[int],
     backend: str = "auto",
     packed: "bytes | None" = None,
-    threads: "int | None" = None,
 ) -> Kernel:
     """Build the kernel for a mask list, resolving ``backend`` first.
 
     ``packed`` optionally supplies the masks' already-packed incidence buffer
     (the transport wire form); the packed-matrix backends adopt it zero-copy
-    instead of re-packing, the pure-Python backend ignores it.  ``threads``
-    pins the compiled backend's worker-thread count (defaults to the
-    ``REPRO_KERNEL_THREADS`` environment variable, then 1).
+    instead of re-packing, the pure-Python backend ignores it.  A tier that
+    fails to build (broken install, injected ``kernel.make`` fault) falls to
+    the next registered tier below it, down to the pure-Python kernel, which
+    cannot fail — every tier is bit-identical by the conformance suite, so a
+    fallback costs wall-clock, never bytes.
     """
     resolved = resolve_backend(backend, universe_size=universe_size, num_sets=len(masks))
     registry = kernel_registry()
-    if resolved == "compiled":
-        # Validate the thread request eagerly: a REPRO_KERNEL_THREADS typo is
-        # a configuration error, not a backend-build failure to degrade past.
-        from repro.kernels.compiled import resolve_threads
-
-        threads = resolve_threads(threads)
-    kernel: Kernel = None  # type: ignore[assignment]
-    for rung in _FALLBACK_LADDER[resolved]:
-        if rung == "python":
-            kernel = PyIntKernel(universe_size, masks)
-            break
+    tiers = list(registry)
+    for rung in reversed(tiers[1 : tiers.index(resolved) + 1]):
         try:
             from repro.resilience.faults import inject
 
             inject("kernel.make", key=f"{rung}:{universe_size}x{len(masks)}")
-            kernel = registry[rung](universe_size, masks, packed=packed, threads=threads)
+            kernel = registry[rung](universe_size, masks, packed=packed)
             break
         except Exception as exc:
             from repro.resilience.degrade import record_degradation
@@ -267,6 +187,8 @@ def make_kernel(
                 reason=f"{type(exc).__name__}: {exc}",
                 backend=rung,
             )
+    else:
+        kernel = PyIntKernel(universe_size, masks)
     # Wrap in the metering proxy only while telemetry capture is active, so
     # the telemetry-off path hands out the raw backend unchanged.
     from repro.telemetry import metrics
@@ -284,11 +206,8 @@ __all__ = [
     "HAS_NUMBA",
     "HAS_NUMPY",
     "KERNEL_ENV_VAR",
-    "KERNEL_THREADS_ENV_VAR",
     "Kernel",
     "PyIntKernel",
-    "available_backends",
-    "capability_report",
     "kernel_registry",
     "make_kernel",
     "registered_backends",

@@ -21,9 +21,7 @@ environment):
   matrix of shape ``(m, ceil(n/64))`` with vectorized word-popcount gains,
   used automatically on large systems when NumPy is installed.
 * :class:`~repro.kernels.compiled.CompiledKernel` — numba-jitted parallel
-  sweeps over the same packed matrix (optional ``REPRO_KERNEL_THREADS``
-  row-chunk threading), with a vectorized NumPy fallback when numba is
-  missing.
+  sweeps over the same packed matrix, registered when numba is installed.
 * :class:`~repro.kernels.chunked.ChunkedKernel` — the out-of-core flavour,
   windowing any :class:`~repro.setcover.source.InstanceSource`.
 
@@ -50,7 +48,7 @@ from typing import List, Protocol, Sequence, runtime_checkable
 class Kernel(Protocol):
     """Interchangeable compute backend for a fixed set system."""
 
-    #: Short backend identifier ("python" or "numpy").
+    #: The concrete backend name (``"python"``, ``"numpy"`` or ``"compiled"``).
     backend: str
 
     @property

@@ -7,13 +7,13 @@ primitive streams the packed buffer through an
 so a shared-memory or mmap-backed system never materialises more than
 ``chunk_rows`` rows in this process's heap, no matter how large m grows.
 
-Per window the arithmetic is exactly the resident backends': the ``numpy``
-flavour runs the same ``<u8`` word ops (:mod:`repro.kernels.numpy_backend`)
-on a ``frombuffer`` view of the window, the ``python`` flavour decodes the
-window to int bitsets and loops (:mod:`repro.kernels.pyint`).  Reductions
-across windows are order-preserving (running first-max, concatenation,
-bitwise OR), so results are bit-identical to both in-memory backends —
-the existing parity suites extend over this kernel unchanged.
+Per window the arithmetic is the resident backends' own code: the ``numpy``
+flavour runs :mod:`repro.kernels.numpy_backend`'s matrix helpers on a
+``frombuffer`` view of the window, the ``python`` flavour runs a
+:class:`~repro.kernels.pyint.PyIntKernel` over the window's decoded rows.
+Reductions across windows are order-preserving (running first-max,
+concatenation, bitwise OR), so results are bit-identical to both in-memory
+backends — the existing parity suites extend over this kernel unchanged.
 
 Example — identical answers to the resident kernels, via a heap source::
 
@@ -26,20 +26,26 @@ Example — identical answers to the resident kernels, via a heap source::
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.kernels import resolve_backend
-from repro.kernels.pyint import claim_by_descending_keys
-from repro.setcover.source import DEFAULT_CHUNK_ROWS, InstanceSource, LazyMaskRows
+from repro.kernels.pyint import PyGainTracker, PyIntKernel, claim_by_descending_keys
+from repro.setcover.source import (
+    DEFAULT_CHUNK_ROWS,
+    InstanceSource,
+    LazyMaskRows,
+    _decode_rows,
+)
 from repro.utils.bitset import bitset_size, iter_bits
 
 
 class ChunkedKernel:
     """Windowed backend: resident-kernel arithmetic, one chunk at a time.
 
-    ``backend`` resolves to the concrete per-window flavour (``python`` or
-    ``numpy``) through the same :func:`~repro.kernels.resolve_backend`
-    policy every system uses, so ``REPRO_KERNEL`` pins it identically.
+    ``backend`` resolves through the same
+    :func:`~repro.kernels.resolve_backend` policy every system uses, so
+    ``REPRO_KERNEL`` pins it identically; ``python`` runs the python flavour
+    per window, every tier above it the numpy flavour.
     """
 
     def __init__(
@@ -54,51 +60,39 @@ class ChunkedKernel:
         self._n = source.universe_size
         self._m = source.num_sets
         self._chunk_rows = chunk_rows
-        self._row_bytes = source.row_bytes
-        self._words = self._row_bytes // 8
-        self._universe = (1 << self._n) - 1
         self.backend = resolve_backend(backend, self._n, self._m)
-        self._np = None
-        if self.backend in ("numpy", "compiled"):
-            # The compiled tier has no windowed jit path (yet); its windows
-            # run the same vectorized word ops as the numpy flavour, so the
-            # resolved name only changes the label, never the bytes.
-            import numpy
+        self._numpy = None
+        if self.backend != "python":
+            # There is no windowed jit path: a compiled kernel's windows run
+            # the numpy flavour, so that name only changes the label, never
+            # the bytes.
+            from repro.kernels import numpy_backend
 
-            self._np = numpy
+            self._numpy = numpy_backend
 
-    # -- per-window helpers ----------------------------------------------
-    def _chunk_words(self, view: memoryview, rows: int):
-        """A window of the packed buffer as an ``(rows, words)`` uint64 array."""
-        return self._np.frombuffer(view, dtype=self._np.dtype("<u8")).reshape(
-            rows, self._words
-        )
+    def _windows(self) -> Iterator[Tuple[int, object]]:
+        """``(start_row, window)`` per chunk of rows, in row order.
 
-    def _chunk_masks(self, view: memoryview) -> List[int]:
-        data = bytes(view)
-        stride = self._row_bytes
-        return [
-            int.from_bytes(data[offset : offset + stride], "little")
-            for offset in range(0, len(data), stride)
-        ]
+        A numpy-flavour window is the chunk's ``(rows, words)`` word matrix;
+        a python-flavour window is a :class:`PyIntKernel` over its decoded
+        rows.
+        """
+        stride = self._source.row_bytes
+        for start, rows, view in self._source.iter_chunks(self._chunk_rows):
+            if self._numpy is not None:
+                yield start, self._numpy.word_matrix(view, rows, stride // 8)
+            else:
+                yield start, PyIntKernel(self._n, _decode_rows(view, stride))
 
-    def _pack_one(self, mask: int):
-        # Clip to the packed width like NumpyKernel._pack_one: stored rows
-        # are subsets of the universe, so dropped bits cannot change any
-        # result — it keeps the flavours identical (and to_bytes in range).
-        mask &= self._universe
-        return self._np.frombuffer(
-            mask.to_bytes(self._row_bytes, "little"), dtype=self._np.dtype("<u8")
-        )
-
-    def _chunk_popcounts(self, view: memoryview, rows: int, against: int) -> List[int]:
-        """Popcount of ``row & against`` for one window, either flavour."""
-        if self._np is not None:
-            from repro.kernels.numpy_backend import _popcount_rows
-
-            words = self._chunk_words(view, rows)
-            return _popcount_rows(words & self._pack_one(against)).tolist()
-        return [bitset_size(mask & against) for mask in self._chunk_masks(view)]
+    def _window_popcounts(self, against: int) -> Iterator[Tuple[int, List[int]]]:
+        """``(start_row, counts)`` per window: popcounts of ``row & against``."""
+        if self._numpy is None:
+            for start, window in self._windows():
+                yield start, window.gains(against)
+            return
+        query = self._numpy.pack_row(against, self._n)
+        for start, matrix in self._windows():
+            yield start, self._numpy._popcount_rows(matrix & query).tolist()
 
     # -- Kernel protocol --------------------------------------------------
     @property
@@ -114,74 +108,59 @@ class ChunkedKernel:
 
     def gains(self, uncovered: int) -> List[int]:
         result: List[int] = []
-        for _, rows, view in self._source.iter_chunks(self._chunk_rows):
-            result.extend(self._chunk_popcounts(view, rows, uncovered))
+        for _, counts in self._window_popcounts(uncovered):
+            result.extend(counts)
         return result
 
     def best_gain_index(self, uncovered: int) -> "tuple[int, int]":
-        # Running first-max across windows, with the same update rule as
-        # PyIntKernel.best_gain_index — a later chunk wins only on a strict
-        # improvement, so the global winner is the smallest index among the
-        # maxima, matching both resident backends.
+        # Running first-max across windows: within a window the first
+        # maximum wins, and a later window wins only on a strict improvement,
+        # so the global winner is the smallest index among the maxima —
+        # PyIntKernel.best_gain_index's rule, matching both resident backends.
         best_index = -1
         best_gain = 0
-        for start, rows, view in self._source.iter_chunks(self._chunk_rows):
-            counts = self._chunk_popcounts(view, rows, uncovered)
-            for offset, gain in enumerate(counts):
-                if gain > best_gain or best_index < 0:
-                    best_gain = gain
-                    best_index = start + offset
+        for start, counts in self._window_popcounts(uncovered):
+            gain = max(counts)
+            if gain > best_gain or best_index < 0:
+                best_gain = gain
+                best_index = start + counts.index(gain)
         return best_index, best_gain
 
     def restrict(self, keep: int) -> List[int]:
-        restricted: List[int] = []
-        for _, _, view in self._source.iter_chunks(self._chunk_rows):
-            restricted.extend(mask & keep for mask in self._chunk_masks(view))
-        return restricted
+        return [mask & keep for mask in LazyMaskRows(self._source, self._chunk_rows)]
 
     def element_frequencies(self) -> List[int]:
         if self._m == 0 or self._n == 0:
             return [0] * self._n
-        if self._np is not None:
-            np = self._np
-            totals = np.zeros(self._n, dtype=np.int64)
-            for _, rows, view in self._source.iter_chunks(self._chunk_rows):
-                as_bytes = self._chunk_words(view, rows).view(np.uint8)
-                bits = np.unpackbits(as_bytes, axis=1, bitorder="little")[:, : self._n]
-                totals += bits.sum(axis=0, dtype=np.int64)
+        if self._numpy is not None:
+            totals = sum(
+                self._numpy.column_counts(matrix, self._n) for _, matrix in self._windows()
+            )
             return totals.tolist()
         frequencies = [0] * self._n
-        for _, _, view in self._source.iter_chunks(self._chunk_rows):
-            for mask in self._chunk_masks(view):
-                for element in iter_bits(mask):
-                    frequencies[element] += 1
+        for _, window in self._windows():
+            for element, count in enumerate(window.element_frequencies()):
+                frequencies[element] += count
         return frequencies
 
     def union(self) -> int:
         result = 0
-        for _, rows, view in self._source.iter_chunks(self._chunk_rows):
-            if self._np is not None:
-                np = self._np
-                merged = np.bitwise_or.reduce(self._chunk_words(view, rows), axis=0)
-                result |= int.from_bytes(np.ascontiguousarray(merged).tobytes(), "little")
+        for _, window in self._windows():
+            if self._numpy is not None:
+                result |= self._numpy.or_reduce(window)
             else:
-                for mask in self._chunk_masks(view):
-                    result |= mask
+                result |= window.union()
         return result
 
     def set_sizes(self) -> List[int]:
-        sizes: List[int] = []
-        for _, rows, view in self._source.iter_chunks(self._chunk_rows):
-            sizes.extend(self._chunk_popcounts(view, rows, self._universe))
-        return sizes
+        return self.gains((1 << self._n) - 1)
 
     def element_lists(self, indices: "Sequence[int] | None" = None) -> List[List[int]]:
         if indices is not None:
             return [list(iter_bits(self._source.mask_at(i))) for i in indices]
-        lists: List[List[int]] = []
-        for _, _, view in self._source.iter_chunks(self._chunk_rows):
-            lists.extend(list(iter_bits(mask)) for mask in self._chunk_masks(view))
-        return lists
+        return [
+            list(iter_bits(mask)) for mask in LazyMaskRows(self._source, self._chunk_rows)
+        ]
 
     def claim_resolution(self, keys: Sequence[int]) -> List[int]:
         # The shared claim sweep only needs random access to masks; the lazy
@@ -191,8 +170,10 @@ class ChunkedKernel:
             self._n, LazyMaskRows(self._source, self._chunk_rows), keys
         )
 
-    def gain_tracker(self, uncovered: int) -> "ChunkedGainTracker":
-        return ChunkedGainTracker(self, uncovered)
+    def gain_tracker(self, uncovered: int) -> PyGainTracker:
+        # Rescan on demand: each pick is one windowed best_gain_index sweep,
+        # with no resident per-incidence state.
+        return PyGainTracker(self, uncovered)
 
     def prefers_tracker(self) -> bool:
         # The CELF heap materialises one (gain, index) entry per set — an
@@ -205,26 +186,6 @@ class ChunkedKernel:
     def packed_bytes(self) -> bytes:
         """Materialise the full buffer (escape hatch — not windowed)."""
         return bytes(self._source.view())
-
-
-class ChunkedGainTracker:
-    """Rescan-on-demand tracker over the windowed kernel.
-
-    Each :meth:`best` is one chunked :meth:`ChunkedKernel.best_gain_index`
-    sweep — the same exact answers (and the same cost profile) as
-    :class:`~repro.kernels.pyint.PyGainTracker`, without any resident
-    per-incidence state.
-    """
-
-    def __init__(self, kernel: ChunkedKernel, uncovered: int) -> None:
-        self._kernel = kernel
-        self._uncovered = uncovered
-
-    def best(self) -> "tuple[int, int]":
-        return self._kernel.best_gain_index(self._uncovered)
-
-    def cover(self, newly: int) -> None:
-        self._uncovered &= ~newly
 
 
 def make_source_kernel(
@@ -249,4 +210,4 @@ def make_source_kernel(
     return kernel
 
 
-__all__ = ["ChunkedGainTracker", "ChunkedKernel", "make_source_kernel"]
+__all__ = ["ChunkedKernel", "make_source_kernel"]

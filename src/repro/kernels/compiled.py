@@ -1,12 +1,14 @@
-"""Compiled kernel: numba-jitted hot primitives with a graceful NumPy fallback.
+"""Compiled kernel: numba-jitted hot primitives over the packed matrix.
 
-The third tier of the backend ladder.  The packed ``uint64`` incidence matrix
-(the same layout :class:`~repro.kernels.numpy_backend.NumpyKernel` uses, so
-zero-copy transport buffers are adopted unchanged) is driven by ``@njit``
-machine-code loops when numba is installed:
+The third tier of the backend ladder, registered only when numba imports.
+The packed ``uint64`` incidence matrix (the same layout
+:class:`~repro.kernels.numpy_backend.NumpyKernel` uses, so zero-copy
+transport buffers are adopted unchanged) is driven by ``@njit`` machine-code
+loops:
 
 * ``gains`` / ``set_sizes`` / ``best_gain_index`` — a ``prange``-parallel
-  SWAR word-popcount over rows;
+  SWAR word-popcount over rows, plugged into the NumPy kernel's
+  ``_masked_popcounts`` hook;
 * ``claim_resolution`` — a parallel descending-key claim sweep: row chunks
   resolve per-element winners independently (each chunk keeps the highest
   positive key, smallest set index, seen in its rows) and a sequential
@@ -17,139 +19,56 @@ machine-code loops when numba is installed:
 * ``gain_tracker`` — the inverted-index incremental maintenance of the NumPy
   tracker with the per-incidence decrement loop jitted.
 
-Without numba the same class still works: every primitive degrades to the
-vectorized NumPy formulation (plus optional thread-chunked sweeps — NumPy
-releases the GIL on large word ops, so ``REPRO_KERNEL_THREADS=N`` still buys
-real parallelism), and a single warning notes the missing accelerator.  The
-fallback is the tested path on numba-less interpreters; the conformance suite
-(``tests/kernel_conformance.py``) pins both flavours bit-identical to
-:class:`~repro.kernels.pyint.PyIntKernel`.
+numba's own thread pool runs the ``prange`` loops (``NUMBA_NUM_THREADS``,
+``numba.set_num_threads``); no sweep's output depends on the thread count.
+The conformance suite (``tests/kernel_conformance.py``) pins the kernel
+bit-identical to :class:`~repro.kernels.pyint.PyIntKernel`.
 
-Threading is opt-in and deterministic: ``REPRO_KERNEL_THREADS=N`` (or the
-``threads=`` argument of :func:`repro.kernels.make_kernel`) splits row sweeps
-into fixed chunks whose partial results are reduced in ascending chunk order
-— thread scheduling can never reorder ties, so outputs are byte-identical at
-every thread count.
-
-Example — identical answers to the reference backend, with or without numba::
-
-    >>> from repro.kernels.pyint import PyIntKernel
-    >>> CompiledKernel(4, [0b0011, 0b1110]).gains(uncovered=0b1111)
-    [2, 3]
-    >>> PyIntKernel(4, [0b0011, 0b1110]).gains(uncovered=0b1111)
-    [2, 3]
-
-This module imports :mod:`numpy` at import time — go through
-:func:`repro.kernels.make_kernel`, which only loads it when NumPy is
-installed.
+Without numba this module still imports (the ``@njit`` decorator becomes an
+import-only stand-in), but :class:`CompiledKernel` raises
+:class:`ImportError`; :func:`repro.kernels.resolve_backend` degrades a
+``compiled`` request to the NumPy tier instead.  This module imports
+:mod:`numpy` at import time — go through :func:`repro.kernels.make_kernel`.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
-from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.kernels.numpy_backend import (
-    NumpyGainTracker,
-    NumpyKernel,
-    _popcount_rows,
-)
+from repro.kernels.numpy_backend import NumpyGainTracker, NumpyKernel, pack_row
 from repro.kernels.pyint import claim_by_descending_keys
 
-try:  # numba is an optional [compiled] extra; everything degrades gracefully.
+try:  # numba is an optional [compiled] extra.
     from numba import njit, prange
 
     HAS_NUMBA = True
-except ImportError:  # pragma: no cover - the CI compiled job exercises both
+except ImportError:  # pragma: no cover - the CI compiled job installs numba
     HAS_NUMBA = False
     prange = range
 
-    def njit(*args, **kwargs):
-        """No-numba stand-in: leave the function as plain Python."""
-        if args and callable(args[0]):
-            return args[0]
-
-        def decorate(func):
-            return func
-
-        return decorate
+    def njit(**options):
+        """Import-only stand-in: leave the function as plain Python."""
+        return lambda func: func
 
 
-#: Environment variable selecting the worker-thread count for row-chunked
-#: sweeps (claim resolution, batched popcounts).  Default 1 (serial).
-THREADS_ENV_VAR = "REPRO_KERNEL_THREADS"
-
-#: Rows per chunk for the parallel claim sweep and the thread-chunked
-#: popcount fallback.  Chunks are reduced in ascending order, so this is a
-#: pure performance knob — results are identical for any value.
+#: Rows per chunk of the parallel claim sweep.  Chunks are reduced in
+#: ascending order, so this is a pure performance knob — results are
+#: identical for any value.
 DEFAULT_CHUNK_ROWS = 512
 
 #: Keys at or above this magnitude route claim resolution to the exact
-#: big-int sweep: the vectorized path scores ``bit × key`` in int64 and must
-#: never be allowed to overflow.
+#: big-int sweep: the jitted sweep scores keys in int64 lanes and must never
+#: be allowed to overflow.
 _INT64_KEY_LIMIT = 1 << 62
-
-_WARNED_NO_NUMBA = False
-
-
-def _warn_no_numba() -> None:
-    """One warning per interpreter when the jit tier is requested but absent."""
-    global _WARNED_NO_NUMBA
-    if not _WARNED_NO_NUMBA:
-        _WARNED_NO_NUMBA = True
-        warnings.warn(
-            "backend 'compiled' requested but numba is not installed; "
-            "running the NumPy fallback (install the [compiled] extra for "
-            "jitted parallel sweeps) — results are identical, only slower",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-
-
-def resolve_threads(threads: "int | None" = None) -> int:
-    """Worker-thread count for row-chunked sweeps (argument wins over env)."""
-    if threads is not None:
-        return max(1, int(threads))
-    raw = os.environ.get(THREADS_ENV_VAR, "").strip()
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{THREADS_ENV_VAR} must be an integer, got {raw!r}"
-        ) from None
-    return max(1, value)
-
-
-#: Shared fallback-mode executors, keyed by worker count: kernels are cheap
-#: to build and plentiful, threads are not.
-_EXECUTORS: Dict[int, ThreadPoolExecutor] = {}
-
-
-def _executor(workers: int) -> ThreadPoolExecutor:
-    pool = _EXECUTORS.get(workers)
-    if pool is None:
-        pool = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-kernel"
-        )
-        _EXECUTORS[workers] = pool
-    return pool
-
-
-def _chunk_bounds(rows: int, chunk_rows: int) -> List["tuple[int, int]"]:
-    return [(start, min(start + chunk_rows, rows)) for start in range(0, rows, chunk_rows)]
 
 
 # -- jitted primitives ------------------------------------------------------
 # Plain nested loops over the packed matrix: exactly the shape numba's
-# type-inferred machine code wants.  Without numba they are never called (the
-# vectorized fallback methods run instead), so the plain-Python definitions
-# only need to exist, not to be fast.
+# type-inferred machine code wants.  Without numba they are never called
+# (CompiledKernel refuses to build), so the plain-Python definitions only
+# need to exist, not to be fast.
 
 @njit(cache=True)
 def _jit_word_popcount(word):  # pragma: no cover - numba-only path
@@ -228,11 +147,10 @@ def _jit_tracker_cover(col_ptr, col_sets, gains, elements):  # pragma: no cover
 
 
 class CompiledKernel(NumpyKernel):
-    """Jit-compiled backend over the packed matrix (NumPy fallback built in).
+    """Jit-compiled backend over the packed matrix.
 
-    ``threads`` chunks the row sweeps across a thread pool (env default via
-    :data:`THREADS_ENV_VAR`); ``chunk_rows`` sizes those chunks — both are
-    pure wall-clock knobs, outputs are identical for every setting.
+    ``chunk_rows`` sizes the claim sweep's row chunks — a pure wall-clock
+    knob, outputs are identical for every setting.
     """
 
     backend = "compiled"
@@ -242,65 +160,21 @@ class CompiledKernel(NumpyKernel):
         universe_size: int,
         masks: Sequence[int],
         packed: Optional[bytes] = None,
-        threads: "int | None" = None,
         chunk_rows: int = DEFAULT_CHUNK_ROWS,
     ) -> None:
-        super().__init__(universe_size, masks, packed=packed)
+        if not HAS_NUMBA:
+            raise ImportError(
+                "the compiled kernel needs numba; install the [compiled] extra"
+            )
         if chunk_rows <= 0:
             raise ValueError("chunk_rows must be positive")
-        self.threads = resolve_threads(threads)
-        self.jitted = HAS_NUMBA
+        super().__init__(universe_size, masks, packed=packed)
         self._chunk_rows = chunk_rows
-        if not HAS_NUMBA:
-            _warn_no_numba()
 
-    # -- capability probing ---------------------------------------------
-    @classmethod
-    def capabilities(cls) -> Dict[str, object]:
-        """What this backend can do in the current environment."""
-        return {
-            "jit": HAS_NUMBA,
-            "parallel_sweeps": True,  # thread-chunked in both flavours
-            "zero_copy_packed": True,
-            "threads_env": THREADS_ENV_VAR,
-            "default_threads": resolve_threads(),
-        }
-
-    # -- batched popcounts ------------------------------------------------
     def _masked_popcounts(self, against: int) -> "np.ndarray":
-        """Per-row popcount of ``matrix & against`` through the fastest path."""
-        matrix = self._matrix
-        if matrix.shape[0] == 0:
-            return np.zeros(0, dtype=np.int64)
-        query = self._pack_one(against)
-        if HAS_NUMBA:
-            out = np.zeros(matrix.shape[0], dtype=np.int64)
-            _jit_masked_popcounts(matrix, query, out)
-            return out
-        if self.threads > 1 and matrix.shape[0] >= 2 * self._chunk_rows:
-            bounds = _chunk_bounds(matrix.shape[0], self._chunk_rows)
-            parts = _executor(self.threads).map(
-                lambda span: _popcount_rows(matrix[span[0] : span[1]] & query), bounds
-            )
-            return np.concatenate(list(parts))
-        return _popcount_rows(matrix & query)
-
-    def gains(self, uncovered: int) -> List[int]:
-        if not self._int_masks:
-            return []
-        return self._masked_popcounts(uncovered).tolist()
-
-    def best_gain_index(self, uncovered: int) -> "tuple[int, int]":
-        if not self._int_masks:
-            return -1, 0
-        counts = self._masked_popcounts(uncovered)
-        index = int(counts.argmax())  # first occurrence == smallest index
-        return index, int(counts[index])
-
-    def set_sizes(self) -> List[int]:
-        if not self._int_masks:
-            return []
-        return self._masked_popcounts(self._universe).tolist()
+        out = np.zeros(self._matrix.shape[0], dtype=np.int64)
+        _jit_masked_popcounts(self._matrix, pack_row(against, self._n), out)
+        return out
 
     # -- parallel claim sweep ---------------------------------------------
     def claim_resolution(self, keys: Sequence[int]) -> List[int]:
@@ -314,65 +188,35 @@ class CompiledKernel(NumpyKernel):
             # Keys this large would overflow the int64 scoring lanes; the
             # exact big-int sweep handles them at any magnitude.
             return claim_by_descending_keys(n, self._int_masks, key_list)
-        # Negative keys never claim (same as key 0): clamp so the score
-        # product stays "key if present else 0".
+        # Negative keys never claim (same as key 0): clamp them to 0, which
+        # the sweep skips.
         key_vector = np.asarray(key_list, dtype=np.int64)
         np.maximum(key_vector, 0, out=key_vector)
-        bounds = _chunk_bounds(m, self._chunk_rows)
-        if HAS_NUMBA:
-            best_keys = np.zeros((len(bounds), n), dtype=np.int64)
-            best_sets = np.full((len(bounds), n), -1, dtype=np.int64)
-            _jit_claim_sweep(
-                self._matrix, key_vector, n, self._chunk_rows, best_keys, best_sets
-            )
-            chunk_results = list(zip(best_keys, best_sets))
-        else:
-            chunk = self._claim_chunk
-            if self.threads > 1 and len(bounds) > 1:
-                chunk_results = list(
-                    _executor(self.threads).map(
-                        lambda span: chunk(span[0], span[1], key_vector), bounds
-                    )
-                )
-            else:
-                chunk_results = [chunk(lo, hi, key_vector) for lo, hi in bounds]
+        num_chunks = -(-m // self._chunk_rows)
+        best_keys = np.zeros((num_chunks, n), dtype=np.int64)
+        best_sets = np.full((num_chunks, n), -1, dtype=np.int64)
+        _jit_claim_sweep(
+            self._matrix, key_vector, n, self._chunk_rows, best_keys, best_sets
+        )
         # Sequential reduction in ascending chunk order with a strictly-
         # greater update: earlier chunks (smaller set indices) win ties, so
         # the merged winner is the smallest index among the maximum keys —
         # the claim_resolution contract — at every thread count.
         merged_keys = np.zeros(n, dtype=np.int64)
         merged_sets = np.full(n, -1, dtype=np.int64)
-        for chunk_keys, chunk_sets in chunk_results:
+        for chunk_keys, chunk_sets in zip(best_keys, best_sets):
             take = chunk_keys > merged_keys
             merged_keys[take] = chunk_keys[take]
             merged_sets[take] = chunk_sets[take]
         return merged_sets.tolist()
 
-    def _claim_chunk(
-        self, lo: int, hi: int, key_vector: "np.ndarray"
-    ) -> "tuple[np.ndarray, np.ndarray]":
-        """Fallback per-chunk winners: vectorized ``bit × key`` argmax.
-
-        ``argmax`` returns the first maximum, i.e. the smallest set index in
-        the chunk; a zero maximum means no positive-key set covers the
-        element here (winner -1, filtered by the reduction's ``> 0`` merge).
-        """
-        as_bytes = np.ascontiguousarray(self._matrix[lo:hi]).view(np.uint8)
-        bits = np.unpackbits(as_bytes, axis=1, bitorder="little")[:, : self._n]
-        scored = bits.astype(np.int64) * key_vector[lo:hi, None]
-        winners = scored.argmax(axis=0)
-        top = scored.max(axis=0)
-        return top, np.where(top > 0, winners + lo, -1)
-
     # -- frequencies ------------------------------------------------------
     def element_frequencies(self) -> List[int]:
         if not self._int_masks or self._n == 0:
             return [0] * self._n
-        if HAS_NUMBA:
-            out = np.zeros(self._n, dtype=np.int64)
-            _jit_column_frequencies(self._matrix, self._n, out)
-            return out.tolist()
-        return super().element_frequencies()
+        out = np.zeros(self._n, dtype=np.int64)
+        _jit_column_frequencies(self._matrix, self._n, out)
+        return out.tolist()
 
     # -- incremental gain maintenance --------------------------------------
     def gain_tracker(self, uncovered: int) -> "CompiledGainTracker":
@@ -380,33 +224,21 @@ class CompiledKernel(NumpyKernel):
 
 
 class CompiledGainTracker(NumpyGainTracker):
-    """Inverted-index tracker with the decrement loop jitted when possible.
+    """Inverted-index tracker with the decrement loop jitted.
 
     Same exact-gains contract as :class:`NumpyGainTracker` (it *is* one);
     only the per-incidence decrement walk changes implementation.
     """
 
-    def cover(self, newly: int) -> None:
-        if not HAS_NUMBA:
-            super().cover(newly)
-            return
-        if newly == 0 or self._gains.size == 0:
-            return
-        as_bytes = np.frombuffer(
-            newly.to_bytes(self._kernel._row_bytes, "little"), dtype=np.uint8
+    def _decrement(self, elements: "np.ndarray") -> None:
+        _jit_tracker_cover(
+            self._col_ptr, self._col_sets, self._gains, elements.astype(np.int64)
         )
-        elements = np.nonzero(np.unpackbits(as_bytes, bitorder="little"))[0]
-        if elements.size:
-            _jit_tracker_cover(
-                self._col_ptr, self._col_sets, self._gains, elements.astype(np.int64)
-            )
 
 
 __all__ = [
     "DEFAULT_CHUNK_ROWS",
     "HAS_NUMBA",
-    "THREADS_ENV_VAR",
     "CompiledGainTracker",
     "CompiledKernel",
-    "resolve_threads",
 ]

@@ -35,7 +35,7 @@ installed.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,8 +46,9 @@ from repro.utils.bitset import bitset_size
 #: regardless of host byte order (and is native on every platform we target).
 _WORD_DTYPE = np.dtype("<u8")
 
-#: Row-chunk size for the unpackbits-based passes (frequency count, inverted
-#: index build): bounds the transient bit matrix at ``chunk × n`` bytes.
+#: Row-chunk size for the unpackbits-based passes (frequency count, element
+#: lists, inverted index build): bounds the transient bit matrix at
+#: ``chunk × n`` bytes.
 _FREQ_CHUNK_ROWS = 1024
 
 if hasattr(np, "bitwise_count"):  # NumPy >= 2.0
@@ -61,6 +62,53 @@ else:  # pragma: no cover - exercised only on NumPy 1.x
         rows = words.shape[0]
         as_bytes = np.ascontiguousarray(words).view(np.uint8).reshape(rows, -1)
         return _POPCOUNT_TABLE[as_bytes].sum(axis=1, dtype=np.int64)
+
+
+# -- helpers over a (rows, words) matrix -----------------------------------
+# Shared by the resident kernel (its whole matrix) and the chunked kernel
+# (one window of a source at a time).
+
+def word_matrix(buffer, rows: int, words: int) -> "np.ndarray":
+    """A packed row buffer as its ``(rows, words)`` ``<u8`` matrix (no copy)."""
+    return np.frombuffer(buffer, dtype=_WORD_DTYPE).reshape(rows, words)
+
+
+def pack_row(mask: int, universe_size: int) -> "np.ndarray":
+    """One mask as a packed ``<u8`` row, clipped to the universe.
+
+    Stored rows are subsets of the universe, so bits beyond it cannot affect
+    any result — the pure-Python backend drops them implicitly, clipping
+    keeps the backends identical (and ``to_bytes`` from overflowing).
+    """
+    mask &= (1 << universe_size) - 1
+    row_bytes = max(1, (universe_size + 63) // 64) * 8
+    return np.frombuffer(mask.to_bytes(row_bytes, "little"), dtype=_WORD_DTYPE)
+
+
+def unpack_rows(matrix: "np.ndarray", n: int) -> "Iterator[Tuple[int, np.ndarray]]":
+    """``(start, bits)`` per row chunk: the chunk's ``(rows, n)`` 0/1 bytes.
+
+    Row-chunked so the transient bit matrix stays bounded at
+    ``_FREQ_CHUNK_ROWS × n`` bytes.
+    """
+    as_bytes = np.ascontiguousarray(matrix).view(np.uint8)
+    for start in range(0, matrix.shape[0], _FREQ_CHUNK_ROWS):
+        chunk = as_bytes[start : start + _FREQ_CHUNK_ROWS]
+        yield start, np.unpackbits(chunk, axis=1, bitorder="little")[:, :n]
+
+
+def column_counts(matrix: "np.ndarray", n: int) -> "np.ndarray":
+    """Per-element (column) count of set bits, as an int64 vector of length n."""
+    totals = np.zeros(n, dtype=np.int64)
+    for _, bits in unpack_rows(matrix, n):
+        totals += bits.sum(axis=0, dtype=np.int64)
+    return totals
+
+
+def or_reduce(matrix: "np.ndarray") -> int:
+    """The bitwise OR of every row, as a Python int."""
+    merged = np.bitwise_or.reduce(matrix, axis=0)
+    return int.from_bytes(np.ascontiguousarray(merged).tobytes(), "little")
 
 
 class NumpyKernel:
@@ -81,9 +129,7 @@ class NumpyKernel:
         if packed is not None and len(packed) == len(self._int_masks) * self._row_bytes:
             # Zero-copy adoption of an already-packed incidence buffer (the
             # transport path): frombuffer aliases the bytes, no re-packing.
-            self._matrix = np.frombuffer(packed, dtype=_WORD_DTYPE).reshape(
-                len(self._int_masks), self._words
-            )
+            self._matrix = word_matrix(packed, len(self._int_masks), self._words)
         else:
             self._matrix = self._pack(self._int_masks)
         self._universe = (1 << universe_size) - 1
@@ -92,22 +138,8 @@ class NumpyKernel:
 
     # -- packing helpers ------------------------------------------------
     def _pack(self, masks: Sequence[int]) -> "np.ndarray":
-        buffer = bytearray(len(masks) * self._row_bytes)
-        stride = self._row_bytes
-        for row, mask in enumerate(masks):
-            buffer[row * stride : (row + 1) * stride] = mask.to_bytes(stride, "little")
-        return (
-            np.frombuffer(bytes(buffer), dtype=_WORD_DTYPE)
-            .reshape(len(masks), self._words)
-        )
-
-    def _pack_one(self, mask: int) -> "np.ndarray":
-        # Clip to the packed width: stored rows are subsets of the universe,
-        # so bits beyond it cannot affect any result — the pure-Python
-        # backend drops them implicitly, this keeps the backends identical
-        # (and to_bytes from overflowing).
-        mask &= self._universe
-        return np.frombuffer(mask.to_bytes(self._row_bytes, "little"), dtype=_WORD_DTYPE)
+        data = b"".join(mask.to_bytes(self._row_bytes, "little") for mask in masks)
+        return word_matrix(data, len(masks), self._words)
 
     def _unpack_rows(self, rows: "np.ndarray") -> List[int]:
         data = np.ascontiguousarray(rows).tobytes()
@@ -116,6 +148,14 @@ class NumpyKernel:
             int.from_bytes(data[row * stride : (row + 1) * stride], "little")
             for row in range(rows.shape[0])
         ]
+
+    def _masked_popcounts(self, against: int) -> "np.ndarray":
+        """Per-row popcount of ``matrix & against`` (int64, by set index).
+
+        The one popcount every batched count shares — gains, sizes, the
+        greedy argmax, tracker starts — and the hook a jitted tier overrides.
+        """
+        return _popcount_rows(self._matrix & pack_row(against, self._n))
 
     # -- Kernel protocol ------------------------------------------------
     @property
@@ -134,41 +174,34 @@ class NumpyKernel:
     def gains(self, uncovered: int) -> List[int]:
         if not self._int_masks:
             return []
-        return _popcount_rows(self._matrix & self._pack_one(uncovered)).tolist()
+        return self._masked_popcounts(uncovered).tolist()
 
     def best_gain_index(self, uncovered: int) -> "tuple[int, int]":
         if not self._int_masks:
             return -1, 0
-        counts = _popcount_rows(self._matrix & self._pack_one(uncovered))
+        counts = self._masked_popcounts(uncovered)
         index = int(counts.argmax())  # first occurrence == smallest index
         return index, int(counts[index])
 
     def restrict(self, keep: int) -> List[int]:
         if not self._int_masks:
             return []
-        return self._unpack_rows(self._matrix & self._pack_one(keep))
+        return self._unpack_rows(self._matrix & pack_row(keep, self._n))
 
     def element_frequencies(self) -> List[int]:
         if not self._int_masks or self._n == 0:
             return [0] * self._n
-        totals = np.zeros(self._n, dtype=np.int64)
-        as_bytes = self._matrix.view(np.uint8)
-        for start in range(0, self._matrix.shape[0], _FREQ_CHUNK_ROWS):
-            chunk = as_bytes[start : start + _FREQ_CHUNK_ROWS]
-            bits = np.unpackbits(chunk, axis=1, bitorder="little")[:, : self._n]
-            totals += bits.sum(axis=0, dtype=np.int64)
-        return totals.tolist()
+        return column_counts(self._matrix, self._n).tolist()
 
     def union(self) -> int:
         if not self._int_masks:
             return 0
-        merged = np.bitwise_or.reduce(self._matrix, axis=0)
-        return int.from_bytes(np.ascontiguousarray(merged).tobytes(), "little")
+        return or_reduce(self._matrix)
 
     def set_sizes(self) -> List[int]:
         if not self._int_masks:
             return []
-        return _popcount_rows(self._matrix).tolist()
+        return self._masked_popcounts(self._universe).tolist()
 
     def element_lists(self, indices: "Sequence[int] | None" = None) -> List[List[int]]:
         matrix = (
@@ -180,11 +213,7 @@ class NumpyKernel:
         if m == 0 or self._n == 0:
             return [[] for _ in range(m)]
         lists: List[List[int]] = []
-        as_bytes = np.ascontiguousarray(matrix).view(np.uint8)
-        for start in range(0, m, _FREQ_CHUNK_ROWS):
-            bits = np.unpackbits(
-                as_bytes[start : start + _FREQ_CHUNK_ROWS], axis=1, bitorder="little"
-            )[:, : self._n]
+        for _, bits in unpack_rows(matrix, self._n):
             rows, cols = np.nonzero(bits)
             boundaries = np.searchsorted(rows, np.arange(1, bits.shape[0]))
             flat = cols.tolist()
@@ -228,16 +257,8 @@ class NumpyKernel:
                 col_ptr = np.zeros(n + 1, dtype=np.int64)
                 col_sets = np.zeros(0, dtype=np.int32)
             else:
-                # Row-chunked like element_frequencies: the transient
-                # unpacked bit matrix stays bounded at chunk × n bytes.
                 set_chunks, elem_chunks = [], []
-                as_bytes = self._matrix.view(np.uint8)
-                for start in range(0, m, _FREQ_CHUNK_ROWS):
-                    bits = np.unpackbits(
-                        as_bytes[start : start + _FREQ_CHUNK_ROWS],
-                        axis=1,
-                        bitorder="little",
-                    )[:, :n]
+                for start, bits in unpack_rows(self._matrix, n):
                     rows, cols = np.nonzero(bits)
                     set_chunks.append(rows + start)
                     elem_chunks.append(cols)
@@ -272,11 +293,10 @@ class NumpyGainTracker:
             # Whole-universe start (every fresh greedy run): per-set sizes,
             # cached on the kernel.
             if kernel._size_vector is None:
-                kernel._size_vector = _popcount_rows(kernel._matrix).astype(np.int64)
+                kernel._size_vector = kernel._masked_popcounts(uncovered)
             self._gains = kernel._size_vector.copy()
         else:
-            row = kernel._pack_one(uncovered)
-            self._gains = _popcount_rows(kernel._matrix & row).astype(np.int64)
+            self._gains = kernel._masked_popcounts(uncovered)
 
     def best(self) -> "tuple[int, int]":
         if self._gains.size == 0:
@@ -287,10 +307,11 @@ class NumpyGainTracker:
     def cover(self, newly: int) -> None:
         if newly == 0 or self._gains.size == 0:
             return
-        as_bytes = np.frombuffer(
-            newly.to_bytes(self._kernel._row_bytes, "little"), dtype=np.uint8
-        )
-        elements = np.nonzero(np.unpackbits(as_bytes, bitorder="little"))[0]
+        row = pack_row(newly, self._kernel.universe_size).view(np.uint8)
+        self._decrement(np.nonzero(np.unpackbits(row, bitorder="little"))[0])
+
+    def _decrement(self, elements: "np.ndarray") -> None:
+        """Subtract one from the gain of every set containing each element."""
         starts = self._col_ptr[elements]
         lengths = self._col_ptr[elements + 1] - starts
         ends = np.cumsum(lengths)

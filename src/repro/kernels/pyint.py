@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
+from repro.kernels.base import Kernel
 from repro.utils.bitset import bitset_size, iter_bits
 
 
@@ -127,10 +128,11 @@ class PyIntKernel:
 
 
 class PyGainTracker:
-    """Rescan-on-demand tracker: one :meth:`PyIntKernel.best_gain_index` per
-    pick, exactly the cost profile of the seed implementation's loop."""
+    """Rescan-on-demand tracker: one ``best_gain_index`` of its kernel per
+    pick — exactly the cost profile of the seed implementation's loop, and
+    how the windowed kernel tracks gains without resident state."""
 
-    def __init__(self, kernel: PyIntKernel, uncovered: int) -> None:
+    def __init__(self, kernel: Kernel, uncovered: int) -> None:
         self._kernel = kernel
         self._uncovered = uncovered
 

@@ -525,6 +525,8 @@ class MmapSource(InstanceSource):
         A path that is gone (or torn mid-write) raises the typed, retryable
         :class:`~repro.exceptions.InstanceSourceLostError` — opening never
         mutates anything, so the ambient retry policy can simply try again.
+        A row with a bit set past the universe raises :class:`ValueError`,
+        exactly as :meth:`SetSystem.from_packed` does on the same bytes.
         """
         return _with_attach_faults(str(path), lambda: cls._open_path(str(path)))
 
@@ -553,7 +555,7 @@ class MmapSource(InstanceSource):
             file.close()
             raise
         names = header.get("names")
-        return cls(
+        source = cls(
             path,
             file,
             mapped,
@@ -564,6 +566,13 @@ class MmapSource(InstanceSource):
             backend=header.get("backend", "auto"),
             digest=header.get("digest"),
         )
+        if expected and source.universe_size % 64:
+            try:
+                _check_padding(source.view(), source.num_sets, source.universe_size)
+            except ValueError:
+                source.close()
+                raise
+        return source
 
     def view(self) -> memoryview:
         if self._closed:
@@ -603,6 +612,29 @@ class MmapSource(InstanceSource):
                 pass
             self._mapped = None
         self._file.close()
+
+
+def _check_padding(view: memoryview, num_sets: int, universe_size: int) -> None:
+    """Reject a packed buffer with any bit set at or past ``universe_size``.
+
+    Such bits can only sit in the padding of each row's last word, so this
+    is one streaming pass over those words: byte ``b`` of every row's last
+    word is one strided slice, masked to that byte's padding bits.  Raises
+    the :meth:`SetSystem.from_masks` error for the first offending row.
+    """
+    stride = packed_row_bytes(universe_size)
+    used = universe_size % 64
+    first = num_sets
+    for byte in range(8):
+        padding = (0xFF << max(0, used - 8 * byte)) & 0xFF
+        if padding:
+            column = bytes(view[stride - 8 + byte :: stride])
+            masked = column.translate(bytes(value & padding for value in range(256)))
+            first = min(first, num_sets - len(masked.lstrip(b"\0")))
+    if first < num_sets:
+        raise ValueError(
+            f"mask {first} contains elements outside the universe [0, {universe_size})"
+        )
 
 
 def open_source(descriptor: SourceDescriptor) -> InstanceSource:

@@ -12,10 +12,12 @@ then asserts equality observable by observable.
 
 Backend test files *import* this harness instead of re-implementing parity:
 
-* ``tests/test_kernel_conformance.py`` parameterizes it over every backend in
+* ``tests/test_kernel_conformance.py`` parameterizes it over
+  :data:`SWEPT_BACKENDS` — every backend in
   :func:`repro.kernels.kernel_registry` (so registering a new backend makes
-  it conformance-gated automatically) and, for the compiled backend, over
-  thread counts and chunk sizes;
+  it conformance-gated automatically), plus the ``compiled`` request where
+  it degrades — and, for the compiled backend, over numba thread counts
+  with multi-chunk claim sweeps;
 * property suites reuse :func:`assert_kernel_conformance` on hypothesis-drawn
   systems.
 
@@ -24,9 +26,10 @@ Not itself collected by pytest (no ``test_`` prefix) — it is a library.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Sequence, Tuple
 
-from repro.kernels import kernel_registry
+from repro.kernels import kernel_registry, registered_backends, resolve_backend
 from repro.kernels.base import Kernel
 from repro.kernels.pyint import PyIntKernel
 from repro.utils.rng import RandomSource
@@ -100,19 +103,53 @@ def _tracker_cover_schedule(n: int, seed: int = 23) -> List[int]:
     return [rng.randbits(n) for _ in range(5)] + [0]
 
 
-def build_kernel(backend: str, universe_size: int, masks: Sequence[int], **kwargs) -> Kernel:
-    """Build a raw (unmetered) kernel straight from the registry factory.
+#: The backend requests the suites sweep, in tier order: every registered
+#: backend, plus ``compiled`` where numba is missing.  That request degrades
+#: to the highest registered tier (containers, pickles and service specs
+#: carry it across hosts), and the kernel it builds is bound by the same
+#: contract.
+SWEPT_BACKENDS = list(dict.fromkeys(registered_backends() + ["compiled"]))
 
-    ``kwargs`` passes backend-specific knobs through (``threads=``,
-    ``chunk_rows=`` on the compiled backend); factories ignore what they
-    don't take via their keyword signatures.
+
+def build_kernel(backend: str, universe_size: int, masks: Sequence[int], **kwargs) -> Kernel:
+    """Build a raw (unmetered) kernel for a backend request.
+
+    The request resolves as every call site's does, so ``compiled`` builds
+    the tier it degrades to on a host without numba.  ``kwargs`` reach the
+    registry factory unchanged: a knob it does not take is a ``TypeError``.
     """
-    factory = kernel_registry()[backend]
+    factory = kernel_registry()[resolve_backend(backend)]
+    return factory(universe_size, list(masks), **kwargs)
+
+
+def build_compiled_kernel(universe_size: int, masks: Sequence[int]) -> Kernel:
+    """The kernel a ``compiled`` request builds, in its multi-chunk form.
+
+    With numba, ``chunk_rows=2`` forces genuinely multi-chunk claim sweeps
+    even on tiny shapes, so the chunk-merge tie-breaking is exercised;
+    without it the request degrades to a tier that takes no such knob.
+    """
+    options = {"chunk_rows": 2} if "compiled" in kernel_registry() else {}
+    return build_kernel("compiled", universe_size, masks, **options)
+
+
+@contextmanager
+def numba_threads(count: int) -> Iterator[None]:
+    """Run the body on ``count`` numba threads, capped at the pool size.
+
+    Without numba there is no thread pool to size and the body runs as is.
+    """
+    if "compiled" not in kernel_registry():
+        yield
+        return
+    import numba
+
+    previous = numba.get_num_threads()
+    numba.set_num_threads(min(count, numba.config.NUMBA_NUM_THREADS))
     try:
-        return factory(universe_size, list(masks), **kwargs)
-    except TypeError:
-        # Factory without the extra knobs (e.g. pure Python): build plain.
-        return factory(universe_size, list(masks))
+        yield
+    finally:
+        numba.set_num_threads(previous)
 
 
 def assert_kernel_conformance(

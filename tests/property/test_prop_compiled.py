@@ -8,33 +8,35 @@ against the pure-Python reference:
 * whole :class:`~repro.streaming.algorithm_base.StreamingResult` objects for
   the one-pass baselines (Emek–Rosén exercises the parallel claim sweep,
   store-everything exercises greedy over restricted systems);
-* the compiled backend at thread counts {1, 2, 4} with deliberately tiny
-  chunks, pinning the parallel sweeps deterministic — byte-identical output
-  at every thread count, on every drawn system.
+* the compiled backend at numba thread counts {1, 2, 4} with deliberately
+  tiny chunks, pinning the parallel sweeps deterministic — byte-identical
+  output at every thread count, on every drawn system.  Without numba the
+  ``compiled`` request degrades and these legs pin the degraded kernel.
 
-Backends are enumerated from :func:`repro.kernels.kernel_registry`, so a
-future fourth backend lands in this differential suite with no edits.
+Backends are enumerated from :data:`kernel_conformance.SWEPT_BACKENDS`
+(the registry plus the ``compiled`` request), so a future fourth backend
+lands in this differential suite with no edits.
 """
-
-import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kernel_conformance import assert_kernel_conformance, build_kernel, key_patterns
+from kernel_conformance import (
+    SWEPT_BACKENDS,
+    assert_kernel_conformance,
+    build_compiled_kernel,
+    key_patterns,
+    numba_threads,
+)
 from repro.baselines import EmekRosenSemiStreaming, StoreEverythingSetCover
 from repro.exceptions import InfeasibleInstanceError
-from repro.kernels import registered_backends
 from repro.kernels.pyint import PyIntKernel
 from repro.setcover.greedy import greedy_cover_trace
 from repro.setcover.instance import SetSystem
 from repro.streaming.engine import run_streaming_algorithm
 from repro.streaming.stream import StreamOrder
 
-BACKENDS = registered_backends()
-HAS_COMPILED = "compiled" in BACKENDS
-
-pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+BACKENDS = SWEPT_BACKENDS
 
 
 @st.composite
@@ -108,7 +110,6 @@ class TestWholeStreamingRunParity:
                 )
 
 
-@pytest.mark.skipif(not HAS_COMPILED, reason="compiled backend unavailable")
 class TestThreadDeterminism:
     """Thread counts {1, 2, 4} must be byte-identical to serial and PyInt."""
 
@@ -123,73 +124,43 @@ class TestThreadDeterminism:
             for name, keys in key_patterns(len(masks))
         }
         for threads in (1, 2, 4):
-            kernel = build_kernel("compiled", n, masks, threads=threads, chunk_rows=2)
-            assert kernel.gains(uncovered) == reference.gains(uncovered)
-            assert kernel.best_gain_index(uncovered) == reference.best_gain_index(
-                uncovered
-            )
-            assert kernel.element_frequencies() == reference.element_frequencies()
-            for name, keys in key_patterns(len(masks)):
-                assert kernel.claim_resolution(keys) == expected_claims[name], (
-                    threads,
-                    name,
+            with numba_threads(threads):
+                kernel = build_compiled_kernel(n, masks)
+                assert kernel.gains(uncovered) == reference.gains(uncovered)
+                assert kernel.best_gain_index(uncovered) == reference.best_gain_index(
+                    uncovered
                 )
+                assert kernel.element_frequencies() == reference.element_frequencies()
+                for name, keys in key_patterns(len(masks)):
+                    assert kernel.claim_resolution(keys) == expected_claims[name], (
+                        threads,
+                        name,
+                    )
 
     @settings(max_examples=15, deadline=None)
     @given(data=mask_systems(max_n=48, max_m=8))
     def test_full_conformance_at_every_thread_count(self, data):
         n, masks = data
         for threads in (1, 2, 4):
-            kernel = build_kernel("compiled", n, masks, threads=threads, chunk_rows=2)
-            assert_kernel_conformance(kernel, n, masks)
+            with numba_threads(threads):
+                assert_kernel_conformance(build_compiled_kernel(n, masks), n, masks)
 
     @settings(max_examples=15, deadline=None)
     @given(data=coverable_mask_systems())
     def test_streaming_result_identical_at_every_thread_count(self, data):
-        """Whole Emek–Rosén runs (claim-sweep heavy) pinned across threads.
-
-        The thread count rides in via the environment knob — exactly how a
-        production deployment would set it — re-resolved per system build.
-        """
-        import os
-
+        """Whole Emek–Rosén runs (claim-sweep heavy) pinned across threads,
+        and to the pure-Python run."""
         n, masks = data
-        results = []
+
+        def run(backend):
+            return run_streaming_algorithm(
+                EmekRosenSemiStreaming(),
+                SetSystem.from_masks(n, masks, backend=backend),
+                order=StreamOrder.ADVERSARIAL,
+                verify_solution=False,
+            )
+
+        expected = run("python")
         for threads in (1, 2, 4):
-            os.environ["REPRO_KERNEL_THREADS"] = str(threads)
-            try:
-                pinned = SetSystem.from_masks(n, masks, backend="compiled")
-                results.append(
-                    run_streaming_algorithm(
-                        EmekRosenSemiStreaming(),
-                        pinned,
-                        order=StreamOrder.ADVERSARIAL,
-                        verify_solution=False,
-                    )
-                )
-            finally:
-                os.environ.pop("REPRO_KERNEL_THREADS", None)
-        assert results[0] == results[1] == results[2]
-
-
-def test_no_numba_warning_is_single_shot():
-    """On a numba-less interpreter the compiled tier warns exactly once."""
-    if not HAS_COMPILED:
-        pytest.skip("compiled backend unavailable")
-    from repro.kernels import compiled
-
-    if compiled.HAS_NUMBA:
-        pytest.skip("numba installed: no fallback warning expected")
-    original = compiled._WARNED_NO_NUMBA
-    compiled._WARNED_NO_NUMBA = False
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            build_kernel("compiled", 8, [0b1010, 0b0101])
-            build_kernel("compiled", 8, [0b1010, 0b0101])
-        fallback_warnings = [
-            w for w in caught if "numba is not installed" in str(w.message)
-        ]
-        assert len(fallback_warnings) == 1
-    finally:
-        compiled._WARNED_NO_NUMBA = original
+            with numba_threads(threads):
+                assert run("compiled") == expected, threads

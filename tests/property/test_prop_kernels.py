@@ -15,20 +15,19 @@ Two families of invariants guard the compute-kernel seam:
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.kernels as kernels
+from kernel_conformance import SWEPT_BACKENDS
 from repro.exceptions import InfeasibleInstanceError
-from repro.kernels import PyIntKernel, make_kernel, registered_backends
+from repro.kernels import PyIntKernel, make_kernel
 from repro.setcover.greedy import greedy_cover_trace
 from repro.setcover.instance import SetSystem
 from repro.setcover.maxcover import greedy_max_coverage
 from repro.utils.bitset import bitset_size
 
-# Enumerated from the make_kernel registry so newly registered backends are
-# covered by these suites automatically (no hardcoded name lists).
-BACKENDS = registered_backends()
+# Enumerated from the make_kernel registry (plus the compiled request where
+# it degrades) so newly registered backends are covered by these suites
+# automatically (no hardcoded name lists).
+BACKENDS = SWEPT_BACKENDS
 ACCELERATED = [name for name in BACKENDS if name != "python"]
-
-pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
 
 @st.composite

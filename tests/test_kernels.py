@@ -6,12 +6,13 @@ import warnings
 import pytest
 
 import repro.kernels as kernels
+from kernel_conformance import SWEPT_BACKENDS, build_kernel
 from repro.core.element_sampling import element_sample, element_sample_mask
 from repro.kernels import (
     AUTO_NUMPY_THRESHOLD,
+    BACKENDS,
     KERNEL_ENV_VAR,
     PyIntKernel,
-    available_backends,
     kernel_registry,
     make_kernel,
     registered_backends,
@@ -27,11 +28,9 @@ N = 5
 requires_numpy = pytest.mark.skipif(not kernels.HAS_NUMPY, reason="NumPy not installed")
 
 
-def both_kernels():
-    """One raw kernel per registered backend (registry-enumerated)."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # no-numba fallback note
-        return [factory(N, MASKS) for factory in kernel_registry().values()]
+def swept_kernels():
+    """One raw kernel per swept backend request, labelled by the request."""
+    return [pytest.param(build_kernel(name, N, MASKS), id=name) for name in SWEPT_BACKENDS]
 
 
 class TestBackendResolution:
@@ -49,6 +48,7 @@ class TestBackendResolution:
     @requires_numpy
     def test_auto_large_system_picks_numpy(self, monkeypatch):
         monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
+        monkeypatch.setattr(kernels, "HAS_NUMBA", False)
         assert resolve_backend("auto", 1 << 12, 1 << 12) == "numpy"
 
     @requires_numpy
@@ -65,7 +65,7 @@ class TestBackendResolution:
         """Auto selection degrades gracefully on a NumPy-less install."""
         monkeypatch.setattr(kernels, "HAS_NUMPY", False)
         assert resolve_backend("auto", 1 << 12, 1 << 12) == "python"
-        assert available_backends() == ["python"]
+        assert registered_backends() == ["python"]
 
     def test_numpy_missing_env_hint_degrades(self, monkeypatch):
         monkeypatch.setattr(kernels, "HAS_NUMPY", False)
@@ -92,24 +92,31 @@ class TestBackendResolution:
         kernel = make_kernel(N, MASKS, backend="numpy")
         assert kernel.backend == "numpy"
 
-    def test_registry_matches_available_backends(self):
-        assert registered_backends() == available_backends()
+    def test_registry_lists_tiers_in_ladder_order(self):
         assert list(kernel_registry()) == registered_backends()
         assert registered_backends()[0] == "python"
+        assert registered_backends() == sorted(registered_backends(), key=BACKENDS.index)
 
 
 @requires_numpy
 class TestCompiledResolutionAndFallbackLadder:
-    """The compiled tier's selection rules and graceful degradation ladder:
-    numba missing → NumPy-fallback flavour (one warning), NumPy missing →
-    pure Python (one warning), failed builds → next rung, bytes unchanged."""
+    """The compiled tier's selection rules and degradation ladder: it is
+    registered only with numba; a compiled request elsewhere degrades
+    silently to the highest registered tier below it; a failed build walks
+    the registry down a tier at a time; the bytes never change."""
 
-    def test_explicit_compiled_resolves(self):
+    def test_explicit_compiled_resolves(self, monkeypatch):
+        monkeypatch.setattr(kernels, "HAS_NUMBA", True)
         assert resolve_backend("compiled", 4, 4) == "compiled"
+        monkeypatch.setattr(kernels, "HAS_NUMBA", False)
+        assert resolve_backend("compiled", 4, 4) == "numpy"
 
     def test_env_var_forces_compiled(self, monkeypatch):
         monkeypatch.setenv(KERNEL_ENV_VAR, "compiled")
+        monkeypatch.setattr(kernels, "HAS_NUMBA", True)
         assert resolve_backend("auto", 2, 2) == "compiled"
+        monkeypatch.setattr(kernels, "HAS_NUMBA", False)
+        assert resolve_backend("auto", 2, 2) == "numpy"
 
     def test_auto_tier_requires_numba_for_compiled(self, monkeypatch):
         monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
@@ -118,29 +125,34 @@ class TestCompiledResolutionAndFallbackLadder:
         monkeypatch.setattr(kernels, "HAS_NUMBA", True)
         assert resolve_backend("auto", 1 << 12, 1 << 12) == "compiled"
 
-    def test_make_kernel_compiled_flavour(self):
-        from repro.kernels.compiled import HAS_NUMBA, CompiledKernel
+    def test_compiled_registered_only_with_numba(self, monkeypatch):
+        monkeypatch.setattr(kernels, "HAS_NUMBA", False)
+        assert registered_backends() == ["python", "numpy"]
+        monkeypatch.setattr(kernels, "HAS_NUMBA", True)
+        assert registered_backends() == ["python", "numpy", "compiled"]
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            kernel = make_kernel(N, MASKS, backend="compiled")
-        assert kernel.backend == "compiled"
-        assert isinstance(kernel, CompiledKernel)
-        assert kernel.jitted == HAS_NUMBA  # fallback flavour on numba-less
+    def test_compiled_kernel_needs_numba(self, monkeypatch):
+        from repro.kernels import compiled
+
+        monkeypatch.setattr(compiled, "HAS_NUMBA", False)
+        with pytest.raises(ImportError, match="numba"):
+            compiled.CompiledKernel(N, MASKS)
+
+    def test_make_kernel_compiled_flavour(self):
+        from repro.kernels.compiled import CompiledKernel
+        from repro.kernels.numpy_backend import NumpyKernel
+
+        kernel = make_kernel(N, MASKS, backend="compiled")
+        assert type(kernel) is (CompiledKernel if kernels.HAS_NUMBA else NumpyKernel)
+        assert kernel.backend == resolve_backend("compiled")
         assert kernel.gains(0b11111) == PyIntKernel(N, MASKS).gains(0b11111)
 
-    def test_numpy_missing_compiled_degrades_to_python_with_one_warning(
-        self, monkeypatch
-    ):
+    def test_numpy_missing_compiled_degrades_to_python_silently(self, monkeypatch):
         monkeypatch.setattr(kernels, "HAS_NUMPY", False)
-        monkeypatch.setattr(kernels, "_WARNED_NO_NUMPY_FOR_COMPILED", False)
-        with pytest.warns(RuntimeWarning, match="NumPy is not installed"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert resolve_backend("compiled") == "python"
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert resolve_backend("compiled") == "python"  # second time: silent
-        assert not caught
-        kernel = make_kernel(N, MASKS, backend="compiled")
+            kernel = make_kernel(N, MASKS, backend="compiled")
         assert isinstance(kernel, PyIntKernel)
         assert kernel.gains(0b11111) == PyIntKernel(N, MASKS).gains(0b11111)
 
@@ -150,44 +162,38 @@ class TestCompiledResolutionAndFallbackLadder:
         assert resolve_backend("auto", 1 << 12, 1 << 12) == "python"
 
     def test_failed_compiled_build_falls_back_to_numpy(self, monkeypatch):
-        """One broken rung falls exactly one rung, not all the way down."""
-        from repro.kernels.compiled import CompiledKernel
+        """One broken rung falls exactly one rung, not all the way down.
+
+        Registering a compiled tier whose build fails runs the ladder on any
+        host, numba or not.
+        """
         from repro.kernels.numpy_backend import NumpyKernel
 
         def boom(*args, **kwargs):
             raise RuntimeError("simulated compiled-build failure")
 
+        monkeypatch.setattr(kernels, "HAS_NUMBA", True)
         monkeypatch.setattr(kernels, "_factory_compiled", boom)
         kernel = make_kernel(N, MASKS, backend="compiled")
         underlying = getattr(kernel, "_kernel", kernel)
-        assert isinstance(underlying, NumpyKernel)
-        assert not isinstance(underlying, CompiledKernel)
+        assert type(underlying) is NumpyKernel
         assert kernel.gains(0b11111) == PyIntKernel(N, MASKS).gains(0b11111)
 
-    def test_injected_build_faults_fall_to_pyint(self):
+    def test_injected_build_faults_fall_to_pyint(self, monkeypatch):
         """A rate-1 kernel.make fault breaks every accelerated rung: the
         ladder bottoms out at the always-available pure-Python kernel."""
         from repro.resilience.faults import fault_plan_active, parse_fault_spec
 
+        monkeypatch.setattr(kernels, "HAS_NUMBA", True)
         with fault_plan_active(parse_fault_spec("seed=1,kernel.make:raise:1:1")):
             kernel = make_kernel(N, MASKS, backend="compiled")
         underlying = getattr(kernel, "_kernel", kernel)
         assert isinstance(underlying, PyIntKernel)
         assert kernel.gains(0b11111) == PyIntKernel(N, MASKS).gains(0b11111)
 
-    def test_threads_argument_and_env(self, monkeypatch):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            assert make_kernel(N, MASKS, backend="compiled", threads=3).threads == 3
-            monkeypatch.setenv("REPRO_KERNEL_THREADS", "2")
-            assert make_kernel(N, MASKS, backend="compiled").threads == 2
-            monkeypatch.setenv("REPRO_KERNEL_THREADS", "lots")
-            with pytest.raises(ValueError):
-                make_kernel(N, MASKS, backend="compiled")
-
 
 class TestKernelPrimitives:
-    @pytest.mark.parametrize("kernel", both_kernels(), ids=lambda k: k.backend)
+    @pytest.mark.parametrize("kernel", swept_kernels())
     def test_gains_match_definition(self, kernel):
         uncovered = 0b10101
         expected = [bin(mask & uncovered).count("1") for mask in MASKS]
@@ -195,19 +201,19 @@ class TestKernelPrimitives:
         for index in range(len(MASKS)):
             assert kernel.gain(index, uncovered) == expected[index]
 
-    @pytest.mark.parametrize("kernel", both_kernels(), ids=lambda k: k.backend)
+    @pytest.mark.parametrize("kernel", swept_kernels())
     def test_restrict(self, kernel):
         keep = 0b01110
         assert kernel.restrict(keep) == [mask & keep for mask in MASKS]
 
-    @pytest.mark.parametrize("kernel", both_kernels(), ids=lambda k: k.backend)
+    @pytest.mark.parametrize("kernel", swept_kernels())
     def test_element_frequencies(self, kernel):
         expected = [
             sum(1 for mask in MASKS if mask >> element & 1) for element in range(N)
         ]
         assert kernel.element_frequencies() == expected
 
-    @pytest.mark.parametrize("kernel", both_kernels(), ids=lambda k: k.backend)
+    @pytest.mark.parametrize("kernel", swept_kernels())
     def test_union_and_sizes(self, kernel):
         union = 0
         for mask in MASKS:
@@ -215,7 +221,7 @@ class TestKernelPrimitives:
         assert kernel.union() == union
         assert kernel.set_sizes() == [bin(mask).count("1") for mask in MASKS]
 
-    @pytest.mark.parametrize("kernel", both_kernels(), ids=lambda k: k.backend)
+    @pytest.mark.parametrize("kernel", swept_kernels())
     def test_query_mask_beyond_universe(self, kernel):
         """Bits past the universe in a query mask are dropped identically."""
         wide = (1 << 300) | 0b10101
@@ -223,14 +229,14 @@ class TestKernelPrimitives:
         assert kernel.restrict(wide) == kernel.restrict(0b10101)
         assert kernel.best_gain_index(wide) == kernel.best_gain_index(0b10101)
 
-    @pytest.mark.parametrize("kernel", both_kernels(), ids=lambda k: k.backend)
+    @pytest.mark.parametrize("kernel", swept_kernels())
     def test_empty_universe(self, kernel):
         empty = type(kernel)(0, [])
         assert empty.gains(0) == []
         assert empty.element_frequencies() == []
         assert empty.union() == 0
 
-    @pytest.mark.parametrize("kernel", both_kernels(), ids=lambda k: k.backend)
+    @pytest.mark.parametrize("kernel", swept_kernels())
     def test_element_lists_ascending(self, kernel):
         expected = [
             [element for element in range(N) if mask >> element & 1] for mask in MASKS
@@ -239,14 +245,14 @@ class TestKernelPrimitives:
         assert lists == expected
         assert all(isinstance(e, int) for row in lists for e in row)
 
-    @pytest.mark.parametrize("kernel", both_kernels(), ids=lambda k: k.backend)
+    @pytest.mark.parametrize("kernel", swept_kernels())
     def test_element_lists_restricted_to_indices(self, kernel):
         full = kernel.element_lists()
         picked = [len(MASKS) - 1, 0]
         assert kernel.element_lists(picked) == [full[i] for i in picked]
         assert kernel.element_lists([]) == []
 
-    @pytest.mark.parametrize("kernel", both_kernels(), ids=lambda k: k.backend)
+    @pytest.mark.parametrize("kernel", swept_kernels())
     def test_claim_resolution_prefers_largest_key(self, kernel):
         keys = list(range(1, len(MASKS) + 1))
         winners = kernel.claim_resolution(keys)
@@ -255,12 +261,12 @@ class TestKernelPrimitives:
             expected = max(containing, key=lambda i: keys[i], default=-1)
             assert winners[element] == expected
 
-    @pytest.mark.parametrize("kernel", both_kernels(), ids=lambda k: k.backend)
+    @pytest.mark.parametrize("kernel", swept_kernels())
     def test_claim_resolution_zero_keys_never_claim(self, kernel):
         winners = kernel.claim_resolution([0] * len(MASKS))
         assert winners == [-1] * N
 
-    @pytest.mark.parametrize("kernel", both_kernels(), ids=lambda k: k.backend)
+    @pytest.mark.parametrize("kernel", swept_kernels())
     def test_claim_resolution_ties_to_smallest_index(self, kernel):
         winners = kernel.claim_resolution([5] * len(MASKS))
         for element in range(N):
@@ -284,7 +290,7 @@ class TestSetSystemIntegration:
     def test_default_backend_is_auto(self):
         system = SetSystem(N, [[0, 1], [2]])
         assert system.requested_backend == "auto"
-        assert system.backend in available_backends()
+        assert system.backend in registered_backends()
 
     def test_explicit_backend_respected(self):
         system = SetSystem(N, [[0, 1], [2]], backend="python")
@@ -346,7 +352,7 @@ class TestGainTrackers:
         masks = [0b110110, 0b011011, 0b101000, 0b000111, 0b111111, 0b000000]
         return 6, masks
 
-    @pytest.mark.parametrize("kernel", both_kernels(), ids=lambda k: k.backend)
+    @pytest.mark.parametrize("kernel", swept_kernels())
     def test_tracker_matches_best_gain_index(self, kernel):
         n = N
         uncovered = (1 << n) - 1
@@ -368,14 +374,14 @@ class TestGainTrackers:
         masks = [((0x9E3779B97F4A7C15 * (i + 1)) & ((1 << 40) - 1)) | 1 for i in range(12)]
         masks += [0xFF << (8 * i) for i in range(5)]  # stripes keep it coverable
         reference = {}
-        for backend in available_backends():
+        for backend in registered_backends():
             system = SetSystem.from_masks(n, masks, backend=backend)
             reference[backend] = (
                 greedy_cover_trace(system).solution,
                 greedy_max_coverage(system, 5),
             )
         monkeypatch.setattr(greedy_module, "_STALE_POP_ESCAPE", 0)
-        for backend in available_backends():
+        for backend in registered_backends():
             system = SetSystem.from_masks(n, masks, backend=backend)
             assert greedy_cover_trace(system).solution == reference[backend][0]
             assert greedy_max_coverage(system, 5) == reference[backend][1]

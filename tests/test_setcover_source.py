@@ -17,7 +17,7 @@ import repro.kernels as kernels
 from repro.exceptions import InstanceSourceLostError
 from repro.kernels.chunked import ChunkedKernel
 from repro.setcover.greedy import greedy_cover_trace, greedy_set_cover
-from repro.setcover.instance import SetSystem, packed_row_bytes
+from repro.setcover.instance import PackedSetSystem, SetSystem, packed_row_bytes
 from repro.setcover.source import (
     CONTAINER_MAGIC,
     ContainerWriter,
@@ -120,6 +120,21 @@ class TestContainerFormat:
         with pytest.raises(ValueError):
             writer.append_masks([1 << 4])
         writer.abort()
+
+    def test_padding_bit_past_universe_rejected_like_from_packed(self, tmp_path):
+        """A bit in a row's padding is refused on open, with the error the
+        resident path raises on the same bytes."""
+        rows = [0b1011, (1 << 100) | 1]  # element 100 in a universe of 70
+        buffer = b"".join(mask.to_bytes(packed_row_bytes(70), "little") for mask in rows)
+        path = tmp_path / "padded.repro"
+        with ContainerWriter(path, 70, len(rows)) as writer:
+            writer.append_rows(buffer)
+        with pytest.raises(ValueError) as resident:
+            SetSystem.from_packed(PackedSetSystem(70, len(rows), buffer))
+        with pytest.raises(ValueError) as windowed:
+            MmapSource.open(path)
+        assert str(windowed.value) == str(resident.value)
+        assert "outside the universe [0, 70)" in str(windowed.value)
 
 
 def open_all_backings(system, tmp_path):

@@ -4,7 +4,7 @@ The telemetry subsystem's core promise is output-neutrality — a run with a
 :class:`~repro.telemetry.TelemetrySession` active produces byte-identical
 results to the same run without one.  Every test here computes the same
 artifact twice (telemetry off, then on) and compares canonical JSON or
-equality, parametrized over both kernel backends where the artifact touches
+equality, parametrized over every kernel backend where the artifact touches
 the kernel layer.
 """
 
@@ -12,8 +12,8 @@ import json
 
 import pytest
 
+from kernel_conformance import SWEPT_BACKENDS
 from repro.core.algorithm1 import AlgorithmOneConfig, StreamingSetCover
-from repro.kernels import available_backends
 from repro.lowerbound.dmc import DMCParameters, sample_dmc
 from repro.lowerbound.dsc import DSCParameters, sample_dsc
 from repro.runtime.executor import TaskExecutor
@@ -26,7 +26,7 @@ from repro.streaming.engine import run_streaming_algorithm
 from repro.telemetry import TelemetrySession
 from repro.utils.rng import RandomSource
 
-BACKENDS = available_backends()
+BACKENDS = SWEPT_BACKENDS
 
 
 def dense_system(n=96, m=40, seed=5, backend="python"):
