@@ -20,10 +20,11 @@ process, or sharded over worker processes and backed by a persistent result
 store — prints the tables, and optionally persists JSON / markdown reports
 via :mod:`repro.experiments.report`.
 
-When ``--workers``/``--store`` are given, execution routes through the
-runtime executor: status lines become deterministic ``computed``/``cached``
-markers (no wall-clock), so a parallel run's stdout is byte-identical to the
-serial run's and cache hits are observable.
+Every ``run`` goes through the runtime executor (serial dispatch and no
+store unless ``--workers``/``--store``/``--dispatch`` say otherwise).  Status
+lines on stdout are deterministic ``computed``/``cached`` markers, so a
+parallel run's stdout is byte-identical to the serial run's and cache hits
+are observable; the elapsed time goes to stderr.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence
 
@@ -373,16 +373,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def resolve_experiment_ids(
-    requested: Sequence[str], allow_scenarios: bool = False
-) -> List[str]:
+def resolve_experiment_ids(requested: Sequence[str]) -> List[str]:
     """Expand 'all' and validate experiment ids (case-insensitive).
 
-    With ``allow_scenarios=True`` (the runtime execution path), names that
-    are not experiment ids may also match any registered runtime scenario,
-    and a name matching a scenario *tag* (e.g. ``adversarial``) expands to
-    every scenario carrying that tag — which is how a whole workload grid
-    runs through the sharded executor with one CLI argument.
+    Names that are not experiment ids may also match any registered runtime
+    scenario, and a name matching a scenario *tag* (e.g. ``adversarial``)
+    expands to every scenario carrying that tag — which is how a whole
+    workload grid runs through the sharded executor with one CLI argument.
     """
     if any(entry.lower() == "all" for entry in requested):
         return sorted(EXPERIMENT_REGISTRY, key=lambda eid: int(eid[1:]))
@@ -392,46 +389,19 @@ def resolve_experiment_ids(
         if canonical in EXPERIMENT_REGISTRY:
             resolved.append(canonical)
             continue
-        if allow_scenarios:
-            from repro.runtime import SCENARIO_REGISTRY, iter_scenarios
+        from repro.runtime import SCENARIO_REGISTRY, iter_scenarios
 
-            if entry in SCENARIO_REGISTRY:
-                resolved.append(entry)
-                continue
-            tagged = [spec.name for spec in iter_scenarios(tag=entry)]
-            if tagged:
-                resolved.extend(tagged)
-                continue
+        if entry in SCENARIO_REGISTRY:
+            resolved.append(entry)
+            continue
+        tagged = [spec.name for spec in iter_scenarios(tag=entry)]
+        if tagged:
+            resolved.extend(tagged)
+            continue
         raise SystemExit(
             f"unknown experiment {entry!r}; run 'repro list' to see the options"
         )
     return resolved
-
-
-def run_experiments(
-    experiment_ids: Sequence[str],
-    seed: Optional[int] = None,
-    printer: Callable[[str], None] = print,
-    quiet: bool = False,
-) -> List[ExperimentResult]:
-    """Run the given experiments, printing progress, and return the results."""
-    results: List[ExperimentResult] = []
-    for experiment_id in experiment_ids:
-        runner = EXPERIMENT_REGISTRY[experiment_id]
-        kwargs = {"seed": seed} if seed is not None else {}
-        # perf_counter, not time.time(): wall clocks step and drift, the
-        # monotonic clock is the only honest duration source.
-        started = time.perf_counter()
-        result = runner(**kwargs)
-        elapsed = time.perf_counter() - started
-        results.append(result)
-        if quiet:
-            printer(f"[{experiment_id}] done in {elapsed:.1f}s")
-        else:
-            printer(result.render())
-            printer(f"[{experiment_id}] done in {elapsed:.1f}s")
-            printer("")
-    return results
 
 
 def _runner_accepts_instance(runner_name: str) -> bool:
@@ -482,7 +452,7 @@ def _open_instance_file(instance_file: str, instance_backing: str):
     return publication.descriptor(), publication
 
 
-def run_experiments_runtime(
+def run_experiments(
     experiment_ids: Sequence[str],
     seed: Optional[int] = None,
     workers: int = 1,
@@ -494,11 +464,12 @@ def run_experiments_runtime(
     instance_file: Optional[str] = None,
     instance_backing: str = "mmap",
 ) -> List[ExperimentResult]:
-    """Run experiments through the runtime executor (sharded, store-backed).
+    """Run experiments through the runtime executor and return the results.
 
     Status lines are deterministic ``computed``/``cached`` markers rather
     than wall-clock timings, so the printed output of a ``--workers 4`` run
-    is byte-identical to the serial one and cache hits are observable.
+    is byte-identical to the serial one and cache hits are observable.  The
+    one timing line, ``done: N computed, K cached in X.Xs``, goes to stderr.
 
     ``instance_file`` attaches the referenced container to every
     instance-capable task (currently: runners declaring an ``instance``
@@ -507,9 +478,16 @@ def run_experiments_runtime(
     same file served mmap / heap / shared hits the same store entries —
     and because the attachment happens before dispatch, every backend ×
     backing combination reports identical bytes.
+
+    A run cut short by ``KeyboardInterrupt`` prints the tasks that finished
+    (a store keeps them, so a rerun resumes), reports
+    ``interrupted: K of N tasks finished`` on stderr and re-raises
+    :class:`KeyboardInterrupt`.
     """
     from repro.runtime import ResultStore, TaskExecutor, get_scenario, tasks_from_scenario
+    from repro.telemetry import clock
 
+    started = clock()
     tasks = []
     for experiment_id in experiment_ids:
         tasks.extend(tasks_from_scenario(get_scenario(experiment_id), seed_override=seed))
@@ -552,6 +530,18 @@ def run_experiments_runtime(
             printer(result.render())
             printer(f"[{outcome.task.key}] {outcome.status}")
             printer("")
+    if report.interrupted:
+        print(
+            f"interrupted: {len(report)} of {len(tasks)} tasks finished",
+            file=sys.stderr,
+        )
+        raise KeyboardInterrupt
+    counts = report.counts()
+    print(
+        f"done: {counts['computed']} computed, {counts['cached']} cached "
+        f"in {clock() - started:.1f}s",
+        file=sys.stderr,
+    )
     return results
 
 
@@ -848,38 +838,29 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "scenarios":
         return _scenarios_command(args.name, args.tag)
 
-    use_runtime = (
-        args.workers > 1
-        or args.store is not None
-        or args.dispatch != "auto"
-        or args.instance_file is not None
-    )
     env_overrides = _fault_retry_env(args)
-    experiment_ids = resolve_experiment_ids(args.experiments, allow_scenarios=True)
-    if any(eid not in EXPERIMENT_REGISTRY for eid in experiment_ids):
-        # Scenario/grid names only exist in the runtime registry; route the
-        # whole run through the executor so they resolve and shard uniformly.
-        use_runtime = True
+    experiment_ids = resolve_experiment_ids(args.experiments)
 
-    def _execute() -> List[ExperimentResult]:
+    def _execute() -> Optional[List[ExperimentResult]]:
+        """The run's results, or None when it was interrupted."""
         # Fault/retry specs travel via the environment so pool workers
         # inherit them; restored afterwards to keep the process reusable.
         saved = {var: os.environ.get(var) for var in env_overrides}
         os.environ.update(env_overrides)
         try:
-            if use_runtime:
-                return run_experiments_runtime(
-                    experiment_ids,
-                    seed=args.seed,
-                    workers=args.workers,
-                    store_dir=args.store,
-                    chunksize=args.chunksize,
-                    quiet=args.quiet,
-                    dispatch=args.dispatch,
-                    instance_file=args.instance_file,
-                    instance_backing=args.instance_backing,
-                )
-            return run_experiments(experiment_ids, seed=args.seed, quiet=args.quiet)
+            return run_experiments(
+                experiment_ids,
+                seed=args.seed,
+                workers=args.workers,
+                store_dir=args.store,
+                chunksize=args.chunksize,
+                quiet=args.quiet,
+                dispatch=args.dispatch,
+                instance_file=args.instance_file,
+                instance_backing=args.instance_backing,
+            )
+        except KeyboardInterrupt:
+            return None
         finally:
             for var, value in saved.items():
                 if value is None:
@@ -920,6 +901,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"wrote trace: {session.trace_path}")
     else:
         results = _execute()
+    if results is None:
+        return 130
     if args.json:
         path = save_results_json(results, args.json)
         print(f"wrote {path}")

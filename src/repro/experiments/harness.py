@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterable
 
 from repro.utils.tables import Table
 
@@ -41,40 +41,6 @@ class ExperimentResult:
 
     def __str__(self) -> str:
         return self.render()
-
-
-class SweepRunner:
-    """Runs a function over a grid of parameter settings and collects rows.
-
-    By default settings run serially in-process.  Passing ``workers > 1``
-    emits the sweep as runtime tasks through
-    :func:`repro.runtime.executor.parallel_map`, sharding the settings across
-    worker processes; rows always come back in setting order, so the
-    resulting table is identical to the serial one (``runner`` must be
-    picklable — a module-level function — for the parallel path).
-    """
-
-    def __init__(self, headers: Sequence[str], title: Optional[str] = None) -> None:
-        self.table = Table(headers, title=title)
-
-    def run(
-        self,
-        settings: Iterable[Dict[str, Any]],
-        runner: Callable[[Dict[str, Any]], Sequence[Any]],
-        workers: int = 1,
-        chunksize: Optional[int] = None,
-    ) -> Table:
-        """Apply ``runner`` to each setting dict; each call returns one row."""
-        ordered = list(settings)
-        if workers > 1:
-            from repro.runtime.executor import parallel_map
-
-            rows = parallel_map(runner, ordered, workers=workers, chunksize=chunksize)
-        else:
-            rows = [runner(setting) for setting in ordered]
-        for row in rows:
-            self.table.add_row(*row)
-        return self.table
 
 
 def summarize_results(results: Iterable[ExperimentResult]) -> str:

@@ -13,10 +13,6 @@ engine:
   submission-order merging (parallel output ≡ serial output);
 * :mod:`repro.runtime.store` — content-addressed on-disk result cache giving
   skip/resume semantics for repeated runs;
-* :mod:`repro.runtime.transport` — packed zero-copy instance transport:
-  systems pickle as one contiguous incidence buffer, and
-  :func:`shared_system` fans a single instance out to many tasks through
-  one :mod:`multiprocessing.shared_memory` segment;
 * :mod:`repro.runtime.dispatch` — pluggable dispatch backends behind the
   executor's submit/collect loop (``serial`` / ``local-process`` /
   ``multihost-sim``), selected per run via ``TaskExecutor(dispatch=...)``
@@ -43,7 +39,6 @@ from repro.runtime.executor import (
     TaskExecutor,
     TaskOutcome,
     default_chunksize,
-    parallel_map,
     run_cached,
 )
 from repro.runtime.scenarios import (
@@ -67,13 +62,6 @@ from repro.runtime.seeding import (
 )
 from repro.runtime.store import STORE_FORMAT_VERSION, ResultStore, task_fingerprint
 from repro.runtime.tasks import RuntimeTask, execute_task, tasks_from_scenario
-from repro.runtime.transport import (
-    PackedPublication,
-    SharedSystemHandle,
-    SharedSystemPublication,
-    publish_system,
-    shared_system,
-)
 
 __all__ = [
     "DEFAULT_ROOT_SEED",
@@ -89,9 +77,6 @@ __all__ = [
     "ScenarioGrid",
     "ScenarioSpec",
     "SeedStreams",
-    "PackedPublication",
-    "SharedSystemHandle",
-    "SharedSystemPublication",
     "ResultStore",
     "TaskExecutor",
     "TaskOutcome",
@@ -100,15 +85,12 @@ __all__ = [
     "get_scenario",
     "iter_scenarios",
     "default_chunksize",
-    "parallel_map",
-    "publish_system",
     "register_grid",
     "register_scenario",
     "repetition_seed",
     "run_cached",
     "run_streams",
     "scenario_seed",
-    "shared_system",
     "stream_seed",
     "task_fingerprint",
     "tasks_from_scenario",

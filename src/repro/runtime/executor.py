@@ -21,22 +21,21 @@ drains cleanly: outstanding futures are cancelled, stats and telemetry are
 flushed, and a partial report (``interrupted=True``) is returned instead of
 a traceback.
 
-Also exposes :func:`parallel_map`, the lower-level ordered process-pool map
-that :class:`repro.experiments.harness.SweepRunner` uses to shard a
-parameter sweep, and :func:`run_cached`, the store-aware entry point the
-benchmark harness wraps experiment calls in.
+Also exposes :func:`run_cached`, the store-aware entry point the benchmark
+harness wraps experiment calls in.
 
-Instances embedded in tasks or map items cross the worker boundary in the
-packed wire form (:class:`~repro.setcover.PackedSetSystem`): one contiguous
-bytes buffer per system instead of per-set Python objects, adopted zero-copy
-by the worker's NumPy kernel.  Sweeps that fan a single instance out to many
-tasks can avoid even that per-task copy via
-:func:`repro.runtime.transport.shared_system`.
+Instances embedded in tasks cross the worker boundary in the packed wire
+form (:class:`~repro.setcover.PackedSetSystem`): one contiguous bytes buffer
+per system instead of per-set Python objects, adopted zero-copy by the
+worker's NumPy kernel.  Tasks that fan a single instance out to many workers
+carry a :class:`~repro.setcover.source.SourceDescriptor` instead, so only
+the shared segment's or the file's name crosses the boundary.
 
-Example — ordered map semantics are identical at any worker count::
+Example — one task through the serial executor, and the chunk heuristic::
 
-    >>> parallel_map(abs, [-3, -1, 2], workers=1)
-    [3, 1, 2]
+    >>> report = TaskExecutor().run([RuntimeTask(key="E12", runner="E12")])
+    >>> [(outcome.task.key, outcome.status) for outcome in report.outcomes]
+    [('E12', 'computed')]
     >>> default_chunksize(pending=100, workers=4)
     7
 """
@@ -49,7 +48,7 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, TypeVar
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from repro.exceptions import PayloadIntegrityError
 from repro.experiments.harness import ExperimentResult
@@ -70,9 +69,6 @@ from repro.telemetry.session import (
     summarize_snapshot,
 )
 from repro.telemetry.spans import clock, event, span
-
-ItemT = TypeVar("ItemT")
-ResultT = TypeVar("ResultT")
 
 #: Outcome status markers (also what the CLI prints, so they are part of the
 #: observable cache behaviour).
@@ -683,47 +679,6 @@ class TaskExecutor:
                 process.terminate()
             except Exception:  # pragma: no cover - best-effort reaping
                 pass
-
-
-def parallel_map(
-    func: Callable[[ItemT], ResultT],
-    items: Sequence[ItemT],
-    workers: int = 1,
-    chunksize: Optional[int] = None,
-) -> List[ResultT]:
-    """Ordered map over ``items``, sharded across processes when asked.
-
-    Results always come back in input order, so callers see serial semantics
-    regardless of ``workers``.  ``chunksize`` batches consecutive items into
-    one IPC round trip (``None`` picks :func:`default_chunksize`); merging
-    stays submission-ordered either way.  ``func`` and the items must be
-    picklable when ``workers > 1``; environments that cannot fork/spawn
-    degrade to the serial path.
-    """
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [func(item) for item in items]
-    size = chunksize or default_chunksize(len(items), workers)
-    chunks = [items[start : start + size] for start in range(0, len(items), size)]
-    try:
-        # Worker processes spawn lazily at submit time, so the first submit
-        # probes whether this environment can fork at all; only that spawn
-        # failure triggers the serial fallback — a task's own exception
-        # (even an OSError) propagates from future.result() unchanged.
-        pool = ProcessPoolExecutor(
-            max_workers=min(workers, len(chunks)), initializer=mark_worker_process
-        )
-        first = pool.submit(_map_chunk, func, chunks[0])
-    except OSError:  # pragma: no cover - sandbox fallback
-        return [func(item) for item in items]
-    with pool:
-        futures = [first] + [pool.submit(_map_chunk, func, chunk) for chunk in chunks[1:]]
-        return [result for future in futures for result in future.result()]
-
-
-def _map_chunk(func: Callable[[ItemT], ResultT], chunk: List[ItemT]) -> List[ResultT]:
-    """Apply ``func`` to one chunk inside a worker process."""
-    return [func(item) for item in chunk]
 
 
 def run_cached(

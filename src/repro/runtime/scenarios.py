@@ -15,7 +15,7 @@ expands ``{dsc, dmc, random, coverage} × {adversarial, random} arrival ×
 {Algorithm 1, all five baselines}`` over the ``WL`` runner (tags
 ``adversarial`` / ``workload``), so the paper's hard instances sweep through
 the sharded executor, the result store, and the shared-memory instance
-transport like any other workload.
+backing like any other workload.
 
 Example — a 2×1 grid expands into one registered scenario per cell::
 
@@ -89,7 +89,7 @@ class ScenarioSpec:
         Frozen keyword overrides passed to the runner.
     seed:
         Root seed of the scenario, or ``None`` to use the runner's built-in
-        default (this preserves the legacy CLI behaviour for E1–E12).
+        default (so ``repro run E5`` without ``--seed`` keeps E5's own).
     repetitions:
         Number of independent repetitions; repetition ``r`` runs with
         :func:`repro.runtime.seeding.repetition_seed`.

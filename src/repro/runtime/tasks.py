@@ -107,9 +107,9 @@ def tasks_from_scenario(
     """Expand a scenario into its repetition tasks.
 
     A single-repetition scenario without an explicit seed keeps ``seed=None``
-    so the runner's built-in default applies (matching the legacy serial
-    CLI).  Multi-repetition scenarios always derive per-repetition seeds from
-    the scenario root via the seeding protocol.
+    so the runner's built-in default applies.  Multi-repetition scenarios
+    always derive per-repetition seeds from the scenario root via the
+    seeding protocol.
     """
     root = seed_override if seed_override is not None else spec.seed
     if spec.repetitions == 1:

@@ -2,7 +2,7 @@
 
 ``repro.service`` turns the batch stack into a serving path: a long-lived
 asyncio server (``repro serve``) holds hot set-system instances in shared
-memory (:class:`~repro.runtime.transport.PackedPublication`), accepts
+memory (:class:`~repro.setcover.source.SharedMemorySource`), accepts
 cover / max-coverage / value-estimate requests over a length-prefixed JSON
 socket protocol, micro-batches them onto a worker pool, and caches responses
 by the packed-buffer request fingerprint.  The robustness layer is the point:

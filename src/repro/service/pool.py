@@ -43,10 +43,10 @@ from repro.exceptions import DeadlineExceededError, ReproError, TransientTaskErr
 from repro.resilience.degrade import record_degradation
 from repro.resilience.faults import attempt_scope, inject, mark_worker_process
 from repro.resilience.policy import CircuitBreaker, RetryPolicy, backoff_delay, policy_from_env
-from repro.runtime.transport import SharedSystemHandle
 from repro.service.deadline import Deadline, deadline_scope
 from repro.service.requests import compute_response
 from repro.setcover.instance import SetSystem
+from repro.setcover.source import SharedMemorySource, SourceDescriptor
 from repro.telemetry import metrics
 from repro.telemetry.spans import event
 
@@ -60,8 +60,12 @@ RequestItem = Tuple[str, str, str, Dict[str, Any], Optional[float], int]
 _WORKER_SYSTEMS: Dict[str, SetSystem] = {}
 
 
-def _service_worker_init(handles: Dict[str, SharedSystemHandle]) -> None:
-    """Pool initializer: mark the worker disposable, attach hot instances.
+def _service_worker_init(descriptors: Dict[str, SourceDescriptor]) -> None:
+    """Pool initializer: mark the worker disposable, load hot instances.
+
+    Each instance is attached from its shared segment, copied into a
+    resident :class:`SetSystem` and detached again, so the worker keeps the
+    resident kernel and never pins the publisher's memory.
 
     A forked worker inherits the parent's signal state — including the
     asyncio event loop's *signal wakeup fd*, whose pipe the child's fd table
@@ -81,8 +85,12 @@ def _service_worker_init(handles: Dict[str, SharedSystemHandle]) -> None:
         pass
     mark_worker_process()
     _WORKER_SYSTEMS.clear()
-    for name, handle in handles.items():
-        _WORKER_SYSTEMS[name] = handle.load()
+    for name, descriptor in descriptors.items():
+        source = SharedMemorySource.attach(descriptor)
+        try:
+            _WORKER_SYSTEMS[name] = SetSystem.from_packed(source.to_packed())
+        finally:
+            source.close()
 
 
 def _execute_one(
@@ -144,14 +152,14 @@ class WorkerPool:
 
     def __init__(
         self,
-        handles: Dict[str, SharedSystemHandle],
+        descriptors: Dict[str, SourceDescriptor],
         systems: Dict[str, SetSystem],
         workers: int = 2,
         policy: Optional[RetryPolicy] = None,
     ) -> None:
         if workers < 0:
             raise ValueError(f"workers must be >= 0, got {workers}")
-        self.handles = dict(handles)
+        self.descriptors = dict(descriptors)
         self._systems = dict(systems)
         self.workers = workers
         self.policy = policy or policy_from_env()
@@ -171,7 +179,7 @@ class WorkerPool:
                 self._pool = ProcessPoolExecutor(
                     max_workers=self.workers,
                     initializer=_service_worker_init,
-                    initargs=(self.handles,),
+                    initargs=(self.descriptors,),
                 )
             return self._pool
 

@@ -1,8 +1,8 @@
 """The solver service front end: admission, micro-batching, graceful drain.
 
 ``repro serve`` runs a long-lived asyncio server that holds hot instances
-published once into shared memory (:class:`~repro.runtime.transport.
-PackedPublication`) and answers solver requests over the length-prefixed
+published once into shared memory (:class:`~repro.setcover.source.
+SharedMemorySource`) and answers solver requests over the length-prefixed
 JSON protocol of :mod:`repro.service.protocol`.  The design is a chain of
 explicit bounded stages, each with a typed overflow behaviour — the point is
 that *nothing* in this file can grow or wait without limit:
@@ -49,6 +49,7 @@ from repro.service.protocol import (
     write_message,
 )
 from repro.service.requests import BadRequestError, canonical_params, request_fingerprint
+from repro.setcover.source import SharedMemorySource
 from repro.telemetry import metrics
 from repro.telemetry.spans import event, span
 
@@ -132,12 +133,10 @@ class SolverService:
     # -- lifecycle ---------------------------------------------------------
     async def start(self) -> Tuple[str, int]:
         """Publish instances, spawn the pool, bind the listener."""
-        from repro.runtime.transport import publish_system
-
         for name, system in self._systems.items():
-            self._publications[name] = publish_system(system)
+            self._publications[name] = SharedMemorySource.publish(system.to_packed())
         self.pool = WorkerPool(
-            {name: pub.handle for name, pub in self._publications.items()},
+            {name: pub.descriptor() for name, pub in self._publications.items()},
             self._systems,
             workers=self.config.workers,
         )

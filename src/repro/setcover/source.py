@@ -9,7 +9,7 @@ windowed interface.  Three interchangeable backings:
   object in this process's heap.
 * :class:`SharedMemorySource` — the buffer lives in a named
   :mod:`multiprocessing.shared_memory` segment, published once and attached
-  by many workers (this is what :mod:`repro.runtime.transport` builds on).
+  by many workers.
 * :class:`MmapSource` — the buffer lives in a versioned on-disk container
   file (see `Container format`_) adopted zero-copy via :mod:`mmap`, so a
   process touches only the pages a query actually reads.
@@ -75,6 +75,7 @@ SOURCE_KINDS = ("heap", "shared", "mmap")
 _DIGEST_PLACEHOLDER = "0" * 64
 
 _T = TypeVar("_T")
+_SourceT = TypeVar("_SourceT", bound="InstanceSource")
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +120,7 @@ class SourceDescriptor:
 def _with_attach_faults(key: str, attach: Callable[[], _T]) -> _T:
     """Run one source attach under the ``transport.attach`` injection point.
 
-    The same fault/retry semantics :meth:`SharedSystemHandle.load` always
-    had, now shared by every backing: no plan active → one direct call;
+    Shared by every backing: no plan active → one direct call;
     under an active plan each attempt evaluates the injection point and
     transient failures (including :class:`InstanceSourceLostError` and
     :class:`SharedSegmentLostError`) retry under the ambient policy.
@@ -399,7 +399,9 @@ class SharedMemorySource(InstanceSource):
 
         A segment that is already gone — the publisher closed first, or died
         and republished under a new name — raises the typed, retryable
-        :class:`~repro.exceptions.SharedSegmentLostError`.
+        :class:`~repro.exceptions.SharedSegmentLostError`.  A row with a bit
+        set past the universe raises :class:`ValueError`, as in
+        :meth:`MmapSource.open`.
         """
         if descriptor.segment is None:
             raise ValueError("shared descriptor is missing its segment name")
@@ -436,14 +438,16 @@ class SharedMemorySource(InstanceSource):
         finally:
             if original_register is not None:
                 resource_tracker.register = original_register
-        return cls(
-            shm,
-            descriptor.universe_size,
-            descriptor.num_sets,
-            names=descriptor.names,
-            backend=descriptor.backend,
-            digest=descriptor.digest,
-            owner=False,
+        return _padding_checked(
+            cls(
+                shm,
+                descriptor.universe_size,
+                descriptor.num_sets,
+                names=descriptor.names,
+                backend=descriptor.backend,
+                digest=descriptor.digest,
+                owner=False,
+            )
         )
 
     def view(self) -> memoryview:
@@ -555,24 +559,19 @@ class MmapSource(InstanceSource):
             file.close()
             raise
         names = header.get("names")
-        source = cls(
-            path,
-            file,
-            mapped,
-            data_offset,
-            header["universe_size"],
-            header["num_sets"],
-            names=tuple(names) if names is not None else None,
-            backend=header.get("backend", "auto"),
-            digest=header.get("digest"),
+        return _padding_checked(
+            cls(
+                path,
+                file,
+                mapped,
+                data_offset,
+                header["universe_size"],
+                header["num_sets"],
+                names=tuple(names) if names is not None else None,
+                backend=header.get("backend", "auto"),
+                digest=header.get("digest"),
+            )
         )
-        if expected and source.universe_size % 64:
-            try:
-                _check_padding(source.view(), source.num_sets, source.universe_size)
-            except ValueError:
-                source.close()
-                raise
-        return source
 
     def view(self) -> memoryview:
         if self._closed:
@@ -612,6 +611,23 @@ class MmapSource(InstanceSource):
                 pass
             self._mapped = None
         self._file.close()
+
+
+def _padding_checked(source: _SourceT) -> _SourceT:
+    """Return ``source`` once no padding bit is set; else close it and raise.
+
+    The one gate every attached backing passes (an mmap open, a shared
+    attach), so a windowed system sees exactly the bytes
+    :meth:`SetSystem.from_packed` would accept.  Skipped when ``n % 64 == 0``
+    (rows have no padding) or the buffer is empty.
+    """
+    if source.buffer_bytes and source.universe_size % 64:
+        try:
+            _check_padding(source.view(), source.num_sets, source.universe_size)
+        except ValueError:
+            source.close()
+            raise
+    return source
 
 
 def _check_padding(view: memoryview, num_sets: int, universe_size: int) -> None:

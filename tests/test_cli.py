@@ -31,17 +31,13 @@ class TestResolution:
         assert set(EXPERIMENT_DESCRIPTIONS) == set(EXPERIMENT_REGISTRY)
 
     def test_scenario_names_resolve(self):
-        ids = resolve_experiment_ids(["WL"], allow_scenarios=True)
+        ids = resolve_experiment_ids(["WL"])
         assert ids == ["WL"]
 
     def test_tag_expands_to_grid(self):
-        ids = resolve_experiment_ids(["adversarial"], allow_scenarios=True)
+        ids = resolve_experiment_ids(["adversarial"])
         assert len(ids) == 48
         assert all(name.startswith("ADV[") for name in ids)
-
-    def test_tag_expansion_needs_scenario_mode(self):
-        with pytest.raises(SystemExit):
-            resolve_experiment_ids(["adversarial"], allow_scenarios=False)
 
 
 class TestParser:
@@ -125,23 +121,19 @@ class TestRuntimePath:
         assert "[E12] computed" in capsys.readouterr().out
 
     def test_runtime_json_matches_legacy_json(self, tmp_path):
-        legacy_path = tmp_path / "legacy.json"
-        runtime_path = tmp_path / "runtime.json"
-        main(["run", "E12", "--quiet", "--json", str(legacy_path)])
-        main(
-            [
-                "run",
-                "E12",
-                "--quiet",
-                "--store",
-                str(tmp_path / "store"),
-                "--json",
-                str(runtime_path),
-            ]
-        )
-        assert json.loads(runtime_path.read_text()) == json.loads(
-            legacy_path.read_text()
-        )
+        """Flagless, store-backed and sharded runs write the same JSON bytes."""
+        legs = {
+            "plain": [],
+            "store": ["--store", str(tmp_path / "store")],
+            "workers": ["--workers", "2"],
+        }
+        written = {}
+        for leg, flags in legs.items():
+            path = tmp_path / f"{leg}.json"
+            assert main(["run", "E12", "E7", "--quiet", "--json", str(path), *flags]) == 0
+            written[leg] = path.read_bytes()
+        assert written["store"] == written["plain"]
+        assert written["workers"] == written["plain"]
 
     def test_runtime_accepts_registered_scenario_names(self, tmp_path, capsys):
         from repro.runtime import register_scenario, unregister_scenario
@@ -156,6 +148,30 @@ class TestRuntimePath:
     def test_scenario_names_rejected_on_legacy_path(self):
         with pytest.raises(SystemExit):
             resolve_experiment_ids(["cli-unknown"])
+
+
+class TestInterruptedRun:
+    def test_interrupt_exits_130_writes_no_json_and_resumes(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.experiments.runners import RUNNER_REGISTRY
+
+        def interrupt(**kwargs):
+            raise KeyboardInterrupt
+
+        store = str(tmp_path / "store")
+        out = tmp_path / "out.json"
+        monkeypatch.setitem(RUNNER_REGISTRY, "E7", interrupt)
+        argv = ["run", "E12", "E7", "E9", "--quiet", "--store", store, "--json", str(out)]
+        assert main(argv) == 130
+        captured = capsys.readouterr()
+        assert "interrupted: 1 of 3 tasks finished" in captured.err
+        assert "[E12] computed" in captured.out
+        assert not out.exists()
+        monkeypatch.undo()
+        # The finished task is in the store: a rerun resumes from it.
+        assert main(["run", "E12", "--quiet", "--store", store]) == 0
+        assert "[E12] cached" in capsys.readouterr().out
 
 
 class TestScenariosCommand:

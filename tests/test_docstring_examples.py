@@ -19,7 +19,6 @@ AUDITED_MODULES = [
     "repro.runtime.seeding",
     "repro.runtime.store",
     "repro.runtime.tasks",
-    "repro.runtime.transport",
     "repro.kernels",
     "repro.kernels.base",
     "repro.kernels.pyint",

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.harness import ExperimentResult, SweepRunner, summarize_results
+from repro.experiments.harness import ExperimentResult, summarize_results
 from repro.experiments.experiment_defs import (
     EXPERIMENT_REGISTRY,
     run_e02_passes_and_approx,
@@ -23,11 +23,6 @@ class TestHarness:
         result = ExperimentResult("E0", "demo experiment", table, {"k": 3})
         text = result.render()
         assert "E0" in text and "demo experiment" in text and "k = 3" in text
-
-    def test_sweep_runner(self):
-        runner = SweepRunner(["a", "b"])
-        table = runner.run([{"a": 1}, {"a": 2}], lambda s: (s["a"], s["a"] * 2))
-        assert table.column("b") == [2, 4]
 
     def test_summarize_results(self):
         table = Table(["x"])

@@ -1,13 +1,11 @@
 """Tests for the sharded executor: determinism, caching, ordered merging."""
 
 from repro.experiments.experiment_defs import run_e12_infotheory
-from repro.experiments.harness import SweepRunner
 from repro.runtime.executor import (
     STATUS_CACHED,
     STATUS_COMPUTED,
     TaskExecutor,
     default_chunksize,
-    parallel_map,
     run_cached,
 )
 from repro.runtime.scenarios import freeze_params
@@ -38,16 +36,6 @@ def render_report(report):
     )
 
 
-def _square(value):
-    """Module-level so the process pool can pickle it."""
-    return value * value
-
-
-def _sweep_row(setting):
-    """Module-level sweep runner returning one table row."""
-    return (setting["x"], setting["x"] * 10)
-
-
 class TestParallelSerialParity:
     def test_parallel_output_identical_to_serial(self):
         tasks = grid_tasks()
@@ -55,11 +43,6 @@ class TestParallelSerialParity:
         parallel = TaskExecutor(workers=4).run(tasks)
         assert render_report(serial) == render_report(parallel)
         assert [o.task.key for o in parallel.outcomes] == [t.key for t in tasks]
-
-    def test_parallel_map_preserves_order(self):
-        items = list(range(20))
-        assert parallel_map(_square, items, workers=4) == [i * i for i in items]
-        assert parallel_map(_square, items, workers=1) == [i * i for i in items]
 
     def test_invalid_worker_count_rejected(self):
         with pytest.raises(ValueError):
@@ -144,20 +127,6 @@ class TestRunCached:
         assert status == STATUS_CACHED
 
 
-class TestSweepRunnerSharding:
-    def test_parallel_sweep_matches_serial(self):
-        settings = [{"x": x} for x in range(8)]
-        serial = SweepRunner(["x", "y"]).run(settings, _sweep_row)
-        parallel = SweepRunner(["x", "y"]).run(settings, _sweep_row, workers=4)
-        assert parallel.render() == serial.render()
-
-    def test_chunked_sweep_matches_serial(self):
-        settings = [{"x": x} for x in range(9)]
-        serial = SweepRunner(["x", "y"]).run(settings, _sweep_row)
-        chunked = SweepRunner(["x", "y"]).run(settings, _sweep_row, workers=3, chunksize=4)
-        assert chunked.render() == serial.render()
-
-
 class TestChunkedSubmission:
     def test_chunked_output_identical_to_serial(self):
         tasks = grid_tasks()
@@ -178,13 +147,6 @@ class TestChunkedSubmission:
     def test_invalid_chunksize_rejected(self):
         with pytest.raises(ValueError):
             TaskExecutor(chunksize=0)
-
-    def test_parallel_map_chunked_preserves_order(self):
-        items = list(range(23))
-        for chunksize in (1, 4, 7, 50):
-            assert parallel_map(_square, items, workers=3, chunksize=chunksize) == [
-                i * i for i in items
-            ]
 
     def test_default_chunksize_heuristic(self):
         assert default_chunksize(0, 4) == 1

@@ -1,169 +1,67 @@
-"""Packed serialization and shared-memory transport of set systems."""
+"""How instances travel to pool workers.
 
-import pickle
+A ``SetSystem`` task parameter pickles as its packed buffer; a
+shared-memory descriptor names a segment each worker attaches.  Either way
+a 2-worker fan-out computes the same payloads as the serial run.
+"""
 
 import pytest
 
-from repro.kernels import HAS_NUMPY
-from repro.runtime.executor import parallel_map
-from repro.runtime.tasks import RuntimeTask
-from repro.runtime.transport import publish_system, shared_system
-from repro.setcover.greedy import greedy_set_cover
-from repro.setcover.instance import PackedSetSystem, SetSystem, packed_row_bytes
+from repro.resilience.durability import canonical_json
+from repro.resilience.faults import FAULTS_ENV_VAR
+from repro.resilience.policy import RETRY_ENV_VAR
+from repro.runtime import RuntimeTask, TaskExecutor, freeze_params
+from repro.setcover.source import SharedMemorySource
 from repro.workloads.random_instances import plant_cover_instance, random_instance
 
-needs_numpy = pytest.mark.skipif(not HAS_NUMPY, reason="NumPy backend not installed")
+
+@pytest.fixture(autouse=True)
+def no_ambient_faults(monkeypatch):
+    monkeypatch.delenv(FAULTS_ENV_VAR, raising=False)
+    monkeypatch.delenv(RETRY_ENV_VAR, raising=False)
 
 
-def _sample_system(universe_size=48, num_sets=20, seed=3) -> SetSystem:
-    return random_instance(universe_size, num_sets, density=0.15, seed=seed).system
-
-
-# Module-level so the process pool can pickle them.
-def _solve_system(system: SetSystem):
-    return system.universe_size, system.masks(), greedy_set_cover(system)
-
-
-def _solve_handle(handle):
-    return _solve_system(handle.load())
-
-
-class TestPackedForm:
-    def test_round_trip_masks_and_names(self):
-        system = _sample_system()
-        packed = system.to_packed()
-        assert packed.num_sets == system.num_sets
-        assert len(packed.buffer) == system.num_sets * packed_row_bytes(
-            system.universe_size
+def _solve_tasks(instances, seeds):
+    return [
+        RuntimeTask(
+            key=f"WL[{index}]",
+            runner="WL",
+            params=freeze_params(
+                {
+                    "workload": "random",
+                    "algorithm": "saha_getoor",
+                    "order": "random",
+                    "instance": instance,
+                }
+            ),
+            seed=seed,
         )
-        rebuilt = SetSystem.from_packed(packed)
-        assert rebuilt == system
-        assert rebuilt.names == system.names
-
-    def test_custom_names_survive(self):
-        system = SetSystem(4, [[0, 1], [2, 3]], names=["left", "right"])
-        rebuilt = SetSystem.from_packed(system.to_packed())
-        assert rebuilt.names == ["left", "right"]
-
-    def test_default_names_ship_no_strings(self):
-        assert _sample_system().to_packed().names is None
-
-    def test_buffer_length_is_validated(self):
-        with pytest.raises(ValueError, match="packed buffer"):
-            PackedSetSystem(universe_size=8, num_sets=2, buffer=b"\x00")
-
-    def test_empty_system(self):
-        system = SetSystem(5, [])
-        rebuilt = SetSystem.from_packed(system.to_packed())
-        assert rebuilt == system
-        assert rebuilt.num_sets == 0
-
-    def test_pickle_ships_packed_buffer(self):
-        system = _sample_system()
-        state = system.__getstate__()
-        assert isinstance(state["buffer"], bytes)
-        assert "_masks" not in state
-        rebuilt = pickle.loads(pickle.dumps(system))
-        assert rebuilt == system
-        assert rebuilt.requested_backend == system.requested_backend
-        assert greedy_set_cover(rebuilt) == greedy_set_cover(system)
-
-    @needs_numpy
-    def test_numpy_kernel_adopts_transported_buffer(self):
-        system = SetSystem.from_masks(70, _sample_system(70, 16).masks(), backend="numpy")
-        rebuilt = pickle.loads(pickle.dumps(system))
-        kernel = rebuilt.kernel()
-        assert kernel.backend == "numpy"
-        assert kernel.set_sizes() == system.kernel().set_sizes()
-        full = (1 << 70) - 1
-        assert kernel.gains(full) == system.kernel().gains(full)
-
-    @needs_numpy
-    def test_packed_export_reuses_numpy_matrix(self):
-        system = SetSystem.from_masks(40, [0b1011, 0b0100], backend="numpy")
-        system.kernel()  # force the matrix to exist
-        assert SetSystem.from_packed(system.to_packed()) == system
+        for index, (instance, seed) in enumerate(zip(instances, seeds))
+    ]
 
 
-class TestTaskFingerprints:
-    def test_system_params_fingerprint_by_digest(self):
-        system = _sample_system()
-        task = RuntimeTask(key="k", runner="r", params=(("system", system),))
-        payload = task.fingerprint_payload()
-        entry = payload["params"][0][1]
-        assert set(entry) == {"__set_system__", "universe_size", "num_sets"}
-        # Same content, fresh object -> same fingerprint; different content
-        # -> different fingerprint.
-        clone = SetSystem.from_masks(system.universe_size, system.masks())
-        same = RuntimeTask(key="k", runner="r", params=(("system", clone),))
-        assert same.fingerprint_payload() == payload
-        mask0 = system.mask(0)
-        free_bit = next(
-            e for e in range(system.universe_size) if not (mask0 >> e) & 1
-        )
-        patched = system.with_patched_mask(0, 1 << free_bit)
-        other = RuntimeTask(key="k", runner="r", params=(("system", patched),))
-        assert other.fingerprint_payload() != payload
+def _payloads(tasks, workers):
+    report = TaskExecutor(workers=workers).run(tasks)
+    assert [o.status for o in report.outcomes] == ["computed"] * len(tasks)
+    return [canonical_json(outcome.payload) for outcome in report.outcomes]
 
 
 class TestParallelRoundTrip:
     def test_parallel_map_matches_serial_through_packed_pickle(self):
-        systems = [_sample_system(seed=seed) for seed in range(6)]
-        serial = [_solve_system(system) for system in systems]
-        parallel = parallel_map(_solve_system, systems, workers=2)
-        assert parallel == serial
+        systems = [
+            random_instance(48, 20, density=0.15, seed=seed).system for seed in range(6)
+        ]
+        tasks = _solve_tasks(systems, seeds=range(6))
+        assert _payloads(tasks, workers=2) == _payloads(tasks, workers=1)
 
     def test_shared_memory_fanout_matches_serial(self):
         system = plant_cover_instance(60, 24, 4, seed=11).system
-        expected = _solve_system(system)
-        with shared_system(system) as handle:
-            results = parallel_map(_solve_handle, [handle] * 4, workers=2)
-        assert results == [expected] * 4
-
-    def test_shared_handle_loads_in_process(self):
-        system = _sample_system()
-        publication = publish_system(system)
+        seeds = range(1, 5)
+        serial = _payloads(_solve_tasks([system] * 4, seeds), workers=1)
+        shared = SharedMemorySource.publish(system.to_packed())
         try:
-            loaded = publication.handle.load()
-            assert loaded == system
-            assert loaded.names == system.names
+            descriptor = shared.descriptor()
+            fanned = _payloads(_solve_tasks([descriptor] * 4, seeds), workers=2)
         finally:
-            publication.close()
-        publication.close()  # idempotent
-
-    def test_handle_reports_buffer_size(self):
-        system = _sample_system()
-        with shared_system(system) as handle:
-            assert handle.buffer_bytes == len(system.to_packed().buffer)
-
-
-class TestSegmentLoss:
-    """Attaching after unlink must fail typed and retryable, never bare."""
-
-    def test_attach_after_unlink_raises_typed_error(self):
-        from repro.exceptions import SharedSegmentLostError, TransientTaskError
-
-        publication = publish_system(_sample_system())
-        handle = publication.handle
-        publication.close()  # unlink before any consumer attaches
-        with pytest.raises(SharedSegmentLostError) as excinfo:
-            handle._attach_and_rebuild()
-        # Typed, retryable, and it names the lost segment.
-        assert isinstance(excinfo.value, TransientTaskError)
-        assert handle.segment in str(excinfo.value)
-
-    def test_load_retries_then_surfaces_segment_loss(self, monkeypatch):
-        from repro.exceptions import SharedSegmentLostError
-
-        monkeypatch.setenv("REPRO_RETRY", "attempts=2,backoff=0.001")
-        publication = publish_system(_sample_system())
-        handle = publication.handle
-        publication.close()
-        with pytest.raises(SharedSegmentLostError):
-            handle.load()
-
-    def test_packed_publication_is_the_service_alias(self):
-        from repro.runtime import PackedPublication
-        from repro.runtime.transport import SharedSystemPublication
-
-        assert PackedPublication is SharedSystemPublication
+            shared.close()
+        assert fanned == serial

@@ -11,6 +11,10 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -390,3 +394,20 @@ class TestDrain:
             return before["status"], during["status"]
 
         assert asyncio.run(go()) == ("ok", "draining")
+
+
+class TestImportFootprint:
+    def test_server_import_leaves_runtime_unloaded(self):
+        """Serving publishes through the instance plane, so it never loads
+        the batch runtime or the experiment definitions behind it."""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        code = (
+            "import sys, repro.service.server; "
+            "print(sorted(m for m in sys.modules if m.startswith('repro.runtime')))"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        assert done.stdout.strip() == "[]"

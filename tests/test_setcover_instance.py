@@ -1,9 +1,25 @@
 """Unit tests for SetSystem / SetCoverInstance."""
 
+import pickle
+
 import pytest
 
 from repro.exceptions import InfeasibleInstanceError
-from repro.setcover.instance import SetCoverInstance, SetSystem
+from repro.kernels import HAS_NUMPY
+from repro.setcover.greedy import greedy_set_cover
+from repro.setcover.instance import (
+    PackedSetSystem,
+    SetCoverInstance,
+    SetSystem,
+    packed_row_bytes,
+)
+from repro.workloads.random_instances import random_instance
+
+needs_numpy = pytest.mark.skipif(not HAS_NUMPY, reason="NumPy backend not installed")
+
+
+def _sample_system(universe_size=48, num_sets=20, seed=3) -> SetSystem:
+    return random_instance(universe_size, num_sets, density=0.15, seed=seed).system
 
 
 class TestConstruction:
@@ -137,3 +153,60 @@ class TestSetCoverInstance:
         bad = SetCoverInstance(SetSystem(3, [[0]]))
         with pytest.raises(InfeasibleInstanceError):
             bad.require_coverable()
+
+
+class TestPackedForm:
+    def test_round_trip_masks_and_names(self):
+        system = _sample_system()
+        packed = system.to_packed()
+        assert packed.num_sets == system.num_sets
+        assert len(packed.buffer) == system.num_sets * packed_row_bytes(
+            system.universe_size
+        )
+        rebuilt = SetSystem.from_packed(packed)
+        assert rebuilt == system
+        assert rebuilt.names == system.names
+
+    def test_custom_names_survive(self):
+        system = SetSystem(4, [[0, 1], [2, 3]], names=["left", "right"])
+        rebuilt = SetSystem.from_packed(system.to_packed())
+        assert rebuilt.names == ["left", "right"]
+
+    def test_default_names_ship_no_strings(self):
+        assert _sample_system().to_packed().names is None
+
+    def test_buffer_length_is_validated(self):
+        with pytest.raises(ValueError, match="packed buffer"):
+            PackedSetSystem(universe_size=8, num_sets=2, buffer=b"\x00")
+
+    def test_empty_system(self):
+        system = SetSystem(5, [])
+        rebuilt = SetSystem.from_packed(system.to_packed())
+        assert rebuilt == system
+        assert rebuilt.num_sets == 0
+
+    def test_pickle_ships_packed_buffer(self):
+        system = _sample_system()
+        state = system.__getstate__()
+        assert isinstance(state["buffer"], bytes)
+        assert "_masks" not in state
+        rebuilt = pickle.loads(pickle.dumps(system))
+        assert rebuilt == system
+        assert rebuilt.requested_backend == system.requested_backend
+        assert greedy_set_cover(rebuilt) == greedy_set_cover(system)
+
+    @needs_numpy
+    def test_numpy_kernel_adopts_transported_buffer(self):
+        system = SetSystem.from_masks(70, _sample_system(70, 16).masks(), backend="numpy")
+        rebuilt = pickle.loads(pickle.dumps(system))
+        kernel = rebuilt.kernel()
+        assert kernel.backend == "numpy"
+        assert kernel.set_sizes() == system.kernel().set_sizes()
+        full = (1 << 70) - 1
+        assert kernel.gains(full) == system.kernel().gains(full)
+
+    @needs_numpy
+    def test_packed_export_reuses_numpy_matrix(self):
+        system = SetSystem.from_masks(40, [0b1011, 0b0100], backend="numpy")
+        system.kernel()  # force the matrix to exist
+        assert SetSystem.from_packed(system.to_packed()) == system

@@ -122,19 +122,27 @@ class TestContainerFormat:
         writer.abort()
 
     def test_padding_bit_past_universe_rejected_like_from_packed(self, tmp_path):
-        """A bit in a row's padding is refused on open, with the error the
-        resident path raises on the same bytes."""
+        """A bit in a row's padding is refused on mmap open and on shared
+        attach, with the error the resident path raises on the same bytes."""
         rows = [0b1011, (1 << 100) | 1]  # element 100 in a universe of 70
         buffer = b"".join(mask.to_bytes(packed_row_bytes(70), "little") for mask in rows)
+        packed = PackedSetSystem(70, len(rows), buffer)
         path = tmp_path / "padded.repro"
         with ContainerWriter(path, 70, len(rows)) as writer:
             writer.append_rows(buffer)
         with pytest.raises(ValueError) as resident:
-            SetSystem.from_packed(PackedSetSystem(70, len(rows), buffer))
+            SetSystem.from_packed(packed)
+        assert "outside the universe [0, 70)" in str(resident.value)
         with pytest.raises(ValueError) as windowed:
             MmapSource.open(path)
         assert str(windowed.value) == str(resident.value)
-        assert "outside the universe [0, 70)" in str(windowed.value)
+        owner = SharedMemorySource.publish(packed)
+        try:
+            with pytest.raises(ValueError) as shared:
+                SetSystem.from_source(open_source(owner.descriptor()))
+        finally:
+            owner.close()
+        assert str(shared.value) == str(resident.value)
 
 
 def open_all_backings(system, tmp_path):
@@ -196,6 +204,22 @@ class TestBackingEquivalence:
         assert bytes(owner.view()) == system.to_packed().buffer
         owner.close()  # owner close unlinks
 
+    def test_shared_copy_and_detach_rebuilds_system(self):
+        """Attach, copy the buffer out, detach: what a service worker does."""
+        system = sample_system()
+        owner = SharedMemorySource.publish(system.to_packed())
+        try:
+            attached = SharedMemorySource.attach(owner.descriptor())
+            try:
+                loaded = SetSystem.from_packed(attached.to_packed())
+            finally:
+                attached.close()
+            assert loaded == system
+            assert loaded.names == system.names
+        finally:
+            owner.close()
+        owner.close()  # idempotent
+
     def test_empty_system_round_trips(self, tmp_path):
         system = SetSystem(5, [])
         path = tmp_path / "empty.repro"
@@ -203,6 +227,35 @@ class TestBackingEquivalence:
         with MmapSource.open(path) as source:
             assert source.num_sets == 0
             assert source.system() == system
+
+
+class TestSegmentLoss:
+    """Attaching after unlink must fail typed and retryable, never bare."""
+
+    def lost_descriptor(self) -> SourceDescriptor:
+        owner = SharedMemorySource.publish(sample_system().to_packed())
+        descriptor = owner.descriptor()
+        owner.close()  # unlink before any consumer attaches
+        return descriptor
+
+    def test_attach_after_unlink_raises_typed_error(self):
+        from repro.exceptions import SharedSegmentLostError, TransientTaskError
+
+        descriptor = self.lost_descriptor()
+        with pytest.raises(SharedSegmentLostError) as excinfo:
+            SharedMemorySource.attach(descriptor)
+        # Typed, retryable, and it names the lost segment.
+        assert isinstance(excinfo.value, TransientTaskError)
+        assert descriptor.segment in str(excinfo.value)
+
+    def test_attach_under_retry_policy_surfaces_segment_loss(self, monkeypatch):
+        from repro.exceptions import SharedSegmentLostError
+
+        monkeypatch.setenv("REPRO_RETRY", "attempts=2,backoff=0.001")
+        descriptor = self.lost_descriptor()
+        with pytest.raises(SharedSegmentLostError) as excinfo:
+            SharedMemorySource.attach(descriptor)
+        assert descriptor.segment in str(excinfo.value)
 
 
 class TestPickleNoCopy:
