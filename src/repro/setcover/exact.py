@@ -16,12 +16,12 @@ instances in the test suite.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.exceptions import InfeasibleInstanceError
 from repro.setcover.instance import SetSystem
 from repro.setcover.greedy import greedy_set_cover
-from repro.utils.bitset import bitset_size
+from repro.utils.bitset import bitset_size, iter_bits
 
 
 def _check_coverable(system: SetSystem, target_mask: int) -> None:
@@ -54,24 +54,38 @@ def brute_force_set_cover(
 
 
 class _BranchAndBound:
-    """Branch-and-bound minimum set cover over bitset masks."""
+    """Branch-and-bound minimum set cover over bitset masks.
+
+    Element frequencies never change during a search, so the branching index
+    is built once: the target elements ranked by ``(frequency, element)``
+    and, for each, its candidate sets in :attr:`order`.  At every node the
+    pivot is the first ranked element still uncovered (the classic "most
+    constrained element" rule) and its candidates are branched on in order.
+    """
 
     def __init__(self, system: SetSystem, target_mask: int) -> None:
         self.system = system
+        self.masks = system.masks()
         self.target = target_mask
         # Pre-sort candidate sets by size (descending) so greedy-like branches
         # are explored first and the upper bound tightens quickly.
         self.order = sorted(
             range(system.num_sets),
-            key=lambda i: bitset_size(system.mask(i) & target_mask),
+            key=lambda i: bitset_size(self.masks[i] & target_mask),
             reverse=True,
         )
+        self.candidates: Dict[int, List[int]] = {e: [] for e in iter_bits(target_mask)}
+        for index in self.order:
+            for element in iter_bits(self.masks[index] & target_mask):
+                self.candidates[element].append(index)
+        # An element's frequency is the length of its candidate list; the
+        # stable sort of ascending elements breaks ties by element.
+        self.ranking = sorted(self.candidates, key=lambda e: len(self.candidates[e]))
         self.best_solution: Optional[List[int]] = None
         self.best_size = system.num_sets + 1
         # Maximum coverage of any single set, used for the lower bound.
         self.max_set_size = max(
-            (bitset_size(system.mask(i) & target_mask) for i in range(system.num_sets)),
-            default=0,
+            (bitset_size(mask & target_mask) for mask in self.masks), default=0
         )
 
     def _lower_bound(self, uncovered: int) -> int:
@@ -84,17 +98,14 @@ class _BranchAndBound:
 
     def solve(self) -> List[int]:
         # Seed the upper bound with greedy.
-        try:
-            greedy = greedy_set_cover(self.system, required_mask=self.target)
-            self.best_solution = list(greedy)
-            self.best_size = len(greedy)
-        except InfeasibleInstanceError:
-            raise
+        greedy = greedy_set_cover(self.system, required_mask=self.target)
+        self.best_solution = list(greedy)
+        self.best_size = len(greedy)
         self._search(self.target, [], 0)
         assert self.best_solution is not None
         return self.best_solution
 
-    def _search(self, uncovered: int, chosen: List[int], start: int) -> None:
+    def _search(self, uncovered: int, chosen: List[int], rank: int) -> None:
         if uncovered == 0:
             if len(chosen) < self.best_size:
                 self.best_size = len(chosen)
@@ -102,46 +113,16 @@ class _BranchAndBound:
             return
         if len(chosen) + self._lower_bound(uncovered) >= self.best_size:
             return
-        # Branch on an uncovered element with the fewest candidate sets
-        # (classic "most constrained element" rule) to keep the tree small.
-        pivot = self._most_constrained_element(uncovered)
-        if pivot is None:
-            return
-        candidates = [
-            index
-            for index in self.order
-            if self.system.mask(index) & (1 << pivot)
-        ]
-        for index in candidates:
-            gain = self.system.mask(index) & uncovered
-            if gain == 0:
-                continue
+        # Elements ranked before ``rank`` were covered at the parent node and
+        # stay covered here, so the scan resumes where the parent's ended.
+        ranking = self.ranking
+        while not uncovered >> ranking[rank] & 1:
+            rank += 1
+        masks = self.masks
+        for index in self.candidates[ranking[rank]]:
             chosen.append(index)
-            self._search(uncovered & ~self.system.mask(index), chosen, start)
+            self._search(uncovered & ~masks[index], chosen, rank + 1)
             chosen.pop()
-
-    def _most_constrained_element(self, uncovered: int) -> Optional[int]:
-        best_element = None
-        best_count = None
-        mask = uncovered
-        element = 0
-        while mask:
-            if mask & 1:
-                count = sum(
-                    1
-                    for index in range(self.system.num_sets)
-                    if self.system.mask(index) & (1 << element)
-                )
-                if count == 0:
-                    return element  # forces immediate pruning via empty candidates
-                if best_count is None or count < best_count:
-                    best_count = count
-                    best_element = element
-                    if count == 1:
-                        break
-            mask >>= 1
-            element += 1
-        return best_element
 
 
 def exact_set_cover(
@@ -155,8 +136,7 @@ def exact_set_cover(
     if target == 0:
         return []
     _check_coverable(system, target)
-    solver = _BranchAndBound(system, target)
-    return solver.solve()
+    return _BranchAndBound(system, target).solve()
 
 
 def exact_cover_value(

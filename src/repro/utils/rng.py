@@ -9,12 +9,13 @@ streams for each component.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import random
 from typing import List, Optional, Sequence, Union
 
 from repro.telemetry.metrics import add as _count
-from repro.utils.bitset import bitset_from_indices
+from repro.utils.bitset import bitset_from_indices, masks_from_bool_rows
 
 SeedLike = Union[None, int, random.Random, "RandomSource"]
 
@@ -63,6 +64,136 @@ def _batch_floats_numpy(rng: random.Random, count: int):
         (version, tuple(advanced[1].tolist()) + (int(advanced[2]),), state[2])
     )
     return draws
+
+
+#: Fewest draws (masks × size) for which :meth:`RandomSource.subset_masks`
+#: replays ``random.sample`` in bulk.  The replay has a fixed cost of about
+#: 0.1 ms (two state copies and a dozen NumPy calls); the measured crossover
+#: with the per-mask loop is 130–170 draws across set sizes 2–50.
+_SUBSET_BULK_MIN_DRAWS = 160
+
+#: MT19937 words one bulk-replay chunk draws (128 KB), unless a single row
+#: needs more.
+_SUBSET_CHUNK_WORDS = 1 << 15
+
+#: Cells (rows × n) of the boolean matrix one chunk packs: at most this
+#: many, or a single row when n alone exceeds it.
+_SUBSET_CHUNK_CELLS = 1 << 20
+
+
+def _sample_selects_by_set(n: int, k: int) -> bool:
+    """Whether ``random.sample(range(n), k)`` takes its set-selection branch.
+
+    CPython keeps a pool list when that is smaller than a k-element set and
+    tracks the values already selected in a set otherwise; this is its size
+    test, computed with the same float expression.
+    """
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    return n > setsize
+
+
+def _words_per_row(n: int, k: int) -> float:
+    """Expected MT19937 words one set-selection ``sample(range(n), k)`` uses.
+
+    Collecting k distinct values of n takes n·(H(n) − H(n−k)) accepted
+    draws on average, about n·ln((n + ½) / (n − k + ½)), and each draw is
+    accepted with probability n / 2^bit_length(n).
+    """
+    return (1 << n.bit_length()) * math.log((n + 0.5) / (n - k + 0.5))
+
+
+def _previous_occurrences(np, values):
+    """``prev[i]``: the index of the previous occurrence of ``values[i]``, or -1.
+
+    A stable argsort puts the occurrences of each value next to each other,
+    in index order (a radix sort for the 8- and 16-bit values of n ≤ 2^16).
+    """
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    repeat = np.flatnonzero(ordered[1:] == ordered[:-1])
+    prev = np.full(len(values), -1, dtype=np.int32)
+    prev[order[repeat + 1]] = order[repeat]
+    return prev
+
+
+def _row_end(np, prev, start: int, k: int, limit: int) -> Optional[int]:
+    """End of the row of ``k`` distinct values that starts at ``start``.
+
+    The value at ``i`` repeats within the row iff its previous occurrence
+    ``prev[i]`` lies at or after ``start``.  Each repeat pushes the end one
+    further, so the end is the fixpoint of ``start + k + repeats``; every
+    step only counts the repeats of the stretch the previous step added.
+    Returns None when the row runs past the ``limit`` values drawn.
+    """
+    end = start + k
+    scanned, repeats = start, 0
+    while end <= limit:
+        repeats += int(np.count_nonzero(prev[scanned:end] >= start))
+        grown = start + k + repeats
+        if grown == end:
+            return end
+        scanned, end = end, grown
+    return None
+
+
+def _replay_subset_masks(
+    np, rng: random.Random, n: int, k: int, count: int
+) -> List[int]:
+    """``count`` masks of set-selection ``random.sample(range(n), k)``, replayed.
+
+    CPython draws each value as ``getrandbits(n.bit_length())``, which is one
+    MT19937 word shifted right, and rejects values ≥ n and values the row
+    already holds.  ``getrandbits(32·W)`` returns W consecutive words, least
+    significant first.  So each chunk draws its words at once, replays both
+    rejections vectorized, rewinds the state and redraws exactly the words
+    its complete rows consumed.  The masks, the stream position afterwards
+    and every later draw equal those of the sequential loop.
+    """
+    bits = n.bit_length()
+    per_row = _words_per_row(n, k)
+
+    def words_for(rows: int) -> int:
+        # The expected words plus a margin, so that one draw nearly always
+        # completes every row asked for; the words past the last complete
+        # row are redrawn by the next chunk.
+        expected = rows * per_row
+        return int(1.05 * expected + 8 * math.sqrt(expected)) + 32
+
+    max_rows = max(1, _SUBSET_CHUNK_CELLS // n)
+    masks: List[int] = []
+    at_least = 0
+    while len(masks) < count:
+        rows = min(count - len(masks), max_rows)
+        words = max(at_least, words_for(1), min(_SUBSET_CHUNK_WORDS, words_for(rows)))
+        state = rng.getstate()
+        values = np.frombuffer(
+            rng.getrandbits(32 * words).to_bytes(4 * words, "little"), dtype="<u4"
+        ) >> (32 - bits)
+        positions = np.flatnonzero(values < n)
+        values = values[positions].astype(np.min_scalar_type(n - 1))
+        prev = _previous_occurrences(np, values)
+        ends: List[int] = []
+        start = 0
+        while len(ends) < rows:
+            end = _row_end(np, prev, start, k, len(values))
+            if end is None:
+                break
+            ends.append(end)
+            start = end
+        rng.setstate(state)
+        if not ends:
+            # Not even one row completed: redraw a chunk twice the size.
+            at_least = 2 * words
+            continue
+        at_least = 0
+        rng.getrandbits(32 * (int(positions[start - 1]) + 1))
+        row_of = np.repeat(np.arange(len(ends)), np.diff(ends, prepend=0))
+        member = np.zeros((len(ends), n), dtype=bool)
+        member[row_of, values[:start]] = True
+        masks.extend(masks_from_bool_rows(member))
+    return masks
 
 
 def batching_numpy():
@@ -255,6 +386,31 @@ class RandomSource:
             )
         _count("rng.draws", size)
         return bitset_from_indices(self._rng.sample(range(universe_size), size))
+
+    def subset_masks(self, universe_size: int, size: int, count: int) -> List[int]:
+        """``count`` :meth:`subset_mask` draws at once — the same masks, exactly.
+
+        The returned masks, the stream position afterwards and ``rng.draws``
+        equal ``count`` sequential :meth:`subset_mask` calls.  When NumPy
+        batching is on and ``random.sample`` would take its set-selection
+        branch, the draws are replayed in bulk (see
+        :func:`_replay_subset_masks`).  Every other case runs the
+        :meth:`subset_mask` loop itself: the pool branch, fewer draws than
+        the measured crossover, a generator that is not exactly
+        :class:`random.Random`, n ≥ 2³², no NumPy, ``REPRO_SAMPLER_BATCH=off``
+        and a size the loop rejects (with the loop's ``ValueError``).
+        """
+        np = batching_numpy()
+        if (
+            np is None
+            or count * size < _SUBSET_BULK_MIN_DRAWS
+            or type(self._rng) is not random.Random
+            or not 0 < size <= universe_size < 1 << 32
+            or not _sample_selects_by_set(universe_size, size)
+        ):
+            return [self.subset_mask(universe_size, size) for _ in range(count)]
+        _count("rng.draws", size * count)
+        return _replay_subset_masks(np, self._rng, universe_size, size, count)
 
     # -- spawning -------------------------------------------------------
     def spawn(self) -> "RandomSource":

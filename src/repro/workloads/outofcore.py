@@ -3,8 +3,11 @@
 :func:`generate_to_file` produces the **same bytes** as
 :func:`~repro.workloads.random_instances.random_set_system` for the same
 parameters and seed — the RNG draws are consumed sequentially regardless of
-how rows are windowed (see :func:`~repro.workloads.random_instances.bernoulli_masks`),
-so generating ``chunk_rows`` sets at a time and appending them to a
+how rows are windowed (see
+:func:`~repro.workloads.random_instances.bernoulli_masks` for densities and
+:meth:`~repro.utils.rng.RandomSource.subset_masks` for fixed set sizes,
+both of which leave the stream exactly where per-row draws would), so
+generating ``chunk_rows`` sets at a time and appending them to a
 :class:`~repro.setcover.source.ContainerWriter` is bit-identical to building
 the whole system in memory and dumping it.  Peak memory is bounded by one
 row window (``chunk_rows × row_bytes`` packed plus the transient draw
@@ -85,7 +88,7 @@ def generate_to_file(
         for start in range(0, num_sets, chunk_rows):
             rows = min(chunk_rows, num_sets - start)
             if set_size is not None:
-                window = [rng.subset_mask(universe_size, set_size) for _ in range(rows)]
+                window = rng.subset_masks(universe_size, set_size, rows)
             else:
                 window = bernoulli_masks(rng, rows, universe_size, density)
             writer.append_masks(window)

@@ -6,11 +6,14 @@ whole float budget through :meth:`~repro.utils.rng.RandomSource.random_batch`
 transfer — the draws and the post-call stream position are bit-identical to
 the historical per-element ``bernoulli`` loops) and assemble packed bitset
 masks in one array operation per set system instead of per-element list
-appends.  Fixed-size subsets go through
-:meth:`~repro.utils.rng.RandomSource.subset_mask` (same ``random.sample``
-stream, bulk bitset assembly).  Every generator feeds
-:meth:`SetSystem.from_masks`, so no intermediate element lists are
-materialised; coverability patches go through
+appends.  Fixed-size subsets (planted decoys, ``set_size=`` systems) are
+drawn ``count`` at a time through
+:meth:`~repro.utils.rng.RandomSource.subset_masks`, which equals ``count``
+:meth:`~repro.utils.rng.RandomSource.subset_mask` calls mask for mask and
+leaves the stream where they would; where CPython's ``random.sample``
+tracks its selections in a set, it replays those draws in bulk.  Every
+generator feeds :meth:`SetSystem.from_masks`, so no intermediate element
+lists are materialised; coverability patches go through
 :meth:`SetSystem.with_patched_mask`.
 """
 
@@ -89,7 +92,7 @@ def random_set_system(
             raise ValueError(
                 f"set_size must lie in [0, {universe_size}], got {set_size}"
             )
-        masks = [rng.subset_mask(universe_size, set_size) for _ in range(num_sets)]
+        masks = rng.subset_masks(universe_size, set_size, num_sets)
         return SetSystem.from_masks(universe_size, masks)
     if density is None:
         density = min(1.0, 4.0 * math.log(max(universe_size, 2)) / max(universe_size, 1))
@@ -181,10 +184,9 @@ def plant_cover_instance(
         # Decoys strictly smaller than a block so they cannot replace a
         # planted set and opt stays exactly cover_size.
         decoy_set_size = max(1, block_size // 2)
-    decoy_masks = [
-        rng.subset_mask(universe_size, min(decoy_set_size, universe_size))
-        for _ in range(num_sets - cover_size)
-    ]
+    decoy_masks = rng.subset_masks(
+        universe_size, min(decoy_set_size, universe_size), num_sets - cover_size
+    )
 
     all_masks = planted_masks + decoy_masks
     order = rng.permutation(len(all_masks))
