@@ -114,19 +114,22 @@ class Kernel(Protocol):
         keeps the gains *exact* as the caller reports covered elements, so
         :meth:`GainTracker.best` is always the seed pick rule (max gain,
         smallest index).  Backends choose their maintenance strategy: the
-        pure-Python tracker rescans on demand; the NumPy tracker decrements
-        through an inverted element→sets index, making a whole greedy run
-        cost O(total incidences) instead of O(picks · m · n/64).
+        pure-Python tracker rescans on demand; the NumPy tracker rescans
+        until its kernel has served enough rescans to pay for an inverted
+        element→sets index, then decrements through it, so a kernel serving
+        many greedy runs costs O(total incidences) per run instead of
+        O(picks · m · n/64).
         """
 
     def prefers_tracker(self) -> bool:
         """Whether greedy should start on the tracker, skipping lazy pops.
 
         True once a backend has already paid for tracker infrastructure on
-        this system (e.g. a previous greedy run here degenerated into mass
-        staleness and built the inverted index) — picking through the
-        tracker is then cheaper from the first pick.  Both strategies
-        implement the same pick rule, so this only affects wall-clock.
+        this system (e.g. earlier greedy runs here degenerated into mass
+        staleness and rescanned until the inverted index paid for itself) —
+        picking through the tracker is then cheaper from the first pick.
+        Both strategies implement the same pick rule, so this only affects
+        wall-clock.
         """
 
 

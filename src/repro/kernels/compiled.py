@@ -16,8 +16,9 @@ loops:
   the shared big-int sweep for *any* chunk size and thread count;
 * ``element_frequencies`` — a column-parallel bit walk (threads own disjoint
   word columns, so no atomics are needed);
-* ``gain_tracker`` — the inverted-index incremental maintenance of the NumPy
-  tracker with the per-incidence decrement loop jitted.
+* ``gain_tracker`` — the NumPy tracker's rescan-then-index handover, its
+  rescans served by the jitted popcount and, once the index is built, its
+  per-incidence decrement loop jitted.
 
 numba's own thread pool runs the ``prange`` loops (``NUMBA_NUM_THREADS``,
 ``numba.set_num_threads``); no sweep's output depends on the thread count.
@@ -224,10 +225,12 @@ class CompiledKernel(NumpyKernel):
 
 
 class CompiledGainTracker(NumpyGainTracker):
-    """Inverted-index tracker with the decrement loop jitted.
+    """The NumPy tracker with the decrement loop jitted.
 
-    Same exact-gains contract as :class:`NumpyGainTracker` (it *is* one);
-    only the per-incidence decrement walk changes implementation.
+    Same exact-gains contract and rescan-then-index handover as
+    :class:`NumpyGainTracker` (it *is* one); rescans run on the kernel's
+    jitted popcount, and only the per-incidence decrement walk changes
+    implementation.
     """
 
     def _decrement(self, elements: "np.ndarray") -> None:

@@ -9,11 +9,14 @@ handful of vectorized word operations:
 * ``restrict`` — one broadcast AND, rows unpacked back into Python ints;
 * ``element_frequencies`` — ``np.unpackbits`` column sums, row-chunked to
   bound the transient ``m × n`` byte matrix;
-* ``gain_tracker`` — an inverted element→sets index (CSC layout, built
-  lazily and cached on the kernel) through which covering an element
-  decrements the gains of exactly the sets containing it, so a full greedy
-  run costs O(total incidences) amortised instead of a fresh m·n/64 scan
-  per pick.
+* ``gain_tracker`` — ski rental between two exact strategies.  A tracker
+  starts by rescanning (one masked popcount and argmax per pick).  Once the
+  kernel has served :data:`_RESCANS_BEFORE_INDEX` rescans across all its
+  trackers it builds an inverted element→sets index (CSC layout, cached on
+  the kernel), through which covering an element decrements the gains of
+  exactly the sets containing it, so every later pick on that kernel costs
+  O(incidences covered) instead of a fresh m·n/64 scan.  Short greedy runs
+  never pay for the index; a kernel serving many runs ends up on it.
 
 Masks cross the API boundary as Python integers (the same representation the
 rest of the library uses); packing/unpacking is ``int.to_bytes`` /
@@ -45,6 +48,15 @@ from repro.utils.bitset import bitset_size
 #: Explicit little-endian uint64 so packing matches ``int.to_bytes(..., "little")``
 #: regardless of host byte order (and is native on every platform we target).
 _WORD_DTYPE = np.dtype("<u8")
+
+#: Rescans a kernel's trackers serve before it builds the inverted index:
+#: the measured break-even.  The build (one unpack plus one stable sort over
+#: the incidences) costs as much as 60–130 masked-popcount rescans at the
+#: generators' default density from n×m = 256×512 to 4096×8192 on a 2-vCPU
+#: Xeon, about 110 at 512×4096 (table and method in docs/performance.md).
+#: Rescanning up to the break-even and then switching costs at most about
+#: twice the better of the two strategies, however long the runs are.
+_RESCANS_BEFORE_INDEX = 110
 
 #: Row-chunk size for the unpackbits-based passes (frequency count, element
 #: lists, inverted index build): bounds the transient bit matrix at
@@ -134,7 +146,7 @@ class NumpyKernel:
             self._matrix = self._pack(self._int_masks)
         self._universe = (1 << universe_size) - 1
         self._inverted = None  # lazy (col_ptr, col_sets, arange) inverted index
-        self._size_vector = None  # lazy int64 per-set cardinalities
+        self._rescans = 0  # tracker rescans served, see _RESCANS_BEFORE_INDEX
 
     # -- packing helpers ------------------------------------------------
     def _pack(self, masks: Sequence[int]) -> "np.ndarray":
@@ -153,7 +165,7 @@ class NumpyKernel:
         """Per-row popcount of ``matrix & against`` (int64, by set index).
 
         The one popcount every batched count shares — gains, sizes, the
-        greedy argmax, tracker starts — and the hook a jitted tier overrides.
+        greedy argmax, tracker rescans — and the hook a jitted tier overrides.
         """
         return _popcount_rows(self._matrix & pack_row(against, self._n))
 
@@ -238,8 +250,8 @@ class NumpyKernel:
         return np.ascontiguousarray(self._matrix).tobytes()
 
     def prefers_tracker(self) -> bool:
-        # Once the inverted index exists (a previous run here escaped to the
-        # tracker), tracker-first skips the doomed lazy warm-up entirely.
+        # Once the inverted index exists (earlier runs here rescanned past
+        # the break-even), tracker-first skips the doomed lazy warm-up.
         return self._inverted is not None
 
     # -- inverted index --------------------------------------------------
@@ -273,42 +285,44 @@ class NumpyKernel:
 
 
 class NumpyGainTracker:
-    """Inverted-index tracker: exact gains via per-incidence decrements.
+    """Exact gains: rescans first, per-incidence decrements once paid for.
 
-    Covering element ``e`` decrements the gain of exactly the sets listed in
-    the kernel's element→sets index, so the total maintenance cost of a
-    greedy run is the number of incidences covered — independent of how many
-    picks it takes.  :meth:`best` is ``argmax`` over the dense gains array
-    (first occurrence, i.e. the smallest index, matching the seed
-    tie-break).
+    While its kernel has served fewer than :data:`_RESCANS_BEFORE_INDEX`
+    rescans (counted across all its trackers) and has no inverted index,
+    :meth:`best` is one masked popcount against the tracker's own uncovered
+    mask.  After that the kernel's element→sets index is built (once), the
+    gains array is one masked popcount against the current uncovered mask,
+    and covering element ``e`` decrements the gain of exactly the sets
+    containing it.  Both modes return the ``argmax`` with the smallest
+    index (the seed tie-break), so the switch never changes a pick.
     """
 
     def __init__(self, kernel: NumpyKernel, uncovered: int) -> None:
         self._kernel = kernel
-        self._col_ptr, self._col_sets, self._arange = kernel._inverted_index()
-        m = kernel.num_sets
-        if m == 0:
-            self._gains = np.zeros(0, dtype=np.int64)
-        elif uncovered == kernel._universe:
-            # Whole-universe start (every fresh greedy run): per-set sizes,
-            # cached on the kernel.
-            if kernel._size_vector is None:
-                kernel._size_vector = kernel._masked_popcounts(uncovered)
-            self._gains = kernel._size_vector.copy()
-        else:
-            self._gains = kernel._masked_popcounts(uncovered)
+        self._uncovered = uncovered
+        self._gains: "Optional[np.ndarray]" = None  # set once on the index
 
     def best(self) -> "tuple[int, int]":
-        if self._gains.size == 0:
+        kernel = self._kernel
+        if kernel.num_sets == 0:
             return -1, 0
-        index = int(self._gains.argmax())
-        return index, int(self._gains[index])
+        gains = self._gains
+        if gains is None:
+            if kernel._inverted is None and kernel._rescans < _RESCANS_BEFORE_INDEX:
+                kernel._rescans += 1
+                gains = kernel._masked_popcounts(self._uncovered)
+            else:
+                self._col_ptr, self._col_sets, self._arange = kernel._inverted_index()
+                gains = self._gains = kernel._masked_popcounts(self._uncovered)
+        index = int(gains.argmax())  # first occurrence == smallest index
+        return index, int(gains[index])
 
     def cover(self, newly: int) -> None:
-        if newly == 0 or self._gains.size == 0:
-            return
-        row = pack_row(newly, self._kernel.universe_size).view(np.uint8)
-        self._decrement(np.nonzero(np.unpackbits(row, bitorder="little"))[0])
+        if self._gains is None:
+            self._uncovered &= ~newly
+        elif newly:
+            row = pack_row(newly, self._kernel.universe_size).view(np.uint8)
+            self._decrement(np.nonzero(np.unpackbits(row, bitorder="little"))[0])
 
     def _decrement(self, elements: "np.ndarray") -> None:
         """Subtract one from the gain of every set containing each element."""

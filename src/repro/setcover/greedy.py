@@ -19,13 +19,14 @@ Lazy evaluation has one pathological regime: near-uniform gains that all
 shrink together (dense i.i.d. instances), where certifying the top can pop
 most of the heap every pick.  When a pick burns through the stale-pop budget
 (:data:`_STALE_POP_ESCAPE`), the run switches permanently to the kernel's
-:meth:`~repro.kernels.base.Kernel.gain_tracker` — exact gains maintained by
-per-incidence decrements through an inverted element→sets index on the
-packed-matrix backends (jit-compiled on the ``compiled`` tier), a
-seed-equivalent rescan per pick on the pure-Python one.  The pick
-rule (max gain, lowest index, already-chosen sets sit at gain 0) is
-identical in every regime, so switching never changes the trace, only the
-wall-clock.
+:meth:`~repro.kernels.base.Kernel.gain_tracker` — a seed-equivalent rescan
+per pick on the pure-Python and windowed kernels.  The packed-matrix
+backends rescan too until the kernel has served enough rescans to pay for
+an inverted element→sets index, then maintain exact gains by per-incidence
+decrements through it (jit-compiled on the ``compiled`` tier); later runs on
+that kernel start on the tracker.  The pick rule (max gain, lowest index,
+already-chosen sets sit at gain 0) is identical in every regime, so
+switching never changes the trace, only the wall-clock.
 """
 
 from __future__ import annotations

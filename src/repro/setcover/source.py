@@ -229,10 +229,10 @@ class InstanceSource:
             yield start, stop - start, self.row_view(start, stop)
 
     def mask_at(self, index: int) -> int:
-        """Decode the bitset mask of one set row."""
+        """Decode the bitset mask of one set row (and only that row)."""
         if not 0 <= index < self._num_sets:
             raise IndexError(f"set index {index} out of range [0, {self._num_sets})")
-        return int.from_bytes(self.row_view(index, index + 1), "little")
+        return _decode_rows(self.row_view(index, index + 1), self.row_bytes)[0]
 
     def digest(self) -> str:
         """SHA-256 of the packed buffer (chunked scan; cached)."""
@@ -904,29 +904,21 @@ class LazyMaskRows(Sequence):
     """A read-only ``Sequence[int]`` of set masks decoded on demand.
 
     Stands in for ``SetSystem._masks`` on source-backed systems: random
-    access decodes one row; iteration decodes a bounded chunk at a time and
-    keeps only the current window cached, so walking all m masks never
-    materialises the full buffer as Python integers.
+    access decodes exactly the row asked for (through
+    :meth:`InstanceSource.mask_at`), and iteration decodes one bounded
+    window of ``chunk_rows`` rows at a time, so walking all m masks never
+    materialises the full buffer as Python integers.  Nothing is cached:
+    greedy picks, random-order streams and the claim sweep read rows in
+    data-dependent orders where a one-window cache mostly misses, and
+    re-decoding a whole window per miss cost far more than it saved.
     """
 
     def __init__(self, source: InstanceSource, chunk_rows: int = DEFAULT_CHUNK_ROWS) -> None:
         self._source = source
         self._chunk_rows = max(1, chunk_rows)
-        self._cache_start = -1
-        self._cache: List[int] = []
 
     def __len__(self) -> int:
         return self._source.num_sets
-
-    def _chunk_for(self, index: int) -> List[int]:
-        start = (index // self._chunk_rows) * self._chunk_rows
-        if start != self._cache_start:
-            stop = min(start + self._chunk_rows, self._source.num_sets)
-            self._cache = _decode_rows(
-                self._source.row_view(start, stop), self._source.row_bytes
-            )
-            self._cache_start = start
-        return self._cache
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -936,7 +928,7 @@ class LazyMaskRows(Sequence):
             index += length
         if not 0 <= index < length:
             raise IndexError(f"set index out of range [0, {length})")
-        return self._chunk_for(index)[index % self._chunk_rows]
+        return self._source.mask_at(index)
 
     def __iter__(self) -> Iterator[int]:
         stride = self._source.row_bytes
@@ -1030,7 +1022,7 @@ class SourceBackedSetSystem(SetSystem):
         # call tuple — O(len(indices)) resident ints, exactly what a
         # windowed system must avoid.  The full-range case (feasibility
         # checks, preprocessing) is one chunked kernel union; any other
-        # selection folds through the row cache one mask at a time.
+        # selection folds in one decoded row at a time.
         if isinstance(indices, range) and indices == range(self._source.num_sets):
             return self.kernel().union()
         result = 0

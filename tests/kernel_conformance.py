@@ -8,7 +8,9 @@ shape grid (empty systems, universes not divisible by 64, single-word rows,
 dense/sparse extremes, tie-break-heavy duplicates), a grid of query masks and
 claim-key patterns (including keys past the int64 scoring range), and a full
 replay of the stateful :class:`~repro.kernels.base.GainTracker` contract —
-then asserts equality observable by observable.
+then asserts equality observable by observable.  The replay also runs with
+the packed-matrix trackers' rescan budget pinned so that their switch from
+rescans to the inverted index lands at every position of it.
 
 Backend test files *import* this harness instead of re-implementing parity:
 
@@ -101,6 +103,36 @@ def _tracker_cover_schedule(n: int, seed: int = 23) -> List[int]:
     """A deterministic sequence of cover masks (disjointness applied later)."""
     rng = RandomSource(seed)
     return [rng.randbits(n) for _ in range(5)] + [0]
+
+
+#: A rescan budget no test run reaches: trackers never leave rescans.
+NEVER_INDEX = 10**9
+
+#: Rescan budgets the greedy handover tests pin: the index from the first
+#: pick, after one, two and seven rescans, and never.
+HANDOVER_BUDGETS = (0, 1, 2, 7, NEVER_INDEX)
+
+
+@contextmanager
+def rescan_budget(budget: int) -> Iterator[None]:
+    """Pin how many rescans a kernel's trackers serve before it builds the
+    inverted index (``numpy_backend._RESCANS_BEFORE_INDEX``).
+
+    Inside the block a kernel's trackers switch once it has served
+    ``budget`` rescans; without NumPy there is no index to switch to and the
+    body runs as is.
+    """
+    try:
+        from repro.kernels import numpy_backend
+    except ImportError:
+        yield
+        return
+    previous = numpy_backend._RESCANS_BEFORE_INDEX
+    numpy_backend._RESCANS_BEFORE_INDEX = budget
+    try:
+        yield
+    finally:
+        numpy_backend._RESCANS_BEFORE_INDEX = previous
 
 
 #: The backend requests the suites sweep, in tier order: every registered
@@ -203,13 +235,18 @@ def assert_kernel_conformance(
 
 def _assert_tracker_conformance(
     kernel: Kernel, reference: PyIntKernel, universe_size: int
-) -> None:
-    """Replay a cover schedule through both trackers, comparing every pick."""
+) -> int:
+    """Replay a cover schedule through both trackers, comparing every pick.
+
+    Returns how many times the replay asked ``kernel``'s trackers for a pick.
+    """
+    picks = 0
     for start in (0, _universe(universe_size)):
         uncovered = start
         tracker = kernel.gain_tracker(uncovered)
         ref_tracker = reference.gain_tracker(uncovered)
         assert tracker.best() == ref_tracker.best(), kernel.backend
+        picks += 1
         for raw in _tracker_cover_schedule(universe_size):
             newly = raw & uncovered  # the disjoint-subset precondition
             tracker.cover(newly)
@@ -220,6 +257,30 @@ def _assert_tracker_conformance(
             assert tracker.best() == reference.best_gain_index(uncovered), (
                 kernel.backend
             )
+            picks += 2
+    return picks
+
+
+def assert_tracker_handover_conformance(
+    backend: str, universe_size: int, masks: Sequence[int]
+) -> None:
+    """Replay the tracker schedule once per position of the index switch.
+
+    A fresh kernel per rescan budget, from 0 (the index from the first
+    pick) through one past the replay's last pick (rescans throughout),
+    so the packed-matrix trackers switch at every pick of the replay —
+    including between two picks with no cover in between — and must stay
+    pick-for-pick identical to the pure-Python reference at each.
+    """
+    reference = PyIntKernel(universe_size, list(masks))
+    with rescan_budget(NEVER_INDEX):
+        picks = _assert_tracker_conformance(
+            build_kernel(backend, universe_size, masks), reference, universe_size
+        )
+    for budget in range(picks + 1):
+        with rescan_budget(budget):
+            kernel = build_kernel(backend, universe_size, masks)
+            _assert_tracker_conformance(kernel, reference, universe_size)
 
 
 def assert_backend_conformance(backend: str, **kwargs) -> None:

@@ -15,7 +15,7 @@ Two families of invariants guard the compute-kernel seam:
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kernel_conformance import SWEPT_BACKENDS
+from kernel_conformance import HANDOVER_BUDGETS, SWEPT_BACKENDS, rescan_budget
 from repro.exceptions import InfeasibleInstanceError
 from repro.kernels import PyIntKernel, make_kernel
 from repro.setcover.greedy import greedy_cover_trace
@@ -121,20 +121,23 @@ class TestGainTrackerParity:
     @given(
         data=mask_systems(max_n=48, max_m=8),
         covers=st.lists(st.integers(min_value=0), min_size=0, max_size=6),
+        budget=st.sampled_from(HANDOVER_BUDGETS),
     )
-    def test_tracker_tracks_best_gain_index(self, backend, data, covers):
+    def test_tracker_tracks_best_gain_index(self, backend, data, covers, budget):
         """After any sequence of disjoint covers the tracker's pick equals a
-        fresh batched argmax — the exactness invariant of gain maintenance."""
+        fresh batched argmax — the exactness invariant of gain maintenance,
+        wherever the rescan-to-index switch lands."""
         n, masks = data
-        kernel = make_kernel(n, masks, backend=backend)
-        uncovered = (1 << n) - 1
-        tracker = kernel.gain_tracker(uncovered)
-        assert tracker.best() == kernel.best_gain_index(uncovered)
-        for cover_bits in covers:
-            newly = cover_bits & uncovered
-            tracker.cover(newly)
-            uncovered &= ~newly
+        with rescan_budget(budget):
+            kernel = make_kernel(n, masks, backend=backend)
+            uncovered = (1 << n) - 1
+            tracker = kernel.gain_tracker(uncovered)
             assert tracker.best() == kernel.best_gain_index(uncovered)
+            for cover_bits in covers:
+                newly = cover_bits & uncovered
+                tracker.cover(newly)
+                uncovered &= ~newly
+                assert tracker.best() == kernel.best_gain_index(uncovered)
 
 
 class TestLazyGreedyEquivalence:

@@ -1,7 +1,8 @@
 """Drive the cross-backend conformance harness over the kernel registry.
 
 The harness itself lives in ``tests/kernel_conformance.py``; this file only
-parameterizes it: every swept backend request × every adversarial shape,
+parameterizes it: every swept backend request × every adversarial shape
+(once as is and once per position of the trackers' rescan-to-index switch),
 plus numba thread-count sweeps for the compiled backend and a telemetry leg
 proving ``kernel.calls.*`` metering survives the compiled request's paths.
 """
@@ -12,6 +13,7 @@ from kernel_conformance import (
     CONFORMANCE_CASES,
     SWEPT_BACKENDS,
     assert_kernel_conformance,
+    assert_tracker_handover_conformance,
     build_compiled_kernel,
     build_kernel,
     numba_threads,
@@ -28,6 +30,14 @@ def test_backend_conforms_to_reference(backend, case):
     universe_size, masks = CONFORMANCE_CASES[case]
     kernel = build_kernel(backend, universe_size, masks)
     assert_kernel_conformance(kernel, universe_size, masks)
+
+
+@pytest.mark.parametrize("backend", SWEPT_BACKENDS)
+@pytest.mark.parametrize("case", CASE_IDS)
+def test_tracker_handover_conforms_to_reference(backend, case):
+    """The rescan-to-index switch may land on any pick without changing it."""
+    universe_size, masks = CONFORMANCE_CASES[case]
+    assert_tracker_handover_conformance(backend, universe_size, masks)
 
 
 @pytest.mark.parametrize("threads", [1, 2, 4])
@@ -89,6 +99,7 @@ def test_conformance_suite_is_importable_as_a_library():
         "CONFORMANCE_CASES",
         "assert_backend_conformance",
         "assert_kernel_conformance",
+        "assert_tracker_handover_conformance",
         "build_kernel",
         "key_patterns",
         "query_masks",

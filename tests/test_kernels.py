@@ -6,7 +6,7 @@ import warnings
 import pytest
 
 import repro.kernels as kernels
-from kernel_conformance import SWEPT_BACKENDS, build_kernel
+from kernel_conformance import HANDOVER_BUDGETS, SWEPT_BACKENDS, build_kernel, rescan_budget
 from repro.core.element_sampling import element_sample, element_sample_mask
 from repro.kernels import (
     AUTO_NUMPY_THRESHOLD,
@@ -365,7 +365,8 @@ class TestGainTrackers:
         assert tracker.best() == kernel.best_gain_index(uncovered)
 
     def test_forced_escape_keeps_trace_identical(self, monkeypatch):
-        """With a zero stale-pop budget every pick runs on the tracker."""
+        """With a zero stale-pop budget every pick runs on the tracker, and
+        the tracker's rescan-to-index switch may land on any of them."""
         import repro.setcover.greedy as greedy_module
         from repro.setcover.greedy import greedy_cover_trace
         from repro.setcover.maxcover import greedy_max_coverage
@@ -380,13 +381,50 @@ class TestGainTrackers:
                 greedy_cover_trace(system).solution,
                 greedy_max_coverage(system, 5),
             )
-        monkeypatch.setattr(greedy_module, "_STALE_POP_ESCAPE", 0)
-        for backend in registered_backends():
-            system = SetSystem.from_masks(n, masks, backend=backend)
-            assert greedy_cover_trace(system).solution == reference[backend][0]
-            assert greedy_max_coverage(system, 5) == reference[backend][1]
         values = list(reference.values())
         assert all(value == values[0] for value in values)  # backends agree too
+        monkeypatch.setattr(greedy_module, "_STALE_POP_ESCAPE", 0)
+        for budget in HANDOVER_BUDGETS:
+            with rescan_budget(budget):
+                for backend in registered_backends():
+                    system = SetSystem.from_masks(n, masks, backend=backend)
+                    assert greedy_cover_trace(system).solution == reference["python"][0], (
+                        backend,
+                        budget,
+                    )
+                    assert greedy_max_coverage(system, 5) == reference["python"][1], (
+                        backend,
+                        budget,
+                    )
+
+    @requires_numpy
+    def test_index_waits_until_rescans_pay_for_it(self):
+        """Short runs rescan; the index comes once the kernel's trackers
+        have served the break-even number of rescans between them."""
+        from repro.kernels.numpy_backend import _RESCANS_BEFORE_INDEX, NumpyKernel
+
+        n = 30
+        masks = [(0b111111 << (3 * i)) & ((1 << 30) - 1) | (i % 5) for i in range(10)]
+        kernel = NumpyKernel(n, masks)
+
+        def run(picks):
+            uncovered = (1 << n) - 1
+            tracker = kernel.gain_tracker(uncovered)
+            for _ in range(picks):
+                index, gain = tracker.best()
+                assert (index, gain) == kernel.best_gain_index(uncovered)
+                tracker.cover(masks[index] & uncovered)
+                uncovered &= ~masks[index]
+
+        run(3)
+        assert kernel._inverted is None and not kernel.prefers_tracker()
+        runs, rest = divmod(_RESCANS_BEFORE_INDEX - 3, 3)
+        for _ in range(runs):
+            run(3)
+        run(rest)  # exactly the break-even served: still no index
+        assert kernel._inverted is None and not kernel.prefers_tracker()
+        run(3)  # the next pick builds it, and every later pick decrements
+        assert kernel._inverted is not None and kernel.prefers_tracker()
 
     @requires_numpy
     def test_tracker_first_second_run_identical(self):

@@ -342,6 +342,35 @@ class TestLazyMaskRows:
             with pytest.raises(IndexError):
                 rows[len(masks)]
 
+    def test_reads_decode_only_the_rows_asked_for(self, tmp_path, monkeypatch):
+        """A random read decodes one row; iteration decodes window by window."""
+        import repro.setcover.source as source_module
+
+        calls = []
+        decode = source_module._decode_rows
+
+        def spy(view, stride):
+            rows = decode(view, stride)
+            calls.append(len(rows))
+            return rows
+
+        monkeypatch.setattr(source_module, "_decode_rows", spy)
+        system = sample_system(n=30, m=17)
+        path = tmp_path / "rows.repro"
+        system.to_file(path)
+        masks = system.masks()
+        chunk_rows = 4  # 17 rows span 5 windows
+        with MmapSource.open(path) as source:
+            rows = LazyMaskRows(source, chunk_rows=chunk_rows)
+            reads = [0, 9, 2, 16, 5, 12, 1, 8, 8, 15]  # hops between windows
+            calls.clear()
+            assert [rows[i] for i in reads] == [masks[i] for i in reads]
+            assert calls == [1] * len(reads)
+            calls.clear()
+            assert list(rows) == masks
+            assert sum(calls) == len(masks)
+            assert len(calls) == -(-len(masks) // chunk_rows)
+
 
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestChunkedKernelParity:
