@@ -243,11 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--batch-size", type=_positive_int, default=8,
-        help="max requests per micro-batch",
-    )
-    serve_parser.add_argument(
-        "--batch-window", type=float, default=0.005, metavar="SECONDS",
-        help="how long the batcher waits to fill a micro-batch",
+        help="max requests per micro-batch; a request is dispatched as soon "
+        "as a worker is free, and only requests that queued while every "
+        "worker was busy share its batch",
     )
     serve_parser.add_argument(
         "--cache", type=_nonnegative_int, default=1024, metavar="ENTRIES",
@@ -648,7 +646,6 @@ def _serve_command(args: argparse.Namespace) -> int:
             workers=args.workers,
             queue_limit=args.queue_limit,
             batch_size=args.batch_size,
-            batch_window_s=args.batch_window,
             cache_capacity=args.cache,
             default_deadline_s=args.deadline,
             drain_grace_s=args.drain_grace,
@@ -673,6 +670,11 @@ def _serve_command(args: argparse.Namespace) -> int:
             counters = asyncio.run(serve_main(config))
     except InstanceSpecError as exc:
         raise SystemExit(f"bad --instance spec: {exc}")
+    except OSError as exc:
+        # asyncio's bind error repeats the address; a resolver error
+        # (negative errno) carries its own text.
+        reason = os.strerror(exc.errno) if (exc.errno or 0) > 0 else exc.strerror or str(exc)
+        raise SystemExit(f"cannot listen on {args.host}:{args.port}: {reason}")
     except KeyboardInterrupt:  # pragma: no cover - direct ^C before handler
         return 130
     finally:

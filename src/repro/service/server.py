@@ -11,12 +11,14 @@ that *nothing* in this file can grow or wait without limit:
    answered ``shed`` immediately (:class:`asyncio.Queue` ``put_nowait``).  A
    full queue is load the service explicitly refuses, never latency it
    silently accrues.  Cache hits bypass admission entirely.
-2. **Micro-batching.** A single batcher task collects up to
-   ``batch_size`` queued requests within ``batch_window_s``, drops the
-   expired (answered ``deadline`` without compute), dedupes by request
-   fingerprint (one compute answers every duplicate), and dispatches the
-   batch to the :class:`~repro.service.pool.WorkerPool` — at most
-   ``max(1, workers)`` batches in flight.
+2. **Work-conserving dispatch.** A single batcher task takes the head
+   request and dispatches it to the :class:`~repro.service.pool.WorkerPool`
+   as soon as one of the ``max(1, workers)`` slots is free; it waits only
+   while every slot is busy.  Whatever queued during that wait (up to
+   ``batch_size`` requests) rides along in the same micro-batch, so a batch
+   forms only under load and an idle service never holds a request back.
+   Dispatch drops the expired (answered ``deadline`` without compute) and
+   dedupes by request fingerprint (one compute answers every duplicate).
 3. **Deadlines.** A request's budget is armed at admission and travels into
    the workers as remaining seconds, where the engine's pass grants enforce
    it cooperatively; an answer that misses its deadline in the queue costs
@@ -57,6 +59,11 @@ from repro.telemetry.spans import event, span
 _STOP = object()
 
 
+def _positive_seconds(value: Any) -> bool:
+    """Whether ``value`` is a usable deadline budget (a bool is not)."""
+    return not isinstance(value, bool) and isinstance(value, (int, float)) and value > 0
+
+
 @dataclass(frozen=True)
 class ServiceConfig:
     """Tunables of one service process (all bounds are per this config)."""
@@ -67,16 +74,26 @@ class ServiceConfig:
     workers: int = 2
     queue_limit: int = 64
     batch_size: int = 8
-    batch_window_s: float = 0.005
     cache_capacity: int = 1024
     default_deadline_s: Optional[float] = None
     drain_grace_s: float = 5.0
 
     def __post_init__(self) -> None:
+        if self.workers < 0:
+            raise ValueError(f"workers must be >= 0, got {self.workers}")
         if self.queue_limit < 1:
             raise ValueError(f"queue_limit must be >= 1, got {self.queue_limit}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.cache_capacity < 0:
+            raise ValueError(f"cache_capacity must be >= 0, got {self.cache_capacity}")
+        if self.default_deadline_s is not None and not _positive_seconds(self.default_deadline_s):
+            raise ValueError(
+                "default_deadline_s must be None or a positive number of seconds, "
+                f"got {self.default_deadline_s!r}"
+            )
+        if self.drain_grace_s < 0:
+            raise ValueError(f"drain_grace_s must be >= 0, got {self.drain_grace_s}")
         if not self.instances:
             raise ValueError("at least one instance spec is required")
 
@@ -92,6 +109,7 @@ class _Pending:
     fingerprint: str
     deadline: Optional[Deadline]
     future: "asyncio.Future[Dict[str, Any]]" = field(repr=False, default=None)  # type: ignore[assignment]
+    admitted: float = field(default_factory=clock)
 
 
 class SolverService:
@@ -132,19 +150,33 @@ class SolverService:
 
     # -- lifecycle ---------------------------------------------------------
     async def start(self) -> Tuple[str, int]:
-        """Publish instances, spawn the pool, bind the listener."""
-        for name, system in self._systems.items():
-            self._publications[name] = SharedMemorySource.publish(system.to_packed())
-        self.pool = WorkerPool(
-            {name: pub.descriptor() for name, pub in self._publications.items()},
-            self._systems,
-            workers=self.config.workers,
-        )
-        self._queue = asyncio.Queue(maxsize=self.config.queue_limit)
-        self._batcher_task = asyncio.create_task(self._batcher())
-        self._server = await asyncio.start_server(
-            self._handle_connection, host=self.config.host, port=self.config.port
-        )
+        """Publish instances, spawn the pool, bind the listener.
+
+        A failure at any step (a port already taken, say) closes what was
+        published and stops the batcher before the error propagates, so a
+        service that never started leaks no shared segment.
+        """
+        try:
+            for name, system in self._systems.items():
+                self._publications[name] = SharedMemorySource.publish(system.to_packed())
+            self.pool = WorkerPool(
+                {name: pub.descriptor() for name, pub in self._publications.items()},
+                self._systems,
+                workers=self.config.workers,
+            )
+            self._queue = asyncio.Queue(maxsize=self.config.queue_limit)
+            self._batcher_task = asyncio.create_task(self._batcher())
+            self._server = await asyncio.start_server(
+                self._handle_connection, host=self.config.host, port=self.config.port
+            )
+        except BaseException:
+            if self._batcher_task is not None:
+                self._batcher_task.cancel()
+                await asyncio.gather(self._batcher_task, return_exceptions=True)
+            for publication in self._publications.values():
+                publication.close()
+            self._publications.clear()
+            raise
         sockname = self._server.sockets[0].getsockname()
         self.address = (sockname[0], sockname[1])
         event("service.start", host=self.address[0], port=self.address[1])
@@ -261,9 +293,11 @@ class SolverService:
                 "bad_request",
                 error=f"unknown kind {kind!r}; expected one of {REQUEST_KINDS + PROBE_KINDS}",
             )
+        started = clock()
         with span("service.request", kind=kind, request_id=request_id) as active:
             response = await self._handle_request(request_id, kind, message)
             active.set(status=response["status"])
+        metrics.observe(f"service.latency_ms.{kind}", (clock() - started) * 1000.0)
         self.counters["requests"] += 1
         self.counters[response["status"]] = self.counters.get(response["status"], 0) + 1
         metrics.add(f"service.responses.{response['status']}")
@@ -338,7 +372,7 @@ class SolverService:
         raw = message.get("deadline_s", self.config.default_deadline_s)
         if raw is None:
             return None
-        if isinstance(raw, bool) or not isinstance(raw, (int, float)) or raw <= 0:
+        if not _positive_seconds(raw):
             raise BadRequestError(
                 f"deadline_s must be a positive number of seconds, got {raw!r}"
             )
@@ -346,30 +380,29 @@ class SolverService:
 
     # -- batching ----------------------------------------------------------
     async def _batcher(self) -> None:
-        """Collect → dedupe → dispatch, until the drain sentinel arrives."""
+        """Dispatch on a free slot, batching only what queued while all were busy."""
         limit = max(1, self.config.workers)
         while True:
             entry = await self._queue.get()
             if entry is _STOP:
                 self._flush_draining()
                 return
+            while len(self._dispatches) >= limit:
+                await asyncio.wait(self._dispatches, return_when=asyncio.FIRST_COMPLETED)
             batch: List[_Pending] = [entry]
-            expires = clock() + self.config.batch_window_s
-            while len(batch) < self.config.batch_size:
-                remaining = expires - clock()
-                if remaining <= 0:
-                    break
-                try:
-                    extra = await asyncio.wait_for(self._queue.get(), timeout=remaining)
-                except asyncio.TimeoutError:
-                    break
+            stopping = False
+            while len(batch) < self.config.batch_size and not self._queue.empty():
+                extra = self._queue.get_nowait()
                 if extra is _STOP:
-                    # Dispatch what we have, then flush and exit.
-                    await self._dispatch_bounded(batch, limit)
-                    self._flush_draining()
-                    return
+                    stopping = True
+                    break
                 batch.append(extra)
-            await self._dispatch_bounded(batch, limit)
+            task = asyncio.create_task(self._dispatch(batch))
+            self._dispatches.add(task)
+            task.add_done_callback(self._dispatches.discard)
+            if stopping:
+                self._flush_draining()
+                return
 
     def _flush_draining(self) -> None:
         """Answer every queued-but-unstarted request with ``draining``."""
@@ -390,17 +423,12 @@ class SolverService:
                 ),
             )
 
-    async def _dispatch_bounded(self, batch: List[_Pending], limit: int) -> None:
-        while len(self._dispatches) >= limit:
-            await asyncio.wait(self._dispatches, return_when=asyncio.FIRST_COMPLETED)
-        task = asyncio.create_task(self._dispatch(batch))
-        self._dispatches.add(task)
-        task.add_done_callback(self._dispatches.discard)
-
     async def _dispatch(self, batch: List[_Pending]) -> None:
         """Execute one micro-batch: expire, dedupe, compute, fan back out."""
+        now = clock()
         groups: Dict[str, List[_Pending]] = {}
         for entry in batch:
+            metrics.observe("service.queue_wait_ms", (now - entry.admitted) * 1000.0)
             if entry.deadline is not None and entry.deadline.expired:
                 metrics.add("service.deadline_misses")
                 self._finish(

@@ -1,6 +1,7 @@
 """Unit tests for the command-line interface."""
 
 import json
+import socket
 
 import pytest
 
@@ -251,6 +252,25 @@ class TestServeParser:
     def test_serve_bad_instance_spec_exits(self):
         with pytest.raises(SystemExit, match="instance"):
             main(["serve", "--instance", "broken"])
+
+    def test_serve_non_positive_deadline_exits(self, monkeypatch):
+        import repro.service.server as server
+
+        async def refuse(config):
+            raise AssertionError("a non-positive default deadline reached serve_main")
+
+        monkeypatch.setattr(server, "serve_main", refuse)
+        with pytest.raises(SystemExit, match="default_deadline_s must be"):
+            main(["serve", "--deadline", "0"])
+
+    def test_serve_on_a_taken_port_exits_with_one_line(self):
+        with socket.socket() as holder:
+            holder.bind(("127.0.0.1", 0))
+            holder.listen()
+            port = holder.getsockname()[1]
+            with pytest.raises(SystemExit) as excinfo:
+                main(["serve", "--port", str(port), "--workers", "0"])
+        assert str(excinfo.value.code) == f"cannot listen on 127.0.0.1:{port}: Address already in use"
 
 
 class TestLoadgenParser:

@@ -1,4 +1,4 @@
-"""Solver-service tests: parity, admission, deadlines, faults, drain.
+"""Solver-service tests: parity, admission, dispatch, deadlines, faults, drain.
 
 Most tests run the service with ``workers=0`` (inline compute, no fork):
 admission, batching, caching, deadline, and degradation semantics are all
@@ -12,12 +12,15 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import socket
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
+from repro.exceptions import SharedSegmentLostError
 from repro.kernels import HAS_NUMPY
 from repro.service.client import AsyncServiceClient
 from repro.service.instances import InstanceSpecError, build_instance, instance_digest
@@ -28,6 +31,8 @@ from repro.service.requests import (
     request_fingerprint,
 )
 from repro.service.server import ServiceConfig, SolverService, _Pending
+from repro.setcover.source import SharedMemorySource
+from repro.telemetry import TelemetrySession
 
 needs_numpy = pytest.mark.skipif(not HAS_NUMPY, reason="NumPy backend not installed")
 
@@ -214,6 +219,46 @@ class TestRoundTrip:
         assert serve_and(go)["status"] == "bad_request"
 
 
+class TestConfig:
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"workers": -1},
+            {"cache_capacity": -1},
+            {"default_deadline_s": 0},
+            {"default_deadline_s": -1},
+            {"default_deadline_s": True},
+            {"default_deadline_s": "5"},
+            {"drain_grace_s": -0.5},
+        ],
+    )
+    def test_invalid_config_rejected(self, overrides):
+        with pytest.raises(ValueError):
+            ServiceConfig(instances=(SPEC,), **overrides)
+
+    def test_failed_start_unlinks_published_segments(self, monkeypatch):
+        descriptors = []
+        publish = SharedMemorySource.publish.__func__
+
+        def spy(cls, packed):
+            publication = publish(cls, packed)
+            descriptors.append(publication.descriptor())
+            return publication
+
+        monkeypatch.setattr(SharedMemorySource, "publish", classmethod(spy))
+        with socket.socket() as holder:
+            holder.bind(("127.0.0.1", 0))
+            holder.listen()
+            port = holder.getsockname()[1]
+            svc = SolverService(ServiceConfig(workers=0, instances=(SPEC,), port=port))
+            with pytest.raises(OSError):
+                asyncio.run(svc.start())
+        assert svc._publications == {}
+        assert len(descriptors) == 1
+        with pytest.raises(SharedSegmentLostError):
+            SharedMemorySource.attach(descriptors[0])
+
+
 class TestAdmission:
     def test_queue_full_sheds_explicitly(self):
         async def go():
@@ -272,6 +317,95 @@ class TestAdmission:
             return [entry.future.result()["status"] for entry in entries]
 
         assert asyncio.run(go()) == ["draining"] * 3
+
+
+def submit(svc, request_id, kind, params):
+    """Admit one request straight into ``svc``; returns its task."""
+    message = {"kind": kind, "params": params}
+    return asyncio.create_task(svc._handle_request(request_id, kind, message))
+
+
+class TestDispatch:
+    def test_idle_service_dispatches_at_once(self):
+        async def go():
+            svc = SolverService(ServiceConfig(workers=0, instances=(SPEC,)))
+            await svc.start()
+            order = []
+            dispatch = svc._dispatch
+
+            def spy(batch):
+                order.append("dispatch")
+                return dispatch(batch)
+
+            svc._dispatch = spy
+            try:
+                asyncio.get_running_loop().call_later(0.004, order.append, "marker")
+                response = await submit(svc, "r1", "cover", {})
+                await asyncio.sleep(0.005)
+            finally:
+                await svc.drain()
+            return order, response
+
+        order, response = asyncio.run(go())
+        assert response["status"] == "ok"
+        assert order == ["dispatch", "marker"]
+
+    def test_requests_queued_behind_a_busy_slot_share_one_deduped_batch(self):
+        requests = [
+            ("a", "maxcover", {"k": 1}),
+            ("b", "maxcover", {"k": 2}),
+            ("c", "cover", {}),
+            ("d", "cover", {}),
+        ]
+
+        async def go():
+            # workers=0 gives one slot; the first batch holds it until released.
+            svc = SolverService(ServiceConfig(workers=0, instances=(SPEC,)))
+            await svc.start()
+            loop = asyncio.get_running_loop()
+            busy = asyncio.Event()
+            release = threading.Event()
+            batches = []
+            run_batch = svc.pool.run_batch
+
+            def blocking(items):
+                batches.append([item[0] for item in items])
+                if len(batches) == 1:
+                    loop.call_soon_threadsafe(busy.set)
+                    release.wait(timeout=30)
+                return run_batch(items)
+
+            svc.pool.run_batch = blocking
+            try:
+                tasks = [submit(svc, *requests[0])]
+                await asyncio.wait_for(busy.wait(), timeout=30)
+                tasks += [submit(svc, *request) for request in requests[1:]]
+                await asyncio.sleep(0)  # b, c and d are admitted while a computes
+                release.set()
+                responses = await asyncio.wait_for(asyncio.gather(*tasks), timeout=30)
+            finally:
+                release.set()
+                await svc.drain()
+            return batches, responses
+
+        batches, responses = asyncio.run(go())
+        assert batches == [["a"], ["b", "c"]]
+        for (_, kind, params), response in zip(requests, responses):
+            assert response["status"] == "ok"
+            assert canonical(response["result"]) == canonical(direct_answer(kind, params))
+
+    def test_trace_records_latency_per_request_and_queue_wait_per_compute(self):
+        async def go(svc, client):
+            for kind, params in (("cover", {}), ("cover", {}), ("maxcover", {"k": 2})):
+                assert (await client.request(kind, params=params))["status"] == "ok"
+
+        with TelemetrySession(label="serve-test") as session:
+            serve_and(go)
+        histograms = session.registry.snapshot()["histograms"]
+        assert histograms["service.latency_ms.cover"]["count"] == 2
+        assert histograms["service.latency_ms.maxcover"]["count"] == 1
+        # The second cover is a cache hit: it never reaches dispatch.
+        assert histograms["service.queue_wait_ms"]["count"] == 2
 
 
 class TestDeadlines:
