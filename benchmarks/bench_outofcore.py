@@ -6,6 +6,8 @@ Measures, on dense random instances up to m = 10^6 sets:
   chunked container writer: wall-clock throughput (rows/s) and peak Python
   allocation (tracemalloc), which must stay far below the packed buffer —
   the writer never holds the instance.
+* **open** — one :meth:`MmapSource.open` of the written file, which hashes
+  the data section against the header digest (``open_s``).
 * **solve** — greedy set cover over the mmap backing
   (``SetSystem.from_source``): windowed kernel scans, peak allocation again
   bounded by the chunk window, not the buffer.
@@ -114,6 +116,10 @@ def bench_entry(n: int, m: int, seed: int, workdir: Path) -> Dict[str, object]:
     in_memory = random_set_system(n, m, seed=seed)
     assert descriptor.digest == in_memory.content_digest(), "generation parity"
 
+    # -- open: map the file and verify its digest --------------------------
+    opened, open_s = _timed(lambda: MmapSource.open(path))
+    opened.close()
+
     # -- solve: windowed greedy over the mmap backing ----------------------
     def windowed_solve():
         with MmapSource.open(path) as source:
@@ -155,6 +161,7 @@ def bench_entry(n: int, m: int, seed: int, workdir: Path) -> Dict[str, object]:
         "generate_s": round(generate_s, 4),
         "generate_rows_per_s": round(m / generate_s),
         "generate_peak_bytes": generate_peak,
+        "open_s": round(open_s, 5),
         "solve_s": round(solve_s, 4),
         "solve_peak_bytes": solve_peak,
         "solution_size": len(solution),
@@ -184,6 +191,7 @@ def run(grid, echo=print) -> Dict[str, object]:
                 f"({entry['generate_rows_per_s']:>8} rows/s, "
                 f"peak {entry['generate_peak_bytes'] / 1e6:5.1f}MB of "
                 f"{entry['buffer_bytes'] / 1e6:5.1f}MB buffer)  "
+                f"open={entry['open_s'] * 1e3:6.2f}ms  "
                 f"solve={entry['solve_s'] * 1e3:8.1f}ms "
                 f"(peak {entry['solve_peak_bytes'] / 1e6:5.1f}MB)  "
                 f"executor={entry['executor_s'] * 1e3:8.1f}ms"

@@ -116,6 +116,30 @@ class InstanceSourceLostError(TransientTaskError):
         self.location = location
 
 
+class InstanceIntegrityError(ReproError, ValueError):
+    """Raised when an instance buffer does not hash to the digest it claims.
+
+    Every path by which a packed buffer enters a process (an mmap container
+    open, a shared-memory attach, a heap descriptor reopened) hashes the
+    bytes once and compares them with the header's or the descriptor's
+    digest.  A mismatch means the bytes are not the instance that digest
+    names: fingerprints, store keys and per-worker derived data would all
+    attribute another instance's answers to them.  Deliberately *not*
+    transient — the same bytes fail the same way on every attempt, so the
+    retry machinery lets it propagate — and a :class:`ValueError`, so the
+    callers that already refuse a malformed container refuse this one too.
+    """
+
+    def __init__(self, location: str, expected: str, actual: str) -> None:
+        super().__init__(
+            f"instance {location!r} failed its integrity check: its bytes hash "
+            f"to {actual[:16]}..., not to its recorded digest {str(expected)[:16]}..."
+        )
+        self.location = location
+        self.expected = expected
+        self.actual = actual
+
+
 class DeadlineExceededError(ReproError):
     """Raised by a cooperative cancellation check once a deadline has passed.
 

@@ -16,11 +16,18 @@ leave elements uncovered by every set), so the engine-side verification is
 replaced by an explicit feasibility column; ``space_budget`` arms the
 engine's :class:`~repro.streaming.space.SpaceMeter` and a budget overrun is
 reported as a row outcome instead of aborting the sweep.
+
+A grid over one attached instance (``repro run --instance-file``) hands
+every cell the same :class:`~repro.setcover.source.SourceDescriptor`.  What
+depends only on that instance — the opened (and so digest-verified) source,
+its system and the greedy opt guess — is computed once per process and kept
+in a one-entry cache keyed by the descriptor; the executor empties it when
+a run ends (:func:`release_instance_cache`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from repro.baselines import (
     EmekRosenSemiStreaming,
@@ -35,9 +42,11 @@ from repro.resilience.degrade import record_degradation
 from repro.experiments.harness import ExperimentResult
 from repro.setcover.greedy import greedy_set_cover
 from repro.setcover.instance import SetCoverInstance, SetSystem
+from repro.setcover.source import InstanceSource, SourceDescriptor
 from repro.setcover.verify import is_feasible_cover
 from repro.streaming.engine import run_streaming_algorithm
 from repro.streaming.stream import StreamOrder
+from repro.telemetry.instrument import rebind_kernel
 from repro.utils.rng import RandomSource, spawn_rng
 from repro.utils.tables import Table
 from repro.workloads.adversarial import dmc_stream_instance, dsc_stream_instance
@@ -87,27 +96,24 @@ def _build_instance(
     )
 
 
-def _resolve_instance(instance: Any) -> SetCoverInstance:
-    """Accept a concrete instance in any of its plane representations.
+def _resolve_instance(instance: Any) -> Tuple[SetCoverInstance, int]:
+    """An instance in any of its plane representations, with its opt guess.
 
     ``SetCoverInstance`` passes through; a bare ``SetSystem`` is wrapped; a
-    :class:`~repro.setcover.source.SourceDescriptor` (shared-memory or
+    :class:`~repro.setcover.source.SourceDescriptor` (heap, shared-memory or
     container-file reference — what ``repro run --instance-file`` attaches
-    to every task) is opened through the instance plane, which keeps a
-    file-backed system windowed instead of materialising it.
+    to every task) is answered by the per-process instance cache.
     """
-    if isinstance(instance, SetCoverInstance):
-        return instance
-    if isinstance(instance, SetSystem):
-        return SetCoverInstance(instance)
-    from repro.setcover.source import SourceDescriptor, open_source
-
     if isinstance(instance, SourceDescriptor):
-        return SetCoverInstance(SetSystem.from_source(open_source(instance)))
-    raise TypeError(
-        "instance must be a SetCoverInstance, SetSystem, or SourceDescriptor, "
-        f"got {type(instance).__name__}"
-    )
+        return _INSTANCE_CACHE.get(instance)
+    if isinstance(instance, SetSystem):
+        instance = SetCoverInstance(instance)
+    if not isinstance(instance, SetCoverInstance):
+        raise TypeError(
+            "instance must be a SetCoverInstance, SetSystem, or SourceDescriptor, "
+            f"got {type(instance).__name__}"
+        )
+    return instance, _offline_opt_guess(instance)
 
 
 def _offline_opt_guess(instance: SetCoverInstance) -> int:
@@ -126,6 +132,61 @@ def _offline_opt_guess(instance: SetCoverInstance) -> int:
         return max(1, len(greedy_set_cover(system, required_mask=coverable)))
     except InfeasibleInstanceError:  # pragma: no cover - coverable mask given
         return 1
+
+
+class _InstanceCache:
+    """The derived data of the last descriptor opened in this process.
+
+    One entry: the open source, its :class:`SetCoverInstance` and its
+    :func:`_offline_opt_guess`, keyed by the whole descriptor (kind, shape,
+    location and digest; a heap descriptor's inline bytes too).  A miss
+    opens the descriptor, which verifies its bytes against its digest, so
+    an entry only ever answers for the bytes its key names; it replaces
+    (and closes) the previous entry.  A hit reopens and recomputes nothing;
+    it only moves the cached kernel's meters to the hitting task's
+    telemetry session.  The cached system's kernel may switch strategy as
+    cells run on it (the NumPy inverted index), never its answers, so no
+    cell's result depends on the cells that ran before it.  A process runs
+    one task at a time (serially, or one per pool worker), so the entry
+    needs no lock.
+    """
+
+    def __init__(self) -> None:
+        self._key: Optional[SourceDescriptor] = None
+        self._entry: Optional[Tuple[InstanceSource, SetCoverInstance, int]] = None
+
+    def get(self, descriptor: SourceDescriptor) -> Tuple[SetCoverInstance, int]:
+        if self._entry is None or self._key != descriptor:
+            from repro.setcover.source import open_source
+
+            self.clear()
+            source = open_source(descriptor)
+            try:
+                instance = SetCoverInstance(SetSystem.from_source(source))
+                opt_guess = _offline_opt_guess(instance)
+            except BaseException:
+                source.close()
+                raise
+            self._key, self._entry = descriptor, (source, instance, opt_guess)
+        else:
+            rebind_kernel(self._entry[1].system.kernel())
+        return self._entry[1], self._entry[2]
+
+    def clear(self) -> None:
+        """Drop the entry and close its source (idempotent)."""
+        entry, self._key, self._entry = self._entry, None, None
+        if entry is not None:
+            entry[0].close()
+
+
+#: The per-process instance cache: lives for one executor run in-process,
+#: and until process exit in a pool or simulated-host worker.
+_INSTANCE_CACHE = _InstanceCache()
+
+
+def release_instance_cache() -> None:
+    """Empty this process's instance cache, closing the source it holds."""
+    _INSTANCE_CACHE.clear()
 
 
 def _build_algorithm(algorithm: str, alpha: int, opt_guess: int, rng: RandomSource):
@@ -180,9 +241,10 @@ def run_workload_sweep(
     exactly what Theorem 2's space accounting measures.
 
     ``instance`` short-circuits generation: pass a concrete
-    :class:`SetCoverInstance` / :class:`SetSystem`, or a
-    :class:`~repro.setcover.source.SourceDescriptor` referencing a shared
-    or file-backed instance (``workload`` then only labels the rows, and
+    :class:`SetCoverInstance` / :class:`SetSystem` (the caller keeps
+    ownership of it), or a :class:`~repro.setcover.source.SourceDescriptor`
+    referencing a heap, shared or file-backed instance, opened through the
+    per-process instance cache (``workload`` then only labels the rows, and
     the generator knobs are ignored).  The instance-seed child stream is
     not spawned on this path, so two runs handed the same descriptor — on
     any backing, through any dispatch backend — draw identical algorithm
@@ -190,9 +252,8 @@ def run_workload_sweep(
     """
     stream_order = StreamOrder(order)
     rng = spawn_rng(seed)
-    provided = instance is not None
-    if provided:
-        instance = _resolve_instance(instance)
+    if instance is not None:
+        instance, opt_guess = _resolve_instance(instance)
     else:
         instance = _build_instance(
             workload,
@@ -205,8 +266,8 @@ def run_workload_sweep(
             cover_size,
             theta,
         )
+        opt_guess = _offline_opt_guess(instance)
     system = instance.system
-    opt_guess = _offline_opt_guess(instance)
     runner = _build_algorithm(algorithm, alpha, opt_guess, rng)
     stream_seed = rng.spawn()
 
@@ -309,10 +370,6 @@ def run_workload_sweep(
         findings["planted_opt"] = instance.planted_opt
     if "theta" in instance.metadata:
         findings["theta"] = instance.metadata["theta"]
-    if provided:
-        close = getattr(system, "close", None)
-        if close is not None:
-            close()
     return ExperimentResult(
         experiment_id="WL",
         title=f"{workload} workload, {algorithm}, {stream_order.value} arrival",

@@ -50,10 +50,11 @@ from repro.utils.bitset import bitset_size
 _WORD_DTYPE = np.dtype("<u8")
 
 #: Rescans a kernel's trackers serve before it builds the inverted index:
-#: the measured break-even.  The build (one unpack plus one stable sort over
-#: the incidences) costs as much as 60–130 masked-popcount rescans at the
-#: generators' default density from n×m = 256×512 to 4096×8192 on a 2-vCPU
-#: Xeon, about 110 at 512×4096 (table and method in docs/performance.md).
+#: the measured break-even of the sort-based build, which cost as much as
+#: 60–130 masked-popcount rescans at the generators' default density from
+#: n×m = 256×512 to 4096×8192 on a 2-vCPU Xeon, about 110 at 512×4096
+#: (table and method in docs/performance.md).  The word-column build costs
+#: less than half that, so the constant now errs toward rescanning.
 #: Rescanning up to the break-even and then switching costs at most about
 #: twice the better of the two strategies, however long the runs are.
 _RESCANS_BEFORE_INDEX = 110
@@ -62,6 +63,9 @@ _RESCANS_BEFORE_INDEX = 110
 #: lists, inverted index build): bounds the transient bit matrix at
 #: ``chunk × n`` bytes.
 _FREQ_CHUNK_ROWS = 1024
+
+#: Bit ``k`` of byte ``b`` is element ``8b + k`` (little-endian packing).
+_BIT_SHIFTS = np.arange(8, dtype=np.uint8)[:, None]
 
 if hasattr(np, "bitwise_count"):  # NumPy >= 2.0
     def _popcount_rows(words: "np.ndarray") -> "np.ndarray":
@@ -259,27 +263,40 @@ class NumpyKernel:
         """Element→sets index in CSC layout: ``(col_ptr, col_sets)``.
 
         ``col_sets[col_ptr[e]:col_ptr[e+1]]`` lists the sets containing
-        element ``e``.  Built once per kernel (one unpack + one stable sort
-        over the nnz incidences) and shared by every tracker, together with
-        an nnz-sized arange the trackers slice for their ragged gathers.
+        element ``e``, ascending.  Built once per kernel and shared by every
+        tracker, together with an nnz-sized arange the trackers slice for
+        their ragged gathers.  The build never holds an nnz-wide sort: one
+        column-count pass fixes ``col_ptr``, then each 64-element word
+        column is unpacked element-major (a row-chunked block of at most
+        ``_FREQ_CHUNK_ROWS × n`` bits), so its incidences come out grouped
+        by element with sets ascending and drop straight into place.
         """
         if self._inverted is None:
             m, n = len(self._int_masks), self._n
-            if m == 0 or n == 0:
-                col_ptr = np.zeros(n + 1, dtype=np.int64)
-                col_sets = np.zeros(0, dtype=np.int32)
-            else:
-                set_chunks, elem_chunks = [], []
-                for start, bits in unpack_rows(self._matrix, n):
-                    rows, cols = np.nonzero(bits)
-                    set_chunks.append(rows + start)
-                    elem_chunks.append(cols)
-                set_ids = np.concatenate(set_chunks)
-                elem_ids = np.concatenate(elem_chunks)
-                order = np.argsort(elem_ids, kind="stable")
-                col_sets = set_ids[order].astype(np.int32)
-                col_ptr = np.zeros(n + 1, dtype=np.int64)
-                np.cumsum(np.bincount(elem_ids, minlength=n), out=col_ptr[1:])
+            col_ptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(column_counts(self._matrix, n), out=col_ptr[1:])
+            col_sets = np.empty(int(col_ptr[-1]), dtype=np.int32)
+            fill = col_ptr[:-1].copy()  # each element's next free slot
+            as_bytes = np.ascontiguousarray(self._matrix).view(np.uint8)
+            block_rows = _FREQ_CHUNK_ROWS * self._words
+            for low in range(0, n, 64):
+                width = min(64, n - low)
+                for start in range(0, m, block_rows):
+                    block = as_bytes[start : start + block_rows, low // 8 : low // 8 + 8].T
+                    rows = block.shape[1]
+                    bits = np.right_shift(block[:, None, :], _BIT_SHIFTS)
+                    bits &= 1
+                    # Row e of the (64, rows) bit block is element low + e, so
+                    # its nonzeros come out element-major, sets ascending.
+                    elems, sets = np.divmod(
+                        np.flatnonzero(bits.reshape(64, rows)[:width].view(bool)), rows
+                    )
+                    counts = np.bincount(elems, minlength=width)
+                    slots = (fill[low : low + width] - np.cumsum(counts) + counts)[elems]
+                    slots += np.arange(slots.size)
+                    sets += start
+                    col_sets[slots] = sets
+                    fill[low : low + width] += counts
             self._inverted = (col_ptr, col_sets, np.arange(col_sets.size, dtype=np.int64))
         return self._inverted
 

@@ -53,6 +53,7 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optio
 from repro.exceptions import PayloadIntegrityError
 from repro.experiments.harness import ExperimentResult
 from repro.experiments.report import result_from_dict, result_to_dict
+from repro.experiments.workload_defs import release_instance_cache
 from repro.resilience.degrade import record_degradation
 from repro.resilience.durability import canonical_checksum
 from repro.resilience.faults import attempt_scope, faults_enabled, inject, mark_worker_process
@@ -306,7 +307,9 @@ class TaskExecutor:
         failing sweep resumes from the work that completed before the
         failure.  ``KeyboardInterrupt`` is absorbed into a partial report
         (``interrupted=True``) after cancelling outstanding work and
-        flushing stats and telemetry.
+        flushing stats and telemetry.  However the run ends, the instance
+        data its in-process tasks cached is released
+        (:func:`~repro.experiments.workload_defs.release_instance_cache`).
         """
         ordered = list(tasks)
         session = active_session()
@@ -355,6 +358,10 @@ class TaskExecutor:
             metrics.add("executor.interrupted")
             event("executor.interrupt", completed=len(outcomes), total=len(ordered))
             execute_iter.close()
+        finally:
+            # Instance data the in-process tasks cached lives for this run
+            # only (a pool worker keeps its own until it exits).
+            release_instance_cache()
 
         if session is not None:
             self._absorb_telemetry(session, ordered, raw_telemetry)

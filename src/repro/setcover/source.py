@@ -18,7 +18,11 @@ Every source serialises to a tiny picklable :class:`SourceDescriptor`
 (kind + scalars + location + content digest) and reopens on the other side
 via :func:`open_source`.  The digest is the same SHA-256 over the packed
 buffer that task fingerprinting uses, so the content-addressed store's
-skip/resume works identically across backings.
+skip/resume works identically across backings.  Wherever a buffer enters a
+process (an mmap open, a shared attach, a heap descriptor reopened) it is
+hashed once and checked against the digest it claims, so a digest always
+attests to the bytes behind it; a mismatch raises
+:class:`~repro.exceptions.InstanceIntegrityError`.
 
 Container format
 ----------------
@@ -55,7 +59,12 @@ import os
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
-from repro.exceptions import InstanceSourceLostError, SharedSegmentLostError
+from repro.exceptions import (
+    InstanceIntegrityError,
+    InstanceSourceLostError,
+    SharedSegmentLostError,
+)
+from repro.kernels import BACKENDS
 from repro.setcover.instance import PackedSetSystem, SetSystem, packed_row_bytes
 from repro.utils.bitset import universe_mask
 
@@ -73,6 +82,13 @@ DEFAULT_CHUNK_ROWS = 1024
 SOURCE_KINDS = ("heap", "shared", "mmap")
 
 _DIGEST_PLACEHOLDER = "0" * 64
+
+#: The header keys :func:`write_container` writes, all of them required.
+_HEADER_KEYS = frozenset(
+    ("version", "universe_size", "num_sets", "backend", "names", "digest")
+)
+
+_HEX_DIGITS = frozenset("0123456789abcdef")
 
 _T = TypeVar("_T")
 _SourceT = TypeVar("_SourceT", bound="InstanceSource")
@@ -235,12 +251,9 @@ class InstanceSource:
         return _decode_rows(self.row_view(index, index + 1), self.row_bytes)[0]
 
     def digest(self) -> str:
-        """SHA-256 of the packed buffer (chunked scan; cached)."""
+        """SHA-256 of the packed buffer (verified on open, else hashed once)."""
         if self._digest is None:
-            digest = hashlib.sha256()
-            for _, _, view in self.iter_chunks():
-                digest.update(view)
-            self._digest = digest.hexdigest()
+            self._digest = hashlib.sha256(self.view()).hexdigest()
         return self._digest
 
     # -- conversion --------------------------------------------------------
@@ -399,8 +412,10 @@ class SharedMemorySource(InstanceSource):
 
         A segment that is already gone — the publisher closed first, or died
         and republished under a new name — raises the typed, retryable
-        :class:`~repro.exceptions.SharedSegmentLostError`.  A row with a bit
-        set past the universe raises :class:`ValueError`, as in
+        :class:`~repro.exceptions.SharedSegmentLostError`.  A segment whose
+        bytes do not hash to the descriptor's digest raises the permanent
+        :class:`~repro.exceptions.InstanceIntegrityError`, and a row with a
+        bit set past the universe raises :class:`ValueError`, both as in
         :meth:`MmapSource.open`.
         """
         if descriptor.segment is None:
@@ -438,16 +453,17 @@ class SharedMemorySource(InstanceSource):
         finally:
             if original_register is not None:
                 resource_tracker.register = original_register
-        return _padding_checked(
+        return _verified(
             cls(
                 shm,
                 descriptor.universe_size,
                 descriptor.num_sets,
                 names=descriptor.names,
                 backend=descriptor.backend,
-                digest=descriptor.digest,
                 owner=False,
-            )
+            ),
+            descriptor.digest,
+            str(descriptor.segment),
         )
 
     def view(self) -> memoryview:
@@ -489,9 +505,9 @@ class MmapSource(InstanceSource):
 
     The OS pages rows in on demand, so many processes can solve against the
     same multi-gigabyte instance while each keeps only its working window
-    resident.  The header digest is trusted (the writer computed it over the
-    data section), so fingerprinting a file-backed instance never rescans
-    the buffer.
+    resident.  Opening hashes the data section once and checks it against
+    the header digest, so fingerprinting a file-backed instance never
+    rescans the buffer and never trusts a digest the bytes do not match.
     """
 
     kind = "mmap"
@@ -529,8 +545,11 @@ class MmapSource(InstanceSource):
         A path that is gone (or torn mid-write) raises the typed, retryable
         :class:`~repro.exceptions.InstanceSourceLostError` — opening never
         mutates anything, so the ambient retry policy can simply try again.
-        A row with a bit set past the universe raises :class:`ValueError`,
-        exactly as :meth:`SetSystem.from_packed` does on the same bytes.
+        A data section that does not hash to the header's digest raises the
+        permanent :class:`~repro.exceptions.InstanceIntegrityError`; a
+        malformed header, or a row with a bit set past the universe, raises
+        :class:`ValueError`, the latter exactly as
+        :meth:`SetSystem.from_packed` does on the same bytes.
         """
         return _with_attach_faults(str(path), lambda: cls._open_path(str(path)))
 
@@ -558,8 +577,8 @@ class MmapSource(InstanceSource):
         except Exception:
             file.close()
             raise
-        names = header.get("names")
-        return _padding_checked(
+        names = header["names"]
+        return _verified(
             cls(
                 path,
                 file,
@@ -568,9 +587,10 @@ class MmapSource(InstanceSource):
                 header["universe_size"],
                 header["num_sets"],
                 names=tuple(names) if names is not None else None,
-                backend=header.get("backend", "auto"),
-                digest=header.get("digest"),
-            )
+                backend=header["backend"],
+            ),
+            header["digest"],
+            path,
         )
 
     def view(self) -> memoryview:
@@ -613,20 +633,29 @@ class MmapSource(InstanceSource):
         self._file.close()
 
 
-def _padding_checked(source: _SourceT) -> _SourceT:
-    """Return ``source`` once no padding bit is set; else close it and raise.
+def _verified(source: _SourceT, expected: Optional[str], location: str) -> _SourceT:
+    """Return ``source`` once its bytes are what it claims; else close it and raise.
 
-    The one gate every attached backing passes (an mmap open, a shared
-    attach), so a windowed system sees exactly the bytes
-    :meth:`SetSystem.from_packed` would accept.  Skipped when ``n % 64 == 0``
-    (rows have no padding) or the buffer is empty.
+    The one gate every packed buffer passes on its way into a process (an
+    mmap open, a shared attach, a heap descriptor reopened).  One SHA-256
+    over the buffer must equal ``expected``, the container header's or the
+    descriptor's digest (:class:`~repro.exceptions.InstanceIntegrityError`
+    otherwise; a descriptor without a digest adopts the hash), and no
+    padding bit may be set, so a windowed system sees exactly the bytes
+    :meth:`SetSystem.from_packed` would accept.  The padding check is
+    skipped when ``n % 64 == 0`` (rows have no padding) or the buffer is
+    empty.
     """
-    if source.buffer_bytes and source.universe_size % 64:
-        try:
+    try:
+        actual = hashlib.sha256(source.view()).hexdigest()
+        if expected is not None and actual != expected:
+            raise InstanceIntegrityError(location, expected, actual)
+        if source.buffer_bytes and source.universe_size % 64:
             _check_padding(source.view(), source.num_sets, source.universe_size)
-        except ValueError:
-            source.close()
-            raise
+    except ValueError:
+        source.close()
+        raise
+    source._digest = actual
     return source
 
 
@@ -657,25 +686,35 @@ def open_source(descriptor: SourceDescriptor) -> InstanceSource:
     """Reopen a :class:`SourceDescriptor` as a live source.
 
     The inverse of :meth:`InstanceSource.descriptor` — what pickled systems
-    and dispatched shards call on the far side of a process boundary.
+    and dispatched shards call on the far side of a process boundary.  The
+    reopened bytes are verified against the descriptor's digest (and, for a
+    container file, its header's): a mismatch raises
+    :class:`~repro.exceptions.InstanceIntegrityError`.
     """
     if descriptor.kind == "heap":
         if descriptor.buffer is None:
             raise ValueError("heap descriptor is missing its inline buffer")
-        return HeapSource(
+        source = HeapSource(
             descriptor.universe_size,
             descriptor.num_sets,
             descriptor.buffer,
             names=descriptor.names,
             backend=descriptor.backend,
-            digest=descriptor.digest,
         )
+        return _verified(source, descriptor.digest, descriptor.location())
     if descriptor.kind == "shared":
         return SharedMemorySource.attach(descriptor)
     if descriptor.kind == "mmap":
         if descriptor.path is None:
             raise ValueError("mmap descriptor is missing its path")
-        return MmapSource.open(descriptor.path)
+        source = MmapSource.open(descriptor.path)
+        actual = source.digest()
+        if descriptor.digest is not None and actual != descriptor.digest:
+            # The file at the path was replaced since the descriptor was
+            # made: its header and bytes agree, but name another instance.
+            source.close()
+            raise InstanceIntegrityError(descriptor.path, descriptor.digest, actual)
+        return source
     raise ValueError(f"unknown source kind {descriptor.kind!r}")
 
 
@@ -704,7 +743,11 @@ def _encode_header(
 
 
 def read_container_header(path: str) -> Tuple[dict, int]:
-    """Parse a container file's header; return ``(header, data_offset)``."""
+    """Parse a container file's header; return ``(header, data_offset)``.
+
+    Every field must have the type and shape :func:`write_container` writes
+    (see `Container format`_); anything else raises :class:`ValueError`.
+    """
     with open(path, "rb") as handle:
         magic = _read_exact(handle, len(CONTAINER_MAGIC))
         if magic != CONTAINER_MAGIC:
@@ -717,17 +760,41 @@ def read_container_header(path: str) -> Tuple[dict, int]:
             raise ValueError(f"{path!r} has an implausible header length {header_len}")
         try:
             header = json.loads(_read_exact(handle, header_len).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise ValueError(f"{path!r} has a corrupt container header: {exc}") from None
+    if not isinstance(header, dict):
+        raise ValueError(f"{path!r} has a corrupt container header: not a JSON object")
     version = header.get("version")
-    if version != CONTAINER_VERSION:
+    if version != CONTAINER_VERSION or isinstance(version, bool):
         raise ValueError(
             f"{path!r} has container version {version!r}; "
             f"this build reads version {CONTAINER_VERSION}"
         )
+    if header.keys() != _HEADER_KEYS:
+        raise ValueError(
+            f"{path!r} header has fields {sorted(header)}, expected {sorted(_HEADER_KEYS)}"
+        )
     for key in ("universe_size", "num_sets"):
-        if not isinstance(header.get(key), int) or header[key] < 0:
+        count = header[key]
+        if isinstance(count, bool) or not isinstance(count, int) or count < 0:
             raise ValueError(f"{path!r} header is missing a valid {key!r}")
+    names = header["names"]
+    if names is not None and not (
+        isinstance(names, list)
+        and len(names) == header["num_sets"]
+        and all(isinstance(name, str) for name in names)
+    ):
+        raise ValueError(
+            f"{path!r} header 'names' must be null or a list of "
+            f"{header['num_sets']} strings"
+        )
+    digest = header["digest"]
+    if not (isinstance(digest, str) and len(digest) == 64 and set(digest) <= _HEX_DIGITS):
+        raise ValueError(f"{path!r} header 'digest' must be 64 lowercase hex digits")
+    if header["backend"] not in BACKENDS:
+        raise ValueError(
+            f"{path!r} header 'backend' must be one of {BACKENDS}, got {header['backend']!r}"
+        )
     return header, len(CONTAINER_MAGIC) + 8 + header_len
 
 

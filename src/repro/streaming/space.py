@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.exceptions import SpaceBudgetExceededError
-from repro.telemetry.metrics import gauge_set as _gauge
+from repro.telemetry import metrics
 
 
 @dataclass
@@ -59,6 +59,7 @@ class SpaceMeter:
             raise ValueError(f"budget must be non-negative, got {budget}")
         self._budget = budget
         self._current: Dict[str, int] = {}
+        self._total = 0  # sum(self._current.values()), kept up to date
         self._peak_by_category: Dict[str, int] = {}
         self._peak_total = 0
 
@@ -86,16 +87,23 @@ class SpaceMeter:
         """Set the absolute usage of a category, updating peaks and budget."""
         if words < 0:
             raise ValueError(f"usage must be non-negative, got {words}")
-        self._current[category] = words
-        self._peak_by_category[category] = max(
-            self._peak_by_category.get(category, 0), words
-        )
-        total = self.current_words
-        self._peak_total = max(self._peak_total, total)
+        current = self._current
+        total = self._total + words - current.get(category, 0)
+        current[category] = words
+        self._total = total
+        # A category's first update inserts its peak (0 included), so the
+        # report lists categories in the order they were first used.
+        peaks = self._peak_by_category
+        if words > peaks.get(category, -1):
+            peaks[category] = words
+        if total > self._peak_total:
+            self._peak_total = total
         # Telemetry gauges record the high-water series per category and in
-        # total (no-ops when telemetry is off).
-        _gauge(f"space.{category}", words)
-        _gauge("space.total_words", total)
+        # total, only while a session is capturing.
+        registry = metrics.active()
+        if registry is not None:
+            registry.gauge_set(f"space.{category}", words)
+            registry.gauge_set("space.total_words", total)
         if self._budget is not None and total > self._budget:
             raise SpaceBudgetExceededError(total, self._budget)
 
@@ -112,7 +120,7 @@ class SpaceMeter:
     @property
     def current_words(self) -> int:
         """Total words currently held across all categories."""
-        return sum(self._current.values())
+        return self._total
 
     @property
     def peak_words(self) -> int:

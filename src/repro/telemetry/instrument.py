@@ -62,8 +62,12 @@ class InstrumentedKernel:
         # (see ``make_kernel``), so the session's counter dict can be bound
         # once here instead of re-resolved through the context variable on
         # every primitive call — the hot ``gain`` path then costs two plain
-        # dict updates.  A kernel cached past its session keeps counting
-        # into the dead session's registry, which is harmless.
+        # dict updates.  A kernel cached past its session counts into that
+        # dead session's registry until :func:`rebind_kernel` moves it.
+        self.rebind()
+
+    def rebind(self) -> None:
+        """Count into the active session's registry (or nowhere) from now on."""
         registry = metrics._ACTIVE.get()
         self._counters = registry.counters if registry is not None else None
 
@@ -217,3 +221,14 @@ def instrument_kernel(kernel: Any) -> Any:
     if isinstance(kernel, InstrumentedKernel):
         return kernel
     return InstrumentedKernel(kernel)
+
+
+def rebind_kernel(kernel: Any) -> None:
+    """Meter a kernel that outlived its session into the active one.
+
+    For a kernel cached across tasks (the per-process instance cache), each
+    task's work then counts in that task's own session; a raw kernel (built
+    with telemetry off) is left as it is.
+    """
+    if isinstance(kernel, InstrumentedKernel):
+        kernel.rebind()

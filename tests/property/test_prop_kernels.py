@@ -12,12 +12,14 @@ Two families of invariants guard the compute-kernel seam:
   ``required_mask`` / ``max_sets`` edge cases.
 """
 
+from unittest import mock
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kernel_conformance import HANDOVER_BUDGETS, SWEPT_BACKENDS, rescan_budget
 from repro.exceptions import InfeasibleInstanceError
-from repro.kernels import PyIntKernel, make_kernel
+from repro.kernels import HAS_NUMPY, PyIntKernel, make_kernel
 from repro.setcover.greedy import greedy_cover_trace
 from repro.setcover.instance import SetSystem
 from repro.setcover.maxcover import greedy_max_coverage
@@ -182,3 +184,65 @@ class TestLazyGreedyEquivalence:
         n, masks = data
         system = SetSystem.from_masks(n, masks, backend=backend)
         assert greedy_max_coverage(system, k) == reference_greedy_max_coverage(system, k)
+
+
+def reference_inverted_index(kernel):
+    """The sort-based build: all incidences, one stable argsort by element."""
+    import numpy as np
+
+    from repro.kernels.numpy_backend import unpack_rows
+
+    n = kernel.universe_size
+    set_chunks, elem_chunks = [], []
+    for start, bits in unpack_rows(kernel._matrix, n):
+        rows, cols = np.nonzero(bits)
+        set_chunks.append(rows + start)
+        elem_chunks.append(cols)
+    set_ids = np.concatenate(set_chunks)
+    elem_ids = np.concatenate(elem_chunks)
+    order = np.argsort(elem_ids, kind="stable")
+    col_sets = set_ids[order].astype(np.int32)
+    col_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(elem_ids, minlength=n), out=col_ptr[1:])
+    return col_ptr, col_sets
+
+
+@st.composite
+def index_matrices(draw):
+    """Masks with empty rows and columns, and a row chunk to cut them by."""
+    n = draw(st.integers(min_value=1, max_value=200))
+    m = draw(st.integers(min_value=1, max_value=40))
+    live_columns = draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+    masks = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=(1 << n) - 1).map(lambda mask: mask & live_columns)
+            | st.just(0),
+            min_size=m,
+            max_size=m,
+        )
+    )
+    chunk_rows = draw(st.integers(min_value=1, max_value=16))
+    return n, masks, chunk_rows
+
+
+@pytest.mark.skipif(not HAS_NUMPY, reason="needs the NumPy backend")
+class TestInvertedIndexBuild:
+    @settings(max_examples=150, deadline=None)
+    @given(data=index_matrices())
+    @example(data=(1, [1], 1))
+    @example(data=(1, [0], 3))
+    @example(data=(200, [1 << 199, 0, (1 << 200) - 1], 2))
+    def test_matches_sort_based_build(self, data):
+        import numpy as np
+
+        import repro.kernels.numpy_backend as numpy_backend
+
+        n, masks, chunk_rows = data
+        kernel = numpy_backend.NumpyKernel(n, masks)
+        want_ptr, want_sets = reference_inverted_index(kernel)
+        # A row chunk below m splits each word column into several blocks.
+        with mock.patch.object(numpy_backend, "_FREQ_CHUNK_ROWS", chunk_rows):
+            col_ptr, col_sets, arange = kernel._inverted_index()
+        assert np.array_equal(col_ptr, want_ptr)
+        assert col_sets.dtype == want_sets.dtype and np.array_equal(col_sets, want_sets)
+        assert np.array_equal(arange, np.arange(want_sets.size))

@@ -393,6 +393,26 @@ class TestInstancePlaneFlags:
                  "--instance-file", str(tmp_path / "nope.repro")]
             )
 
+    def test_flipped_container_refused_before_any_cell(self, tmp_path, capsys):
+        from repro.setcover.source import read_container_header
+
+        path = self.gen(tmp_path, capsys)
+        _, offset = read_container_header(path)
+        data = bytearray(path.read_bytes())
+        data[offset] ^= 1
+        path.write_bytes(bytes(data))
+        store = tmp_path / "store"
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                ["run", "adversarial", "--quiet", "--instance-file", str(path),
+                 "--store", str(store)]
+            )
+        # A string exit code: the interpreter prints it and exits with 1.
+        message = excinfo.value.code
+        assert message.startswith(f"cannot open --instance-file {str(path)!r}: ")
+        assert "failed its integrity check" in message and "\n" not in message
+        assert not store.exists() or not any(store.iterdir())
+
     def test_scenarios_detail_reports_instance_capable(self, capsys):
         assert main(["scenarios", "WL"]) == 0
         assert "instance-capable: yes" in capsys.readouterr().out

@@ -1,15 +1,26 @@
 """Unit tests for the workload sweep runner and its scenario registration."""
 
+import dataclasses
+import hashlib
+import random
+
 import pytest
 
+from repro.experiments import workload_defs
 from repro.experiments.runners import RUNNER_DESCRIPTIONS, RUNNER_REGISTRY
 from repro.experiments.workload_defs import (
     ALGORITHM_KINDS,
     WORKLOAD_KINDS,
+    release_instance_cache,
     run_workload_sweep,
 )
+from repro.resilience.durability import canonical_json
+from repro.runtime.executor import TaskExecutor
 from repro.runtime.scenarios import SCENARIO_REGISTRY, get_scenario, iter_scenarios
 from repro.runtime.tasks import execute_task, tasks_from_scenario
+from repro.setcover.source import HeapSource, write_container
+from repro.telemetry import TelemetrySession
+from repro.workloads.random_instances import random_set_system
 
 
 class TestRunnerRegistry:
@@ -121,3 +132,113 @@ class TestAdversarialGrid:
     def test_paper_tag_unchanged(self):
         names = [spec.name for spec in iter_scenarios(tag="paper")]
         assert names == [f"E{i}" for i in range(1, 13)]
+
+
+def adv_tasks(descriptor):
+    """The 48 ADV grid cells, each attached to ``descriptor``."""
+    return [
+        dataclasses.replace(task, params=task.params + (("instance", descriptor),))
+        for spec in iter_scenarios(tag="adversarial")
+        for task in tasks_from_scenario(spec)
+    ]
+
+
+class TestInstanceCache:
+    """Instance-invariant work happens once per process, never per cell."""
+
+    def spy_on_opens(self, monkeypatch):
+        import repro.setcover.source as source_module
+
+        opened = []
+        original = source_module.open_source
+
+        def spy(descriptor):
+            source = original(descriptor)
+            opened.append((descriptor, source))
+            return source
+
+        monkeypatch.setattr(source_module, "open_source", spy)
+        return opened
+
+    def test_serial_run_opens_the_descriptor_once(self, tmp_path, monkeypatch):
+        descriptor = write_container(
+            tmp_path / "grid.repro", random_set_system(48, 64, seed=7).to_packed()
+        )
+        opened = self.spy_on_opens(monkeypatch)
+        report = TaskExecutor().run(adv_tasks(descriptor))
+        assert len(report) == 48
+        assert [seen for seen, _ in opened] == [descriptor]
+        assert workload_defs._INSTANCE_CACHE._entry is None
+        with pytest.raises(ValueError, match="closed"):
+            opened[0][1].view()
+
+    def test_interrupted_run_releases_the_cache(self, tmp_path, monkeypatch):
+        import repro.runtime.executor as executor_module
+
+        descriptor = write_container(
+            tmp_path / "grid.repro", random_set_system(48, 64, seed=7).to_packed()
+        )
+        opened = self.spy_on_opens(monkeypatch)
+        tasks = adv_tasks(descriptor)
+        original = executor_module.execute_task
+
+        def interrupt_fifth(task):
+            if task.key == tasks[4].key:
+                raise KeyboardInterrupt
+            return original(task)
+
+        monkeypatch.setattr(executor_module, "execute_task", interrupt_fifth)
+        report = TaskExecutor().run(tasks)
+        assert report.interrupted and len(report) == 4
+        assert len(opened) == 1
+        assert workload_defs._INSTANCE_CACHE._entry is None
+        with pytest.raises(ValueError, match="closed"):
+            opened[0][1].view()
+
+    def test_hit_meters_its_kernel_work_in_its_own_session(self):
+        system = random_set_system(256, 512, seed=7)
+        descriptor = HeapSource.from_packed(system.to_packed()).descriptor()
+        first, second = [task for task in adv_tasks(descriptor) if "saha_getoor" in task.key][:2]
+        try:
+            with TelemetrySession(label="miss"):
+                execute_task(first)
+            with TelemetrySession(label="hit") as session:
+                execute_task(second)
+        finally:
+            release_instance_cache()
+        counters = session.registry.snapshot()["counters"]
+        assert counters.get("kernel.calls.gains", 0) > 0
+
+    def test_payloads_do_not_depend_on_cell_order(self):
+        # A heap instance large enough for the NumPy kernel, whose shared
+        # inverted index is built once its rescans pass the break-even.
+        system = random_set_system(256, 512, seed=7)
+        descriptor = HeapSource.from_packed(system.to_packed()).descriptor()
+        tasks = adv_tasks(descriptor)
+        shuffled = list(tasks)
+        random.Random(17).shuffle(shuffled)
+        crossings = set()
+        for order in (tasks, tasks[::-1], shuffled):
+            payloads, crossing = {}, None
+            try:
+                for task in order:
+                    payloads[task.key] = canonical_json(execute_task(task))
+                    instance, _ = workload_defs._INSTANCE_CACHE.get(descriptor)
+                    if crossing is None and instance.system.kernel()._inverted is not None:
+                        crossing = task.key
+            finally:
+                release_instance_cache()
+            digest = hashlib.sha256()
+            for task in tasks:
+                digest.update(payloads[task.key].encode())
+            # The payloads of the build that opened the instance per cell.
+            assert digest.hexdigest() == OPEN_PER_CELL_DIGEST
+            crossings.add(crossing)
+        # Each order switched the kernel to its index at a different cell.
+        assert None not in crossings and len(crossings) == 3
+
+
+#: sha256 over the canonical JSON of the 48 ADV payloads, in submission
+#: order, on ``random_set_system(256, 512, seed=7)`` as computed when every
+#: cell opened and solved its instance afresh.
+OPEN_PER_CELL_DIGEST = "5ce0948bbce6df3ada9a72b619d02d0868955d1388812e06cd6e6b5b96f1bdf7"

@@ -88,6 +88,19 @@ class TestInstanceSpecs:
         with pytest.raises(InstanceSpecError):
             build_instance(spec)
 
+    @pytest.mark.parametrize("backing", ["mmap", "heap"])
+    def test_corrupt_container_refused(self, tmp_path, backing):
+        from repro.setcover.source import read_container_header
+
+        path = tmp_path / "inst.repro"
+        build_instance(SPEC)[1].to_file(path)
+        _, offset = read_container_header(path)
+        data = bytearray(path.read_bytes())
+        data[offset] ^= 1
+        path.write_bytes(bytes(data))
+        with pytest.raises(InstanceSpecError, match="integrity check"):
+            build_instance(f"x=file:path={path},backing={backing}")
+
     def test_digest_tracks_packed_buffer(self):
         _, a = build_instance(SPEC)
         _, b = build_instance(SPEC)

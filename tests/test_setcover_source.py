@@ -9,12 +9,15 @@ resident kernels on every protocol method.
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import pickle
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.kernels as kernels
-from repro.exceptions import InstanceSourceLostError
+from repro.exceptions import InstanceIntegrityError, InstanceSourceLostError
 from repro.kernels.chunked import ChunkedKernel
 from repro.setcover.greedy import greedy_cover_trace, greedy_set_cover
 from repro.setcover.instance import PackedSetSystem, SetSystem, packed_row_bytes
@@ -46,6 +49,29 @@ def container(tmp_path):
     path = tmp_path / "inst.repro"
     write_container(path, system.to_packed())
     return path, system
+
+
+def rewrite_header(path, target, edit):
+    """Copy container ``path`` to ``target`` with ``edit(header)`` applied.
+
+    Re-encodes the header (padded to 8 bytes) ahead of the untouched data.
+    """
+    header, offset = read_container_header(path)
+    data = path.read_bytes()[offset:]
+    edit(header)
+    encoded = json.dumps(header).encode("utf-8")
+    encoded += b" " * ((-len(encoded)) % 8)
+    target.write_bytes(CONTAINER_MAGIC + len(encoded).to_bytes(8, "little") + encoded + data)
+    return target
+
+
+def flip_data_bit(path, target, bit=0):
+    """Copy container ``path`` to ``target`` with one data-section bit flipped."""
+    _, offset = read_container_header(path)
+    data = bytearray(path.read_bytes())
+    data[offset + bit // 8] ^= 1 << (bit % 8)
+    target.write_bytes(bytes(data))
+    return target
 
 
 class TestContainerFormat:
@@ -143,6 +169,157 @@ class TestContainerFormat:
         finally:
             owner.close()
         assert str(shared.value) == str(resident.value)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("names", 5), ("names", "zzz"), ("digest", 1), ("backend", "bogus")],
+    )
+    def test_malformed_header_field_rejected(self, tmp_path, container, field, value):
+        path, _ = container
+        bad = rewrite_header(
+            path, tmp_path / "bad.repro", lambda header: header.update({field: value})
+        )
+        with pytest.raises(ValueError, match=field):
+            MmapSource.open(bad)
+
+    def test_deeply_nested_header_is_a_value_error(self, tmp_path):
+        nested = b"[" * 100_000
+        bad = tmp_path / "nested.repro"
+        bad.write_bytes(CONTAINER_MAGIC + len(nested).to_bytes(8, "little") + nested)
+        with pytest.raises(ValueError, match="corrupt container header"):
+            read_container_header(bad)
+
+
+#: Random JSON values, plus values close to valid ones so some mutated
+#: headers still open.
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
+_HEADER_VALUES = st.one_of(
+    _JSON_VALUES,
+    st.integers(min_value=-2, max_value=130),
+    st.sampled_from(kernels.BACKENDS),
+    st.text(alphabet="0123456789abcdefABCDEF", min_size=63, max_size=65),
+    st.lists(st.text(max_size=3), min_size=19, max_size=21),
+    st.lists(_JSON_VALUES, min_size=20, max_size=20),
+)
+
+
+class TestHeaderFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        edits=st.dictionaries(
+            st.sampled_from(
+                ["version", "universe_size", "num_sets", "backend", "names", "digest"]
+            ),
+            st.one_of(st.just("__drop__"), _HEADER_VALUES),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    def test_mutated_header_opens_typed_or_raises_value_error(self, tmp_path_factory, edits):
+        system = sample_system()
+        path = tmp_path_factory.mktemp("fuzz") / "inst.repro"
+        write_container(path, system.to_packed())
+
+        def edit(header):
+            for key, value in edits.items():
+                if value == "__drop__":
+                    header.pop(key)
+                else:
+                    header[key] = value
+
+        mutated = rewrite_header(path, path.with_name("mutated.repro"), edit)
+        try:
+            source = MmapSource.open(mutated)
+        except (ValueError, InstanceSourceLostError):
+            # A shape that disagrees with the data section's length reads as
+            # a torn write (the typed, retryable loss); anything else the
+            # header cannot back is the reader's ValueError.
+            return
+        with source:
+            for count in (source.universe_size, source.num_sets):
+                assert type(count) is int and count >= 0
+            assert source.names is None or (
+                len(source.names) == source.num_sets
+                and all(type(name) is str for name in source.names)
+            )
+            assert source.backend in kernels.BACKENDS
+            digest = source.digest()
+            assert type(digest) is str and len(digest) == 64
+            assert set(digest) <= set("0123456789abcdef")
+
+
+class TestIntegrity:
+    """A digest attests to the bytes: every entry path rehashes them."""
+
+    def test_flipped_data_bit_rejected_at_open(self, tmp_path, container):
+        path, system = container
+        flipped = flip_data_bit(path, tmp_path / "flipped.repro", bit=3)
+        with pytest.raises(InstanceIntegrityError) as excinfo:
+            MmapSource.open(flipped)
+        assert isinstance(excinfo.value, ValueError)
+        assert excinfo.value.expected == system.content_digest()
+
+    def test_altered_heap_descriptor_rejected(self):
+        packed = sample_system().to_packed()
+        descriptor = HeapSource.from_packed(packed).descriptor()
+        altered = bytearray(descriptor.buffer)
+        altered[0] ^= 1
+        with pytest.raises(InstanceIntegrityError):
+            open_source(dataclasses.replace(descriptor, buffer=bytes(altered)))
+
+    def test_wrong_shared_digest_rejected_at_attach(self):
+        owner = SharedMemorySource.publish(sample_system().to_packed())
+        try:
+            descriptor = dataclasses.replace(owner.descriptor(), digest="f" * 64)
+            with pytest.raises(InstanceIntegrityError):
+                SharedMemorySource.attach(descriptor)
+        finally:
+            owner.close()
+
+    def test_replaced_container_does_not_answer_for_its_descriptor(self, tmp_path, container):
+        path, _ = container
+        with MmapSource.open(path) as source:
+            descriptor = source.descriptor()
+        write_container(path, sample_system(seed=4).to_packed())
+        with pytest.raises(InstanceIntegrityError):
+            open_source(descriptor)
+
+    def test_integrity_error_is_never_retried(self, monkeypatch):
+        from repro.resilience.faults import fault_plan_active, parse_fault_spec
+        from repro.resilience.policy import RetryPolicy, retry_call
+
+        calls = []
+
+        def corrupt(relative):
+            calls.append(relative)
+            raise InstanceIntegrityError("x", "0" * 64, "1" * 64)
+
+        with pytest.raises(InstanceIntegrityError):
+            retry_call(corrupt, policy=RetryPolicy(max_attempts=5, base_backoff=0.0))
+        assert calls == [0]
+
+        owner = SharedMemorySource.publish(sample_system().to_packed())
+        attaches = []
+        original = SharedMemorySource._attach_segment.__func__
+
+        def counted(cls, descriptor):
+            attaches.append(descriptor.segment)
+            return original(cls, descriptor)
+
+        monkeypatch.setattr(SharedMemorySource, "_attach_segment", classmethod(counted))
+        try:
+            descriptor = dataclasses.replace(owner.descriptor(), digest="f" * 64)
+            with fault_plan_active(parse_fault_spec("seed=1,transport.attach:raise:0")):
+                with pytest.raises(InstanceIntegrityError):
+                    SharedMemorySource.attach(descriptor)
+        finally:
+            owner.close()
+        assert len(attaches) == 1
 
 
 def open_all_backings(system, tmp_path):

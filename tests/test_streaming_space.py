@@ -1,9 +1,12 @@
 """Unit tests for the space meter."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import SpaceBudgetExceededError
 from repro.streaming.space import SpaceMeter
+from repro.telemetry import TelemetrySession
+from repro.telemetry.metrics import gauge_set
 
 
 class TestBasicAccounting:
@@ -119,3 +122,114 @@ class TestReport:
         report = SpaceMeter().report()
         assert report.peak_words == 0
         assert report.dominant_category() is None
+
+
+class RecomputingMeter:
+    """Reference meter: re-sums every category on each update."""
+
+    def __init__(self, budget=None):
+        self._budget = budget
+        self._current = {}
+        self._peak_by_category = {}
+        self._peak_total = 0
+
+    def charge(self, category, words):
+        if words < 0:
+            raise ValueError(f"charge must be non-negative, got {words}")
+        self.set_usage(category, self._current.get(category, 0) + words)
+
+    def release(self, category, words=None):
+        held = self._current.get(category, 0)
+        if words is None:
+            words = held
+        if words < 0:
+            raise ValueError(f"release must be non-negative, got {words}")
+        if words > held:
+            raise ValueError(
+                f"cannot release {words} words from category {category!r} holding {held}"
+            )
+        self.set_usage(category, held - words)
+
+    def set_usage(self, category, words):
+        if words < 0:
+            raise ValueError(f"usage must be non-negative, got {words}")
+        self._current[category] = words
+        self._peak_by_category[category] = max(self._peak_by_category.get(category, 0), words)
+        total = sum(self._current.values())
+        self._peak_total = max(self._peak_total, total)
+        gauge_set(f"space.{category}", words)
+        gauge_set("space.total_words", total)
+        if self._budget is not None and total > self._budget:
+            raise SpaceBudgetExceededError(total, self._budget)
+
+    def reset_category(self, category):
+        self.set_usage(category, 0)
+
+    @property
+    def current_words(self):
+        return sum(self._current.values())
+
+    @property
+    def peak_words(self):
+        return self._peak_total
+
+    def usage(self, category):
+        return self._current.get(category, 0)
+
+    def report(self):
+        return (self._peak_total, self.current_words, list(self._peak_by_category.items()))
+
+
+_CATEGORIES = st.sampled_from(["stored_incidences", "solution", "counters", "sample"])
+_WORDS = st.integers(min_value=-2, max_value=40)
+_OPERATIONS = st.lists(
+    st.one_of(
+        st.tuples(st.just("charge"), _CATEGORIES, _WORDS),
+        st.tuples(st.just("release"), _CATEGORIES, st.none() | _WORDS),
+        st.tuples(st.just("set_usage"), _CATEGORIES, _WORDS),
+        st.tuples(st.just("reset_category"), _CATEGORIES),
+    ),
+    max_size=40,
+)
+
+
+def drive(meter, operations, capture):
+    """Apply ``operations``; return per-step outcomes, the report, the gauges."""
+    steps = []
+
+    def run():
+        for name, *args in operations:
+            try:
+                getattr(meter, name)(*args)
+                outcome = None
+            except (ValueError, SpaceBudgetExceededError) as exc:
+                outcome = (type(exc).__name__, str(exc))
+            steps.append((outcome, meter.current_words, meter.peak_words, meter.usage(args[0])))
+
+    if not capture:
+        run()
+        return steps, None
+    with TelemetrySession(label="space-meter") as session:
+        run()
+    return steps, list(session.registry.snapshot()["gauges"].items())
+
+
+class TestRunningTotal:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        operations=_OPERATIONS,
+        budget=st.none() | st.integers(min_value=0, max_value=80),
+        capture=st.booleans(),
+    )
+    def test_matches_recomputing_reference(self, operations, budget, capture):
+        meter, reference = SpaceMeter(budget=budget), RecomputingMeter(budget=budget)
+        got_steps, got_gauges = drive(meter, operations, capture)
+        want_steps, want_gauges = drive(reference, operations, capture)
+        assert got_steps == want_steps
+        assert got_gauges == want_gauges
+        report = meter.report()
+        assert (
+            report.peak_words,
+            report.final_words,
+            list(report.peak_by_category.items()),
+        ) == reference.report()
