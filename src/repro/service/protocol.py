@@ -83,10 +83,15 @@ def encode_frame(message: Dict[str, Any]) -> bytes:
 
 
 def decode_frame(body: bytes) -> Dict[str, Any]:
-    """Decode a frame body (the bytes after the length prefix)."""
+    """Decode a frame body (the bytes after the length prefix).
+
+    Every way the bytes can fail is a :class:`FrameError`: bad UTF-8 or
+    JSON, an integer past CPython's digit limit (a ``ValueError``), and
+    nesting too deep for the parser (a ``RecursionError``).
+    """
     try:
         message = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise FrameError(f"undecodable frame: {exc}") from exc
     if not isinstance(message, dict):
         raise FrameError("frame must decode to a JSON object")

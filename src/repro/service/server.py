@@ -35,7 +35,7 @@ import asyncio
 import signal
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.service.cache import ResponseCache
 from repro.service.deadline import Deadline, clock
@@ -53,6 +53,7 @@ from repro.service.protocol import (
 from repro.service.requests import BadRequestError, canonical_params, request_fingerprint
 from repro.setcover.source import SharedMemorySource
 from repro.telemetry import metrics
+from repro.telemetry.session import TelemetrySession, active_session
 from repro.telemetry.spans import event, span
 
 #: Queue sentinel telling the batcher to flush and exit.
@@ -210,7 +211,7 @@ class SolverService:
                 )
             except asyncio.TimeoutError:
                 # A batch is stuck past the grace period: kill its workers
-                # (the dispatch threads observe a broken pool and return)
+                # (the dispatch threads see their pipes close and run again)
                 # and stop waiting politely.
                 metrics.add("service.drain_forced")
                 if self.pool is not None:
@@ -456,8 +457,15 @@ class SolverService:
         metrics.add("service.batches")
         metrics.observe("service.batch_size", len(items))
         loop = asyncio.get_running_loop()
+        session = active_session()
         try:
-            outcomes = await loop.run_in_executor(None, self.pool.run_batch, items)
+            if session is None:
+                outcomes = await loop.run_in_executor(None, self.pool.run_batch, items)
+            else:
+                outcomes, snapshot = await loop.run_in_executor(
+                    None, _run_captured, self.pool.run_batch, items
+                )
+                session.absorb(snapshot)
             for (fingerprint, entries), outcome in zip(groups.items(), outcomes):
                 status = outcome["status"]
                 if status == "ok":
@@ -491,6 +499,21 @@ class SolverService:
     def _finish(entry: _Pending, response: Dict[str, Any]) -> None:
         if not entry.future.done():
             entry.future.set_result(response)
+
+
+def _run_captured(
+    run_batch: Callable[[List[RequestItem]], List[Dict[str, Any]]],
+    items: List[RequestItem],
+) -> Tuple[List[Dict[str, Any]], Dict[str, Any]]:
+    """Run ``run_batch`` under a session of this dispatch thread's own.
+
+    ``run_in_executor`` does not carry the loop's context, and the loop's
+    registry has no lock, so the pool's telemetry comes back as a snapshot
+    for the loop to absorb.
+    """
+    with TelemetrySession(label="service-dispatch") as session:
+        outcomes = run_batch(items)
+    return outcomes, session.snapshot()
 
 
 async def serve_main(

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import asyncio
+import json
 import socket
 import struct
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.service.protocol import (
     MAX_FRAME_BYTES,
@@ -52,6 +56,18 @@ class TestFraming:
     def test_undecodable_frame_rejected(self):
         with pytest.raises(FrameError, match="undecodable"):
             decode_frame(b"\xff\xfe not json")
+
+    def test_deep_nesting_is_a_frame_error(self):
+        with pytest.raises(FrameError, match="undecodable"):
+            decode_frame(b"[" * 200_000 + b"]" * 200_000)
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"),
+        reason="this interpreter has no integer digit limit",
+    )
+    def test_integer_past_the_digit_limit_is_a_frame_error(self):
+        with pytest.raises(FrameError, match="undecodable"):
+            decode_frame(b'{"a":' + b"7" * 5000 + b"}")
 
 
 class TestSyncHelpers:
@@ -111,6 +127,79 @@ class TestAsyncHelpers:
 
         with pytest.raises(FrameError, match="mid-frame"):
             asyncio.run(go())
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+
+_BODIES = st.one_of(
+    st.binary(max_size=48),
+    _JSON.map(lambda value: json.dumps(value).encode("utf-8")),
+    st.integers(1, 300_000).map(lambda depth: b"[" * depth + b"]" * depth),
+    st.integers(1, 6000).map(lambda digits: b'{"a":' + b"9" * digits + b"}"),
+)
+
+
+class TestFrameFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(body=_BODIES)
+    def test_decode_returns_an_object_or_raises_frame_error(self, body):
+        try:
+            message = decode_frame(body)
+        except FrameError:
+            return
+        assert isinstance(message, dict)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        frames=st.lists(
+            st.tuples(_BODIES, st.one_of(st.none(), st.integers(0, MAX_FRAME_BYTES))),
+            max_size=3,
+        ),
+        prefix=st.binary(max_size=6),
+        cut=st.integers(0, 64),
+    )
+    def test_read_message_never_hangs_and_fails_typed(self, frames, prefix, cut):
+        """Arbitrary prefixes, bodies, declared lengths and a truncated tail,
+        then EOF: every read returns a dict or ``None`` or raises
+        :class:`FrameError`."""
+        data = prefix + b"".join(
+            struct.pack(">I", len(body) if declared is None else declared) + body
+            for body, declared in frames
+        )
+        data = data[: max(0, len(data) - cut)]
+
+        async def go():
+            reader = asyncio.StreamReader()
+            reader.feed_data(data)
+            reader.feed_eof()
+            # Each successful read consumes at least the 4-byte prefix.
+            for _ in range(len(data) // 4 + 1):
+                try:
+                    message = await asyncio.wait_for(read_message(reader), timeout=5)
+                except FrameError:
+                    return
+                if message is None:
+                    return
+                assert isinstance(message, dict)
+            assert await asyncio.wait_for(read_message(reader), timeout=5) is None
+
+        asyncio.run(go())
+
+    @settings(max_examples=50, deadline=None)
+    @given(declared=st.integers(MAX_FRAME_BYTES + 1, 2**32 - 1))
+    def test_oversized_declared_length_raises_before_the_body(self, declared):
+        async def go():
+            reader = asyncio.StreamReader()
+            reader.feed_data(struct.pack(">I", declared))  # no body, no EOF
+            with pytest.raises(FrameError, match="exceeds"):
+                await asyncio.wait_for(read_message(reader), timeout=5)
+
+        asyncio.run(go())
 
 
 class TestResponses:

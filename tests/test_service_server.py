@@ -10,20 +10,33 @@ mode exercises the real process boundary.
 from __future__ import annotations
 
 import asyncio
+import contextlib
+import functools
 import json
+import multiprocessing
 import os
+import signal
 import socket
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
 
 from repro.exceptions import SharedSegmentLostError
 from repro.kernels import HAS_NUMPY
+from repro.resilience.faults import parse_fault_spec
+from repro.service import pool as pool_module
 from repro.service.client import AsyncServiceClient
-from repro.service.instances import InstanceSpecError, build_instance, instance_digest
+from repro.service.instances import (
+    DEFAULT_INSTANCE_SPEC,
+    InstanceSpecError,
+    build_instance,
+    instance_digest,
+)
+from repro.service.pool import WorkerPool
 from repro.service.requests import (
     BadRequestError,
     canonical_params,
@@ -511,6 +524,207 @@ class TestProcessPool:
         assert response["status"] == "ok"
         assert canonical(response["result"]) == canonical(direct_answer("cover", {}))
         assert respawns >= 1 and degraded is False
+
+
+    def test_one_crash_costs_one_respawn_and_spares_the_other_batch(self, monkeypatch):
+        # Worker A computes a long batch of estimates while worker B dies
+        # under a maxcover.  Only B is replaced, and only its batch re-runs.
+        faults = "seed=5,service.request:crash:0.5:1"
+        monkeypatch.setenv("REPRO_FAULTS", faults)
+        monkeypatch.setenv("REPRO_RETRY", "attempts=3,backoff=0.001,respawns=3")
+        plan = parse_fault_spec(faults)
+
+        def crashes(request_id):
+            return plan.decide("service.request", request_id, 0) == "crash"
+
+        safe = [rid for rid in (f"s{i}" for i in range(100)) if not crashes(rid)]
+        doomed = next(rid for rid in (f"c{i}" for i in range(100)) if crashes(rid))
+        estimates = [canonical_params("estimate", {"alpha": 5, "seed": 11 + i}) for i in range(4)]
+        maxcover = canonical_params("maxcover", {"k": 2})
+        with pool_on(DEFAULT_INSTANCE_SPEC) as (name, system, pool):
+            pool.run_batch([(safe[0], name, "maxcover", {"k": 0}, None, 0)])
+            outcomes = {}
+            long_batch = [
+                (rid, name, "estimate", params, None, 0)
+                for rid, params in zip(safe[1:], estimates)
+            ]
+            a = threading.Thread(
+                target=lambda: outcomes.setdefault("a", pool.run_batch(long_batch))
+            )
+            b = threading.Thread(
+                target=lambda: outcomes.setdefault(
+                    "b", pool.run_batch([(doomed, name, "maxcover", maxcover, None, 0)])
+                )
+            )
+            a.start()
+            time.sleep(0.003)
+            b.start()
+            a.join(60)
+            b.join(60)
+            respawns, degraded = pool.respawns, pool.degraded
+        for outcome, params in zip(outcomes["a"], estimates):
+            assert outcome["status"] == "ok"
+            assert canonical(outcome["result"]) == canonical(
+                compute_response(system, "estimate", params)
+            )
+        assert canonical(outcomes["b"][0]["result"]) == canonical(
+            compute_response(system, "maxcover", maxcover)
+        )
+        assert respawns == 1 and degraded is False
+
+    def test_timed_out_worker_is_replaced_then_the_pool_degrades(self, monkeypatch):
+        monkeypatch.setenv("REPRO_RETRY", "timeout=0.001,respawns=1")
+        params = canonical_params("estimate", {})
+        with pool_on(SPEC) as (name, system, pool):
+            (outcome,) = pool.run_batch([("r1", name, "estimate", params, None, 0)])
+            respawns, degraded = pool.respawns, pool.degraded
+        assert respawns == 1 and degraded is True
+        assert outcome["status"] == "ok"
+        assert canonical(outcome["result"]) == canonical(
+            compute_response(system, "estimate", params)
+        )
+
+    def test_patched_entry_points_see_every_served_batch(self, monkeypatch):
+        # The seams a tracer wraps: the worker loop calls the module global
+        # per batch, and the server looks run_batch up at dispatch time.
+        served = []
+        execute = pool_module.execute_request_batch
+        run_batch = WorkerPool.run_batch
+
+        @functools.wraps(execute)
+        def worker_side(items):
+            outcomes = execute(items)
+            outcomes[0]["pid"] = os.getpid()
+            return outcomes
+
+        @functools.wraps(run_batch)
+        def parent_side(pool, items):
+            outcomes = run_batch(pool, items)
+            served.append(outcomes[0].pop("pid", None))
+            return outcomes
+
+        monkeypatch.setattr(pool_module, "execute_request_batch", worker_side)
+        monkeypatch.setattr(WorkerPool, "run_batch", parent_side)
+
+        async def go(svc, client):
+            response = await client.request("maxcover", params={"k": 2})
+            return response, {child.pid for child in multiprocessing.active_children()}
+
+        response, pids = serve_and(go, workers=2, cache_capacity=0)
+        assert canonical(response["result"]) == canonical(direct_answer("maxcover", {"k": 2}))
+        assert len(served) == 1 and served[0] in pids and served[0] != os.getpid()
+
+    def test_recovery_telemetry_reaches_the_served_trace(self, monkeypatch):
+        monkeypatch.setenv("REPRO_FAULTS", "seed=3,service.request:crash:1:1")
+        monkeypatch.setenv("REPRO_RETRY", "attempts=3,backoff=0.001,respawns=3")
+
+        async def go(svc, client):
+            response = await client.request("cover")
+            return response, svc.pool.respawns
+
+        with TelemetrySession(label="serve-test") as session:
+            response, respawns = serve_and(go, workers=1, cache_capacity=0)
+        counters = session.registry.snapshot()["counters"]
+        assert response["status"] == "ok" and respawns == 1
+        assert counters["service.pool_losses"] == respawns
+        assert counters["service.pool_respawns"] == respawns
+        assert any(span["name"] == "service.pool_lost" for span in session.tracer.spans)
+
+
+@contextlib.contextmanager
+def pool_on(spec):
+    """A two-worker pool over ``spec``'s published instance, shut down after."""
+    name, system = build_instance(spec)
+    publication = SharedMemorySource.publish(system.to_packed())
+    pool = WorkerPool({name: publication.descriptor()}, {name: system}, workers=2)
+    try:
+        yield name, system, pool
+    finally:
+        pool.shutdown()
+        publication.close()
+
+
+def alive(pid):
+    """Whether ``pid`` runs; a zombie awaiting its reaper does not."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def children_since(before):
+    return [child for child in multiprocessing.active_children() if child not in before]
+
+
+class TestPoolShutdown:
+    def test_no_worker_outlives_shutdown(self):
+        before = set(multiprocessing.active_children())
+        with pool_on(SPEC) as (name, _, pool):
+            pool.run_batch([("r1", name, "maxcover", {"k": 1}, None, 0)])
+            assert len(children_since(before)) == 2
+        assert children_since(before) == []
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+    def test_workers_exit_when_the_server_dies(self, tmp_path):
+        # A server killed without a drain leaves its workers reading a pipe
+        # whose other end is gone: each must see EOF and exit.
+        code = (
+            "import os\n"
+            "from repro.service.instances import build_instance\n"
+            "from repro.service.pool import WorkerPool\n"
+            "from repro.setcover.source import SharedMemorySource\n"
+            f"name, system = build_instance({SPEC!r})\n"
+            "publication = SharedMemorySource.publish(system.to_packed())\n"
+            "pool = WorkerPool({name: publication.descriptor()}, {name: system}, workers=2)\n"
+            "pool.run_batch([('r1', name, 'maxcover', {'k': 1}, None, 0)])\n"
+            "print(*(worker.process.pid for worker in pool._live), flush=True)\n"
+            "os._exit(0)\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        # A file, not a pipe: a worker that outlives the server holds the
+        # server's stdout open, and reading a pipe to EOF would wait for it.
+        out = tmp_path / "pids"
+        with open(out, "w") as stdout:
+            subprocess.run(
+                [sys.executable, "-c", code],
+                stdout=stdout,
+                stderr=subprocess.DEVNULL,
+                env=env,
+                check=True,
+            )
+        pids = [int(pid) for pid in out.read_text().split()]
+        assert len(pids) == 2
+        deadline = time.monotonic() + 20
+        while any(alive(pid) for pid in pids) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        stray = [pid for pid in pids if alive(pid)]
+        for pid in stray:
+            os.kill(pid, signal.SIGKILL)
+        assert stray == []
+
+    @pytest.mark.parametrize("round_", range(3))
+    def test_abandon_in_flight_then_shutdown_leaves_no_worker(self, round_):
+        params = canonical_params("estimate", {"alpha": 5, "seed": 11})
+        before = set(multiprocessing.active_children())
+        with pool_on(DEFAULT_INSTANCE_SPEC) as (name, _, pool):
+            pool.run_batch([("w", name, "maxcover", {"k": 0}, None, 0)])
+            outcomes = []
+            batch = [(f"e{i}", name, "estimate", params, None, 0) for i in range(3)]
+            flight = threading.Thread(target=lambda: outcomes.extend(pool.run_batch(batch)))
+            flight.start()
+            time.sleep(0.005 * (round_ + 1))
+            pool.abandon()
+            pool.shutdown()
+            assert children_since(before) == []
+            flight.join(60)
+            assert not flight.is_alive()
+            assert [o["status"] in ("ok", "error") for o in outcomes] == [True] * 3
+            (late,) = pool.run_batch([("late", name, "maxcover", {"k": 1}, None, 0)])
+            assert late["status"] == "error"
+            assert children_since(before) == []
 
 
 class TestDrain:
