@@ -11,14 +11,14 @@ Measures, on dense random instances up to m = 10^6 sets:
 * **solve** — greedy set cover over the mmap backing
   (``SetSystem.from_source``): windowed kernel scans, peak allocation again
   bounded by the chunk window, not the buffer.
-* **executor** — a two-cell WL sweep over the file through
-  ``dispatch="multihost-sim"`` (one subprocess per chunk attaching the mmap
-  descriptor), wall-clock per cell.
+* **executor** — a two-cell WL sweep over the file on a two-worker
+  ``TaskExecutor`` pool (each worker attaching the mmap descriptor),
+  wall-clock for the sweep.
 
 Every entry is parity-asserted before anything is timed: the file digest
 equals the in-memory generator's, the windowed greedy solution equals the
-heap-resident one, and the multihost payloads equal a serial heap-backed
-run byte for byte.
+heap-resident one, and the pooled payloads equal a serial heap-backed run
+byte for byte.
 
 Writes ``BENCH_outofcore.json`` at the repo root (the committed baseline).
 Run directly::
@@ -134,23 +134,19 @@ def bench_entry(n: int, m: int, seed: int, workdir: Path) -> Dict[str, object]:
         "windowed greedy must match the heap-resident solve"
     )
 
-    # -- executor: multihost-sim over mmap vs serial over heap -------------
+    # -- executor: the pool over mmap vs serial over heap -----------------
     with MmapSource.open(path) as source:
         mmap_descriptor = source.descriptor()
         heap_descriptor = HeapSource.from_packed(
             source.to_packed(), digest=source.digest()
         ).descriptor()
-    serial_report = TaskExecutor(workers=1, dispatch="serial").run(
-        _wl_tasks(heap_descriptor)
-    )
-    multihost_report, executor_s = _timed(
-        lambda: TaskExecutor(workers=2, dispatch="multihost-sim").run(
-            _wl_tasks(mmap_descriptor)
-        )
+    serial_report = TaskExecutor(workers=1).run(_wl_tasks(heap_descriptor))
+    pool_report, executor_s = _timed(
+        lambda: TaskExecutor(workers=2).run(_wl_tasks(mmap_descriptor))
     )
     serial_bytes = [canonical_json(o.payload) for o in serial_report.outcomes]
-    multihost_bytes = [canonical_json(o.payload) for o in multihost_report.outcomes]
-    assert multihost_bytes == serial_bytes, "dispatch/backing parity"
+    pool_bytes = [canonical_json(o.payload) for o in pool_report.outcomes]
+    assert pool_bytes == serial_bytes, "worker/backing parity"
 
     path.unlink()
     return {

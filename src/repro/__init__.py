@@ -50,7 +50,6 @@ from repro.workloads import (
     random_set_system,
     plant_cover_instance,
     zipfian_instance,
-    coverage_workload,
 )
 from repro.kernels import (
     HAS_NUMPY,
@@ -88,7 +87,6 @@ __all__ = [
     "random_set_system",
     "plant_cover_instance",
     "zipfian_instance",
-    "coverage_workload",
     "HAS_NUMPY",
     "PyIntKernel",
     "make_kernel",

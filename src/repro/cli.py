@@ -20,8 +20,8 @@ process, or sharded over worker processes and backed by a persistent result
 store — prints the tables, and optionally persists JSON / markdown reports
 via :mod:`repro.experiments.report`.
 
-Every ``run`` goes through the runtime executor (serial dispatch and no
-store unless ``--workers``/``--store``/``--dispatch`` say otherwise).  Status
+Every ``run`` goes through the runtime executor (in-process and with no
+store unless ``--workers``/``--store`` say otherwise).  Status
 lines on stdout are deterministic ``computed``/``cached`` markers, so a
 parallel run's stdout is byte-identical to the serial run's and cache hits
 are observable; the elapsed time goes to stderr.
@@ -134,15 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SPEC",
         help="override the retry policy, e.g. 'attempts=5,timeout=30' "
         "(also honoured via REPRO_RETRY)",
-    )
-    run_parser.add_argument(
-        "--dispatch",
-        choices=("auto", "serial", "local-process", "multihost-sim"),
-        default="auto",
-        help="dispatch backend for the runtime executor: serial (in-process), "
-        "local-process (worker pool), multihost-sim (one subprocess per "
-        "chunk, simulating distributed hosts); auto picks serial/pool from "
-        "--workers.  Results are byte-identical across backends.",
     )
     run_parser.add_argument(
         "--instance-file",
@@ -458,7 +449,6 @@ def run_experiments(
     chunksize: Optional[int] = None,
     printer: Callable[[str], None] = print,
     quiet: bool = False,
-    dispatch: str = "auto",
     instance_file: Optional[str] = None,
     instance_backing: str = "mmap",
 ) -> List[ExperimentResult]:
@@ -474,8 +464,8 @@ def run_experiments(
     parameter) as a :class:`~repro.setcover.source.SourceDescriptor` in the
     chosen backing.  The descriptor fingerprints by content digest, so the
     same file served mmap / heap / shared hits the same store entries —
-    and because the attachment happens before dispatch, every backend ×
-    backing combination reports identical bytes.
+    and because the attachment happens before execution, every worker
+    count × backing combination reports identical bytes.
 
     A run cut short by ``KeyboardInterrupt`` prints the tasks that finished
     (a store keeps them, so a rerun resumes), reports
@@ -507,14 +497,11 @@ def run_experiments(
             f"# instance: {instance_file} backing={instance_backing} "
             f"digest={digest[:16]} tasks={attached}/{len(tasks)}"
         )
-    if dispatch != "auto":
-        printer(f"# dispatch: {dispatch}")
 
     store = ResultStore(store_dir) if store_dir else None
     try:
-        report = TaskExecutor(
-            workers=workers, store=store, chunksize=chunksize, dispatch=dispatch
-        ).run(tasks)
+        executor = TaskExecutor(workers=workers, store=store, chunksize=chunksize)
+        report = executor.run(tasks)
     finally:
         if publication is not None:
             publication.close()
@@ -857,7 +844,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 store_dir=args.store,
                 chunksize=args.chunksize,
                 quiet=args.quiet,
-                dispatch=args.dispatch,
                 instance_file=args.instance_file,
                 instance_backing=args.instance_backing,
             )
@@ -879,11 +865,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         from repro.telemetry import TelemetrySession, kernel_profiler, profiling_wanted
 
         with ExitStack() as stack:
-            session_attrs = {
-                "workers": args.workers,
-                "seed": args.seed,
-                "dispatch": args.dispatch,
-            }
+            session_attrs = {"workers": args.workers, "seed": args.seed}
             if args.instance_file is not None:
                 session_attrs["instance_backing"] = args.instance_backing
             session = stack.enter_context(

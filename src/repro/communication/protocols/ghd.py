@@ -52,24 +52,6 @@ class TrivialGHDProtocol(TwoPartyProtocol):
         return {"t": maximum + 1}
 
 
-class SizedGHDProtocol(TrivialGHDProtocol):
-    """Variant that takes (t, set) inputs so the promise threshold is exact."""
-
-    name = "ghd-trivial-sized"
-
-    def setup(self, alice_input: Any, bob_input: Any) -> Dict[str, Any]:
-        t_alice, _ = alice_input
-        return {"t": t_alice}
-
-    def alice_round(self, alice_input, received, state):
-        _, alice_set = alice_input
-        return sorted(alice_set), None
-
-    def bob_round(self, bob_input, received, state):
-        _, bob_set = bob_input
-        return super().bob_round(bob_set, received, state)
-
-
 def correct_ghd_answer(instance: GHDInstance, output: Any) -> bool:
     """Judge a protocol output against the GHD promise (gap answers are free)."""
     expected = ghd_answer(instance)

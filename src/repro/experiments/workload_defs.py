@@ -180,7 +180,7 @@ class _InstanceCache:
 
 
 #: The per-process instance cache: lives for one executor run in-process,
-#: and until process exit in a pool or simulated-host worker.
+#: and until process exit in a pool worker.
 _INSTANCE_CACHE = _InstanceCache()
 
 
@@ -247,7 +247,7 @@ def run_workload_sweep(
     per-process instance cache (``workload`` then only labels the rows, and
     the generator knobs are ignored).  The instance-seed child stream is
     not spawned on this path, so two runs handed the same descriptor — on
-    any backing, through any dispatch backend — draw identical algorithm
+    any backing, in-process or on the pool — draw identical algorithm
     and shuffle seeds and report identical bytes.
     """
     stream_order = StreamOrder(order)

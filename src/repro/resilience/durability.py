@@ -36,6 +36,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import uuid
 from pathlib import Path
 from typing import Any, Dict, Iterable, Mapping, Optional, Sequence, Union
@@ -85,13 +86,44 @@ def atomic_write_json(path: Path, payload: Any, indent: Optional[int] = 2) -> Pa
     ``os.replace`` is atomic on POSIX, so a reader never observes a partial
     file and a crash mid-write leaves at most a stray ``*.tmp`` — never a
     truncated final file.  The tmp name embeds pid + random suffix so
-    concurrent writers of the same path each rename their own complete file.
+    concurrent writers of the same path each rename their own complete file,
+    and the next write of the path removes the strays whose writer process
+    no longer exists (a live writer's tmp file is never touched).
     """
     path.parent.mkdir(parents=True, exist_ok=True)
+    _remove_dead_writers_tmp(path)
     tmp_path = path.parent / f"{path.name}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp"
     tmp_path.write_text(json.dumps(payload, indent=indent, sort_keys=True))
     tmp_path.replace(path)
     return path
+
+
+#: What :func:`atomic_write_json` appends to a target's name for its tmp file.
+_TMP_SUFFIX = re.compile(r"\.(\d+)\.[0-9a-f]{8}\.tmp")
+
+
+def _remove_dead_writers_tmp(path: Path) -> None:
+    """Delete ``path``'s tmp files left by writers whose pid is gone."""
+    for name in os.listdir(path.parent):
+        if not name.startswith(path.name):
+            continue
+        match = _TMP_SUFFIX.fullmatch(name, len(path.name))
+        if match is not None and not _pid_alive(int(match.group(1))):
+            try:
+                os.unlink(path.parent / name)
+            except FileNotFoundError:
+                pass  # another writer of the same path removed it first
+
+
+def _pid_alive(pid: int) -> bool:
+    """Whether a process with this pid exists (on this host)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:
+        pass  # it exists, and belongs to another user
+    return True
 
 
 class StatsJournal:

@@ -9,14 +9,11 @@ engine:
   (``scenario seed → repetition seed → named subsystem streams``);
 * :mod:`repro.runtime.tasks` — the picklable unit of work and its worker
   entry point;
-* :mod:`repro.runtime.executor` — sharded execution across processes with
-  submission-order merging (parallel output ≡ serial output);
+* :mod:`repro.runtime.executor` — in-process or chunked process-pool
+  execution with submission-order merging (parallel output ≡ serial
+  output);
 * :mod:`repro.runtime.store` — content-addressed on-disk result cache giving
-  skip/resume semantics for repeated runs;
-* :mod:`repro.runtime.dispatch` — pluggable dispatch backends behind the
-  executor's submit/collect loop (``serial`` / ``local-process`` /
-  ``multihost-sim``), selected per run via ``TaskExecutor(dispatch=...)``
-  or ``repro run --dispatch``.
+  skip/resume semantics for repeated runs.
 
 Example — declare a two-repetition scenario and expand its tasks::
 
@@ -27,11 +24,6 @@ Example — declare a two-repetition scenario and expand its tasks::
     >>> unregister_scenario("runtime-doc-demo")
 """
 
-from repro.runtime.dispatch import (
-    DISPATCH_BACKENDS,
-    DispatchBackend,
-    resolve_dispatch,
-)
 from repro.runtime.executor import (
     RunReport,
     STATUS_CACHED,
@@ -65,9 +57,6 @@ from repro.runtime.tasks import RuntimeTask, execute_task, tasks_from_scenario
 
 __all__ = [
     "DEFAULT_ROOT_SEED",
-    "DISPATCH_BACKENDS",
-    "DispatchBackend",
-    "resolve_dispatch",
     "RunReport",
     "RuntimeTask",
     "STATUS_CACHED",

@@ -2,8 +2,8 @@
 
 The executor partitions a list of :class:`~repro.runtime.tasks.RuntimeTask`
 into store hits (skipped) and pending work, runs the pending tasks either
-serially or across N worker processes — shipped in contiguous chunks to
-amortise per-task pickle/IPC overhead on large scenario grids — and merges
+in-process or on a pool of N worker processes — shipped in contiguous chunks
+to amortise per-task pickle/IPC overhead on large scenario grids — and merges
 the outcomes back **in submission order**.  Because every task carries its
 own derived seed and the merge order is input order (never completion order
 or chunk boundaries), a parallel run's output is byte-identical to the
@@ -19,7 +19,8 @@ byte-identical to a fault-free serial run, because recovery re-executes pure
 tasks and merging never depends on completion order.  ``KeyboardInterrupt``
 drains cleanly: outstanding futures are cancelled, stats and telemetry are
 flushed, and a partial report (``interrupted=True``) is returned instead of
-a traceback.
+a traceback.  Every pool the executor gives up on has its workers
+terminated, and a worker whose parent dies exits on its own.
 
 Also exposes :func:`run_cached`, the store-aware entry point the benchmark
 harness wraps experiment calls in.
@@ -43,6 +44,10 @@ Example — one task through the serial executor, and the chunk heuristic::
 from __future__ import annotations
 
 import math
+import multiprocessing
+import multiprocessing.connection
+import os
+import threading
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -238,6 +243,24 @@ def _timed_execute_chunk(
     return [_timed_execute(task, capture, base_attempt) for task in tasks]
 
 
+def _pool_worker_init() -> None:
+    """Pool worker initializer: mark the process, and tie its life to the parent.
+
+    A worker blocks on the pool's call queue, whose write end it inherited,
+    so a parent killed without a shutdown never sends it EOF.  A daemon
+    thread waits on the parent's sentinel instead and exits the worker.
+    """
+    mark_worker_process()
+    sentinel = multiprocessing.parent_process().sentinel
+    threading.Thread(target=_exit_with_parent, args=(sentinel,), daemon=True).start()
+
+
+def _exit_with_parent(sentinel: int) -> None:
+    """Block until the parent process is gone, then end this worker at once."""
+    multiprocessing.connection.wait([sentinel])
+    os._exit(1)
+
+
 def default_chunksize(pending: int, workers: int) -> int:
     """Chunk size used when the caller does not pick one explicitly.
 
@@ -262,10 +285,11 @@ class TaskExecutor:
     ``workers=1`` (the default) runs in-process; ``workers=N`` shards pending
     tasks over a :class:`ProcessPoolExecutor`, submitting them in contiguous
     chunks (``chunksize`` tasks per IPC round trip; an auto heuristic when
-    unset) to cut per-task overhead on large grids.  If a pool cannot be
-    created (restricted sandboxes), execution silently degrades to serial —
-    the output is identical either way (merging is by submission order, never
-    completion order), only wall-clock changes.
+    unset) to cut per-task overhead on large grids.  If a pool cannot start
+    its workers (restricted sandboxes), execution degrades to serial and
+    records the ``serial_execution`` degradation — the output is identical
+    either way (merging is by submission order, never completion order),
+    only wall-clock changes.
 
     Failure handling follows the ambient
     :class:`~repro.resilience.policy.RetryPolicy` (``REPRO_RETRY``): lost
@@ -281,22 +305,14 @@ class TaskExecutor:
         workers: int = 1,
         store: Optional[ResultStore] = None,
         chunksize: Optional[int] = None,
-        dispatch: str = "auto",
     ) -> None:
-        from repro.runtime.dispatch import DISPATCH_BACKENDS
-
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if chunksize is not None and chunksize < 1:
             raise ValueError(f"chunksize must be >= 1, got {chunksize}")
-        if dispatch not in DISPATCH_BACKENDS:
-            raise ValueError(
-                f"dispatch must be one of {DISPATCH_BACKENDS}, got {dispatch!r}"
-            )
         self.workers = workers
         self.store = store
         self.chunksize = chunksize
-        self.dispatch = dispatch
 
     def run(self, tasks: Iterable[RuntimeTask]) -> RunReport:
         """Execute the batch and return submission-ordered outcomes.
@@ -484,31 +500,24 @@ class TaskExecutor:
     ) -> Iterator[Tuple[int, RuntimeTask, Dict[str, Any], float, float]]:
         """Yield ``(index, task, payload, elapsed, submit_wall)`` as tasks finish.
 
-        Routes the pending work through the configured
-        :class:`~repro.runtime.dispatch.DispatchBackend`: ``auto`` preserves
-        the historical behaviour (serial for one worker, the local process
-        pool otherwise), and a single pending task always runs serially —
-        any cross-process dispatch is pure overhead for it.  Every backend
-        yields completion order, not submission order; the caller persists
-        each result eagerly and re-sorts by index afterwards, so the
-        dispatch choice can never change the merged bytes.
+        One worker, or a single pending task, runs in-process: a pool is
+        pure overhead for it.  Anything else runs on the chunked pool.  Both
+        paths yield completion order, not submission order; the caller
+        persists each result eagerly and re-sorts by index afterwards, so
+        the choice can never change the merged bytes.
         """
-        from repro.runtime.dispatch import resolve_dispatch
-
-        backend = resolve_dispatch(self.dispatch, self.workers)
-        if backend.name == "local-process" and len(pending) <= 1:
-            yield from self._execute_serial(pending, capture)
-            return
-        yield from backend.execute(self, pending, capture)
+        if self.workers == 1 or len(pending) <= 1:
+            return self._execute_serial(pending, capture)
+        return self._execute_pool(pending, capture)
 
     def _execute_pool(
         self, pending: List[Tuple[int, RuntimeTask]], capture: bool = False
     ) -> Iterator[Tuple[int, RuntimeTask, Dict[str, Any], float, float]]:
-        """The ``local-process`` dispatch body: the chunked worker pool.
+        """Run the pending tasks on the chunked worker pool.
 
         Tasks ship to the workers in contiguous chunks so a large grid pays
         one pickle/IPC round trip per chunk instead of per task.  Worker-
-        spawn failure (restricted sandboxes) degrades to the serial path; a
+        start failure (restricted sandboxes) degrades to the serial path; a
         task's own exception propagates unchanged.  ``submit_wall`` is the
         wall-clock instant the task was handed to its runner (queue-wait
         accounting); ``capture`` turns on telemetry capture inside the
@@ -539,7 +548,10 @@ class TaskExecutor:
                 if pool is None:
                     try:
                         pool, future_info = self._submit_chunks(queue, capture, policy)
-                    except OSError:  # pragma: no cover - sandbox fallback
+                    except OSError:
+                        record_degradation(
+                            "serial_execution", reason="pool workers failed to start"
+                        )
                         while queue:
                             chunk, attempt = queue.popleft()
                             yield from self._execute_serial(chunk, capture, attempt)
@@ -590,16 +602,17 @@ class TaskExecutor:
     ) -> Tuple[ProcessPoolExecutor, Dict[Any, _ChunkInfo]]:
         """Spawn a pool and submit every queued chunk to it.
 
-        Worker processes spawn lazily at submit time, so the first submit is
-        the probe for "can this environment fork at all" — its ``OSError``
-        is the caller's signal to degrade to serial.
+        Worker processes spawn lazily at submit time, so a submit is the
+        probe for "can this environment fork at all".  When one fails, the
+        half-started pool is abandoned, every chunk goes back on the queue
+        in order, and the ``OSError`` is the caller's signal to degrade to
+        serial.
         """
         pool = ProcessPoolExecutor(
             max_workers=min(self.workers, max(1, len(queue))),
-            initializer=mark_worker_process,
+            initializer=_pool_worker_init,
         )
         future_info: Dict[Any, _ChunkInfo] = {}
-        first = True
         while queue:
             chunk, attempt = queue.popleft()
             try:
@@ -607,12 +620,10 @@ class TaskExecutor:
                     _timed_execute_chunk, [task for _, task in chunk], capture, attempt
                 )
             except OSError:
-                if first:
-                    queue.appendleft((chunk, attempt))
-                    raise
-                queue.appendleft((chunk, attempt))
-                break
-            first = False
+                self._abandon_pool(pool)
+                submitted = [(c, a) for c, a, _, _ in future_info.values()]
+                queue.extendleft(reversed(submitted + [(chunk, attempt)]))
+                raise
             deadline = (
                 time.monotonic() + policy.timeout * len(chunk)
                 if policy.timeout is not None
@@ -673,15 +684,17 @@ class TaskExecutor:
 
     @staticmethod
     def _abandon_pool(pool: ProcessPoolExecutor) -> None:
-        """Shut a pool down without waiting; kill workers that will not exit.
+        """Shut a pool down without waiting, and terminate its workers.
 
         ``shutdown(wait=False)`` does not interrupt a worker mid-task, so a
         hung worker would otherwise outlive the executor; terminating the
         worker processes directly (private but stable attribute) is the only
-        way to reap them.
+        way to reap them.  ``shutdown`` drops the pool's reference to its
+        processes, so the list is taken before it.
         """
+        processes = list((getattr(pool, "_processes", None) or {}).values())
         pool.shutdown(wait=False, cancel_futures=True)
-        for process in list((getattr(pool, "_processes", None) or {}).values()):
+        for process in processes:
             try:
                 process.terminate()
             except Exception:  # pragma: no cover - best-effort reaping

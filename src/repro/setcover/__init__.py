@@ -31,8 +31,6 @@ from repro.setcover.maxcover import (
     exact_max_coverage,
     coverage_of,
 )
-from repro.setcover.fractional import fractional_greedy_lower_bound, lp_relaxation_value
-from repro.setcover.preprocess import PreprocessResult, preprocess
 from repro.setcover.verify import is_feasible_cover, verify_cover, uncovered_elements
 
 __all__ = [
@@ -58,10 +56,6 @@ __all__ = [
     "greedy_max_coverage",
     "exact_max_coverage",
     "coverage_of",
-    "fractional_greedy_lower_bound",
-    "lp_relaxation_value",
-    "preprocess",
-    "PreprocessResult",
     "is_feasible_cover",
     "verify_cover",
     "uncovered_elements",

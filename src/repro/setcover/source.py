@@ -686,7 +686,7 @@ def open_source(descriptor: SourceDescriptor) -> InstanceSource:
     """Reopen a :class:`SourceDescriptor` as a live source.
 
     The inverse of :meth:`InstanceSource.descriptor` — what pickled systems
-    and dispatched shards call on the far side of a process boundary.  The
+    and pooled tasks call on the far side of a process boundary.  The
     reopened bytes are verified against the descriptor's digest (and, for a
     container file, its header's): a mismatch raises
     :class:`~repro.exceptions.InstanceIntegrityError`.

@@ -13,7 +13,7 @@ from repro.workloads.random_instances import (
     zipfian_instance,
     disjoint_blocks_instance,
 )
-from repro.workloads.coverage import coverage_workload, topic_coverage_instance
+from repro.workloads.coverage import topic_coverage_instance
 from repro.workloads.adversarial import (
     dsc_stream_instance,
     dmc_stream_instance,
@@ -33,7 +33,6 @@ __all__ = [
     "plant_cover_instance",
     "zipfian_instance",
     "disjoint_blocks_instance",
-    "coverage_workload",
     "topic_coverage_instance",
     "dsc_stream_instance",
     "dmc_stream_instance",

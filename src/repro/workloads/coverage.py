@@ -8,7 +8,7 @@ items covering as many topics as possible.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.setcover.instance import SetCoverInstance, SetSystem
 from repro.utils.rng import SeedLike, spawn_rng
@@ -56,20 +56,3 @@ def topic_coverage_instance(
             "item_community": [i % communities for i in range(num_items)],
         },
     )
-
-
-def coverage_workload(
-    num_topics: int,
-    num_items: int,
-    k: int,
-    seed: SeedLike = None,
-    communities: Optional[int] = None,
-) -> SetCoverInstance:
-    """Convenience wrapper choosing a community count compatible with k."""
-    if communities is None:
-        communities = max(1, k)
-    instance = topic_coverage_instance(
-        num_topics, num_items, communities=communities, seed=seed
-    )
-    instance.metadata["k"] = k
-    return instance

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from repro.exceptions import InfeasibleInstanceError
 from repro.setcover.exact import brute_force_set_cover, exact_set_cover
-from repro.setcover.fractional import counting_lower_bound
 from repro.setcover.greedy import greedy_set_cover
 from repro.setcover.instance import SetSystem
 from repro.setcover.maxcover import exact_max_coverage, greedy_max_coverage
@@ -135,11 +134,6 @@ class TestExactProperties:
         exact = exact_set_cover(system)
         assert is_feasible_cover(system, exact)
         assert len(exact) <= len(greedy_set_cover(system))
-
-    @given(coverable_systems())
-    @settings(max_examples=40, deadline=None)
-    def test_counting_bound_below_opt(self, system):
-        assert counting_lower_bound(system) <= len(exact_set_cover(system))
 
     @given(systems_with_targets())
     @settings(max_examples=80, deadline=None)

@@ -1,4 +1,4 @@
-"""Property-based tests for the streaming substrate and preprocessing."""
+"""Property-based tests for the streaming substrate."""
 
 import pytest
 from hypothesis import given, settings
@@ -16,10 +16,8 @@ from repro.baselines import (
 from repro.core.maxcover_stream import StreamingMaxCoverage
 from repro.core.value_estimation import CountingBoundEstimator
 from repro.kernels import HAS_NUMPY
-from repro.setcover.exact import exact_cover_value, exact_set_cover
 from repro.setcover.instance import SetSystem
-from repro.setcover.preprocess import preprocess
-from repro.setcover.verify import is_feasible_cover, verify_cover
+from repro.setcover.verify import is_feasible_cover
 from repro.streaming.engine import run_streaming_algorithm
 from repro.streaming.space import SpaceMeter
 from repro.streaming.stream import SetStream, StreamOrder
@@ -103,30 +101,6 @@ class TestStreamingAlgorithmProperties:
         )
         assert is_feasible_cover(system, result.solution)
         assert result.passes == 1
-
-
-class TestPreprocessProperties:
-    @given(coverable_systems())
-    @settings(max_examples=40, deadline=None)
-    def test_preprocessing_preserves_optimum(self, system):
-        original_opt = exact_cover_value(system)
-        result = preprocess(system)
-        if result.residual_target_mask == 0:
-            reduced_solution = []
-        else:
-            reduced_solution = exact_set_cover(
-                result.system, target_mask=result.residual_target_mask
-            )
-        lifted = result.lift_solution(reduced_solution)
-        verify_cover(system, lifted)
-        assert len(lifted) == original_opt
-
-    @given(coverable_systems())
-    @settings(max_examples=40, deadline=None)
-    def test_forced_picks_are_original_indices(self, system):
-        result = preprocess(system)
-        assert all(0 <= i < system.num_sets for i in result.forced_picks)
-        assert all(0 <= i < system.num_sets for i in result.kept_indices)
 
 
 #: Constructors for every streaming algorithm in the batched pipeline; each

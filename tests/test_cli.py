@@ -372,11 +372,10 @@ class TestInstancePlaneFlags:
         path = self.gen(tmp_path, capsys)
         cell = "ADV[algorithm=saha_getoor,order=random,workload=random]"
         assert main(
-            ["run", cell, "--quiet", "--dispatch", "serial",
+            ["run", cell, "--quiet",
              "--instance-file", str(path), "--instance-backing", "heap"]
         ) == 0
         out = capsys.readouterr().out
-        assert "# dispatch: serial" in out
         assert "backing=heap" in out and "tasks=1/1" in out
 
     def test_instance_flags_alone_route_through_runtime(self, tmp_path, capsys):
@@ -425,16 +424,15 @@ class TestInstancePlaneFlags:
         trace_dir = tmp_path / "trace"
         assert main(
             ["run", cell, "--quiet", "--trace", str(trace_dir),
-             "--dispatch", "serial", "--instance-file", str(path)]
+             "--instance-file", str(path)]
         ) == 0
         records = []
         for trace_file in trace_dir.glob("*.jsonl"):
             for line in trace_file.read_text().splitlines():
                 records.append(json.loads(line))
-        sessions = [r for r in records if r.get("attrs", {}).get("dispatch")]
+        sessions = [r for r in records if r.get("attrs", {}).get("instance_backing")]
         assert any(
-            r["attrs"]["dispatch"] == "serial"
-            and r["attrs"].get("instance_backing") == "mmap"
+            r["attrs"]["instance_backing"] == "mmap" and r["attrs"].get("workers") == 1
             for r in sessions
         )
         passes = [r for r in records if r.get("name") == "stream.pass"]

@@ -1,16 +1,15 @@
-"""Dispatch backends: serial / local-process / multihost-sim parity and resume.
+"""Serial and pooled execution: parity across backings, resume after a kill.
 
-The contract: the dispatch backend is pure mechanism.  Submission-order
-merging plus content-addressed caching mean every backend — including the
-subprocess-per-chunk multihost simulation — produces byte-identical
-payloads, stores, and stdout; and a run killed mid-grid resumes from its
-store to exactly the clean serial bytes.
+The contract: where a task runs is pure mechanism.  Submission-order
+merging plus content-addressed caching mean in-process and pooled runs, on
+every instance backing, produce byte-identical payloads, stores and stdout;
+a run killed mid-grid resumes from its store to exactly the clean serial
+bytes, and leaves no worker process behind.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 import signal
 import subprocess
 import sys
@@ -23,9 +22,7 @@ from repro.resilience.durability import canonical_json
 from repro.resilience.faults import FAULTS_ENV_VAR
 from repro.resilience.policy import RETRY_ENV_VAR
 from repro.runtime import ResultStore, RuntimeTask, TaskExecutor, freeze_params
-from repro.runtime.dispatch import DISPATCH_BACKENDS, resolve_dispatch
 from repro.setcover.source import MmapSource
-from repro.telemetry.session import TelemetrySession
 from repro.workloads.outofcore import generate_to_file
 
 REPO_SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -64,37 +61,13 @@ def payload_bytes(report):
     return [canonical_json(outcome.payload) for outcome in report.outcomes]
 
 
-class TestResolveDispatch:
-    def test_auto_picks_from_workers(self):
-        assert resolve_dispatch("auto", workers=1).name == "serial"
-        assert resolve_dispatch("auto", workers=4).name == "local-process"
-
-    def test_explicit_names_resolve(self):
-        for name in ("serial", "local-process", "multihost-sim"):
-            assert resolve_dispatch(name, workers=2).name == name
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError, match="dispatch"):
-            resolve_dispatch("carrier-pigeon", workers=2)
-        with pytest.raises(ValueError, match="dispatch"):
-            TaskExecutor(dispatch="carrier-pigeon")
-
-    def test_registry_is_the_cli_choice_list(self):
-        assert DISPATCH_BACKENDS == ("auto", "serial", "local-process", "multihost-sim")
-
-
 class TestDispatchParity:
     def test_all_backends_same_bytes(self, tmp_path):
         descriptor = generate_to_file(tmp_path / "inst.repro", 48, 64, seed=7)
-        baseline = payload_bytes(
-            TaskExecutor(workers=1, dispatch="serial").run(grid_tasks(descriptor))
-        )
-        for dispatch in ("local-process", "multihost-sim"):
-            report = TaskExecutor(workers=3, dispatch=dispatch).run(
-                grid_tasks(descriptor)
-            )
-            assert payload_bytes(report) == baseline, dispatch
-            assert [o.status for o in report.outcomes] == ["computed"] * 5
+        baseline = payload_bytes(TaskExecutor(workers=1).run(grid_tasks(descriptor)))
+        report = TaskExecutor(workers=3).run(grid_tasks(descriptor))
+        assert payload_bytes(report) == baseline
+        assert [o.status for o in report.outcomes] == ["computed"] * 5
 
     def test_backing_never_changes_bytes(self, tmp_path):
         path = tmp_path / "inst.repro"
@@ -138,63 +111,6 @@ class TestDispatchParity:
         assert payload_bytes(second) == payload_bytes(first)
 
 
-class TestMultihostRecovery:
-    def test_worker_crash_recovers_to_identical_bytes(self, monkeypatch, tmp_path):
-        descriptor = generate_to_file(tmp_path / "inst.repro", 48, 64, seed=7)
-        baseline = payload_bytes(
-            TaskExecutor(workers=1, dispatch="serial").run(grid_tasks(descriptor))
-        )
-        monkeypatch.setenv(FAULTS_ENV_VAR, "seed=11,executor.submit:crash:1:1")
-        with TelemetrySession(label="hostsim-crash") as session:
-            report = TaskExecutor(workers=2, dispatch="multihost-sim").run(
-                grid_tasks(descriptor)
-            )
-        counters = session.registry.snapshot()["counters"]
-        assert payload_bytes(report) == baseline
-        assert counters.get("executor.worker_lost", 0) > 0
-
-    def test_hostsim_entry_rejects_bad_usage(self):
-        result = subprocess.run(
-            [sys.executable, "-m", "repro.runtime.hostsim"],
-            env={**os.environ, "PYTHONPATH": REPO_SRC},
-            capture_output=True,
-            text=True,
-        )
-        assert result.returncode == 2
-
-    def test_hostsim_entry_executes_a_chunk(self, tmp_path):
-        tasks = grid_tasks()[:2]
-        job = tmp_path / "job.pkl"
-        out = tmp_path / "result.pkl"
-        job.write_bytes(pickle.dumps({"tasks": tasks, "capture": False}))
-        result = subprocess.run(
-            [sys.executable, "-m", "repro.runtime.hostsim", str(job), str(out)],
-            env={**os.environ, "PYTHONPATH": REPO_SRC},
-            capture_output=True,
-            text=True,
-        )
-        assert result.returncode == 0, result.stderr
-        results = pickle.loads(out.read_bytes())
-        assert len(results) == len(tasks)
-
-    def test_spawn_failure_degrades_to_serial(self, monkeypatch, tmp_path):
-        descriptor = generate_to_file(tmp_path / "inst.repro", 48, 64, seed=7)
-        baseline = payload_bytes(
-            TaskExecutor(workers=1, dispatch="serial").run(grid_tasks(descriptor))
-        )
-
-        def no_spawn(*args, **kwargs):
-            raise OSError("spawn refused")
-
-        import repro.runtime.dispatch as dispatch_module
-
-        monkeypatch.setattr(dispatch_module.subprocess, "Popen", no_spawn)
-        report = TaskExecutor(workers=2, dispatch="multihost-sim").run(
-            grid_tasks(descriptor)
-        )
-        assert payload_bytes(report) == baseline
-
-
 def store_payloads(store_dir):
     """Store payload files keyed by relative path, stats journals excluded."""
     out = {}
@@ -204,8 +120,23 @@ def store_payloads(store_dir):
     return out
 
 
+def pids_naming(text):
+    """Pids of the live processes whose command line contains ``text``."""
+    pids = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            cmdline = (entry / "cmdline").read_bytes()
+        except OSError:
+            continue  # exited while we looked
+        if text.encode() in cmdline:
+            pids.append(int(entry.name))
+    return pids
+
+
 class TestKilledRunResumes:
-    """Satellite: SIGKILL mid-grid under chaos, resume to clean-serial bytes."""
+    """SIGKILL a pooled run mid-grid under crash faults; resume to clean bytes."""
 
     CELLS = [
         f"ADV[algorithm={algorithm},order={order},workload=random]"
@@ -234,18 +165,18 @@ class TestKilledRunResumes:
         clean = tmp_path / "store-clean"
         self.run_cli(
             ["run", *self.CELLS, "--quiet", "--store", str(clean),
-             "--dispatch", "serial", "--instance-file", str(instance)]
+             "--instance-file", str(instance)]
         )
 
-        # Chaos leg: multihost dispatch, recoverable crash faults in the
+        # Chaos leg: the worker pool, recoverable crash faults in the
         # workers, and a SIGKILL the moment the store holds some entries.
         resumed = tmp_path / "store-resumed"
         env = {**os.environ, "PYTHONPATH": REPO_SRC,
                FAULTS_ENV_VAR: "seed=3,executor.submit:crash:0.4:1"}
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro.cli", "run", *self.CELLS, "--quiet",
-             "--store", str(resumed), "--dispatch", "multihost-sim",
-             "--workers", "2", "--instance-file", str(instance)],
+             "--store", str(resumed), "--workers", "2",
+             "--instance-file", str(instance)],
             env=env,
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
@@ -264,16 +195,27 @@ class TestKilledRunResumes:
                 break  # finished before we could kill it — resume is a no-op
             time.sleep(0.02)
         proc.wait(timeout=60)
-        partial = store_payloads(resumed)
+        # The entries that survived the kill (a write cut short may also
+        # have left its tmp file, which the resumed run must remove).
+        partial = {
+            name: payload
+            for name, payload in store_payloads(resumed).items()
+            if not name.endswith(".tmp")
+        }
         if killed:
             assert 0 < len(partial) <= len(self.CELLS)
+            # The killed run's pool workers notice their parent is gone and
+            # exit; every one of them names the store on its command line.
+            orphans_gone = time.monotonic() + 5
+            while pids_naming(str(resumed)) and time.monotonic() < orphans_gone:
+                time.sleep(0.05)
+            assert pids_naming(str(resumed)) == []
 
-        # Restart against the same store, clean and serial: cached entries
-        # are reused, the rest recomputed, final bytes == clean serial store.
+        # Restart against the same store without faults: cached entries are
+        # reused, the rest recomputed, final bytes == clean serial store.
         result = self.run_cli(
             ["run", *self.CELLS, "--quiet", "--store", str(resumed),
-             "--dispatch", "multihost-sim", "--workers", "2",
-             "--instance-file", str(instance)]
+             "--workers", "2", "--instance-file", str(instance)]
         )
         statuses = [
             line for line in result.stdout.splitlines() if line.startswith("[ADV")

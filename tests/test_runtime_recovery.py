@@ -7,6 +7,11 @@ run's payloads are identical to a fault-free serial run's.
 
 from __future__ import annotations
 
+import errno
+import multiprocessing
+import multiprocessing.context
+import time
+
 import pytest
 
 from repro.exceptions import CircuitOpenError
@@ -36,6 +41,16 @@ def grid_tasks():
 def payload_bytes(report):
     """Submission-ordered canonical payload bytes, the parity currency."""
     return [canonical_json(outcome.payload) for outcome in report.outcomes]
+
+
+def children_left(before, within=2.0):
+    """Child processes not in ``before`` still alive after ``within`` seconds."""
+    deadline = time.monotonic() + within
+    while True:
+        left = [p for p in multiprocessing.active_children() if p not in before]
+        if not left or time.monotonic() >= deadline:
+            return left
+        time.sleep(0.05)
 
 
 @pytest.fixture
@@ -105,6 +120,7 @@ class TestTimeoutRecovery:
     def test_hung_worker_trips_deadline_and_requeues(self, monkeypatch, clean_payloads):
         # Workers hang far past the 0.5s/task deadline; the parent abandons
         # the pool, terminates the hung workers, and re-executes everything.
+        before = set(multiprocessing.active_children())
         report, counters = run_with_faults(
             monkeypatch,
             "seed=1,hang=30,executor.submit:hang:1:1",
@@ -114,6 +130,7 @@ class TestTimeoutRecovery:
         assert payload_bytes(report) == clean_payloads
         assert counters.get("executor.timeouts", 0) >= 1
         assert counters.get("executor.pool_respawns", 0) >= 1
+        assert children_left(before) == []
 
 
 class TestSerialDegradation:
@@ -129,6 +146,34 @@ class TestSerialDegradation:
         assert payload_bytes(report) == clean_payloads
         assert counters.get("degrade.serial_execution", 0) == 1
         assert counters.get("degrade.total", 0) >= 1
+
+
+class TestWorkerStartFailure:
+    def test_failed_start_degrades_to_serial_and_reaps_the_started_worker(
+        self, monkeypatch, clean_payloads
+    ):
+        # The second worker start fails while the first worker is already
+        # running: the run must degrade to serial and leave no child behind.
+        original = multiprocessing.context.ForkProcess._Popen
+        starts = []
+
+        def second_start_fails(process_obj):
+            starts.append(process_obj)
+            if len(starts) == 2:
+                raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+            return original(process_obj)
+
+        monkeypatch.setattr(
+            multiprocessing.context.ForkProcess, "_Popen", staticmethod(second_start_fails)
+        )
+        before = set(multiprocessing.active_children())
+        with TelemetrySession(label="start-failure") as session:
+            report = TaskExecutor(workers=3).run(grid_tasks())
+        counters = session.registry.snapshot()["counters"]
+        assert len(starts) == 2
+        assert payload_bytes(report) == clean_payloads
+        assert counters.get("degrade.serial_execution", 0) == 1
+        assert children_left(before) == []
 
 
 class TestCircuitBreaker:

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -61,6 +64,21 @@ class TestAtomicPut:
         atomic_write_json(target, {"v": 2})
         assert json.loads(target.read_text()) == {"v": 2}
         assert list(tmp_path.iterdir()) == [target]
+
+    def test_next_put_removes_a_dead_writers_tmp_and_keeps_a_live_ones(self, tmp_path):
+        store = ResultStore(tmp_path)
+        path = store.path_for(task_fingerprint(make_task()))
+        path.parent.mkdir(parents=True)
+        writer = subprocess.Popen([sys.executable, "-c", "pass"])
+        writer.wait()  # exited and reaped: its pid names no process now
+        dead = path.parent / f"{path.name}.{writer.pid}.0123abcd.tmp"
+        live = path.parent / f"{path.name}.{os.getppid()}.89abcdef.tmp"
+        for stray in (dead, live):
+            stray.write_text('{"torn')
+        store.put(make_task(), {"answer": 42})
+        assert not dead.exists()
+        assert live.exists()
+        assert store.get(make_task()) == {"answer": 42}
 
 
 class TestCorruptEntryQuarantine:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.setcover.exact import exact_cover_value
 from repro.workloads.adversarial import dmc_stream_instance, dsc_stream_instance
-from repro.workloads.coverage import coverage_workload, topic_coverage_instance
+from repro.workloads.coverage import topic_coverage_instance
 from repro.workloads.random_instances import (
     disjoint_blocks_instance,
     plant_cover_instance,
@@ -149,10 +149,6 @@ class TestCoverageWorkloads:
         assert instance.system.universe_size == 50
         assert instance.system.num_sets == 20
         assert instance.metadata["communities"] == 4
-
-    def test_coverage_workload_sets_k(self):
-        instance = coverage_workload(50, 20, k=3, seed=11)
-        assert instance.metadata["k"] == 3
 
     def test_invalid_communities(self):
         with pytest.raises(ValueError):
