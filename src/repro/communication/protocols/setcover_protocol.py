@@ -20,7 +20,6 @@ Two concrete protocols are provided:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -296,16 +295,3 @@ class TwoPartyAlgorithmOneProtocol(Protocol):
             "opt_guess": self.opt_guess,
         }
         return transcript
-
-
-def predicted_protocol_cost_bits(
-    universe_size: int, num_sets: int, alpha: int, epsilon: float = 0.5
-) -> float:
-    """Predicted Õ(α·m·n^{1/α}/ε + n) bit cost of the Algorithm-1 protocol."""
-    n = max(universe_size, 2)
-    m = max(num_sets, 2)
-    log_n = math.log2(n)
-    return (
-        alpha * 16 * m * n ** (1.0 / alpha) * math.log(m) / epsilon * log_n / n ** 0.0
-        + n * log_n
-    )

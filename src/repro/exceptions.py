@@ -10,6 +10,18 @@ from __future__ import annotations
 class ReproError(Exception):
     """Base class for all errors raised by the repro library."""
 
+    def __reduce__(self):
+        # A task's error crosses a worker's pipe to be re-raised in the parent;
+        # a subclass's __init__ takes other arguments than the ``args`` message.
+        return _rebuild_error, (type(self), self.args, self.__dict__)
+
+
+def _rebuild_error(cls: type, args: tuple, state: dict) -> ReproError:
+    error = cls.__new__(cls)
+    error.args = args
+    error.__dict__.update(state)
+    return error
+
 
 class InfeasibleInstanceError(ReproError):
     """Raised when a set cover instance has no feasible cover."""
@@ -60,19 +72,6 @@ class InjectedFaultError(TransientTaskError):
         self.key = key
         self.kind = kind
         self.attempt = attempt
-
-
-class WorkerLostError(TransientTaskError):
-    """Raised when a worker process died or timed out mid-task.
-
-    The executor normally absorbs these by respawning the pool and
-    re-executing only the lost tasks; it surfaces only when the retry
-    budget is exhausted.
-    """
-
-    def __init__(self, message: str, tasks: int = 0) -> None:
-        super().__init__(message)
-        self.tasks = tasks
 
 
 class PayloadIntegrityError(TransientTaskError):

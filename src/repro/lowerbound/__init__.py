@@ -17,13 +17,11 @@ from repro.lowerbound.dsc import (
     DSCParameters,
     sample_dsc,
     sample_dsc_random_partition,
-    dsc_to_set_system,
 )
 from repro.lowerbound.dmc import (
     DMCInstance,
     DMCParameters,
     sample_dmc,
-    dmc_to_set_system,
 )
 from repro.lowerbound.covering_lemma import (
     coverage_shortfall_trial,
@@ -48,11 +46,9 @@ __all__ = [
     "DSCParameters",
     "sample_dsc",
     "sample_dsc_random_partition",
-    "dsc_to_set_system",
     "DMCInstance",
     "DMCParameters",
     "sample_dmc",
-    "dmc_to_set_system",
     "coverage_shortfall_trial",
     "lemma_2_2_bound",
     "estimate_uncovered_probability",

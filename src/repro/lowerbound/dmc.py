@@ -207,11 +207,6 @@ def sample_dmc(
     )
 
 
-def dmc_to_set_system(instance: DMCInstance) -> SetSystem:
-    """Convenience alias for :meth:`DMCInstance.set_system`."""
-    return instance.set_system()
-
-
 def lemma_4_3_tau(parameters: DMCParameters) -> float:
     """The threshold τ = t2 + (a+b)/2 + t1/4 separating the two θ cases."""
     a, b = parameters.resolved_set_sizes()

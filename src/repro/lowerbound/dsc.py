@@ -428,8 +428,3 @@ def sample_dsc_random_partition(
         SetCoverInput(instance.universe_size, bob_sets),
         assignment,
     )
-
-
-def dsc_to_set_system(instance: DSCInstance) -> SetSystem:
-    """Convenience alias for :meth:`DSCInstance.set_system`."""
-    return instance.set_system()

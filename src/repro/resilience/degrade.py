@@ -7,7 +7,7 @@ byte-identical to the preferred path:
 1. **Kernel backend** — a NumPy kernel that fails to build falls back to the
    pure-Python :class:`~repro.kernels.pyint.PyIntKernel` (the two backends
    are bit-identical by the hypothesis parity suites);
-2. **Parallel execution** — repeated process-pool loss degrades the executor
+2. **Parallel execution** — repeated worker loss degrades the executor
    to in-process serial execution (submission-order merging makes serial and
    sharded output byte-identical by construction);
 3. **Workload outcomes** — a cell that exceeds its space/pass budget or draws

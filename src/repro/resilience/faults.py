@@ -194,7 +194,7 @@ _NO_PLAN = FaultPlan(rules=())
 _active_plan: Optional[FaultPlan] = None
 _resolved_spec: Optional[str] = None
 
-#: Set to True inside process-pool workers (the executor's initializer), so
+#: Set to True inside pool workers (:mod:`repro.resilience.workers`), so
 #: ``crash`` faults know :func:`os._exit` kills a disposable worker, not the
 #: user's interpreter.
 _IN_WORKER = False
@@ -292,9 +292,9 @@ def inject(site: str, key: str, attempt: Optional[int] = None) -> Optional[str]:
 
     * ``raise`` — raises :class:`InjectedFaultError` (a transient, retryable
       failure);
-    * ``crash`` — calls ``os._exit`` in pool workers (the parent sees a
-      broken pool); outside a worker it degrades to ``raise`` so serial runs
-      stay recoverable;
+    * ``crash`` — calls ``os._exit`` in pool workers (the parent sees EOF on
+      that worker's pipe); outside a worker it degrades to ``raise`` so
+      serial runs stay recoverable;
     * ``hang`` — sleeps ``plan.hang_s`` seconds, then raises (a hung worker
       either trips the executor timeout or eventually fails transiently);
     * ``corrupt`` / ``torn`` — returned to the caller, which must apply the

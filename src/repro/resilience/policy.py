@@ -6,7 +6,7 @@ faults, lost workers, corrupted payloads): how many attempts a task gets, how
 long to back off between them, when a hung task counts as lost
 (``timeout``), and when to stop retrying structurally — the circuit breaker
 after ``breaker_threshold`` consecutive failures, and serial degradation
-after ``max_pool_respawns`` process-pool losses.
+after ``max_pool_respawns`` worker-loss generations.
 
 Backoff is exponential with *deterministic* jitter: the jitter fraction for
 attempt ``k`` is a uniform derived by hashing ``(seed, path, k)`` through
@@ -57,8 +57,9 @@ class RetryPolicy:
     scaled by a deterministic jitter in ``[1 - jitter, 1]``.  ``timeout`` is
     the per-task wall-clock budget the executor enforces on worker chunks
     (``None`` disables timeout detection).  ``breaker_threshold`` consecutive
-    failures open the circuit; ``max_pool_respawns`` bounds process-pool
-    recreation before the executor degrades to serial execution.
+    failures open the circuit; ``max_pool_respawns`` bounds the attempt
+    generations at which the executor loses a worker (the workers the
+    service replaces) before either degrades to serial execution.
     """
 
     max_attempts: int = 3

@@ -9,18 +9,20 @@ own derived seed and the merge order is input order (never completion order
 or chunk boundaries), a parallel run's output is byte-identical to the
 serial run's for any ``chunksize``.
 
-Execution is hardened by :mod:`repro.resilience`: a crashed or hung worker
-(detected via ``BrokenProcessPool`` or the retry policy's per-task timeout)
-costs a pool respawn and a re-execution of only the lost chunks; payloads
-that fail their end-to-end checksum are recomputed rather than merged; and a
-pool that keeps dying degrades to in-process serial execution after
-``max_pool_respawns`` — in every case the final :class:`RunReport` stays
-byte-identical to a fault-free serial run, because recovery re-executes pure
-tasks and merging never depends on completion order.  ``KeyboardInterrupt``
-drains cleanly: outstanding futures are cancelled, stats and telemetry are
-flushed, and a partial report (``interrupted=True``) is returned instead of
-a traceback.  Every pool the executor gives up on has its workers
-terminated, and a worker whose parent dies exits on its own.
+The workers are the program's one kind of worker process
+(:mod:`repro.resilience.workers`): forked, one duplex pipe each, driven by
+one thread.  Execution is hardened by :mod:`repro.resilience`: a crashed or
+hung worker (EOF on its pipe, or the retry policy's per-task timeout) is
+killed and replaced, and only its chunk runs again; payloads that fail their
+end-to-end checksum are recomputed rather than merged; and workers that keep
+dying degrade the run to in-process serial execution after
+``max_pool_respawns`` loss generations — in every case the final
+:class:`RunReport` stays byte-identical to a fault-free serial run, because
+recovery re-executes pure tasks and merging never depends on completion
+order.  ``KeyboardInterrupt`` drains cleanly: the workers are killed, stats
+and telemetry are flushed, and a partial report (``interrupted=True``) is
+returned instead of a traceback.  No worker outlives a run, and a worker
+whose parent dies exits on its own.
 
 Also exposes :func:`run_cached`, the store-aware entry point the benchmark
 harness wraps experiment calls in.
@@ -44,15 +46,11 @@ Example — one task through the serial executor, and the chunk heuristic::
 from __future__ import annotations
 
 import math
-import multiprocessing
-import multiprocessing.connection
-import os
-import threading
 import time
+import traceback
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from multiprocessing.connection import Connection, wait
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from repro.exceptions import PayloadIntegrityError
@@ -61,8 +59,9 @@ from repro.experiments.report import result_from_dict, result_to_dict
 from repro.experiments.workload_defs import release_instance_cache
 from repro.resilience.degrade import record_degradation
 from repro.resilience.durability import canonical_checksum
-from repro.resilience.faults import attempt_scope, faults_enabled, inject, mark_worker_process
+from repro.resilience.faults import attempt_scope, faults_enabled, inject
 from repro.resilience.policy import CircuitBreaker, RetryPolicy, policy_from_env, retry_call
+from repro.resilience.workers import Worker, kill, spawn
 from repro.runtime.scenarios import freeze_params
 from repro.runtime.store import ResultStore
 from repro.runtime.tasks import RuntimeTask, execute_task
@@ -161,10 +160,8 @@ def _timed_execute(
 
     Durations come from ``perf_counter`` (wall clocks drift and step; the
     monotonic clock is the only honest duration source).  With ``capture``
-    on — passed explicitly by the executor, or demanded by the environment
-    (``REPRO_TRACE``/``REPRO_TELEMETRY``) for workers whose parent could not
-    reach them — the task runs inside its own telemetry session and the
-    session snapshot rides back under :data:`TELEMETRY_KEY` in the payload.
+    on, the task runs inside its own telemetry session and the session
+    snapshot rides back under :data:`TELEMETRY_KEY` in the payload.
     The snapshot is a *sibling* of the result data, popped by the executor
     before anything downstream sees the payload.
 
@@ -179,8 +176,6 @@ def _timed_execute(
     """
     started_wall = time.time()
     started = clock()
-    if not capture:
-        capture = capture_wanted()
     if not faults_enabled():
         if not capture:
             payload = execute_task(task)
@@ -236,29 +231,18 @@ def _timed_execute(
     return payload, elapsed
 
 
-def _timed_execute_chunk(
-    tasks: List[RuntimeTask], capture: bool = False, base_attempt: int = 0
-) -> List[Tuple[Dict[str, Any], float]]:
-    """Worker entry point for a chunk: one IPC round trip, many tasks."""
-    return [_timed_execute(task, capture, base_attempt) for task in tasks]
+def _run_chunk(message: Tuple[List[RuntimeTask], bool, int]) -> Tuple[Any, Optional[str]]:
+    """A pool worker's handler: run one chunk, one pipe round trip.
 
-
-def _pool_worker_init() -> None:
-    """Pool worker initializer: mark the process, and tie its life to the parent.
-
-    A worker blocks on the pool's call queue, whose write end it inherited,
-    so a parent killed without a shutdown never sends it EOF.  A daemon
-    thread waits on the parent's sentinel instead and exits the worker.
+    Replies ``(results, None)``, or ``(exception, traceback)`` when a task
+    raises: the parent re-raises the task's own exception, and this worker
+    stays usable.
     """
-    mark_worker_process()
-    sentinel = multiprocessing.parent_process().sentinel
-    threading.Thread(target=_exit_with_parent, args=(sentinel,), daemon=True).start()
-
-
-def _exit_with_parent(sentinel: int) -> None:
-    """Block until the parent process is gone, then end this worker at once."""
-    multiprocessing.connection.wait([sentinel])
-    os._exit(1)
+    tasks, capture, attempt = message
+    try:
+        return [_timed_execute(task, capture, attempt) for task in tasks], None
+    except Exception as exc:
+        return exc, traceback.format_exc()
 
 
 def default_chunksize(pending: int, workers: int) -> int:
@@ -273,31 +257,35 @@ def default_chunksize(pending: int, workers: int) -> int:
     return max(1, math.ceil(pending / (max(workers, 1) * 4)))
 
 
-#: One submitted chunk's bookkeeping: the (index, task) pairs, the attempt
-#: generation its tasks run at, the wall-clock submit instant (queue-wait
-#: accounting), and the monotonic deadline (None when timeouts are off).
-_ChunkInfo = Tuple[List[Tuple[int, RuntimeTask]], int, float, Optional[float]]
+#: A queued chunk: its (index, task) pairs, the attempt generation its tasks
+#: run at, and the wall-clock instant it entered the queue (queue-wait
+#: accounting).
+_Chunk = Tuple[List[Tuple[int, RuntimeTask]], int, float]
+
+#: Each busy worker's pipe -> (the worker, its chunk, the chunk's monotonic
+#: deadline, None when timeouts are off).
+_Busy = Dict[Connection, Tuple[Worker, _Chunk, Optional[float]]]
 
 
 class TaskExecutor:
     """Runs task batches serially or across worker processes, with caching.
 
     ``workers=1`` (the default) runs in-process; ``workers=N`` shards pending
-    tasks over a :class:`ProcessPoolExecutor`, submitting them in contiguous
-    chunks (``chunksize`` tasks per IPC round trip; an auto heuristic when
-    unset) to cut per-task overhead on large grids.  If a pool cannot start
-    its workers (restricted sandboxes), execution degrades to serial and
-    records the ``serial_execution`` degradation — the output is identical
-    either way (merging is by submission order, never completion order),
-    only wall-clock changes.
+    tasks over N owned worker processes, sending them in contiguous chunks
+    (``chunksize`` tasks per pipe round trip; an auto heuristic when unset)
+    to cut per-task overhead on large grids.  If a worker cannot start
+    (restricted sandboxes), execution degrades to serial and records the
+    ``serial_execution`` degradation — the output is identical either way
+    (merging is by submission order, never completion order), only
+    wall-clock changes.
 
     Failure handling follows the ambient
-    :class:`~repro.resilience.policy.RetryPolicy` (``REPRO_RETRY``): lost
-    workers and per-task timeouts respawn the pool and re-execute only the
-    lost chunks at the next attempt generation; repeated pool loss beyond
-    ``max_pool_respawns`` degrades the rest of the batch to serial; a
-    circuit breaker turns a pool that can never survive into one fast
-    :class:`~repro.exceptions.CircuitOpenError`.
+    :class:`~repro.resilience.policy.RetryPolicy` (``REPRO_RETRY``): a lost
+    worker or a per-task timeout replaces that worker and re-executes only
+    its chunk at the next attempt generation; losses at more than
+    ``max_pool_respawns`` generations degrade the rest of the batch to
+    serial; a circuit breaker turns workers that can never survive into one
+    fast :class:`~repro.exceptions.CircuitOpenError`.
     """
 
     def __init__(
@@ -367,9 +355,9 @@ class TaskExecutor:
                     telemetry=block,
                 )
         except KeyboardInterrupt:
-            # Drain, don't traceback: close the generator (which cancels
-            # outstanding futures and abandons the pool), keep what finished,
-            # and fall through to the flush path below.
+            # Drain, don't traceback: close the generator (which kills and
+            # reaps the workers), keep what finished, and fall through to the
+            # flush path below.
             interrupted = True
             metrics.add("executor.interrupted")
             event("executor.interrupt", completed=len(outcomes), total=len(ordered))
@@ -513,192 +501,126 @@ class TaskExecutor:
     def _execute_pool(
         self, pending: List[Tuple[int, RuntimeTask]], capture: bool = False
     ) -> Iterator[Tuple[int, RuntimeTask, Dict[str, Any], float, float]]:
-        """Run the pending tasks on the chunked worker pool.
+        """Run the pending tasks on owned worker processes, a chunk at a time.
 
-        Tasks ship to the workers in contiguous chunks so a large grid pays
-        one pickle/IPC round trip per chunk instead of per task.  Worker-
-        start failure (restricted sandboxes) degrades to the serial path; a
-        task's own exception propagates unchanged.  ``submit_wall`` is the
-        wall-clock instant the task was handed to its runner (queue-wait
+        Tasks ship in contiguous chunks, so a large grid pays one pipe round
+        trip per chunk instead of per task.  One thread waits on every
+        worker's pipe at once and gives a worker that replies its next chunk
+        before it yields the reply's results.  ``submit_wall`` is the
+        wall-clock instant a chunk entered the queue (queue-wait
         accounting); ``capture`` turns on telemetry capture inside the
-        workers.
+        workers.  A task's own exception comes back over the pipe and
+        propagates unchanged.
 
-        A broken pool (crashed worker) or an expired per-task deadline
-        abandons the pool, counts the loss, and requeues every unconsumed
-        chunk at the next attempt generation; the pool is respawned up to
-        ``max_pool_respawns`` times, after which the remainder runs serially
-        in-process (:func:`record_degradation`).  Re-execution only ever
-        costs wall-clock: tasks are pure, so the merged bytes are identical.
+        A worker whose pipe reads EOF or fails, or that misses its chunk's
+        deadline, is killed and replaced, and only its chunk runs again, at
+        the next attempt generation.  The first loss at each generation
+        counts once against the breaker and ``max_pool_respawns``, as the
+        loss of a whole pool would.  Past that budget, or when a worker
+        cannot start, the remaining chunks run in-process from the next
+        generation on (:func:`record_degradation`).  Tasks are pure, so
+        recovery costs wall-clock, never bytes.  Every worker is killed and
+        reaped before this generator returns, raises or is closed.
         """
-        if not pending:
-            return
-
         policy = policy_from_env()
         size = self.chunksize or default_chunksize(len(pending), self.workers)
-        queue: "deque[Tuple[List[Tuple[int, RuntimeTask]], int]]" = deque(
-            (pending[start : start + size], 0)
-            for start in range(0, len(pending), size)
-        )
         breaker = CircuitBreaker(policy.breaker_threshold)
-        respawns = 0
-        pool: Optional[ProcessPoolExecutor] = None
-        future_info: Dict[Any, _ChunkInfo] = {}
+        idle: List[Worker] = []
+        busy: _Busy = {}
+        lost_generations = 0  # chunks were lost at attempts below this one
+        reason: Optional[str] = None
         try:
-            while queue or future_info:
-                if pool is None:
-                    try:
-                        pool, future_info = self._submit_chunks(queue, capture, policy)
-                    except OSError:
-                        record_degradation(
-                            "serial_execution", reason="pool workers failed to start"
-                        )
-                        while queue:
-                            chunk, attempt = queue.popleft()
-                            yield from self._execute_serial(chunk, capture, attempt)
-                        return
-
-                round_result = self._await_one_round(pool, future_info, policy)
-                for future, results in round_result["done"].items():
-                    chunk, attempt, submit_wall, _ = future_info.pop(future)
-                    for (index, task), (payload, elapsed) in zip(chunk, results):
-                        payload, elapsed = self._settle(
-                            task, payload, elapsed, capture, attempt
-                        )
-                        yield index, task, payload, elapsed, submit_wall
-                if round_result["broken"]:
-                    breaker.record_failure()
-                    breaker.check()
-                    respawns += 1
-                    metrics.add("executor.pool_respawns")
-                    self._abandon_pool(pool)
-                    pool = None
-                    # Every unconsumed chunk rode the dead pool: requeue all
-                    # of them at the next attempt generation.
-                    for future in list(future_info):
-                        chunk, attempt, _, _ = future_info.pop(future)
-                        queue.append((chunk, attempt + 1))
-                    event("executor.pool_respawn", respawns=respawns, lost=len(queue))
-                    if respawns > policy.max_pool_respawns:
-                        record_degradation(
-                            "serial_execution",
-                            reason="pool respawn budget exhausted",
-                            respawns=respawns,
-                        )
-                        while queue:
-                            chunk, attempt = queue.popleft()
-                            yield from self._execute_serial(chunk, capture, attempt)
-                        return
-                else:
-                    breaker.record_success()
-        finally:
-            if pool is not None:
-                self._abandon_pool(pool)
-
-    def _submit_chunks(
-        self,
-        queue: "deque[Tuple[List[Tuple[int, RuntimeTask]], int]]",
-        capture: bool,
-        policy: RetryPolicy,
-    ) -> Tuple[ProcessPoolExecutor, Dict[Any, _ChunkInfo]]:
-        """Spawn a pool and submit every queued chunk to it.
-
-        Worker processes spawn lazily at submit time, so a submit is the
-        probe for "can this environment fork at all".  When one fails, the
-        half-started pool is abandoned, every chunk goes back on the queue
-        in order, and the ``OSError`` is the caller's signal to degrade to
-        serial.
-        """
-        pool = ProcessPoolExecutor(
-            max_workers=min(self.workers, max(1, len(queue))),
-            initializer=_pool_worker_init,
-        )
-        future_info: Dict[Any, _ChunkInfo] = {}
-        while queue:
-            chunk, attempt = queue.popleft()
             try:
-                future = pool.submit(
-                    _timed_execute_chunk, [task for _, task in chunk], capture, attempt
-                )
+                for _ in range(min(self.workers, math.ceil(len(pending) / size))):
+                    idle.append(spawn(_run_chunk))
             except OSError:
-                self._abandon_pool(pool)
-                submitted = [(c, a) for c, a, _, _ in future_info.values()]
-                queue.extendleft(reversed(submitted + [(chunk, attempt)]))
-                raise
-            deadline = (
-                time.monotonic() + policy.timeout * len(chunk)
-                if policy.timeout is not None
-                else None
+                reason = "pool workers failed to start"
+            queued = time.time()
+            queue: "deque[_Chunk]" = deque(
+                (pending[start : start + size], 0, queued)
+                for start in range(0, len(pending), size)
             )
-            future_info[future] = (chunk, attempt, time.time(), deadline)
-        return pool, future_info
+            while reason is None and (queue or busy):
+                while queue and idle:
+                    _send(idle.pop(), queue.popleft(), busy, capture, policy)
+                replies, lost = _await_replies(busy)
+                idle.extend(worker for worker, _, _ in replies)
+                while queue and idle:  # dispatch before merging
+                    _send(idle.pop(), queue.popleft(), busy, capture, policy)
+                if replies:
+                    breaker.record_success()
+                for worker, (chunk, attempt, _) in lost:
+                    kill(worker)
+                    queue.append((chunk, attempt + 1, time.time()))
+                    if attempt >= lost_generations:
+                        lost_generations = attempt + 1
+                        breaker.record_failure()
+                        breaker.check()
+                        metrics.add("executor.pool_respawns")
+                        event("executor.pool_respawn", generation=attempt)
+                    if lost_generations > policy.max_pool_respawns:
+                        reason = "pool respawn budget exhausted"
+                    elif reason is None:
+                        try:
+                            idle.append(spawn(_run_chunk))
+                        except OSError:
+                            reason = "pool workers failed to start"
+                for _, (chunk, attempt, submit_wall), (results, remote) in replies:
+                    if remote is not None:
+                        raise results from RuntimeError(f"raised in a worker:\n{remote}")
+                    for (index, task), (payload, elapsed) in zip(chunk, results):
+                        payload, elapsed = self._settle(task, payload, elapsed, capture, attempt)
+                        yield index, task, payload, elapsed, submit_wall
+            left = [chunk for _, chunk, _ in busy.values()] + list(queue)
+        finally:
+            kill(*idle, *(worker for worker, _, _ in busy.values()))
+        if reason is not None:
+            record_degradation("serial_execution", reason=reason, respawns=lost_generations)
+        for chunk, attempt, _ in sorted(left, key=lambda item: item[0][0][0]):
+            yield from self._execute_serial(chunk, capture, max(attempt, lost_generations))
 
-    @staticmethod
-    def _await_one_round(
-        pool: ProcessPoolExecutor,
-        future_info: Dict[Any, _ChunkInfo],
-        policy: RetryPolicy,
-    ) -> Dict[str, Any]:
-        """Wait for completions (or a loss signal) among outstanding futures.
 
-        Returns ``{"done": {future: results}, "broken": bool}`` — the chunk
-        results that can be consumed, and whether the pool must be abandoned
-        (a worker died or a deadline expired; every unconsumed chunk is then
-        lost and must be requeued).
-        """
-        done_results: Dict[Any, List[Tuple[Dict[str, Any], float]]] = {}
-        broken = False
-        while future_info and not done_results and not broken:
-            timeout = None
-            if policy.timeout is not None:
-                now = time.monotonic()
-                deadlines = [
-                    info[3] for info in future_info.values() if info[3] is not None
-                ]
-                if deadlines:
-                    timeout = max(0.0, min(deadlines) - now)
-            done, _ = wait(set(future_info), timeout=timeout, return_when=FIRST_COMPLETED)
-            if not done:
-                now = time.monotonic()
-                expired = [
-                    future
-                    for future, info in future_info.items()
-                    if info[3] is not None and info[3] <= now
-                ]
-                if expired:
-                    # A hung worker never returns and a pool cannot shoot a
-                    # single worker; abandoning the whole pool is the only
-                    # sound recovery, re-queueing everything unconsumed.
-                    metrics.add("executor.timeouts")
-                    event("executor.timeout", chunks=len(expired))
-                    broken = True
-                continue
-            for future in done:
-                try:
-                    done_results[future] = future.result()
-                except (BrokenProcessPool, OSError, EOFError) as exc:
-                    metrics.add("executor.worker_lost")
-                    event("executor.worker_lost", error=type(exc).__name__)
-                    done_results.pop(future, None)
-                    broken = True
-        return {"done": done_results, "broken": broken}
+def _send(worker: Worker, chunk: _Chunk, busy: _Busy, capture: bool, policy: RetryPolicy) -> None:
+    """Hand ``worker`` a chunk and arm the chunk's deadline."""
+    tasks, attempt, _ = chunk
+    timeout = policy.timeout
+    deadline = None if timeout is None else time.monotonic() + timeout * len(tasks)
+    busy[worker.conn] = (worker, chunk, deadline)
+    try:
+        worker.conn.send(([task for _, task in tasks], capture, attempt))
+    except OSError:
+        pass  # a dead worker: its pipe reads EOF, and the next wait reports it
 
-    @staticmethod
-    def _abandon_pool(pool: ProcessPoolExecutor) -> None:
-        """Shut a pool down without waiting, and terminate its workers.
 
-        ``shutdown(wait=False)`` does not interrupt a worker mid-task, so a
-        hung worker would otherwise outlive the executor; terminating the
-        worker processes directly (private but stable attribute) is the only
-        way to reap them.  ``shutdown`` drops the pool's reference to its
-        processes, so the list is taken before it.
-        """
-        processes = list((getattr(pool, "_processes", None) or {}).values())
-        pool.shutdown(wait=False, cancel_futures=True)
-        for process in processes:
-            try:
-                process.terminate()
-            except Exception:  # pragma: no cover - best-effort reaping
-                pass
+def _await_replies(
+    busy: _Busy,
+) -> Tuple[List[Tuple[Worker, _Chunk, Any]], List[Tuple[Worker, _Chunk]]]:
+    """Wait until busy workers reply, are lost or miss their deadlines.
+
+    Returns ``(replies, lost)`` — ``(worker, chunk, reply)`` and
+    ``(worker, chunk)`` entries — and takes all of them out of ``busy``.
+    """
+    deadlines = [deadline for _, _, deadline in busy.values() if deadline is not None]
+    timeout = max(0.0, min(deadlines) - time.monotonic()) if deadlines else None
+    replies: List[Tuple[Worker, _Chunk, Any]] = []
+    lost: List[Tuple[Worker, _Chunk]] = []
+    for conn in wait(list(busy), timeout):
+        worker, chunk, _ = busy.pop(conn)
+        try:
+            replies.append((worker, chunk, conn.recv()))
+        except (EOFError, OSError) as exc:
+            metrics.add("executor.worker_lost")
+            event("executor.worker_lost", error=type(exc).__name__)
+            lost.append((worker, chunk))
+    now = time.monotonic()
+    for conn, (worker, chunk, deadline) in list(busy.items()):
+        if deadline is not None and deadline <= now:
+            # A hung worker never replies: kill it, as a crashed one.
+            del busy[conn]
+            metrics.add("executor.timeouts")
+            event("executor.timeout", tasks=len(chunk[0]))
+            lost.append((worker, chunk))
+    return replies, lost
 
 
 def run_cached(

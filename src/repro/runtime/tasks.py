@@ -129,9 +129,8 @@ def tasks_from_scenario(
 def execute_task(task: RuntimeTask) -> Dict[str, Any]:
     """Run one task and return its result as a JSON-serialisable dict.
 
-    Module-level (not a closure) so :class:`concurrent.futures.ProcessPoolExecutor`
-    can pickle it; the dict form crosses the process boundary and is what the
-    result store persists.
+    Runs in-process or in a forked pool worker; the dict form crosses the
+    worker's pipe and is what the result store persists.
     """
     runner = RUNNER_REGISTRY[task.runner]
     result = runner(**task.kwargs())

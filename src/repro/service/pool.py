@@ -1,12 +1,13 @@
 """The solver service's worker pool: owned workers, one pipe each.
 
-:class:`WorkerPool` forks its ``workers`` processes at the first batch and
-reaches each over one duplex pipe.  A worker attaches the published hot
-instances from shared memory **once**, in :func:`_service_worker_init`;
-after that a request ships only scalars across the process boundary, never
-an instance.  A batch checks out an idle worker, sends its items, waits for
-the reply and checks the worker back in: one pipe crossing each way, with no
-executor queue or management thread in between.
+:class:`WorkerPool` starts its ``workers`` processes at the first batch with
+:func:`repro.resilience.workers.spawn`, the same forked one-pipe workers the
+batch executor runs its chunks on.  A worker attaches the published hot
+instances from shared memory **once**, in :func:`_load_instances`; after that
+a request ships only scalars across the process boundary, never an instance.
+A batch checks out an idle worker, sends its items, waits for the reply and
+checks the worker back in: one pipe crossing each way, with no executor
+queue or management thread in between.
 
 The robustness story reuses :mod:`repro.resilience` wholesale:
 
@@ -37,17 +38,15 @@ parity guarantee survives every failure mode.
 
 from __future__ import annotations
 
-import contextvars
-import multiprocessing
 import threading
 import time
-from multiprocessing.connection import Connection
-from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import DeadlineExceededError, ReproError, TransientTaskError
 from repro.resilience.degrade import record_degradation
-from repro.resilience.faults import attempt_scope, inject, mark_worker_process
+from repro.resilience.faults import attempt_scope, inject
 from repro.resilience.policy import CircuitBreaker, RetryPolicy, backoff_delay, policy_from_env
+from repro.resilience.workers import Worker, kill, spawn
 from repro.service.deadline import Deadline, deadline_scope
 from repro.service.requests import compute_response
 from repro.setcover.instance import SetSystem
@@ -61,47 +60,21 @@ from repro.telemetry.spans import event
 #: decisions and retry accounting.
 RequestItem = Tuple[str, str, str, Dict[str, Any], Optional[float], int]
 
-#: Instances attached from shared memory, populated by the pool initializer.
+#: Instances attached from shared memory, populated by the worker initializer.
 _WORKER_SYSTEMS: Dict[str, SetSystem] = {}
-
-#: Workers are forked, as :func:`_service_worker_init` assumes: a child
-#: inherits the server's modules (and any patch on them) and signal state.
-_FORK = multiprocessing.get_context("fork")
-
-#: Serialises every worker start in the process.  The parent closes its copy
-#: of a new worker's end of the pipe before the next fork, so no later worker
-#: inherits it and a dead worker's pipe always reads as EOF.
-_SPAWN_LOCK = threading.Lock()
 
 #: How long :meth:`WorkerPool.shutdown` waits for running batches, and then
 #: for each worker to exit on the stop sentinel, before it kills.
 _STOP_WAIT_S = 5.0
 
 
-def _service_worker_init(descriptors: Dict[str, SourceDescriptor]) -> None:
-    """Pool initializer: mark the worker disposable, load hot instances.
+def _load_instances(descriptors: Dict[str, SourceDescriptor]) -> None:
+    """Worker initializer: load the hot instances.
 
     Each instance is attached from its shared segment, copied into a
     resident :class:`SetSystem` and detached again, so the worker keeps the
     resident kernel and never pins the publisher's memory.
-
-    A forked worker inherits the parent's signal state — including the
-    asyncio event loop's *signal wakeup fd*, whose pipe the child's fd table
-    still shares with the server.  Left in place, a ``terminate()`` aimed at
-    this worker would make the child's C-level handler write SIGTERM into
-    that shared pipe and the *server* would begin draining as if it had been
-    signalled itself.  Detach the wakeup fd and restore default dispositions
-    before anything else.
     """
-    import signal as _signal
-
-    try:
-        _signal.set_wakeup_fd(-1)
-        _signal.signal(_signal.SIGTERM, _signal.SIG_DFL)
-        _signal.signal(_signal.SIGINT, _signal.SIG_IGN)
-    except (ValueError, OSError):  # pragma: no cover - non-main-thread/platform
-        pass
-    mark_worker_process()
     _WORKER_SYSTEMS.clear()
     for name, descriptor in descriptors.items():
         source = SharedMemorySource.attach(descriptor)
@@ -156,37 +129,14 @@ def execute_request_batch(items: Sequence[RequestItem]) -> List[Dict[str, Any]]:
     return [_execute_one(_WORKER_SYSTEMS, *item) for item in items]
 
 
-def _worker_main(
-    conn: Connection, server_end: Connection, descriptors: Dict[str, SourceDescriptor]
-) -> None:
-    """A worker's life: load the instances, then answer batches until stopped."""
-    server_end.close()  # the fork copied it; without this, a dead server is no EOF
-    _service_worker_init(descriptors)
-    while True:
-        try:
-            items = conn.recv()
-        except EOFError:  # the server is gone
-            return
-        if items is None:  # the stop sentinel
-            return
-        try:
-            # A module global looked up per batch, so a patched one runs.
-            outcomes = execute_request_batch(items)
-        except Exception as exc:  # a bug, not a lost worker: answer and go on
-            error = f"{type(exc).__name__}: {exc}"
-            outcomes = [{"id": item[0], "status": "error", "error": error} for item in items]
-        conn.send(outcomes)
-
-
-class _Worker(NamedTuple):
-    process: Any
-    conn: Connection
-
-
-def _kill(worker: _Worker) -> None:
-    worker.process.kill()
-    worker.process.join()
-    worker.conn.close()
+def _serve_batch(items: Sequence[RequestItem]) -> List[Dict[str, Any]]:
+    """A worker's handler: one status dict per item, whatever goes wrong."""
+    try:
+        # A module global looked up per batch, so a patched one runs.
+        return execute_request_batch(items)
+    except Exception as exc:  # a bug, not a lost worker: answer and go on
+        error = f"{type(exc).__name__}: {exc}"
+        return [{"id": item[0], "status": "error", "error": error} for item in items]
 
 
 class WorkerPool:
@@ -225,8 +175,8 @@ class WorkerPool:
         # takes a worker out of ``_live`` kills and reaps its process; only
         # the thread holding a worker touches its pipe.
         self._cond = threading.Condition()
-        self._live: List[_Worker] = []
-        self._idle: List[_Worker] = []
+        self._live: List[Worker] = []
+        self._idle: List[Worker] = []
         self._started = False
         self._closed = False
         self._starting = 0
@@ -239,31 +189,20 @@ class WorkerPool:
                 return
             self._starting += 1
         try:
-            with _SPAWN_LOCK:
-                conn, child = _FORK.Pipe()
-                # A fork carries this thread's context, a dispatch thread's
-                # telemetry session included; the worker runs in an empty one.
-                process = _FORK.Process(
-                    target=contextvars.Context().run,
-                    args=(_worker_main, child, conn, self.descriptors),
-                    daemon=True,
-                )
-                process.start()
-                child.close()
-            worker = _Worker(process, conn)
+            worker = spawn(_serve_batch, _load_instances, self.descriptors)
             with self._cond:
                 keep = not (self._closed or self.degraded) and len(self._live) < self.workers
                 if keep:
                     self._live.append(worker)
                     self._idle.append(worker)
             if not keep:
-                _kill(worker)
+                kill(worker)
         finally:
             with self._cond:
                 self._starting -= 1
                 self._cond.notify_all()
 
-    def _checkout(self) -> Optional[_Worker]:
+    def _checkout(self) -> Optional[Worker]:
         """An idle worker, starting a full set when none runs; ``None`` once
         the pool is degraded or closed."""
         while True:
@@ -278,7 +217,7 @@ class WorkerPool:
             for _ in range(self.workers):
                 self._spawn()
 
-    def _checkin(self, worker: _Worker) -> None:
+    def _checkin(self, worker: Worker) -> None:
         with self._cond:
             if worker in self._live:
                 self._idle.append(worker)
@@ -286,7 +225,7 @@ class WorkerPool:
                 return
         worker.conn.close()  # abandoned or shut down while it ran
 
-    def _lose(self, worker: Optional[_Worker], exc: BaseException) -> None:
+    def _lose(self, worker: Optional[Worker], exc: BaseException) -> None:
         """Kill a lost worker and start its replacement, or degrade.
 
         ``worker`` is ``None`` when a start failed.  A worker that
@@ -298,7 +237,7 @@ class WorkerPool:
                     worker.conn.close()
                     return
                 self._live.remove(worker)
-                _kill(worker)
+                kill(worker)
                 self._cond.notify_all()
             self.breaker.record_failure()
             if self.breaker.open:
@@ -369,7 +308,7 @@ class WorkerPool:
                 pass
         for worker in idle:
             worker.process.join(_STOP_WAIT_S)
-            _kill(worker)
+            kill(worker)
         for worker in busy:
             worker.process.kill()
             worker.process.join()

@@ -74,9 +74,9 @@ def capture_wanted() -> bool:
     """Whether the environment asks for telemetry capture.
 
     True when ``REPRO_TRACE`` names a directory, or ``REPRO_TELEMETRY`` is a
-    truthy flag (anything except empty/``0``/``off``/``false``).  Worker
-    processes use this plus an explicit flag from the executor to decide
-    whether to open a capture session.
+    truthy flag (anything except empty/``0``/``off``/``false``).  The
+    executor ORs it with an active session to decide whether its tasks
+    capture, and hands that decision to its workers as an explicit flag.
     """
     if trace_dir_from_env() is not None:
         return True

@@ -136,7 +136,13 @@ def _parse_instance_lines(lines: Iterable[str]) -> SetCoverInstance:
                 raise ValueError(f"header must be 'n m', got {line!r}")
             universe_size, num_sets = int(header[0]), int(header[1])
             continue
-        sets.append([int(token) for token in line.split()] if line != "-" else [])
+        row = [int(token) for token in line.split()] if line != "-" else []
+        # Checked here: SetSystem would build the bitset 1 << element first.
+        if row and (min(row) < 0 or max(row) >= universe_size):
+            raise ValueError(
+                f"set {len(sets)} contains elements outside the universe [0, {universe_size})"
+            )
+        sets.append(row)
     if header is None:
         raise ValueError("no instance data found")
     if len(sets) != num_sets:

@@ -10,11 +10,13 @@ from __future__ import annotations
 import errno
 import multiprocessing
 import multiprocessing.context
+import pickle
 import time
 
 import pytest
 
-from repro.exceptions import CircuitOpenError
+from repro import exceptions
+from repro.exceptions import CircuitOpenError, InjectedFaultError
 from repro.kernels import HAS_NUMPY, PyIntKernel, make_kernel
 from repro.resilience.durability import canonical_json
 from repro.resilience.faults import FAULTS_ENV_VAR, fault_plan_active, parse_fault_spec
@@ -24,8 +26,8 @@ from repro.runtime.store import read_store_stats
 from repro.telemetry.session import TelemetrySession
 
 
-def grid_tasks():
-    """A small, cheap scenario grid: E12 at two gadget sizes x two seeds."""
+def grid_tasks(seeds=2):
+    """A small, cheap scenario grid: E12 at two gadget sizes x ``seeds`` seeds."""
     return [
         RuntimeTask(
             key=f"E12[t={t},seed={seed}]",
@@ -34,7 +36,7 @@ def grid_tasks():
             seed=seed,
         )
         for t in (2, 3)
-        for seed in (1, 2)
+        for seed in range(1, seeds + 1)
     ]
 
 
@@ -61,7 +63,9 @@ def clean_payloads(monkeypatch):
     return payload_bytes(TaskExecutor(workers=1).run(grid_tasks()))
 
 
-def run_with_faults(monkeypatch, faults, retry=None, workers=2, tmp_path=None):
+def run_with_faults(
+    monkeypatch, faults, retry=None, workers=2, tmp_path=None, tasks=None, chunksize=None
+):
     """Run the grid under a fault schedule, returning (report, counters)."""
     monkeypatch.setenv(FAULTS_ENV_VAR, faults)
     if retry is None:
@@ -69,9 +73,17 @@ def run_with_faults(monkeypatch, faults, retry=None, workers=2, tmp_path=None):
     else:
         monkeypatch.setenv(RETRY_ENV_VAR, retry)
     store = ResultStore(tmp_path) if tmp_path is not None else None
+    executor = TaskExecutor(workers=workers, store=store, chunksize=chunksize)
     with TelemetrySession(label="recovery-test") as session:
-        report = TaskExecutor(workers=workers, store=store).run(grid_tasks())
+        report = executor.run(tasks or grid_tasks())
     return report, session.registry.snapshot()["counters"]
+
+
+def serial_payloads(monkeypatch, tasks):
+    """Fault-free serial payload bytes of ``tasks``."""
+    monkeypatch.delenv(FAULTS_ENV_VAR, raising=False)
+    monkeypatch.delenv(RETRY_ENV_VAR, raising=False)
+    return payload_bytes(TaskExecutor(workers=1).run(tasks))
 
 
 class TestCrashRecovery:
@@ -93,6 +105,79 @@ class TestCrashRecovery:
             monkeypatch, "seed=4,executor.submit:crash:0.5:1", workers=2
         )
         assert payload_bytes(report) == clean_payloads
+
+    def test_only_the_lost_chunk_runs_again(self, monkeypatch):
+        # One task per chunk: each crash costs its own worker and chunk, and
+        # the chunks running on the other worker are never re-executed.
+        faults = "seed=4,executor.submit:crash:0.5:1"
+        plan = parse_fault_spec(faults)
+        tasks = grid_tasks(seeds=4)
+        crashing = [t for t in tasks if plan.decide("executor.submit", t.key, 0) == "crash"]
+        assert 0 < len(crashing) < len(tasks)
+        clean = serial_payloads(monkeypatch, tasks)
+        report, counters = run_with_faults(
+            monkeypatch, faults, workers=2, tasks=tasks, chunksize=1
+        )
+        assert payload_bytes(report) == clean
+        assert counters.get("executor.worker_lost", 0) == len(crashing)
+        assert counters.get("executor.pool_respawns", 0) == 1
+
+    def test_crash_heavy_plans_recover_without_degrading(self, monkeypatch):
+        # Many workers lost at one attempt generation count as one respawn,
+        # so the respawn budget is not spent per dead worker.
+        faults = "seed=4,executor.submit:crash:0.5:1"
+        tasks = grid_tasks(seeds=8)
+        clean = serial_payloads(monkeypatch, tasks)
+        report, counters = run_with_faults(
+            monkeypatch, faults, workers=4, tasks=tasks, chunksize=1
+        )
+        assert payload_bytes(report) == clean
+        assert counters.get("degrade.serial_execution", 0) == 0
+        assert counters.get("executor.pool_respawns", 0) == 1
+
+    def test_persistent_crash_degrades_at_the_next_generation(self, monkeypatch):
+        # Crashes at attempts 0-4: four loss generations exhaust the default
+        # budget of three respawns, and the serial remainder starts at
+        # attempt 4, where one in-process retry clears the fault.
+        tasks = grid_tasks(seeds=4)
+        clean = serial_payloads(monkeypatch, tasks)
+        report, counters = run_with_faults(
+            monkeypatch, "seed=11,executor.submit:crash:1:5", workers=2, tasks=tasks
+        )
+        assert payload_bytes(report) == clean
+        assert counters.get("degrade.serial_execution", 0) == 1
+        assert counters.get("executor.pool_respawns", 0) == 4
+
+
+class TestTaskErrors:
+    def test_task_error_from_a_worker_is_not_a_lost_worker(self, monkeypatch):
+        # Every attempt raises: the worker's retries run out and the task's
+        # own exception comes back over the pipe, re-raised as it was.
+        monkeypatch.setenv(FAULTS_ENV_VAR, "seed=1,executor.submit:raise:1:99")
+        monkeypatch.setenv(RETRY_ENV_VAR, "attempts=2,backoff=0")
+        with TelemetrySession(label="task-error") as session:
+            with pytest.raises(InjectedFaultError) as info:
+                TaskExecutor(workers=2).run(grid_tasks())
+        counters = session.registry.snapshot()["counters"]
+        assert info.value.site == "executor.submit" and info.value.attempt == 1
+        assert counters.get("executor.worker_lost", 0) == 0
+        assert counters.get("executor.pool_respawns", 0) == 0
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            exceptions.SpaceBudgetExceededError(3, 2),
+            exceptions.InjectedFaultError("executor.submit", "k", "raise", 2),
+            exceptions.InstanceIntegrityError("f", "a" * 64, "b" * 64),
+            exceptions.DeadlineExceededError(0.5),
+            exceptions.CircuitOpenError(3, 2),
+        ],
+        ids=lambda error: type(error).__name__,
+    )
+    def test_library_errors_survive_a_pipe(self, error):
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is type(error)
+        assert (copy.args, vars(copy), str(copy)) == (error.args, vars(error), str(error))
 
 
 class TestCorruptPayloadRecovery:

@@ -121,6 +121,14 @@ class TestParsingErrors:
         with pytest.raises(ValueError):
             loads_instance("4 3\n0 1\n2 3\n")
 
+    @pytest.mark.parametrize(
+        "element", ["1000000000000", "9999999999999999999999", "1000000000", "-1"]
+    )
+    def test_element_outside_the_universe(self, element):
+        # Rejected as its line is parsed, before any bitset is built for it.
+        with pytest.raises(ValueError, match="outside the universe"):
+            loads_instance(f"2 1\n{element}\n")
+
     def test_comments_ignored(self):
         text = "# a comment\n3 1\n0 1 2\n"
         instance = loads_instance(text)
