@@ -1,251 +1,54 @@
 """Micro-benchmark for the batched lower-bound sampler stack.
 
 Measures disjointness gadget collections and D_SC / D_MC instance sampling
-along three paths:
+along two paths:
 
-* **seed** — the pre-batch repository lineage frozen verbatim below:
-  per-pair ``rng.spawn()`` child streams, per-element ``randrange`` /
-  ``shuffle`` / ``sample`` draws, frozenset provenance, per-element mask
-  assembly.  The same reference convention as ``bench_kernels.py`` /
-  ``bench_streaming.py``.
 * **batched** — the current samplers: bulk
   :meth:`~repro.utils.rng.RandomSource.random_array` float draws (exact
   MT19937 state transfer) with packed-bit mask assembly.
-* **loop** — the current samplers with vectorization disabled
+* **loop** — the same samplers with vectorization disabled
   (``REPRO_SAMPLER_BATCH=off``): the identical float stream transformed by
   per-draw Python loops.
 
 Before anything is timed, every batched sample is asserted **bit-identical**
 to its loop-path sample (full instance equality including materialised
-mapping provenance) — the pre-batch per-draw form of the sampler protocol is
-the lineage the batched path must reproduce exactly.  The frozen seed path
-consumes different draws by construction (it spawns child generators), so it
-is compared structurally (shapes, set sizes, θ bookkeeping) and serves as
-the timing baseline.
+mapping provenance) — the per-draw form of the sampler protocol is what the
+batched path must reproduce exactly — and the timed D_SC sample is checked
+for the structure its parameters fix (sizes, and each pair's union missing
+exactly its mapped intersection).
 
 Writes the results as JSON (default ``BENCH_lowerbound.json`` at the repo
-root) — the committed baseline later PRs compare against.  Run it directly::
+root, the committed baseline).  Run it directly::
 
     PYTHONPATH=src python benchmarks/bench_lowerbound.py            # full grid
     PYTHONPATH=src python benchmarks/bench_lowerbound.py --quick    # CI smoke grid
 
-``--min-speedup X`` turns the headline measurement (batched vs seed D_SC
-sampling on the E5-scale entry, the experiment family behind E5–E8's hard
-instances) into an exit code, for use as an acceptance gate.
+``--baseline BENCH_lowerbound.json`` gates the run (see ``microbench.py``)
+on batched D_SC sampling at the E5-scale entry, the experiment family
+behind E5–E8's hard instances.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
 import sys
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Mapping, Optional
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.lowerbound.dmc import DMCInstance, DMCParameters, sample_dmc
+from repro.lowerbound.dmc import DMCParameters, sample_dmc
 from repro.lowerbound.dsc import DSCInstance, DSCParameters, sample_dsc
-from repro.lowerbound.mapping_extension import MappingExtension
-from repro.problems.disjointness import (
-    DisjointnessInstance,
-    sample_ddisj_no,
-    sample_ddisj_no_bulk,
-)
-from repro.problems.ghd import GHDInstance, default_set_sizes
-from repro.telemetry import clock
-from repro.utils.bitset import bitset_from_iterable, bitset_size, universe_mask
-from repro.utils.rng import RandomSource, spawn_rng
+from repro.problems.disjointness import sample_ddisj_no, sample_ddisj_no_bulk
+from repro.utils.bitset import bitset_size, universe_mask
+from repro.utils.env import env_overrides
+from repro.utils.rng import spawn_rng
 
-HAS_NUMPY = True
-try:
-    import numpy  # noqa: F401
-except ImportError:  # pragma: no cover - NumPy-less smoke runs
-    HAS_NUMPY = False
+import microbench
+from microbench import best_of, grid_entry
 
 
-# ---------------------------------------------------------------------------
-# Frozen seed-path implementations (pre-batch repository lineage, verbatim
-# semantics: per-pair child streams, per-element draws and set building).
-# ---------------------------------------------------------------------------
-def seed_sample_base(t: int, rng) -> tuple:
-    alice = set()
-    bob = set()
-    for element in range(t):
-        roll = rng.randrange(3)
-        if roll == 0:
-            continue
-        if roll == 1:
-            bob.add(element)
-        else:
-            alice.add(element)
-    return alice, bob
-
-
-def seed_sample_ddisj_no(t: int, seed=None) -> DisjointnessInstance:
-    rng = spawn_rng(seed)
-    alice, bob = seed_sample_base(t, rng)
-    planted = rng.randrange(t)
-    alice.add(planted)
-    bob.add(planted)
-    return DisjointnessInstance(
-        t=t, alice=frozenset(alice), bob=frozenset(bob), z=1, planted_element=planted
-    )
-
-
-def seed_sample_ddisj_yes(t: int, seed=None) -> DisjointnessInstance:
-    rng = spawn_rng(seed)
-    alice, bob = seed_sample_base(t, rng)
-    return DisjointnessInstance(
-        t=t, alice=frozenset(alice), bob=frozenset(bob), z=0, planted_element=None
-    )
-
-
-def seed_random_mapping_extension(universe_size: int, t: int, seed=None) -> MappingExtension:
-    rng = spawn_rng(seed)
-    order = list(range(universe_size))
-    rng.shuffle(order)
-    base_size = universe_size // t
-    remainder = universe_size % t
-    blocks = []
-    cursor = 0
-    for index in range(t):
-        size = base_size + (1 if index < remainder else 0)
-        blocks.append(frozenset(order[cursor : cursor + size]))
-        cursor += size
-    return MappingExtension(universe_size=universe_size, blocks=tuple(blocks))
-
-
-def seed_sample_dsc(parameters: DSCParameters, seed=None, theta=None) -> DSCInstance:
-    rng = spawn_rng(seed)
-    n = parameters.universe_size
-    m = parameters.num_pairs
-    t = parameters.resolved_t()
-    full = universe_mask(n)
-    disjointness = []
-    mappings = []
-    alice_sets = []
-    bob_sets = []
-    for _ in range(m):
-        pair = seed_sample_ddisj_no(t, seed=rng.spawn())
-        mapping = seed_random_mapping_extension(n, t, seed=rng.spawn())
-        disjointness.append(pair)
-        mappings.append(mapping)
-        alice_sets.append(full & ~mapping.extend_mask(pair.alice))
-        bob_sets.append(full & ~mapping.extend_mask(pair.bob))
-    if theta is None:
-        theta = rng.randint(0, 1)
-    special_index = None
-    if theta == 1:
-        special_index = rng.randrange(m)
-        pair = seed_sample_ddisj_yes(t, seed=rng.spawn())
-        disjointness[special_index] = pair
-        mapping = mappings[special_index]
-        alice_sets[special_index] = full & ~mapping.extend_mask(pair.alice)
-        bob_sets[special_index] = full & ~mapping.extend_mask(pair.bob)
-    return DSCInstance(
-        parameters=parameters,
-        theta=theta,
-        special_index=special_index,
-        disjointness=disjointness,
-        mappings=mappings,
-        alice_sets=alice_sets,
-        bob_sets=bob_sets,
-    )
-
-
-def seed_sample_ghd_conditioned(t, a, b, want_yes, rng, max_attempts=20000) -> GHDInstance:
-    import math
-
-    threshold = math.sqrt(t)
-    for _ in range(max_attempts):
-        alice = frozenset(rng.sample(range(t), a))
-        bob = frozenset(rng.sample(range(t), b))
-        distance = len(alice ^ bob)
-        if want_yes and distance >= t / 2 + threshold:
-            return GHDInstance(t=t, alice=alice, bob=bob, label="Yes")
-        if not want_yes and distance <= t / 2 - threshold:
-            return GHDInstance(t=t, alice=alice, bob=bob, label="No")
-    raise RuntimeError("seed-path GHD rejection sampling exhausted")
-
-
-def seed_sample_dmc(parameters: DMCParameters, seed=None, theta=None) -> DMCInstance:
-    rng = spawn_rng(seed)
-    m = parameters.num_pairs
-    t1 = parameters.t1
-    t2 = parameters.t2
-    a, b = parameters.resolved_set_sizes()
-    ghd_instances = []
-    alice_sets = []
-    bob_sets = []
-    u2_elements = list(range(t1, t1 + t2))
-    c_parts = []
-    d_parts = []
-    for _ in range(m):
-        pair = seed_sample_ghd_conditioned(t1, a, b, False, spawn_rng(rng.spawn()))
-        ghd_instances.append(pair)
-        c_part = []
-        d_part = []
-        for element in u2_elements:
-            if rng.bernoulli(0.5):
-                c_part.append(element)
-            else:
-                d_part.append(element)
-        c_parts.append(c_part)
-        d_parts.append(d_part)
-        alice_sets.append(bitset_from_iterable(list(pair.alice) + c_part))
-        bob_sets.append(bitset_from_iterable(list(pair.bob) + d_part))
-    if theta is None:
-        theta = rng.randint(0, 1)
-    special_index = None
-    if theta == 1:
-        special_index = rng.randrange(m)
-        pair = seed_sample_ghd_conditioned(t1, a, b, True, spawn_rng(rng.spawn()))
-        ghd_instances[special_index] = pair
-        alice_sets[special_index] = bitset_from_iterable(
-            list(pair.alice) + c_parts[special_index]
-        )
-        bob_sets[special_index] = bitset_from_iterable(
-            list(pair.bob) + d_parts[special_index]
-        )
-    return DMCInstance(
-        parameters=parameters,
-        theta=theta,
-        special_index=special_index,
-        ghd=ghd_instances,
-        alice_sets=alice_sets,
-        bob_sets=bob_sets,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Harness
-# ---------------------------------------------------------------------------
-@contextmanager
-def loop_path():
-    """Force the current samplers onto the per-draw loop transforms."""
-    prior = os.environ.get("REPRO_SAMPLER_BATCH")
-    os.environ["REPRO_SAMPLER_BATCH"] = "off"
-    try:
-        yield
-    finally:
-        if prior is None:
-            os.environ.pop("REPRO_SAMPLER_BATCH", None)
-        else:
-            os.environ["REPRO_SAMPLER_BATCH"] = prior
-
-
-def _time(func: Callable[[], object], repeats: int) -> float:
-    """Best-of-N seconds for one call of ``func`` on the telemetry clock."""
-    best = float("inf")
-    for _ in range(repeats):
-        started = clock()
-        func()
-        best = min(best, clock() - started)
-    return best
+#: Forces the current samplers onto the per-draw loop transforms.
+LOOP_PATH = {"REPRO_SAMPLER_BATCH": "off"}
 
 
 def _dsc_fingerprint(instance: DSCInstance) -> tuple:
@@ -264,7 +67,7 @@ def _assert_dsc_identity(parameters: DSCParameters, seeds) -> None:
     for seed in seeds:
         for theta in (0, 1):
             batched = sample_dsc(parameters, seed=seed, theta=theta)
-            with loop_path():
+            with env_overrides(LOOP_PATH):
                 looped = sample_dsc(parameters, seed=seed, theta=theta)
             assert _dsc_fingerprint(batched) == _dsc_fingerprint(looped), (
                 f"D_SC batched/loop divergence at seed={seed}, theta={theta}"
@@ -275,57 +78,49 @@ def _assert_dmc_identity(parameters: DMCParameters, seeds) -> None:
     for seed in seeds:
         for theta in (0, 1):
             batched = sample_dmc(parameters, seed=seed, theta=theta)
-            with loop_path():
+            with env_overrides(LOOP_PATH):
                 looped = sample_dmc(parameters, seed=seed, theta=theta)
             assert batched == looped, (
                 f"D_MC batched/loop divergence at seed={seed}, theta={theta}"
             )
 
 
-def _assert_dsc_structure(batched: DSCInstance, reference: DSCInstance) -> None:
-    """The frozen lineage draws differently; the structure must still agree."""
-    assert batched.universe_size == reference.universe_size
-    assert batched.num_pairs == reference.num_pairs
-    assert len(batched.alice_sets) == len(reference.alice_sets)
-    full = universe_mask(batched.universe_size)
-    for index in range(batched.num_pairs):
-        pair = batched.disjointness[index]
-        mapping = batched.mappings[index]
-        expected = full & ~mapping.extend_mask(pair.intersection)
-        assert batched.pair_union_mask(index) == expected, (
+def _assert_dsc_structure(instance: DSCInstance, parameters: DSCParameters) -> None:
+    """A theta = 1 sample has the shape its parameters fix."""
+    m = parameters.num_pairs
+    assert instance.universe_size == parameters.universe_size
+    assert instance.num_pairs == m
+    assert len(instance.alice_sets) == len(instance.bob_sets) == m
+    assert instance.theta == 1 and 0 <= instance.special_index < m
+    full = universe_mask(instance.universe_size)
+    for index in range(m):
+        pair = instance.disjointness[index]
+        assert pair.t == parameters.resolved_t()
+        expected = full & ~instance.mappings[index].extend_mask(pair.intersection)
+        assert instance.pair_union_mask(index) == expected, (
             f"pair {index} union structure broken"
         )
 
 
 def bench_disjointness(t: int, count: int, seed: int, repeats: int) -> Dict[str, object]:
-    bulk = sample_ddisj_no_bulk(t, count, seed=seed)
-    with loop_path():
-        rng = spawn_rng(seed)
-        looped = [sample_ddisj_no(t, seed=rng) for _ in range(count)]
-    assert bulk == looped, "disjointness bulk/loop divergence"
-
-    def run_seed():
-        rng = RandomSource(seed)
-        return [seed_sample_ddisj_no(t, seed=rng.spawn()) for _ in range(count)]
-
-    reference = run_seed()
-    assert all(inst.t == t and inst.planted_element is not None for inst in reference)
     def run_loop():
         rng = spawn_rng(seed)
         return [sample_ddisj_no(t, seed=rng) for _ in range(count)]
 
-    seed_s = _time(run_seed, repeats)
-    batched_s = _time(lambda: sample_ddisj_no_bulk(t, count, seed=seed), repeats)
-    with loop_path():
-        loop_s = _time(run_loop, repeats)
+    bulk = sample_ddisj_no_bulk(t, count, seed=seed)
+    with env_overrides(LOOP_PATH):
+        assert bulk == run_loop(), "disjointness bulk/loop divergence"
+    assert all(inst.t == t and inst.planted_element is not None for inst in bulk)
+
+    batched_s = best_of(lambda: sample_ddisj_no_bulk(t, count, seed=seed), repeats)[1]
+    with env_overrides(LOOP_PATH):
+        loop_s = best_of(run_loop, repeats)[1]
     return {
         "kind": "disjointness",
         "t": t,
         "count": count,
-        "seed_s": seed_s,
         "batched_s": batched_s,
         "loop_s": loop_s,
-        "speedup_batched": round(seed_s / batched_s, 2),
     }
 
 
@@ -335,13 +130,11 @@ def bench_dsc(
     parameters = DSCParameters(universe_size=n, num_pairs=m, alpha=2, t=t)
     _assert_dsc_identity(parameters, seeds=(seed, seed + 1))
     batched = sample_dsc(parameters, seed=seed, theta=1)
-    reference = seed_sample_dsc(parameters, seed=seed, theta=1)
-    _assert_dsc_structure(batched, reference)
+    _assert_dsc_structure(batched, parameters)
 
-    seed_s = _time(lambda: seed_sample_dsc(parameters, seed=seed, theta=1), repeats)
-    batched_s = _time(lambda: sample_dsc(parameters, seed=seed, theta=1), repeats)
-    with loop_path():
-        loop_s = _time(lambda: sample_dsc(parameters, seed=seed, theta=1), repeats)
+    batched_s = best_of(lambda: sample_dsc(parameters, seed=seed, theta=1), repeats)[1]
+    with env_overrides(LOOP_PATH):
+        loop_s = best_of(lambda: sample_dsc(parameters, seed=seed, theta=1), repeats)[1]
     incidences = sum(bitset_size(mask) for mask in batched.alice_sets + batched.bob_sets)
     return {
         "kind": "dsc",
@@ -350,10 +143,8 @@ def bench_dsc(
         "t": t,
         "e5_scale": e5_scale,
         "incidences": incidences,
-        "seed_s": seed_s,
         "batched_s": batched_s,
         "loop_s": loop_s,
-        "speedup_batched": round(seed_s / batched_s, 2),
     }
 
 
@@ -362,26 +153,23 @@ def bench_dmc(
 ) -> Dict[str, object]:
     parameters = DMCParameters(num_pairs=m, epsilon=epsilon)
     _assert_dmc_identity(parameters, seeds=(seed, seed + 1))
-    seed_s = _time(lambda: seed_sample_dmc(parameters, seed=seed, theta=1), repeats)
-    batched_s = _time(lambda: sample_dmc(parameters, seed=seed, theta=1), repeats)
-    with loop_path():
-        loop_s = _time(lambda: sample_dmc(parameters, seed=seed, theta=1), repeats)
+    batched_s = best_of(lambda: sample_dmc(parameters, seed=seed, theta=1), repeats)[1]
+    with env_overrides(LOOP_PATH):
+        loop_s = best_of(lambda: sample_dmc(parameters, seed=seed, theta=1), repeats)[1]
     return {
         "kind": "dmc",
         "m": m,
         "epsilon": epsilon,
         "t1": parameters.t1,
         "t2": parameters.t2,
-        "seed_s": seed_s,
         "batched_s": batched_s,
         "loop_s": loop_s,
-        "speedup_batched": round(seed_s / batched_s, 2),
     }
 
 
 #: The E5-scale configuration: the D_SC distribution of experiment E5 (alpha
-#: = 2, explicit small gadget) at benchmark scale, the acceptance-criterion
-#: entry for the speedup gate.
+#: = 2, explicit small gadget) at benchmark scale, the entry the CI gate
+#: reads.
 E5_SCALE = dict(n=2048, m=64, t=8)
 
 FULL_GRID = [
@@ -400,16 +188,7 @@ QUICK_GRID = [
 
 
 def run(grid, repeats: int = 3, echo=print) -> Dict[str, object]:
-    payload: Dict[str, object] = {
-        "schema": "bench_lowerbound/v1",
-        "python": platform.python_version(),
-        "numpy": None,
-        "grid": [],
-    }
-    if HAS_NUMPY:
-        import numpy
-
-        payload["numpy"] = numpy.__version__
+    payload = microbench.new_payload("bench_lowerbound/v2")
     runners = {"disjointness": bench_disjointness, "dsc": bench_dsc, "dmc": bench_dmc}
     for kind, kwargs in grid:
         entry = runners[kind](repeats=repeats, **kwargs)
@@ -420,59 +199,24 @@ def run(grid, repeats: int = 3, echo=print) -> Dict[str, object]:
             "dmc": lambda e: f"dmc  t2={e['t2']:>4} m={e['m']:>4}",
         }[kind](entry)
         echo(
-            f"{label}  seed={entry['seed_s'] * 1e3:8.1f}ms  "
-            f"batched={entry['batched_s'] * 1e3:8.1f}ms "
-            f"({entry['speedup_batched']:.1f}x)  "
+            f"{label}  batched={entry['batched_s'] * 1e3:8.1f}ms  "
             f"loop={entry['loop_s'] * 1e3:8.1f}ms"
         )
     return payload
 
 
+def gated_times(payload: Mapping[str, object]) -> Dict[str, Optional[float]]:
+    """Batched D_SC sampling at the E5-scale entry."""
+    entry = grid_entry(payload, kind="dsc", e5_scale=True)
+    return {"D_SC sampling E5 scale batched": entry.get("batched_s")}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick", action="store_true", help="small CI smoke grid instead of the full one"
-    )
-    parser.add_argument(
-        "--output",
-        default=str(Path(__file__).resolve().parent.parent / "BENCH_lowerbound.json"),
-        help="where to write the JSON baseline",
-    )
-    parser.add_argument(
-        "--repeats", type=int, default=3, help="best-of-N timing repeats (default 3)"
-    )
-    parser.add_argument(
-        "--min-speedup",
-        type=float,
-        default=None,
-        help="fail unless batched D_SC sampling beats the frozen pre-batch "
-        "lineage by this factor on the E5-scale entry",
-    )
+    parser = microbench.argument_parser(__doc__.splitlines()[0], "BENCH_lowerbound.json")
     args = parser.parse_args(argv)
-
-    grid = QUICK_GRID if args.quick else FULL_GRID
-    payload = run(grid, repeats=args.repeats)
-    Path(args.output).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {args.output}")
-
-    if args.min_speedup is not None:
-        if not HAS_NUMPY:
-            print("FAIL: --min-speedup requires NumPy", file=sys.stderr)
-            return 2
-        headline = next(
-            entry["speedup_batched"]
-            for entry in payload["grid"]
-            if entry.get("e5_scale")
-        )
-        if headline < args.min_speedup:
-            print(
-                f"FAIL: batched D_SC speedup {headline:.1f}x "
-                f"< required {args.min_speedup:.1f}x",
-                file=sys.stderr,
-            )
-            return 1
-        print(f"speedup gate passed: {headline:.1f}x >= {args.min_speedup:.1f}x")
-    return 0
+    committed = microbench.load_baseline(args.baseline)
+    payload = run(QUICK_GRID if args.quick else FULL_GRID, repeats=args.repeats)
+    return microbench.finish(payload, args.output, committed, gated_times)
 
 
 if __name__ == "__main__":

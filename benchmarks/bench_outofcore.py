@@ -39,7 +39,6 @@ import json
 import platform
 import sys
 import tempfile
-import time
 import tracemalloc
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -55,6 +54,8 @@ from repro.setcover.source import HeapSource, MmapSource
 from repro.workloads.outofcore import generate_to_file
 from repro.workloads.random_instances import random_set_system
 
+from microbench import best_of
+
 #: (n, m, seed) grid entries; the last full entry is the acceptance-criterion
 #: instance (m = 10^6 sets, generated and solved without residency).
 QUICK_GRID = [(64, 100_000, 1)]
@@ -63,12 +64,6 @@ FULL_GRID = [(64, 100_000, 1), (64, 1_000_000, 1)]
 #: The WL cells of the executor leg (cheap single-pass algorithm, both
 #: arrival orders).
 EXECUTOR_CELLS = ("adversarial", "random")
-
-
-def _timed(func):
-    started = time.perf_counter()
-    result = func()
-    return result, time.perf_counter() - started
 
 
 def _traced(func):
@@ -104,7 +99,7 @@ def bench_entry(n: int, m: int, seed: int, workdir: Path) -> Dict[str, object]:
     path = workdir / f"bench-{n}-{m}.repro"
 
     # -- generate: timed cold, then re-run traced for the allocation peak --
-    descriptor, generate_s = _timed(lambda: generate_to_file(path, n, m, seed=seed))
+    descriptor, generate_s = best_of(lambda: generate_to_file(path, n, m, seed=seed))
     traced_path = workdir / f"bench-{n}-{m}-traced.repro"
     _, generate_peak = _traced(
         lambda: generate_to_file(traced_path, n, m, seed=seed)
@@ -117,7 +112,7 @@ def bench_entry(n: int, m: int, seed: int, workdir: Path) -> Dict[str, object]:
     assert descriptor.digest == in_memory.content_digest(), "generation parity"
 
     # -- open: map the file and verify its digest --------------------------
-    opened, open_s = _timed(lambda: MmapSource.open(path))
+    opened, open_s = best_of(lambda: MmapSource.open(path))
     opened.close()
 
     # -- solve: windowed greedy over the mmap backing ----------------------
@@ -127,7 +122,7 @@ def bench_entry(n: int, m: int, seed: int, workdir: Path) -> Dict[str, object]:
             coverable = system.coverage_mask(range(system.num_sets))
             return greedy_set_cover(system, required_mask=coverable)
 
-    solution, solve_s = _timed(windowed_solve)
+    solution, solve_s = best_of(windowed_solve)
     _, solve_peak = _traced(windowed_solve)
     coverable = in_memory.coverage_mask(range(in_memory.num_sets))
     assert solution == greedy_set_cover(in_memory, required_mask=coverable), (
@@ -141,7 +136,7 @@ def bench_entry(n: int, m: int, seed: int, workdir: Path) -> Dict[str, object]:
             source.to_packed(), digest=source.digest()
         ).descriptor()
     serial_report = TaskExecutor(workers=1).run(_wl_tasks(heap_descriptor))
-    pool_report, executor_s = _timed(
+    pool_report, executor_s = best_of(
         lambda: TaskExecutor(workers=2).run(_wl_tasks(mmap_descriptor))
     )
     serial_bytes = [canonical_json(o.payload) for o in serial_report.outcomes]

@@ -28,7 +28,6 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -37,6 +36,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.service.loadgen import LoadgenConfig, LoadReport, run_load_async
 from repro.service.server import ServiceConfig, SolverService
+from repro.utils.env import env_overrides
 
 #: The instance every scenario serves and verifies against.  ``estimate``'s
 #: multi-pass cost grows steeply with the universe; this size keeps one
@@ -66,20 +66,6 @@ def run_scenario(
             await service.drain()
 
     return asyncio.run(go()).to_dict()
-
-
-def _with_env(overrides: Dict[str, str], fn):
-    """Run ``fn`` with env overrides in place (workers fork under them)."""
-    saved = {key: os.environ.get(key) for key in overrides}
-    os.environ.update(overrides)
-    try:
-        return fn()
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -133,9 +119,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         ),
     )
 
-    scenarios["chaos"] = _with_env(
-        {"REPRO_FAULTS": CHAOS_FAULTS, "REPRO_RETRY": CHAOS_RETRY},
-        lambda: run_scenario(
+    # Workers fork under the overrides, so they see the fault plan too.
+    with env_overrides({"REPRO_FAULTS": CHAOS_FAULTS, "REPRO_RETRY": CHAOS_RETRY}):
+        scenarios["chaos"] = run_scenario(
             ServiceConfig(workers=args.workers, instances=(INSTANCE_SPEC,)),
             LoadgenConfig(
                 clients=clients,
@@ -143,8 +129,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 seed=7,
                 instance_spec=INSTANCE_SPEC,
             ),
-        ),
-    )
+        )
 
     payload: Dict[str, object] = {
         "schema": "bench_service/v1",

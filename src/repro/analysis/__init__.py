@@ -11,8 +11,6 @@ into the paper-style analysis here.  The subsystem is a straight pipeline:
   tradeoff points, and the paper's ``m·n^{1/α}`` reference curve;
 * :mod:`repro.analysis.figures` — matplotlib figures when the ``repro[viz]``
   extra is installed, deterministic Unicode text charts otherwise;
-* :mod:`repro.analysis.bench` — the committed ``BENCH_*.json`` perf
-  baselines as chartable trajectories;
 * :mod:`repro.analysis.render` — a block-structured report document rendered
   to markdown and one self-contained HTML page.
 
@@ -26,15 +24,9 @@ Example — the whole pipeline on an empty store still renders::
     True
 """
 
-from repro.analysis.bench import (
-    BenchEntry,
-    BenchTrajectory,
-    load_bench_trajectories,
-)
 from repro.analysis.figures import (
     HAVE_MATPLOTLIB,
     FigureArtifact,
-    bench_trajectory_figure,
     hbar,
     passes_vs_space_figure,
     space_vs_approximation_figure,
@@ -76,8 +68,6 @@ from repro.analysis.tradeoff import (
 
 __all__ = [
     "AnalysisRecord",
-    "BenchEntry",
-    "BenchTrajectory",
     "Envelope",
     "FigureArtifact",
     "HAVE_MATPLOTLIB",
@@ -88,13 +78,11 @@ __all__ = [
     "StoreAnalysis",
     "TradeoffPoint",
     "aggregate",
-    "bench_trajectory_figure",
     "build_report",
     "detect_grids",
     "experiment_records",
     "experiment_results_markdown",
     "hbar",
-    "load_bench_trajectories",
     "load_store",
     "outcome_counts",
     "passes_vs_space_figure",

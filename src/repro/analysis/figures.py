@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
 
-from repro.analysis.bench import BenchTrajectory
 from repro.analysis.tradeoff import TradeoffPoint
 
 PathLike = Union[str, Path]
@@ -230,53 +229,6 @@ def passes_vs_space_figure(
         lines.append(f"theory m*n^(1/alpha) for alpha={alphas}: {sparkline(samples)}")
         lines.append(
             "            " + "  ".join(format(space, ".4g") for space in samples)
-        )
-    return FigureArtifact(
-        slug=slug, title=title, kind="text", text="\n".join(lines), caption=caption
-    )
-
-
-def bench_trajectory_figure(
-    trajectories: Sequence[BenchTrajectory],
-    outdir: Optional[PathLike] = None,
-    use_mpl: Optional[bool] = None,
-    slug: str = "bench_trajectory",
-) -> FigureArtifact:
-    """Committed benchmark baselines as per-area speedup series."""
-    title = "Benchmark speedups vs the frozen seed lineage"
-    caption = "One series per committed BENCH_*.json baseline."
-    if _use_matplotlib(outdir, use_mpl):  # pragma: no cover - mpl only
-        plt = _pyplot()
-        fig, ax = plt.subplots(figsize=(6.4, 4.2))
-        for trajectory in trajectories:
-            ax.plot(
-                range(len(trajectory.entries)),
-                [entry.speedup for entry in trajectory.entries],
-                marker="o", label=trajectory.name,
-            )
-        ax.set_xlabel("grid entry")
-        ax.set_ylabel("speedup (x)")
-        ax.axhline(1.0, color="grey", linewidth=0.8)
-        ax.set_title(title)
-        if trajectories:
-            ax.legend(fontsize=8)
-        path = _save(fig, outdir, slug)
-        plt.close(fig)
-        return FigureArtifact(slug=slug, title=title, kind="png", path=path, caption=caption)
-
-    if not trajectories:
-        return FigureArtifact(
-            slug=slug, title=title, kind="text",
-            text="(no BENCH_*.json baselines found)", caption=caption,
-        )
-    name_width = max(len(t.name) for t in trajectories)
-    lines = []
-    for trajectory in trajectories:
-        speedups = [entry.speedup for entry in trajectory.entries]
-        lines.append(
-            f"{trajectory.name.ljust(name_width)}  {sparkline(speedups, lo=0.0)}  "
-            f"best {trajectory.best:.1f}x  "
-            f"({', '.join(f'{s:.1f}' for s in speedups)})"
         )
     return FigureArtifact(
         slug=slug, title=title, kind="text", text="\n".join(lines), caption=caption

@@ -1,12 +1,12 @@
 """Report assembly and rendering: one document, two output formats.
 
 :func:`build_report` turns a loaded :class:`~repro.analysis.loader.StoreAnalysis`
-(plus optional benchmark trajectories) into a :class:`ReportDocument` — a
-flat list of heading / paragraph / table / figure / code blocks.  Two
-renderers walk that list: :func:`render_markdown` emits GitHub-flavoured
-markdown, :func:`render_html` emits one self-contained HTML page (PNG
-figures are inlined as base64 data URIs, text figures as ``<pre>`` panels),
-so the HTML file needs nothing next to it.  Missing grid cells render as an
+into a :class:`ReportDocument` — a flat list of heading / paragraph /
+table / figure / code blocks.  Two renderers walk that list:
+:func:`render_markdown` emits GitHub-flavoured markdown, :func:`render_html`
+emits one self-contained HTML page (PNG figures are inlined as base64 data
+URIs, text figures as ``<pre>`` panels), so the HTML file needs nothing
+next to it.  Missing grid cells render as an
 explicit marked table — an empty or partially-resumed store produces a
 report that says what is absent instead of raising.
 
@@ -32,10 +32,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
-from repro.analysis.bench import BenchTrajectory
 from repro.analysis.figures import (
     FigureArtifact,
-    bench_trajectory_figure,
     passes_vs_space_figure,
     space_vs_approximation_figure,
 )
@@ -363,7 +361,6 @@ def _experiment_blocks(records: Sequence[AnalysisRecord]) -> List[Block]:
 
 def build_report(
     analysis: StoreAnalysis,
-    bench: Sequence[BenchTrajectory] = (),
     title: str = "Streaming set cover — tradeoff report",
     figures_dir: Optional[PathLike] = None,
     use_mpl: Optional[bool] = None,
@@ -428,22 +425,6 @@ def build_report(
     if experiments:
         doc.blocks.append(Heading(2, "Other experiment results"))
         doc.blocks.extend(_experiment_blocks(experiments))
-
-    if bench:
-        doc.blocks.append(Heading(2, "Benchmark trajectory"))
-        doc.blocks.append(
-            FigureBlock(
-                bench_trajectory_figure(bench, outdir=figures_dir, use_mpl=use_mpl)
-            )
-        )
-        for trajectory in bench:
-            doc.blocks.append(
-                TableBlock(
-                    headers=["entry", "speedup"],
-                    rows=[[e.label, f"{e.speedup:.2f}x"] for e in trajectory.entries],
-                    caption=f"BENCH_{trajectory.name}.json",
-                )
-            )
     return doc
 
 

@@ -41,6 +41,7 @@ from repro.experiments.experiment_defs import (
 )
 from repro.experiments.harness import ExperimentResult
 from repro.experiments.report import save_markdown_report, save_results_json
+from repro.utils.env import env_overrides
 
 
 def _positive_int(text: str) -> int:
@@ -348,11 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the markdown report to FILE",
     )
     report_parser.add_argument(
-        "--bench-dir", type=str, default=".",
-        help="directory holding the committed BENCH_*.json baselines "
-        "(default: current directory; missing files are fine)",
-    )
-    report_parser.add_argument(
         "--title", type=str, default="Streaming set cover — tradeoff report"
     )
     report_parser.add_argument(
@@ -567,22 +563,19 @@ def _report_command(args: argparse.Namespace) -> int:
     """Implement the ``report`` subcommand: store directory → rendered report.
 
     Shares ``run``'s cache semantics in the read direction: the report is a
-    pure function of the store contents (plus the committed benchmark
-    baselines), missing grid cells render as explicit markers instead of
-    failing, and re-running after a resumed ``run`` just fills the gaps in.
+    pure function of the store contents, missing grid cells render as
+    explicit markers instead of failing, and re-running after a resumed
+    ``run`` just fills the gaps in.
     """
-    from repro.analysis import build_report, load_bench_trajectories, load_store, write_report
+    from repro.analysis import build_report, load_store, write_report
     from repro.analysis.render import render_markdown
 
     try:
         analysis = load_store(args.store, grids=args.grid, seed_override=args.seed)
     except KeyError as exc:
         raise SystemExit(str(exc.args[0]) if exc.args else str(exc))
-    bench = load_bench_trajectories(args.bench_dir)
     figures_dir = Path(args.html) / "figures" if args.html else None
-    doc = build_report(
-        analysis, bench=bench, title=args.title, figures_dir=figures_dir
-    )
+    doc = build_report(analysis, title=args.title, figures_dir=figures_dir)
     written = write_report(doc, html_dir=args.html, markdown_path=args.markdown)
     if not args.quiet:
         print(render_markdown(doc))
@@ -639,22 +632,20 @@ def _serve_command(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise SystemExit(str(exc))
-    env_overrides = _fault_retry_env(args)
-    saved = {var: os.environ.get(var) for var in env_overrides}
-    os.environ.update(env_overrides)
     try:
-        if args.trace:
-            from repro.telemetry import TelemetrySession
+        with env_overrides(_fault_retry_env(args)):
+            if args.trace:
+                from repro.telemetry import TelemetrySession
 
-            with TelemetrySession(
-                label="serve",
-                trace_dir=args.trace,
-                attrs={"workers": args.workers, "port": args.port},
-            ) as session:
+                with TelemetrySession(
+                    label="serve",
+                    trace_dir=args.trace,
+                    attrs={"workers": args.workers, "port": args.port},
+                ) as session:
+                    counters = asyncio.run(serve_main(config))
+                print(f"wrote trace: {session.trace_path}")
+            else:
                 counters = asyncio.run(serve_main(config))
-            print(f"wrote trace: {session.trace_path}")
-        else:
-            counters = asyncio.run(serve_main(config))
     except InstanceSpecError as exc:
         raise SystemExit(f"bad --instance spec: {exc}")
     except OSError as exc:
@@ -664,12 +655,6 @@ def _serve_command(args: argparse.Namespace) -> int:
         raise SystemExit(f"cannot listen on {args.host}:{args.port}: {reason}")
     except KeyboardInterrupt:  # pragma: no cover - direct ^C before handler
         return 130
-    finally:
-        for var, value in saved.items():
-            if value is None:
-                os.environ.pop(var, None)
-            else:
-                os.environ[var] = value
     summary = ", ".join(f"{key}={counters[key]}" for key in sorted(counters))
     print(f"drained: {summary}")
     return 0
@@ -827,60 +812,44 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "scenarios":
         return _scenarios_command(args.name, args.tag)
 
-    env_overrides = _fault_retry_env(args)
+    fault_retry_env = _fault_retry_env(args)
     experiment_ids = resolve_experiment_ids(args.experiments)
 
     def _execute() -> Optional[List[ExperimentResult]]:
-        """The run's results, or None when it was interrupted."""
+        """The run's results, or None when SIGINT or SIGTERM interrupted it."""
+        from repro.resilience import drain_on_signal
+
         # Fault/retry specs travel via the environment so pool workers
         # inherit them; restored afterwards to keep the process reusable.
-        saved = {var: os.environ.get(var) for var in env_overrides}
-        os.environ.update(env_overrides)
         try:
-            return run_experiments(
-                experiment_ids,
-                seed=args.seed,
-                workers=args.workers,
-                store_dir=args.store,
-                chunksize=args.chunksize,
-                quiet=args.quiet,
-                instance_file=args.instance_file,
-                instance_backing=args.instance_backing,
-            )
+            with env_overrides(fault_retry_env), drain_on_signal():
+                return run_experiments(
+                    experiment_ids,
+                    seed=args.seed,
+                    workers=args.workers,
+                    store_dir=args.store,
+                    chunksize=args.chunksize,
+                    quiet=args.quiet,
+                    instance_file=args.instance_file,
+                    instance_backing=args.instance_backing,
+                )
         except KeyboardInterrupt:
             return None
-        finally:
-            for var, value in saved.items():
-                if value is None:
-                    os.environ.pop(var, None)
-                else:
-                    os.environ[var] = value
 
     from repro.telemetry import trace_dir_from_env
 
     trace_dir = args.trace or trace_dir_from_env()
     if trace_dir:
-        from contextlib import ExitStack
+        from repro.telemetry import TelemetrySession
 
-        from repro.telemetry import TelemetrySession, kernel_profiler, profiling_wanted
-
-        with ExitStack() as stack:
-            session_attrs = {"workers": args.workers, "seed": args.seed}
-            if args.instance_file is not None:
-                session_attrs["instance_backing"] = args.instance_backing
-            session = stack.enter_context(
-                TelemetrySession(
-                    label="-".join(args.experiments),
-                    trace_dir=trace_dir,
-                    attrs=session_attrs,
-                )
-            )
-            if profiling_wanted():
-                stack.enter_context(
-                    kernel_profiler(
-                        Path(trace_dir) / f"profile-kernels-{os.getpid()}.pstats"
-                    )
-                )
+        session_attrs = {"workers": args.workers, "seed": args.seed}
+        if args.instance_file is not None:
+            session_attrs["instance_backing"] = args.instance_backing
+        with TelemetrySession(
+            label="-".join(args.experiments),
+            trace_dir=trace_dir,
+            attrs=session_attrs,
+        ) as session:
             results = _execute()
         print(f"wrote trace: {session.trace_path}")
     else:

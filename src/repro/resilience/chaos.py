@@ -31,7 +31,6 @@ Example — a tiny grid survives a crashy schedule with parity::
 from __future__ import annotations
 
 import json
-import os
 import shutil
 import tempfile
 from dataclasses import dataclass, field
@@ -46,6 +45,7 @@ from repro.resilience.faults import (
     parse_fault_spec,
 )
 from repro.resilience.policy import RETRY_ENV_VAR, RetryPolicy
+from repro.utils.env import env_overrides
 
 #: The fault schedule ``repro chaos`` applies when ``--faults`` is not given:
 #: a 20% worker-crash rate plus torn store writes and transient mid-pass
@@ -176,38 +176,29 @@ def run_chaos(
     owns_root = root is None and not keep
     clean_root = base / "clean"
     chaos_root = base / "chaos"
-    saved_env = {
-        var: os.environ.get(var) for var in (FAULTS_ENV_VAR, RETRY_ENV_VAR)
-    }
+    # Clean reference leg: serial, faults force-disabled even if the
+    # surrounding environment carries REPRO_FAULTS.
+    restore_plan = install_plan(None)
     try:
-        # Clean reference leg: serial, faults force-disabled even if the
-        # surrounding environment carries REPRO_FAULTS.
-        restore_plan = install_plan(None)
-        try:
-            clean_store = ResultStore(clean_root)
-            TaskExecutor(workers=1, store=clean_store).run(list(tasks))
-        finally:
-            restore_plan()
+        clean_store = ResultStore(clean_root)
+        TaskExecutor(workers=1, store=clean_store).run(list(tasks))
+    finally:
+        restore_plan()
 
-        # Chaos leg: plan and retry policy travel via the environment so
-        # pool workers inherit them; the parent resolves the same env vars.
-        os.environ[FAULTS_ENV_VAR] = plan.spec()
-        if retry_spec is not None:
-            os.environ[RETRY_ENV_VAR] = retry_spec
+    # Chaos leg: plan and retry policy travel via the environment so
+    # pool workers inherit them; the parent resolves the same env vars.
+    overrides = {FAULTS_ENV_VAR: plan.spec()}
+    if retry_spec is not None:
+        overrides[RETRY_ENV_VAR] = retry_spec
+    with env_overrides(overrides):
         chaos_store = ResultStore(chaos_root)
         with TelemetrySession(label="chaos") as session:
             TaskExecutor(workers=workers, store=chaos_store).run(list(tasks))
-        counters = {
-            name: int(value)
-            for name, value in session.registry.snapshot().get("counters", {}).items()
-            if name.split(".")[0] in ("fault", "retry", "degrade", "executor", "store")
-        }
-    finally:
-        for var, value in saved_env.items():
-            if value is None:
-                os.environ.pop(var, None)
-            else:
-                os.environ[var] = value
+    counters = {
+        name: int(value)
+        for name, value in session.registry.snapshot().get("counters", {}).items()
+        if name.split(".")[0] in ("fault", "retry", "degrade", "executor", "store")
+    }
 
     clean_payloads = _store_payloads(clean_root)
     chaos_payloads = _store_payloads(chaos_root)

@@ -46,6 +46,7 @@ Example — parse a spec and make deterministic decisions::
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from contextlib import contextmanager
@@ -54,6 +55,7 @@ from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
 from repro.exceptions import InjectedFaultError
+from repro.resilience.policy import spec_number
 from repro.telemetry import metrics
 from repro.telemetry.spans import event
 from repro.utils.rng import derive_seed
@@ -118,6 +120,13 @@ class FaultPlan:
     #: this down next to a short executor timeout.
     hang_s: float = 30.0
 
+    def __post_init__(self) -> None:
+        # ``time.sleep`` takes neither NaN nor infinity nor a negative span.
+        if not 0.0 <= self.hang_s < math.inf:
+            raise ValueError(
+                f"hang must be a finite number of seconds >= 0, got {self.hang_s}"
+            )
+
     def decide(self, site: str, key: str, attempt: int = 0) -> Optional[str]:
         """The kind that fires at ``(site, key, attempt)``, or ``None``.
 
@@ -139,9 +148,10 @@ class FaultPlan:
 
     def spec(self) -> str:
         """Render back to the ``REPRO_FAULTS`` spec grammar (round-trips)."""
-        clauses = [f"seed={self.seed}", f"hang={self.hang_s:g}"]
+        clauses = [f"seed={self.seed}", f"hang={spec_number(self.hang_s)}"]
         clauses += [
-            f"{rule.site}:{rule.kind}:{rule.rate:g}:{rule.until}" for rule in self.rules
+            f"{rule.site}:{rule.kind}:{spec_number(rule.rate)}:{rule.until}"
+            for rule in self.rules
         ]
         return ",".join(clauses)
 

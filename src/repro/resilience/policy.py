@@ -32,6 +32,7 @@ Example — deterministic backoff and spec round-trip::
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass, replace
@@ -46,6 +47,17 @@ RETRY_ENV_VAR = "REPRO_RETRY"
 
 #: 2^64, the denominator turning a derived seed into a uniform in [0, 1).
 _SEED_SPACE = float(1 << 64)
+
+
+def spec_number(value: float) -> str:
+    """``value`` as spec text that parses back to exactly ``value``.
+
+    The short ``:g`` form where it is exact (``30``, ``0.2``), else ``repr``:
+    ``:g`` keeps six significant digits, so ``1000001.0`` would come back as
+    ``1000000.0``.
+    """
+    text = f"{value:g}"
+    return text if float(text) == value else repr(value)
 
 
 @dataclass(frozen=True)
@@ -72,16 +84,19 @@ class RetryPolicy:
     max_pool_respawns: int = 3
 
     def __post_init__(self) -> None:
+        # NaN fails every comparison, so each float check is written to
+        # refuse it; ``time.sleep`` and the executor's waits cannot take an
+        # infinite duration either.
         if self.max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.base_backoff < 0 or self.max_backoff < 0:
-            raise ValueError("backoff durations must be non-negative")
-        if self.multiplier < 1.0:
+        if not all(0 <= d < math.inf for d in (self.base_backoff, self.max_backoff)):
+            raise ValueError("backoff durations must be finite and non-negative")
+        if not self.multiplier >= 1.0:
             raise ValueError(f"multiplier must be >= 1, got {self.multiplier}")
         if not 0.0 <= self.jitter <= 1.0:
             raise ValueError(f"jitter must be in [0, 1], got {self.jitter}")
-        if self.timeout is not None and self.timeout <= 0:
-            raise ValueError(f"timeout must be positive, got {self.timeout}")
+        if self.timeout is not None and not 0 < self.timeout < math.inf:
+            raise ValueError(f"timeout must be positive and finite, got {self.timeout}")
         if self.breaker_threshold < 1:
             raise ValueError(
                 f"breaker_threshold must be >= 1, got {self.breaker_threshold}"
@@ -95,15 +110,15 @@ class RetryPolicy:
         """Render back to the ``REPRO_RETRY`` spec grammar (round-trips)."""
         clauses = [
             f"attempts={self.max_attempts}",
-            f"backoff={self.base_backoff:g}",
-            f"multiplier={self.multiplier:g}",
-            f"max_backoff={self.max_backoff:g}",
-            f"jitter={self.jitter:g}",
+            f"backoff={spec_number(self.base_backoff)}",
+            f"multiplier={spec_number(self.multiplier)}",
+            f"max_backoff={spec_number(self.max_backoff)}",
+            f"jitter={spec_number(self.jitter)}",
             f"breaker={self.breaker_threshold}",
             f"respawns={self.max_pool_respawns}",
         ]
         if self.timeout is not None:
-            clauses.append(f"timeout={self.timeout:g}")
+            clauses.append(f"timeout={spec_number(self.timeout)}")
         return ",".join(clauses)
 
 

@@ -17,8 +17,8 @@ measurement substrate:
   output-neutral.  Sessions snapshot for cross-process aggregation and export
   trace JSONL files (schema in :mod:`~repro.telemetry.schema`,
   ``repro validate-trace`` checks them).
-* **Profiling** (:mod:`~repro.telemetry.profiling`): opt-in cProfile wrapping
-  of kernel primitives and the measured-overhead guard behind the ≤5% gate.
+* **Overhead guard** (:mod:`~repro.telemetry.profiling`): the measurement
+  behind the ≤5% gate.
 
 See ``docs/observability.md`` for the span taxonomy and metric name registry.
 
@@ -40,13 +40,7 @@ from repro.telemetry.metrics import (
     merge_counter_maps,
     observe,
 )
-from repro.telemetry.profiling import (
-    PROFILE_ENV_VAR,
-    kernel_profile,
-    kernel_profiler,
-    measure_overhead,
-    profiling_wanted,
-)
+from repro.telemetry.profiling import measure_overhead
 from repro.telemetry.schema import (
     TRACE_SCHEMA,
     validate_trace_dir,
@@ -74,7 +68,6 @@ __all__ = [
     "InstrumentedKernel",
     "InstrumentedTracker",
     "MetricsRegistry",
-    "PROFILE_ENV_VAR",
     "TELEMETRY_ENV_VAR",
     "TRACE_ENV_VAR",
     "TRACE_SCHEMA",
@@ -88,13 +81,10 @@ __all__ = [
     "event",
     "gauge_set",
     "instrument_kernel",
-    "kernel_profile",
-    "kernel_profiler",
     "measure_overhead",
     "merge_counter_maps",
     "merge_telemetry_blocks",
     "observe",
-    "profiling_wanted",
     "span",
     "summarize_snapshot",
     "trace_dir_from_env",

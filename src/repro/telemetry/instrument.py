@@ -11,9 +11,7 @@ surface (``packed_bytes`` on the NumPy kernel, ``hasattr`` probes in
 :class:`~repro.kernels.base.Kernel` protocol.
 
 ``make_kernel`` only installs the proxy while a telemetry session is active,
-so the telemetry-off hot path is byte-for-byte the unwrapped kernel.  When the
-:mod:`repro.telemetry.profiling` kernel profiler is armed, each metered
-primitive also runs under its ``cProfile`` collector.
+so the telemetry-off hot path is byte-for-byte the unwrapped kernel.
 
 Example — calls and words accumulate per primitive::
 
@@ -34,7 +32,6 @@ from __future__ import annotations
 from typing import Any, List, Sequence
 
 from repro.telemetry import metrics
-from repro.telemetry import profiling
 
 #: Metric-name pairs precomputed per primitive: the proxy sits on solver hot
 #: loops (thousands of calls per cover), so per-call f-string construction
@@ -101,72 +98,44 @@ class InstrumentedKernel:
             counters["kernel.words.gain"] = (
                 counters.get("kernel.words.gain", 0) + self._row_words
             )
-        if profiling._PROFILER.get() is None:
-            return self._kernel.gain(index, uncovered)
-        with profiling.kernel_profile():
-            return self._kernel.gain(index, uncovered)
+        return self._kernel.gain(index, uncovered)
 
     def gains(self, uncovered: int) -> List[int]:
         self._meter("gains", self._matrix_words)
-        if profiling._PROFILER.get() is None:
-            return self._kernel.gains(uncovered)
-        with profiling.kernel_profile():
-            return self._kernel.gains(uncovered)
+        return self._kernel.gains(uncovered)
 
     def best_gain_index(self, uncovered: int) -> "tuple[int, int]":
         self._meter("best_gain_index", self._matrix_words)
-        if profiling._PROFILER.get() is None:
-            return self._kernel.best_gain_index(uncovered)
-        with profiling.kernel_profile():
-            return self._kernel.best_gain_index(uncovered)
+        return self._kernel.best_gain_index(uncovered)
 
     def restrict(self, keep: int) -> List[int]:
         self._meter("restrict", self._matrix_words)
-        if profiling._PROFILER.get() is None:
-            return self._kernel.restrict(keep)
-        with profiling.kernel_profile():
-            return self._kernel.restrict(keep)
+        return self._kernel.restrict(keep)
 
     def element_frequencies(self) -> List[int]:
         self._meter("element_frequencies", self._matrix_words)
-        if profiling._PROFILER.get() is None:
-            return self._kernel.element_frequencies()
-        with profiling.kernel_profile():
-            return self._kernel.element_frequencies()
+        return self._kernel.element_frequencies()
 
     def union(self) -> int:
         self._meter("union", self._matrix_words)
-        if profiling._PROFILER.get() is None:
-            return self._kernel.union()
-        with profiling.kernel_profile():
-            return self._kernel.union()
+        return self._kernel.union()
 
     def set_sizes(self) -> List[int]:
         self._meter("set_sizes", self._matrix_words)
-        if profiling._PROFILER.get() is None:
-            return self._kernel.set_sizes()
-        with profiling.kernel_profile():
-            return self._kernel.set_sizes()
+        return self._kernel.set_sizes()
 
     def element_lists(self, indices: "Sequence[int] | None" = None) -> List[List[int]]:
         rows = self._kernel.num_sets if indices is None else len(indices)
         self._meter("element_lists", rows * self._row_words)
-        if profiling._PROFILER.get() is None:
-            return self._kernel.element_lists(indices)
-        with profiling.kernel_profile():
-            return self._kernel.element_lists(indices)
+        return self._kernel.element_lists(indices)
 
     def claim_resolution(self, keys: Sequence[int]) -> List[int]:
         self._meter("claim_resolution", self._matrix_words)
-        if profiling._PROFILER.get() is None:
-            return self._kernel.claim_resolution(keys)
-        with profiling.kernel_profile():
-            return self._kernel.claim_resolution(keys)
+        return self._kernel.claim_resolution(keys)
 
     def gain_tracker(self, uncovered: int) -> "InstrumentedTracker":
         self._meter("gain_tracker", self._matrix_words)
-        with profiling.kernel_profile():
-            tracker = self._kernel.gain_tracker(uncovered)
+        tracker = self._kernel.gain_tracker(uncovered)
         return InstrumentedTracker(tracker, self._row_words, self._counters)
 
     def prefers_tracker(self) -> bool:

@@ -1,24 +1,12 @@
-"""Opt-in profiling hooks and the measured-overhead guard.
+"""The measured-overhead guard for the telemetry subsystem.
 
-Two facilities live here, both strictly opt-in:
+:func:`measure_overhead` times a workload with telemetry off and on and
+reports the ratio.  The benchmark gate
+(``benchmarks/bench_telemetry_overhead.py``) and CI use it to enforce the
+≤5% budget the subsystem promises.
 
-* **Kernel profiling** — :func:`kernel_profiler` arms a ``cProfile.Profile``
-  in a context variable; while armed, every metered kernel primitive (see
-  :mod:`repro.telemetry.instrument`) runs under the collector via
-  :func:`kernel_profile`.  ``REPRO_PROFILE=kernels`` asks the CLI to arm it
-  for a run and dump ``profile-kernels-<pid>.pstats`` into the trace
-  directory.  Unarmed, :func:`kernel_profile` is a no-op context.
+Example::
 
-* **Overhead guard** — :func:`measure_overhead` times a workload with
-  telemetry off and on and reports the ratio.  The benchmark gate
-  (``benchmarks/bench_telemetry_overhead.py``) and CI use it to enforce the
-  ≤5% budget the subsystem promises.
-
-Example — the profile context is a transparent no-op when unarmed::
-
-    >>> with kernel_profile():
-    ...     1 + 1
-    2
     >>> overhead = measure_overhead(lambda: sum(range(200)), repeats=2)
     >>> sorted(overhead)
     ['off_s', 'on_s', 'ratio']
@@ -28,60 +16,7 @@ Example — the profile context is a transparent no-op when unarmed::
 
 from __future__ import annotations
 
-import cProfile
-import os
-from contextlib import contextmanager
-from contextvars import ContextVar
-from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Union
-
-PathLike = Union[str, Path]
-
-#: Environment variable arming the kernel profiler (value ``kernels``).
-PROFILE_ENV_VAR = "REPRO_PROFILE"
-
-_PROFILER: "ContextVar[Optional[cProfile.Profile]]" = ContextVar(
-    "repro_telemetry_profiler", default=None
-)
-
-
-def profiling_wanted() -> bool:
-    """Whether ``REPRO_PROFILE`` asks for kernel profiling."""
-    return os.environ.get(PROFILE_ENV_VAR, "").strip().lower() == "kernels"
-
-
-@contextmanager
-def kernel_profiler(dump_path: Optional[PathLike] = None):
-    """Arm a ``cProfile`` collector for kernel primitives in this context.
-
-    Yields the profile object; on exit, writes ``.pstats`` to ``dump_path``
-    when given.  The collector is *armed but disabled* — it only runs inside
-    :func:`kernel_profile` blocks, so non-kernel work is excluded.
-    """
-    profile = cProfile.Profile()
-    token = _PROFILER.set(profile)
-    try:
-        yield profile
-    finally:
-        _PROFILER.reset(token)
-        if dump_path is not None:
-            dump_path = Path(dump_path)
-            dump_path.parent.mkdir(parents=True, exist_ok=True)
-            profile.dump_stats(str(dump_path))
-
-
-@contextmanager
-def kernel_profile():
-    """Run a block under the armed kernel profiler (no-op when unarmed)."""
-    profile = _PROFILER.get()
-    if profile is None:
-        yield
-        return
-    profile.enable()
-    try:
-        yield
-    finally:
-        profile.disable()
+from typing import Any, Callable, Dict
 
 
 def measure_overhead(

@@ -12,7 +12,7 @@ import sys
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from test_analysis_render import GOLDEN_PATH, fixture_analysis, fixture_bench  # noqa: E402
+from test_analysis_render import GOLDEN_PATH, fixture_analysis  # noqa: E402
 
 from repro.analysis.render import build_report, render_markdown  # noqa: E402
 
@@ -20,7 +20,6 @@ from repro.analysis.render import build_report, render_markdown  # noqa: E402
 def main() -> None:
     doc = build_report(
         fixture_analysis(),
-        bench=fixture_bench(),
         title="Golden fixture report",
         use_mpl=False,
     )

@@ -2,10 +2,8 @@
 
 import pytest
 
-from repro.analysis.bench import BenchEntry, BenchTrajectory
 from repro.analysis.figures import (
     FigureArtifact,
-    bench_trajectory_figure,
     hbar,
     passes_vs_space_figure,
     space_vs_approximation_figure,
@@ -109,20 +107,3 @@ class TestPassesVsSpaceFigure:
     def test_empty_points_message(self):
         artifact = passes_vs_space_figure([], use_mpl=False)
         assert "no cells" in artifact.text
-
-
-class TestBenchTrajectoryFigure:
-    def test_sparkline_per_baseline(self):
-        trajectory = BenchTrajectory(
-            name="kernels",
-            schema="bench_kernels/v1",
-            entries=[BenchEntry("256x512", 4.9), BenchEntry("512x1024", 7.7)],
-        )
-        artifact = bench_trajectory_figure([trajectory], use_mpl=False)
-        assert artifact.kind == "text"
-        assert "kernels" in artifact.text
-        assert "best 7.7x" in artifact.text
-
-    def test_no_baselines_message(self):
-        artifact = bench_trajectory_figure([], use_mpl=False)
-        assert "no BENCH_" in artifact.text

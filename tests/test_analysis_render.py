@@ -4,7 +4,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.bench import BenchEntry, BenchTrajectory
 from repro.analysis.loader import MissingCell, StoreAnalysis
 from repro.analysis.records import AnalysisRecord
 from repro.analysis.render import (
@@ -83,26 +82,15 @@ def fixture_analysis():
     )
 
 
-def fixture_bench():
-    return [
-        BenchTrajectory(
-            name="kernels",
-            schema="bench_kernels/v1",
-            entries=[BenchEntry("256x512", 4.9), BenchEntry("2048x4096", 13.3)],
-        )
-    ]
-
-
 class TestBuildReport:
     def test_document_sections(self):
-        doc = build_report(fixture_analysis(), bench=fixture_bench(), use_mpl=False)
+        doc = build_report(fixture_analysis(), use_mpl=False)
         headings = [b.text for b in doc.blocks if isinstance(b, Heading)]
         assert "Space–approximation tradeoff" in headings
         assert "Passes vs space" in headings
         assert "Workload detail" in headings
         assert "Missing cells" in headings
         assert "Other experiment results" in headings
-        assert "Benchmark trajectory" in headings
 
     def test_figures_are_text_without_mpl(self):
         doc = build_report(fixture_analysis(), use_mpl=False)
@@ -129,7 +117,6 @@ class TestGoldenMarkdown:
     def test_matches_golden_file(self):
         doc = build_report(
             fixture_analysis(),
-            bench=fixture_bench(),
             title="Golden fixture report",
             use_mpl=False,
         )
@@ -165,7 +152,7 @@ class TestRenderMarkdown:
 
 class TestRenderHtml:
     def test_self_contained_page(self):
-        doc = build_report(fixture_analysis(), bench=fixture_bench(), use_mpl=False)
+        doc = build_report(fixture_analysis(), use_mpl=False)
         html = render_html(doc)
         assert html.startswith("<!DOCTYPE html>")
         assert "<style>" in html

@@ -1,6 +1,7 @@
 """Unit tests for the command-line interface."""
 
 import json
+import os
 import socket
 
 import pytest
@@ -152,6 +153,23 @@ class TestRuntimePath:
 
 
 class TestInterruptedRun:
+    def test_fault_env_is_set_for_the_run_and_restored_when_it_raises(self, monkeypatch):
+        import repro.cli as cli
+        from repro.resilience import FAULTS_ENV_VAR
+
+        monkeypatch.delenv(FAULTS_ENV_VAR, raising=False)
+        seen = []
+
+        def fail(*args, **kwargs):
+            seen.append(os.environ.get(FAULTS_ENV_VAR))
+            raise RuntimeError("run failed")
+
+        monkeypatch.setattr(cli, "run_experiments", fail)
+        with pytest.raises(RuntimeError, match="run failed"):
+            main(["run", "E12", "--faults", "seed=1,engine.pass:raise:0.1"])
+        assert seen == ["seed=1,engine.pass:raise:0.1"]
+        assert FAULTS_ENV_VAR not in os.environ
+
     def test_interrupt_exits_130_writes_no_json_and_resumes(
         self, tmp_path, monkeypatch, capsys
     ):

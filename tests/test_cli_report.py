@@ -33,7 +33,6 @@ class TestParser:
     def test_grid_defaults_to_autodetect(self):
         args = build_parser().parse_args(["report", "s"])
         assert args.grid is None
-        assert args.bench_dir == "."
 
 
 class TestReportCommand:
@@ -102,25 +101,6 @@ class TestReportCommand:
     def test_unknown_grid_exits_with_message(self, tmp_path):
         with pytest.raises(SystemExit, match="unknown grid"):
             main(["report", str(tmp_path), "--grid", "nope"])
-
-    def test_bench_dir_section_included(self, tmp_path, capsys):
-        store = tmp_path / "store"
-        run_grid_into(store, cells=("adversarial",))
-        bench_dir = tmp_path / "bench"
-        bench_dir.mkdir()
-        (bench_dir / "BENCH_kernels.json").write_text(
-            json.dumps(
-                {
-                    "schema": "bench_kernels/v1",
-                    "grid": [{"n": 4, "m": 8, "greedy": {"speedup_numpy": 2.5}}],
-                }
-            )
-        )
-        capsys.readouterr()
-        assert main(["report", str(store), "--bench-dir", str(bench_dir)]) == 0
-        out = capsys.readouterr().out
-        assert "Benchmark trajectory" in out
-        assert "2.50x" in out
 
     def test_seed_override_matches_seeded_run(self, tmp_path, capsys):
         store = tmp_path / "store"

@@ -64,7 +64,7 @@ class TestGenApi:
     def test_analysis_page_documents_all_six_modules(self, gen_api, tmp_path):
         gen_api.main(api_dir=tmp_path)
         page = (tmp_path / "repro.analysis.md").read_text()
-        for module in ("bench", "figures", "loader", "records", "render", "tradeoff"):
+        for module in ("figures", "loader", "records", "render", "tradeoff"):
             assert f"## `repro.analysis.{module}`" in page
 
     def test_signatures_are_bounded(self, gen_api, tmp_path):

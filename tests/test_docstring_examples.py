@@ -46,8 +46,8 @@ AUDITED_MODULES = [
     "repro.telemetry.schema",
     "repro.telemetry.session",
     "repro.telemetry.spans",
+    "repro.utils.env",
     "repro.analysis",
-    "repro.analysis.bench",
     "repro.analysis.figures",
     "repro.analysis.loader",
     "repro.analysis.records",

@@ -66,6 +66,11 @@ class TestSpecParsing:
         with pytest.raises(ValueError, match="unknown fault-plan option"):
             parse_fault_spec("speed=3")
 
+    def test_hang_must_be_finite_and_non_negative(self):
+        for value in ("nan", "inf", "-1"):
+            with pytest.raises(ValueError, match="hang"):
+                parse_fault_spec(f"hang={value}")
+
     def test_empty_clauses_skipped(self):
         plan = parse_fault_spec("seed=1,,engine.pass:raise,")
         assert len(plan.rules) == 1

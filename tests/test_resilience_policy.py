@@ -31,6 +31,17 @@ class TestRetryPolicy:
             RetryPolicy(breaker_threshold=0)
         with pytest.raises(ValueError, match="max_pool_respawns"):
             RetryPolicy(max_pool_respawns=-1)
+        # NaN passes no comparison, and no wait can take infinity.
+        nan, inf = float("nan"), float("inf")
+        for field in ("base_backoff", "max_backoff"):
+            for value in (nan, inf):
+                with pytest.raises(ValueError, match="backoff"):
+                    RetryPolicy(**{field: value})
+        with pytest.raises(ValueError, match="multiplier"):
+            RetryPolicy(multiplier=nan)
+        for value in (nan, inf):
+            with pytest.raises(ValueError, match="timeout"):
+                RetryPolicy(timeout=value)
 
     def test_spec_round_trip(self):
         policy = RetryPolicy(

@@ -12,6 +12,7 @@ import multiprocessing
 import multiprocessing.context
 import pickle
 import time
+from pathlib import Path
 
 import pytest
 
@@ -378,6 +379,61 @@ class TestSignalDrain:
         with drain_on_signal(callback=lambda s: None):
             assert signal.getsignal(signal.SIGTERM) is not before
         assert signal.getsignal(signal.SIGTERM) is before
+
+    def test_run_drains_on_sigterm_like_an_interrupt(self, tmp_path):
+        """End-to-end: SIGTERM to a pooled `repro run` takes the SIGINT path."""
+        import os
+        import re
+        import signal
+        import subprocess
+        import sys
+
+        store = tmp_path / "store"
+        out = tmp_path / "out.json"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = "src"
+        env.pop(RETRY_ENV_VAR, None)
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.cli", "run", "adversarial",
+                "--workers", "2", "--store", str(store), "--quiet",
+                "--json", str(out),
+                # Every first attempt hangs 30 s: the run is mid-flight.
+                "--faults", "seed=1,executor.submit:hang:1:1",
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        )
+        try:
+            # The store opens inside the drain scope; give the pool a moment
+            # to fork its workers.
+            deadline = time.monotonic() + 30
+            while not store.exists() and time.monotonic() < deadline:
+                time.sleep(0.05)
+            time.sleep(1.0)
+            proc.send_signal(signal.SIGTERM)
+            _, stderr = proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 130, stderr
+        assert re.search(r"^interrupted: \d+ of 48 tasks finished$", stderr, re.M), stderr
+        assert not out.exists()
+        assert (store / "stats_journal").exists()  # store stats were flushed
+        # Forked workers carry the parent's command line, store path included.
+        time.sleep(0.5)
+        left = []
+        for cmdline in Path("/proc").glob("[0-9]*/cmdline"):
+            try:
+                if str(store).encode() in cmdline.read_bytes():
+                    left.append(cmdline.parent.name)
+            except OSError:
+                continue
+        assert left == []
 
     def test_service_drains_on_sigterm(self):
         """End-to-end: `repro serve` answers, then SIGTERM drains to exit 0."""
