@@ -50,13 +50,12 @@ class FigureArtifact:
         return self.kind == "png"
 
 
-def sparkline(values: Sequence[float], lo: Optional[float] = None, hi: Optional[float] = None) -> str:
+def sparkline(values: Sequence[float]) -> str:
     """Render values as a block-character sparkline (empty input → '')."""
     data = [float(value) for value in values]
     if not data:
         return ""
-    lo = min(data) if lo is None else lo
-    hi = max(data) if hi is None else hi
+    lo, hi = min(data), max(data)
     if hi <= lo:
         return SPARK_LEVELS[0] * len(data)
     span = hi - lo

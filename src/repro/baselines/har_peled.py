@@ -18,14 +18,14 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional
 
-from repro.core.element_sampling import element_sample, sampling_probability
+from repro.core.element_sampling import element_sample_mask, sampling_probability
 from repro.exceptions import InfeasibleInstanceError
 from repro.setcover.exact import exact_set_cover
 from repro.setcover.greedy import greedy_set_cover
 from repro.setcover.instance import SetSystem
 from repro.streaming.algorithm_base import StreamingAlgorithm, StreamingResult
 from repro.streaming.stream import SetStream
-from repro.utils.bitset import bitset_from_iterable, bitset_size, bitset_to_set
+from repro.utils.bitset import bitset_size
 from repro.utils.rng import SeedLike, spawn_rng
 
 
@@ -105,12 +105,12 @@ class IterativePruningSetCover(StreamingAlgorithm):
                 rho=rho,
                 constant=self.sampling_constant,
             )
-            sample = element_sample(
-                bitset_to_set(uncovered), probability, seed=self._rng.spawn()
+            sample_mask = element_sample_mask(
+                uncovered, probability, seed=self._rng.spawn()
             )
-            sample_mask = bitset_from_iterable(sample)
-            metadata["sample_sizes"].append(len(sample))
-            self.space.set_usage("sampled_universe", len(sample))
+            sample_size = bitset_size(sample_mask)
+            metadata["sample_sizes"].append(sample_size)
+            self.space.set_usage("sampled_universe", sample_size)
 
             # Pass: store every set's projection onto the sample — one
             # batched kernel call for the per-set projection sizes; the

@@ -16,6 +16,19 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.exceptions import ProtocolError
+from repro.utils.bitset import bitset_size, iter_bits
+
+
+@dataclass(frozen=True)
+class ElementSet:
+    """A set of universe elements carried in a message as its bitset mask.
+
+    Priced and rendered exactly like the ascending list of its elements
+    (:func:`payload_bits`, :meth:`Transcript.as_symbol`), so a protocol can
+    ship a mask without decoding it and the receiver reads the mask back.
+    """
+
+    mask: int
 
 
 def payload_bits(payload: Any) -> int:
@@ -29,6 +42,7 @@ def payload_bits(payload: Any) -> int:
     * ``str`` — 8 bits per character;
     * set/frozenset/list/tuple of ints — sum of element costs plus a length
       word;
+    * :class:`ElementSet` — the price of its ascending element list;
     * anything else — 64 bits per item as a conservative default.
     """
     if isinstance(payload, bool):
@@ -37,12 +51,36 @@ def payload_bits(payload: Any) -> int:
         return max(1, payload.bit_length())
     if isinstance(payload, str):
         return 8 * len(payload)
+    if isinstance(payload, ElementSet):
+        return _element_set_bits(payload.mask)
     if isinstance(payload, (set, frozenset, list, tuple)):
-        length_word = max(1, math.ceil(math.log2(len(payload) + 2)))
-        return length_word + sum(payload_bits(item) for item in payload)
+        return _length_word(len(payload)) + sum(payload_bits(item) for item in payload)
     if payload is None:
         return 1
     return 64
+
+
+def _length_word(count: int) -> int:
+    """Bits of the length word that precedes a collection of ``count`` items."""
+    return max(1, math.ceil(math.log2(count + 2)))
+
+
+def _element_set_bits(mask: int) -> int:
+    """The list price of the elements of ``mask``, counted per bit-length band.
+
+    Every element of ``[2^(j-1), 2^j)`` costs j bits and element 0 costs 1,
+    so the price is the length word plus Σⱼ j·popcount(mask ∩ [2^(j-1), 2^j))
+    plus 1 when element 0 is present: one shift and popcount per band
+    instead of one :func:`payload_bits` call per element.
+    """
+    bits = _length_word(bitset_size(mask)) + (mask & 1)
+    length = mask.bit_length()
+    low = 1
+    while low < length:
+        band = (mask >> low) & ((1 << low) - 1)
+        bits += low.bit_length() * bitset_size(band)
+        low <<= 1
+    return bits
 
 
 @dataclass
@@ -89,6 +127,8 @@ class Transcript:
 
 
 def _freeze(value: Any) -> Any:
+    if isinstance(value, ElementSet):
+        return tuple(iter_bits(value.mask))
     if isinstance(value, (set, frozenset)):
         return tuple(sorted(value))
     if isinstance(value, list):

@@ -13,12 +13,12 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.communication.model import Message, Protocol, Transcript, TwoPartyProtocol
+from repro.communication.model import ElementSet, Message, Protocol, Transcript, TwoPartyProtocol
 from repro.communication.protocols.setcover_protocol import SetCoverInput, merge_inputs
 from repro.core.element_sampling import element_sample
 from repro.setcover.instance import SetSystem
 from repro.setcover.maxcover import exact_max_coverage, greedy_max_coverage
-from repro.utils.bitset import bitset_from_iterable, bitset_to_set
+from repro.utils.bitset import bitset_from_iterable
 from repro.utils.rng import SeedLike, spawn_rng
 
 
@@ -42,8 +42,7 @@ class FullExchangeMaxCoverProtocol(TwoPartyProtocol):
         state: Dict[str, Any],
     ) -> Tuple[Any, Optional[Any]]:
         payload = [
-            (index, sorted(bitset_to_set(mask)))
-            for index, mask in sorted(alice_input.sets.items())
+            (index, ElementSet(mask)) for index, mask in sorted(alice_input.sets.items())
         ]
         return payload, None
 
@@ -53,10 +52,7 @@ class FullExchangeMaxCoverProtocol(TwoPartyProtocol):
         received: List[Message],
         state: Dict[str, Any],
     ) -> Tuple[Any, Optional[Any]]:
-        alice_sets = {
-            index: bitset_from_iterable(elements)
-            for index, elements in received[0].payload
-        }
+        alice_sets = {index: elements.mask for index, elements in received[0].payload}
         alice_input = SetCoverInput(bob_input.universe_size, alice_sets)
         system, _order = merge_inputs(alice_input, bob_input)
         if self.solver == "exact":
@@ -115,15 +111,12 @@ class SampledMaxCoverProtocol(Protocol):
         transcript.public_randomness = sorted(sample)
 
         alice_projections = [
-            (index, sorted(bitset_to_set(mask & sample_mask)))
+            (index, ElementSet(mask & sample_mask))
             for index, mask in sorted(alice_input.sets.items())
         ]
         transcript.messages.append(Message(sender="alice", payload=alice_projections))
 
-        projections = {
-            index: bitset_from_iterable(elements)
-            for index, elements in alice_projections
-        }
+        projections = {index: elements.mask for index, elements in alice_projections}
         for index, mask in bob_input.sets.items():
             projections[index] = mask & sample_mask
         order = sorted(projections)

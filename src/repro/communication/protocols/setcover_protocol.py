@@ -23,12 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.communication.model import Message, Protocol, Transcript, TwoPartyProtocol
-from repro.core.element_sampling import element_sample, sampling_probability
+from repro.communication.model import ElementSet, Message, Protocol, Transcript, TwoPartyProtocol
+from repro.core.element_sampling import element_sample_mask, sampling_probability
 from repro.setcover.exact import exact_set_cover
 from repro.setcover.greedy import greedy_set_cover
 from repro.setcover.instance import SetSystem
-from repro.utils.bitset import bitset_from_iterable, bitset_size, bitset_to_set
+from repro.utils.bitset import bitset_size
 from repro.utils.rng import SeedLike, spawn_rng
 
 
@@ -92,8 +92,7 @@ class FullExchangeSetCoverProtocol(TwoPartyProtocol):
         state: Dict[str, Any],
     ) -> Tuple[Any, Optional[Any]]:
         payload = [
-            (index, sorted(bitset_to_set(mask)))
-            for index, mask in sorted(alice_input.sets.items())
+            (index, ElementSet(mask)) for index, mask in sorted(alice_input.sets.items())
         ]
         return payload, None
 
@@ -103,10 +102,7 @@ class FullExchangeSetCoverProtocol(TwoPartyProtocol):
         received: List[Message],
         state: Dict[str, Any],
     ) -> Tuple[Any, Optional[Any]]:
-        alice_sets = {
-            index: bitset_from_iterable(elements)
-            for index, elements in received[0].payload
-        }
+        alice_sets = {index: elements.mask for index, elements in received[0].payload}
         alice_input = SetCoverInput(bob_input.universe_size, alice_sets)
         system, _order = merge_inputs(alice_input, bob_input)
         if self.solver == "exact":
@@ -188,7 +184,7 @@ class TwoPartyAlgorithmOneProtocol(Protocol):
                     sender=player,
                     payload={
                         "picked": picked_here,
-                        "uncovered": sorted(bitset_to_set(uncovered)),
+                        "uncovered": ElementSet(uncovered),
                     },
                     bits=n + 1 + len(picked_here) * max(1, (m).bit_length()),
                 )
@@ -206,28 +202,17 @@ class TwoPartyAlgorithmOneProtocol(Protocol):
                 rho=rho,
                 constant=self.sampling_constant,
             )
-            sample = element_sample(
-                bitset_to_set(uncovered), probability, seed=rng.spawn()
-            )
-            sample_mask = bitset_from_iterable(sample)
+            sample_mask = element_sample_mask(uncovered, probability, seed=rng.spawn())
 
             # Alice ships her projections onto the shared sample.
-            alice_projections = {
-                index: sorted(bitset_to_set(mask & sample_mask))
+            alice_projections = [
+                (index, ElementSet(mask & sample_mask))
                 for index, mask in sorted(alice_input.sets.items())
-            }
-            transcript.messages.append(
-                Message(
-                    sender="alice",
-                    payload=[(i, els) for i, els in alice_projections.items()],
-                )
-            )
+            ]
+            transcript.messages.append(Message(sender="alice", payload=alice_projections))
 
             # Bob covers the sample offline using all projections.
-            projections = {
-                index: bitset_from_iterable(elements)
-                for index, elements in alice_projections.items()
-            }
+            projections = {index: elements.mask for index, elements in alice_projections}
             for index, mask in bob_input.sets.items():
                 projections[index] = mask & sample_mask
             order = sorted(projections)
@@ -257,7 +242,7 @@ class TwoPartyAlgorithmOneProtocol(Protocol):
             # Alice reveals the full content of her chosen sets so both
             # players can shrink the uncovered universe identically.
             revealed = [
-                (index, sorted(bitset_to_set(alice_input.sets[index])))
+                (index, ElementSet(alice_input.sets[index]))
                 for index in round_choice
                 if index in alice_input.sets
             ]
@@ -271,7 +256,7 @@ class TwoPartyAlgorithmOneProtocol(Protocol):
         # -- clean-up: guarantee feasibility on coverable instances -----------
         if uncovered:
             for player, inputs in (("alice", alice_input), ("bob", bob_input)):
-                extra: List[Tuple[int, List[int]]] = []
+                extra: List[Tuple[int, ElementSet]] = []
                 for index in sorted(inputs.sets):
                     if uncovered == 0:
                         break
@@ -281,7 +266,7 @@ class TwoPartyAlgorithmOneProtocol(Protocol):
                     if mask & uncovered:
                         solution.append(index)
                         uncovered &= ~mask
-                        extra.append((index, sorted(bitset_to_set(mask))))
+                        extra.append((index, ElementSet(mask)))
                 if extra:
                     transcript.messages.append(
                         Message(sender=player, payload={"cleanup": extra})

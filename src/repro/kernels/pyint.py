@@ -105,7 +105,7 @@ class PyIntKernel:
     def element_frequencies(self) -> List[int]:
         frequencies = [0] * self._n
         for mask in self._masks:
-            # iter_bits is O(popcount) big-int ops; no intermediate set object.
+            # iter_bits decodes each mask directly; no intermediate set object.
             for element in iter_bits(mask):
                 frequencies[element] += 1
         return frequencies

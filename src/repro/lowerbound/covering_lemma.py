@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+from repro.utils.bitset import bitset_from_indices, bitset_size, universe_mask
 from repro.utils.rng import SeedLike, spawn_rng
 
 
@@ -72,27 +73,23 @@ def coverage_shortfall_trial(
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
     rng = spawn_rng(seed)
-    universe_elements = list(range(universe_size))
-    u_elements = set(universe_elements[:u_size])
-
-    uncovered = set(u_elements)
+    # Masks throughout: an element stays uncovered by a drawn set exactly
+    # when the set dropped it, so each draw intersects its dropped elements.
+    uncovered = universe_mask(u_size)
     for _ in range(k):
         if independent_drops:
             drop_probability = s / (2.0 * universe_size)
-            covered_set = {
-                element
-                for element in universe_elements
-                if not rng.bernoulli(drop_probability)
-            }
+            dropped = bitset_from_indices(
+                [e for e in range(universe_size) if rng.bernoulli(drop_probability)]
+            )
         else:
-            missing = set(rng.sample(universe_elements, s))
-            covered_set = set(universe_elements) - missing
-        uncovered -= covered_set
+            dropped = rng.subset_mask(universe_size, s)
+        uncovered &= dropped
         if not uncovered:
             break
 
     threshold = lemma_2_2_threshold(universe_size, u_size, s, k)
-    count = len(uncovered)
+    count = bitset_size(uncovered)
     return CoverageTrial(
         uncovered_count=count,
         threshold=threshold,

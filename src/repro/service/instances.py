@@ -42,6 +42,7 @@ from __future__ import annotations
 from typing import Any, Dict, Tuple
 
 from repro.setcover.instance import SetSystem
+from repro.utils.bitset import MAX_UNIVERSE_SIZE
 
 #: The default spec ``repro serve`` uses when no ``--instance`` is given.
 #: Sized so every request kind — including ``estimate``, whose multi-pass
@@ -128,6 +129,8 @@ def build_instance(spec: str) -> Tuple[str, SetSystem]:
         return name, system
 
     n = _as_int(options, "n", required=True)
+    if n > MAX_UNIVERSE_SIZE:
+        raise InstanceSpecError(f"instance key 'n' {n} exceeds the limit {MAX_UNIVERSE_SIZE}")
     m = _as_int(options, "m", required=True)
     seed = _as_int(options, "seed", default=0)
 

@@ -66,7 +66,7 @@ from repro.exceptions import (
 )
 from repro.kernels import BACKENDS
 from repro.setcover.instance import PackedSetSystem, SetSystem, packed_row_bytes
-from repro.utils.bitset import universe_mask
+from repro.utils.bitset import MAX_UNIVERSE_SIZE, universe_mask
 
 #: Magic prefix of the on-disk container format (8 bytes, version in name).
 CONTAINER_MAGIC = b"REPROSC1"
@@ -778,6 +778,11 @@ def read_container_header(path: str) -> Tuple[dict, int]:
         count = header[key]
         if isinstance(count, bool) or not isinstance(count, int) or count < 0:
             raise ValueError(f"{path!r} header is missing a valid {key!r}")
+    if header["universe_size"] > MAX_UNIVERSE_SIZE:
+        raise ValueError(
+            f"{path!r} header 'universe_size' {header['universe_size']} "
+            f"exceeds the limit {MAX_UNIVERSE_SIZE}"
+        )
     names = header["names"]
     if names is not None and not (
         isinstance(names, list)

@@ -9,7 +9,7 @@ benchmarks sweep the universe size.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Set
+from typing import Iterable, Iterator, List, Set
 
 
 def bitset_from_iterable(elements: Iterable[int]) -> int:
@@ -77,18 +77,61 @@ def mask_from_bools(bits) -> int:
 
 
 def bitset_to_set(mask: int) -> Set[int]:
-    """Expand a bitset into a plain Python set of element indices."""
+    """Expand a bitset into a plain Python set of element indices.
+
+    The elements are inserted in ascending order, so the set's iteration
+    order (which seeded samplers draw in) depends only on the mask.
+    """
     return set(iter_bits(mask))
 
 
-def iter_bits(mask: int) -> Iterator[int]:
-    """Yield the indices of set bits in increasing order.
+#: ``_BYTE_BITS[value]``: the positions of the set bits of one byte, ascending.
+_BYTE_BITS = tuple(
+    tuple(bit for bit in range(8) if value >> bit & 1) for value in range(256)
+)
 
-    Uses the lowest-set-bit trick (``mask & -mask`` isolates the lowest set
-    bit, ``bit_length`` names it) so the cost is O(popcount) big-int ops
-    instead of O(universe size) single-bit shifts — this is the inner loop of
-    every streaming algorithm's element iteration.
+#: Decoder crossover (docs/performance.md, "Decoding a mask"): the byte
+#: table wins from 48 set bits at any length, and below that once a mask
+#: holds two set bits more than one per 24 bits of its length.  The loop's
+#: cost per set bit grows with the mask's length and the table's does not;
+#: the two bits pay for the table's fixed cost on short masks.
+_TABLE_BITS_PER_SET_BIT = 24
+_TABLE_FIXED_SET_BITS = 2
+_TABLE_MIN_SET_BITS = 48
+
+
+def iter_bits(mask: int) -> Iterator[int]:
+    """Iterate over the indices of set bits in increasing order.
+
+    Two decoders give the same sequence, and the mask's own popcount picks
+    one.  A dense mask is read from its little-endian bytes through a
+    256-entry table of bit positions: O(n/8 + popcount) for an n-bit mask.
+    A sparse one keeps the lowest-set-bit loop (``mask & -mask`` isolates
+    the lowest set bit, ``bit_length`` names it), which costs O(n/64) words
+    per set bit and so wins only while the set bits are few.
     """
+    count = bitset_size(mask)
+    excess = count - _TABLE_FIXED_SET_BITS
+    if count >= _TABLE_MIN_SET_BITS or excess * _TABLE_BITS_PER_SET_BIT >= mask.bit_length():
+        return iter(_table_bits(mask))
+    return _lowest_bits(mask)
+
+
+def _table_bits(mask: int) -> List[int]:
+    """Ascending set-bit indices of ``mask``, one table lookup per byte."""
+    positions: List[int] = []
+    append = positions.append
+    base = 0
+    for byte in mask.to_bytes((mask.bit_length() + 7) // 8, "little"):
+        if byte:
+            for bit in _BYTE_BITS[byte]:
+                append(base + bit)
+        base += 8
+    return positions
+
+
+def _lowest_bits(mask: int) -> Iterator[int]:
+    """Ascending set-bit indices of ``mask``, peeling the lowest bit each step."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -129,6 +172,14 @@ def bitset_intersection(*masks: int) -> int:
 def bitset_difference(a: int, b: int) -> int:
     """Return the set difference a \\ b."""
     return a & ~b
+
+
+#: The largest universe size n any instance input may declare: instance
+#: text, container headers, ``repro serve`` instance specs and
+#: ``gen-instance``.  Each parser checks it before building a mask, since a
+#: mask of n bits costs n/8 bytes however short the text declaring it (see
+#: docs/robustness.md, "Hostile instance input").
+MAX_UNIVERSE_SIZE = 1 << 24
 
 
 def universe_mask(n: int) -> int:

@@ -3,8 +3,9 @@
 Fault plans, retry policies and kernel or sampler choices travel through
 the environment (``REPRO_FAULTS``, ``REPRO_RETRY``, ``REPRO_KERNEL``,
 ``REPRO_SAMPLER_BATCH``), so a worker forked inside the scope inherits
-them. :func:`env_overrides` sets them for one block and puts the previous
-values back on every exit, an exception included.
+them. :func:`env_overrides` sets them for one block (``None`` unsets a
+variable) and puts the previous values back on every exit, an exception
+included.
 
 Example::
 
@@ -14,28 +15,41 @@ Example::
     '1'
     >>> "REPRO_EXAMPLE" in os.environ
     False
+    >>> os.environ["REPRO_EXAMPLE"] = "2"
+    >>> with env_overrides({"REPRO_EXAMPLE": None}):
+    ...     "REPRO_EXAMPLE" in os.environ
+    False
+    >>> os.environ.pop("REPRO_EXAMPLE")
+    '2'
 """
 
 from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Optional
 
 
 @contextmanager
-def env_overrides(overrides: Mapping[str, str]) -> Iterator[None]:
-    """Set ``overrides`` in ``os.environ`` for the block, then restore."""
+def env_overrides(overrides: Mapping[str, Optional[str]]) -> Iterator[None]:
+    """Set ``overrides`` in ``os.environ`` for the block, then restore.
+
+    A value of ``None`` unsets the variable for the block.
+    """
     saved = {name: os.environ.get(name) for name in overrides}
-    os.environ.update(overrides)
     try:
+        _apply(overrides)
         yield
     finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
+        _apply(saved)
+
+
+def _apply(values: Mapping[str, Optional[str]]) -> None:
+    for name, value in values.items():
+        if value is None:
+            os.environ.pop(name, None)
+        else:
+            os.environ[name] = value
 
 
 __all__ = ["env_overrides"]

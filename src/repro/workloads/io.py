@@ -33,6 +33,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, List, Optional, Union
 
 from repro.setcover.instance import SetCoverInstance, SetSystem
+from repro.utils.bitset import MAX_UNIVERSE_SIZE
 
 PathLike = Union[str, Path]
 
@@ -126,7 +127,11 @@ def _parse_instance_lines(lines: Iterable[str]) -> SetCoverInstance:
             key, sep, encoded = body.partition(":")
             if not sep:
                 raise ValueError(f"malformed metadata line {line!r}")
-            extra_metadata.append((key.strip(), json.loads(encoded.strip())))
+            try:
+                value = json.loads(encoded.strip())
+            except RecursionError:
+                raise ValueError(f"metadata line nests too deeply: {line[:40]!r}...") from None
+            extra_metadata.append((key.strip(), value))
             continue
         if line.startswith("#"):
             continue
@@ -135,6 +140,10 @@ def _parse_instance_lines(lines: Iterable[str]) -> SetCoverInstance:
             if len(header) != 2:
                 raise ValueError(f"header must be 'n m', got {line!r}")
             universe_size, num_sets = int(header[0]), int(header[1])
+            if universe_size > MAX_UNIVERSE_SIZE:
+                raise ValueError(
+                    f"universe size {universe_size} exceeds the limit {MAX_UNIVERSE_SIZE}"
+                )
             continue
         row = [int(token) for token in line.split()] if line != "-" else []
         # Checked here: SetSystem would build the bitset 1 << element first.

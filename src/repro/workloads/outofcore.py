@@ -41,6 +41,7 @@ from repro.setcover.source import (
     ContainerWriter,
     SourceDescriptor,
 )
+from repro.utils.bitset import MAX_UNIVERSE_SIZE
 from repro.utils.rng import SeedLike, spawn_rng
 from repro.workloads.random_instances import bernoulli_masks
 
@@ -71,6 +72,10 @@ def generate_to_file(
     """
     if chunk_rows <= 0:
         raise ValueError("chunk_rows must be positive")
+    if universe_size > MAX_UNIVERSE_SIZE:
+        raise ValueError(
+            f"universe size {universe_size} exceeds the limit {MAX_UNIVERSE_SIZE}"
+        )
     rng = spawn_rng(seed)
     if set_size is not None and density is not None:
         raise ValueError("provide at most one of set_size and density")

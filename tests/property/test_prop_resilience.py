@@ -9,7 +9,6 @@ persisted entries are byte-identical to a fault-free serial run.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
 import pytest
@@ -21,6 +20,7 @@ from repro.resilience.durability import canonical_json
 from repro.resilience.faults import FAULTS_ENV_VAR
 from repro.runtime import ResultStore, RuntimeTask, TaskExecutor, freeze_params
 from repro.runtime.store import task_fingerprint
+from repro.utils.env import env_overrides
 
 #: One schedule per injection point (plus "no faults"), each at a rate that
 #: fires often but (until=1) always clears on the first retry.
@@ -52,20 +52,9 @@ def grid_tasks():
 
 def run_grid(tmp_root: Path, env: dict, workers: int):
     """Run the grid under ``env`` overrides; return (payloads, store bytes)."""
-    saved = {name: os.environ.get(name) for name in env}
-    os.environ.update({k: v for k, v in env.items() if v is not None})
-    for name, value in env.items():
-        if value is None:
-            os.environ.pop(name, None)
-    try:
+    with env_overrides(env):
         store = ResultStore(tmp_root)
         report = TaskExecutor(workers=workers, store=store).run(grid_tasks())
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
     payloads = [canonical_json(outcome.payload) for outcome in report.outcomes]
     entries = {}
     for task in grid_tasks():

@@ -32,9 +32,6 @@ class TestSparkline:
     def test_empty_series(self):
         assert sparkline([]) == ""
 
-    def test_explicit_bounds(self):
-        assert sparkline([5], lo=0, hi=10) == "▅"
-
 
 class TestHbar:
     def test_half_full(self):

@@ -386,6 +386,12 @@ class TestInstancePlaneFlags:
                  "--set-size", "2", "--density", "0.5"]
             )
 
+    def test_gen_instance_refuses_a_universe_beyond_the_limit(self, tmp_path):
+        path = tmp_path / "x.repro"
+        with pytest.raises(SystemExit, match="exceeds the limit"):
+            main(["gen-instance", str(path), "--n", "99999999999", "--m", "1"])
+        assert not path.exists() and not path.with_name("x.repro.tmp").exists()
+
     def test_run_header_reports_instance_and_dispatch(self, tmp_path, capsys):
         path = self.gen(tmp_path, capsys)
         cell = "ADV[algorithm=saha_getoor,order=random,workload=random]"

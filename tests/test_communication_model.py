@@ -1,6 +1,8 @@
 """Unit tests for the two-party communication model."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.communication.cost import (
     average_communication,
@@ -9,6 +11,7 @@ from repro.communication.cost import (
     worst_case_communication,
 )
 from repro.communication.model import (
+    ElementSet,
     Message,
     Transcript,
     TwoPartyProtocol,
@@ -16,6 +19,7 @@ from repro.communication.model import (
     run_protocol,
 )
 from repro.exceptions import ProtocolError
+from repro.utils.bitset import bitset_from_iterable
 
 
 class EchoProtocol(TwoPartyProtocol):
@@ -97,6 +101,59 @@ class TestMessageAndTranscript:
             output="Yes",
         )
         hash(transcript.as_symbol())
+
+
+class TestElementSet:
+    """An ``ElementSet`` is priced and rendered as its ascending element list."""
+
+    EDGE_SETS = (
+        set(),
+        {0},
+        {1},
+        {0, 1},
+        {2, 3},
+        {3, 4},
+        {7, 8, 255, 256},
+        set(range(600)),
+        set(range(1, 4097, 7)),
+        {4095, 4096},
+        {1 << 20},
+    )
+
+    def test_edge_cases_priced_like_the_sorted_list(self):
+        for elements in self.EDGE_SETS:
+            mask = bitset_from_iterable(elements)
+            assert payload_bits(ElementSet(mask)) == payload_bits(sorted(elements)), elements
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sets(st.integers(min_value=0, max_value=4096), max_size=400))
+    def test_price_equals_the_sorted_list_price(self, elements):
+        mask = bitset_from_iterable(elements)
+        assert payload_bits(ElementSet(mask)) == payload_bits(sorted(elements))
+        nested = [(5, ElementSet(mask)), (9, ElementSet(mask & 0xFF))]
+        assert payload_bits(nested) == payload_bits(
+            [(5, sorted(elements)), (9, sorted(e for e in elements if e < 8))]
+        )
+
+    def test_rendered_like_the_sorted_list(self):
+        for elements in self.EDGE_SETS:
+            mask = bitset_from_iterable(elements)
+            as_mask = Transcript(
+                messages=[
+                    Message(sender="alice", payload=[(3, ElementSet(mask))]),
+                    Message(sender="bob", payload={"uncovered": ElementSet(mask)}, bits=7),
+                ],
+                output=1,
+            )
+            as_list = Transcript(
+                messages=[
+                    Message(sender="alice", payload=[(3, sorted(elements))]),
+                    Message(sender="bob", payload={"uncovered": sorted(elements)}, bits=7),
+                ],
+                output=1,
+            )
+            assert as_mask.as_symbol() == as_list.as_symbol()
+            assert [m.bits for m in as_mask.messages] == [m.bits for m in as_list.messages]
 
 
 class TestRunProtocol:

@@ -95,6 +95,8 @@ class TestInstanceSpecs:
             "x=random:m=2",  # missing n
             "x=random:n=4,m=2,bogus=1",
             "x=random:n=4,m=2,seed=zzz",
+            "x=random:n=99999999999,m=1",
+            "x=planted:n=16777217,m=2,cover=1",
         ],
     )
     def test_bad_specs_rejected(self, spec):

@@ -34,6 +34,7 @@ from repro.setcover.source import (
     read_container_header,
     write_container,
 )
+from repro.utils.bitset import MAX_UNIVERSE_SIZE
 from repro.workloads.random_instances import random_instance, random_set_system
 
 BACKENDS = ["python"] + (["numpy"] if kernels.HAS_NUMPY else [])
@@ -181,6 +182,16 @@ class TestContainerFormat:
         )
         with pytest.raises(ValueError, match=field):
             MmapSource.open(bad)
+
+    def test_universe_beyond_the_limit_rejected(self, tmp_path, container):
+        path, _ = container
+        bad = rewrite_header(
+            path,
+            tmp_path / "huge.repro",
+            lambda header: header.update({"universe_size": MAX_UNIVERSE_SIZE + 1}),
+        )
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            read_container_header(bad)
 
     def test_deeply_nested_header_is_a_value_error(self, tmp_path):
         nested = b"[" * 100_000

@@ -1,8 +1,18 @@
 """Unit tests for the bitset helpers."""
 
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.element_sampling import element_sample, element_sample_mask
 from repro.utils.bitset import (
+    _TABLE_BITS_PER_SET_BIT,
+    _TABLE_FIXED_SET_BITS,
+    _TABLE_MIN_SET_BITS,
+    _lowest_bits,
+    _table_bits,
     bitset_difference,
     bitset_from_indices,
     bitset_from_iterable,
@@ -13,6 +23,7 @@ from repro.utils.bitset import (
     iter_bits,
     universe_mask,
 )
+from repro.utils.rng import RandomSource
 
 
 class TestBitsetFromIndices:
@@ -119,3 +130,79 @@ class TestUniverseMask:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             universe_mask(-1)
+
+
+def lowest_bit_loop(mask):
+    """The decoder ``iter_bits`` ran before the byte table, kept as the oracle."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def oracle_masks():
+    """``(width, mask)``: sparse and dense masks of every width class to 4096.
+
+    Every width up to 130 (each byte and the first two 64-bit words), and
+    each 64-bit boundary up to 4096 with its neighbours.  Per width: the
+    full mask, the top bit alone, random masks at four densities, and masks
+    holding exactly one bit fewer, as many and one more than the popcount
+    from which ``iter_bits`` switches to the byte table.
+    """
+    rng = random.Random(20170517)
+    boundaries = {w + d for w in range(128, 4097, 64) for d in (-1, 0, 1)}
+    for width in sorted(set(range(131)) | boundaries - {4097}):
+        yield width, (1 << width) - 1
+        if not width:
+            continue
+        top = 1 << (width - 1)
+        yield width, top
+        for density in (1 / 64, 1 / 32, 1 / 2, 15 / 16):
+            yield width, top | sum(1 << b for b in range(width) if rng.random() < density)
+        crossover = min(
+            _TABLE_FIXED_SET_BITS + -(-width // _TABLE_BITS_PER_SET_BIT), _TABLE_MIN_SET_BITS
+        )
+        for count in (crossover - 1, crossover, crossover + 1):
+            if 1 <= count <= width:
+                bits = rng.sample(range(width - 1), count - 1) + [width - 1]
+                yield width, sum(1 << b for b in bits)
+
+
+class TestDecodeAgainstLowestBitLoop:
+    def test_both_decoders_and_iter_bits_match_the_loop(self):
+        for width, mask in oracle_masks():
+            expected = list(lowest_bit_loop(mask))
+            assert _table_bits(mask) == expected, (width, mask)
+            assert list(_lowest_bits(mask)) == expected, (width, mask)
+            assert list(iter_bits(mask)) == expected, (width, mask)
+
+    def test_set_iteration_order_matches_the_loop(self):
+        # Samplers draw in the set's iteration order, which follows the
+        # insertion order once elements outgrow the hash table.
+        for width, mask in oracle_masks():
+            assert list(bitset_to_set(mask)) == list(set(lowest_bit_loop(mask))), width
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        width=st.integers(min_value=0, max_value=4096),
+        density=st.floats(min_value=0.0, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    def test_random_masks_match_the_loop(self, width, density, seed):
+        rng = random.Random(seed)
+        mask = sum(1 << b for b in range(width) if rng.random() < density)
+        assert list(iter_bits(mask)) == list(lowest_bit_loop(mask))
+        assert list(bitset_to_set(mask)) == list(set(lowest_bit_loop(mask)))
+
+    def test_element_sample_mask_draws_in_the_loop_sets_order(self):
+        for index, (width, mask) in enumerate(oracle_masks()):
+            if index % 7:
+                continue
+            for probability in (0.0, 0.3, 1.0):
+                expected_rng, rng = RandomSource(index), RandomSource(index)
+                expected = element_sample(
+                    set(lowest_bit_loop(mask)), probability, seed=expected_rng
+                )
+                sampled = element_sample_mask(mask, probability, seed=rng)
+                assert sampled == bitset_from_iterable(expected), (width, probability)
+                assert rng.random() == expected_rng.random()

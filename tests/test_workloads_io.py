@@ -1,8 +1,11 @@
 """Unit tests for instance serialisation."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.setcover.instance import SetCoverInstance, SetSystem
+from repro.utils.bitset import MAX_UNIVERSE_SIZE
 from repro.workloads.io import dumps_instance, load_instance, loads_instance, save_instance
 from repro.workloads.random_instances import plant_cover_instance
 
@@ -129,8 +132,81 @@ class TestParsingErrors:
         with pytest.raises(ValueError, match="outside the universe"):
             loads_instance(f"2 1\n{element}\n")
 
+    @pytest.mark.parametrize("n", ["99999999999", str(MAX_UNIVERSE_SIZE + 1), "9" * 400])
+    def test_universe_beyond_the_limit(self, n):
+        # Refused at the header, before the universe mask is built.
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            loads_instance(f"{n} 1\n0\n")
+
+    def test_universe_at_the_limit(self):
+        instance = loads_instance(f"{MAX_UNIVERSE_SIZE} 1\n{MAX_UNIVERSE_SIZE - 1}\n")
+        assert instance.system.elements(0) == frozenset({MAX_UNIVERSE_SIZE - 1})
+
+    def test_deeply_nested_metadata_is_a_value_error(self):
+        with pytest.raises(ValueError, match="nests too deeply"):
+            loads_instance("# meta x: " + "[" * 100_000 + "\n1 0\n")
+
     def test_comments_ignored(self):
         text = "# a comment\n3 1\n0 1 2\n"
         instance = loads_instance(text)
         assert instance.system.num_sets == 1
         assert instance.system.elements(0) == frozenset({0, 1, 2})
+
+
+#: Integers around every threshold the parser checks, and far beyond them.
+_NUMBERS = st.one_of(
+    st.integers(min_value=-3, max_value=40),
+    st.sampled_from([MAX_UNIVERSE_SIZE - 1, MAX_UNIVERSE_SIZE, MAX_UNIVERSE_SIZE + 1]),
+    st.integers(min_value=-(2**70), max_value=2**70),
+)
+_TOKENS = st.one_of(_NUMBERS.map(str), st.text(max_size=6))
+_LINES = st.one_of(
+    st.tuples(_NUMBERS, _NUMBERS).map(lambda nm: f"{nm[0]} {nm[1]}"),
+    st.lists(_TOKENS, max_size=6).map(" ".join),
+    st.lists(st.integers(min_value=-1, max_value=64), max_size=8).map(
+        lambda row: " ".join(map(str, row))
+    ),
+    st.just("-"),
+    _TOKENS.map(lambda token: f"# planted_opt: {token}"),
+    _TOKENS.map(lambda token: f"# kind: {token}"),
+    st.tuples(st.text(max_size=4), st.text(max_size=12)).map(
+        lambda kv: f"# meta {kv[0]}: {kv[1]}"
+    ),
+    st.text(max_size=20),
+)
+
+
+@st.composite
+def _near_valid_documents(draw):
+    """A well-formed document, then up to two lines replaced by fuzz lines."""
+    n = draw(st.one_of(st.integers(min_value=0, max_value=40), _NUMBERS))
+    elements = st.integers(min_value=0, max_value=max(0, min(n, 64) - 1))
+    rows = draw(st.lists(st.lists(elements, max_size=6), max_size=6))
+    lines = [f"{n} {len(rows)}"] + [" ".join(map(str, row)) or "-" for row in rows]
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        lines[draw(st.integers(min_value=0, max_value=len(lines) - 1))] = draw(_LINES)
+    return "\n".join(lines)
+
+
+class TestLoadsInstanceFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            _near_valid_documents(),
+            st.lists(_LINES, max_size=10).map("\n".join),
+            st.text(max_size=60),
+        )
+    )
+    @example("99999999999 1\n0\n")
+    @example(f"{MAX_UNIVERSE_SIZE} 2\n{MAX_UNIVERSE_SIZE - 1}\n0 1\n")
+    @example("# meta x: " + "[" * 5000 + "\n1 0\n")
+    def test_any_text_parses_or_raises_value_error(self, text):
+        try:
+            instance = loads_instance(text)
+        except ValueError:
+            return
+        system = instance.system
+        assert isinstance(instance, SetCoverInstance)
+        assert 0 <= system.universe_size <= MAX_UNIVERSE_SIZE
+        full = (1 << system.universe_size) - 1
+        assert all(system.mask(i) & ~full == 0 for i in range(system.num_sets))
