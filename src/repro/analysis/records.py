@@ -111,13 +111,6 @@ class AnalysisRecord:
         return self.solution_size / self.opt_bound
 
     @property
-    def space_fraction(self) -> Optional[float]:
-        """Peak space as a fraction of the armed budget (``None`` unbudgeted)."""
-        if self.peak_space_words is None or not self.space_budget:
-            return None
-        return self.peak_space_words / self.space_budget
-
-    @property
     def outcome(self) -> str:
         """Row outcome: ``ok`` / ``infeasible`` / ``budget_exceeded`` / ``uncoverable``."""
         if self.budget_exceeded:

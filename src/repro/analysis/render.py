@@ -254,8 +254,8 @@ def _telemetry_blocks(analysis: StoreAnalysis) -> List[Block]:
     """The ``## Telemetry`` section: store activity plus per-cell timing.
 
     Renders nothing when the store has neither persisted stats nor any
-    entry carrying a ``telemetry`` block (a run without ``--trace`` /
-    ``REPRO_TELEMETRY``), so reports over uncaptured stores are unchanged.
+    entry carrying a ``telemetry`` block (a run without ``--trace``), so
+    reports over uncaptured stores are unchanged.
     """
     captured = [r for r in analysis.records if r.telemetry]
     if not captured and analysis.store_stats is None:
@@ -287,8 +287,7 @@ def _telemetry_blocks(analysis: StoreAnalysis) -> List[Block]:
         blocks.append(
             Paragraph(
                 "No stored cell carries a telemetry block — run with "
-                "`--trace DIR` (or `REPRO_TELEMETRY=1`) to capture per-cell "
-                "timing and counters."
+                "`--trace DIR` to capture per-cell timing and counters."
             )
         )
         return blocks

@@ -20,7 +20,7 @@ from repro.baselines.saha_getoor import SahaGetoorGreedy
 from repro.baselines.emek_rosen import EmekRosenSemiStreaming
 from repro.baselines.har_peled import IterativePruningSetCover
 from repro.baselines.demaine import ProgressiveGreedyPasses
-from repro.baselines.full_storage import StoreEverythingSetCover, StoreEverythingMaxCover
+from repro.baselines.full_storage import StoreEverythingSetCover
 from repro.baselines.mcgregor_vu import McGregorVuMaxCoverage
 
 __all__ = [
@@ -29,6 +29,5 @@ __all__ = [
     "IterativePruningSetCover",
     "ProgressiveGreedyPasses",
     "StoreEverythingSetCover",
-    "StoreEverythingMaxCover",
     "McGregorVuMaxCoverage",
 ]

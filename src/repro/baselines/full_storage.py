@@ -13,7 +13,6 @@ from typing import Optional
 
 from repro.setcover.exact import exact_set_cover
 from repro.setcover.greedy import greedy_set_cover
-from repro.setcover.maxcover import exact_max_coverage, greedy_max_coverage
 from repro.streaming.algorithm_base import StreamingAlgorithm, StreamingResult
 from repro.streaming.stream import SetStream
 
@@ -49,39 +48,3 @@ class StoreEverythingSetCover(StreamingAlgorithm):
             solution = greedy_set_cover(streamed)
         self.space.set_usage("solution", len(solution))
         return self._finalize(stream, solution)
-
-
-class StoreEverythingMaxCover(StreamingAlgorithm):
-    """Store the whole stream, then solve maximum k-coverage offline."""
-
-    name = "store-everything-maxcover"
-
-    def __init__(
-        self,
-        k: int,
-        solver: str = "greedy",
-        space_budget: Optional[int] = None,
-    ) -> None:
-        super().__init__(space_budget=space_budget)
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        if solver not in ("exact", "greedy"):
-            raise ValueError(f"solver must be 'exact' or 'greedy', got {solver!r}")
-        self.k = k
-        self.solver = solver
-
-    def run(self, stream: SetStream) -> StreamingResult:
-        streamed = stream.batched_pass()
-        sizes = streamed.kernel().set_sizes()
-        stored = 0
-        for set_index in stream.arrival_order:
-            stored += sizes[set_index]
-            self.space.set_usage("stored_incidences", stored)
-        if self.solver == "exact":
-            chosen, value = exact_max_coverage(streamed, self.k)
-        else:
-            chosen, value = greedy_max_coverage(streamed, self.k)
-        self.space.set_usage("solution", len(chosen))
-        return self._finalize(
-            stream, chosen, estimated_value=float(value), metadata={"k": self.k}
-        )

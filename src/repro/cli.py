@@ -107,18 +107,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="persistent result-store directory; repeated runs skip cached tasks",
     )
     run_parser.add_argument(
-        "--chunksize",
-        type=_positive_int,
-        default=None,
-        help="tasks per worker IPC round trip (default: auto, ~4 chunks per worker)",
-    )
-    run_parser.add_argument(
         "--trace",
         type=str,
         default=None,
         metavar="DIR",
-        help="capture telemetry and write a trace JSONL file to DIR "
-        "(also honoured via the REPRO_TRACE environment variable)",
+        help="capture telemetry and write a trace JSONL file to DIR",
     )
     run_parser.add_argument(
         "--faults",
@@ -170,10 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="exact elements per set (mutually exclusive with --density)",
     )
     gen_parser.add_argument("--seed", type=int, default=None)
-    gen_parser.add_argument(
-        "--chunk-rows", type=_positive_int, default=None,
-        help="rows generated per window (affects memory only, never the bytes)",
-    )
     gen_parser.add_argument(
         "--backend", choices=("auto", "python", "numpy"), default="auto",
         help="compute-kernel hint recorded in the container header",
@@ -442,7 +431,6 @@ def run_experiments(
     seed: Optional[int] = None,
     workers: int = 1,
     store_dir: Optional[str] = None,
-    chunksize: Optional[int] = None,
     printer: Callable[[str], None] = print,
     quiet: bool = False,
     instance_file: Optional[str] = None,
@@ -496,7 +484,7 @@ def run_experiments(
 
     store = ResultStore(store_dir) if store_dir else None
     try:
-        executor = TaskExecutor(workers=workers, store=store, chunksize=chunksize)
+        executor = TaskExecutor(workers=workers, store=store)
         report = executor.run(tasks)
     finally:
         if publication is not None:
@@ -729,9 +717,6 @@ def _gen_instance_command(args: argparse.Namespace) -> int:
     """
     from repro.workloads.outofcore import generate_to_file
 
-    kwargs = {}
-    if args.chunk_rows is not None:
-        kwargs["chunk_rows"] = args.chunk_rows
     try:
         descriptor = generate_to_file(
             args.path,
@@ -741,7 +726,6 @@ def _gen_instance_command(args: argparse.Namespace) -> int:
             density=args.density,
             seed=args.seed,
             backend=args.backend,
-            **kwargs,
         )
     except (ValueError, OSError) as exc:
         raise SystemExit(str(exc))
@@ -828,7 +812,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     seed=args.seed,
                     workers=args.workers,
                     store_dir=args.store,
-                    chunksize=args.chunksize,
                     quiet=args.quiet,
                     instance_file=args.instance_file,
                     instance_backing=args.instance_backing,
@@ -836,10 +819,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except KeyboardInterrupt:
             return None
 
-    from repro.telemetry import trace_dir_from_env
-
-    trace_dir = args.trace or trace_dir_from_env()
-    if trace_dir:
+    if args.trace:
         from repro.telemetry import TelemetrySession
 
         session_attrs = {"workers": args.workers, "seed": args.seed}
@@ -847,7 +827,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             session_attrs["instance_backing"] = args.instance_backing
         with TelemetrySession(
             label="-".join(args.experiments),
-            trace_dir=trace_dir,
+            trace_dir=args.trace,
             attrs=session_attrs,
         ) as session:
             results = _execute()

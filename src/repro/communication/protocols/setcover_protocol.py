@@ -49,15 +49,6 @@ class SetCoverInput:
         """Number of sets held by this player."""
         return len(self.sets)
 
-    def as_system(self) -> SetSystem:
-        """This player's sets alone, as a :class:`SetSystem` (local order)."""
-        indices = sorted(self.sets)
-        return SetSystem.from_masks(
-            self.universe_size,
-            [self.sets[i] for i in indices],
-            [f"S{i}" for i in indices],
-        )
-
 
 def merge_inputs(alice: SetCoverInput, bob: SetCoverInput) -> Tuple[SetSystem, List[int]]:
     """Merge the two shares into one system; returns (system, global indices)."""

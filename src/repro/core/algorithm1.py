@@ -326,8 +326,10 @@ def space_bound_words(
 ) -> float:
     """Lemma 3.8 shape: Õ(m·n^{1/α}/ε + n) expected stored words.
 
-    Returns the explicit expression ``constant · m · n^{1/α} · ln(m) / ε + n``
-    used by E1 as the predicted curve against measured peak space.
+    Returns the explicit expression ``constant · m · n^{1/α} · ln(m) / ε + n``.
+    No experiment evaluates it: E1 reports the Theorem 1 lower bound and
+    fitted exponents, so Algorithm 1's measured peak space is not yet
+    checked against this upper bound.
     """
     if universe_size <= 1:
         return float(universe_size)

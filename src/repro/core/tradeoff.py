@@ -122,10 +122,6 @@ class PowerLawFit:
         """The multiplicative constant C of the fitted power law."""
         return math.exp(self.log_constant)
 
-    def predict(self, x: float) -> float:
-        """Evaluate the fitted power law at x."""
-        return self.constant * x ** self.exponent
-
 
 def fit_power_law(xs: Sequence[float], ys: Sequence[float]) -> PowerLawFit:
     """Least-squares fit of ``y = C·x^e`` via linear regression in log space.

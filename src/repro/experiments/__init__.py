@@ -6,7 +6,7 @@ produces a :class:`~repro.experiments.harness.ExperimentResult`; the
 the resulting tables, and ``EXPERIMENTS.md`` records representative output.
 """
 
-from repro.experiments.harness import ExperimentResult, summarize_results
+from repro.experiments.harness import ExperimentResult
 from repro.experiments.experiment_defs import (
     run_e01_space_tradeoff,
     run_e02_passes_and_approx,
@@ -25,7 +25,6 @@ from repro.experiments.experiment_defs import (
 
 __all__ = [
     "ExperimentResult",
-    "summarize_results",
     "run_e01_space_tradeoff",
     "run_e02_passes_and_approx",
     "run_e03_element_sampling",

@@ -762,7 +762,11 @@ def run_e12_infotheory(
     t: int = 3,
     seed: int = 2028,
 ) -> ExperimentResult:
-    """Exact information quantities on D_Disj at small t plus Facts A.1–A.4."""
+    """Exact information quantities on D_Disj at small t, and four Appendix A facts.
+
+    The facts checked on the joint of D_Disj are A.1-(1), A.1-(2), A.1-(4)
+    and A.4.
+    """
     # Build the exact joint of (A, B, Z) under D_Disj.
     pmf: Dict[tuple, float] = {}
     for alice, bob, z, probability in enumerate_ddisj_support(t):

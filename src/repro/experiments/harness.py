@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable
+from typing import Any, Dict
 
 from repro.utils.tables import Table
 
@@ -41,10 +41,3 @@ class ExperimentResult:
 
     def __str__(self) -> str:
         return self.render()
-
-
-def summarize_results(results: Iterable[ExperimentResult]) -> str:
-    """Concatenate rendered experiment results with separators."""
-    blocks = [result.render() for result in results]
-    separator = "\n" + "=" * 72 + "\n"
-    return separator.join(blocks)

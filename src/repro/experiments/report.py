@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Union
+from typing import Any, Dict, Iterable, Optional, Union
 
 from repro.experiments.harness import ExperimentResult
 from repro.utils.tables import Table
@@ -76,12 +76,6 @@ def save_results_json(
     payload = [result_to_dict(result) for result in results]
     path.write_text(json.dumps(payload, indent=2, sort_keys=True))
     return path
-
-
-def load_results_json(path: PathLike) -> List[ExperimentResult]:
-    """Read results previously written by :func:`save_results_json`."""
-    payload = json.loads(Path(path).read_text())
-    return [result_from_dict(entry) for entry in payload]
 
 
 def render_markdown_report(

@@ -113,7 +113,7 @@ class JointDistribution:
                 raise KeyError(f"unknown variable {name!r}") from exc
         return indices
 
-    # -- marginalisation and conditioning -----------------------------------
+    # -- marginalisation and transformation ---------------------------------
     def marginal(self, names: Sequence[str]) -> "JointDistribution":
         """Marginal distribution of the named variables (in the given order)."""
         indices = self._indices(names)
@@ -122,24 +122,6 @@ class JointDistribution:
             key = tuple(assignment[i] for i in indices)
             pmf[key] = pmf.get(key, 0.0) + probability
         return JointDistribution(names, pmf)
-
-    def condition(
-        self, names: Sequence[str], values: Assignment
-    ) -> "JointDistribution":
-        """Distribution conditioned on ``names == values`` (same variable set)."""
-        indices = self._indices(names)
-        values = tuple(values)
-        pmf: Dict[Assignment, float] = {}
-        mass = 0.0
-        for assignment, probability in self._pmf.items():
-            if all(assignment[i] == values[j] for j, i in enumerate(indices)):
-                pmf[assignment] = probability
-                mass += probability
-        if mass <= 0:
-            raise ValueError(f"conditioning event {dict(zip(names, values))} has zero probability")
-        return JointDistribution(
-            self._variables, {k: v / mass for k, v in pmf.items()}
-        )
 
     def map_variable(
         self, name: str, new_name: str, func: Callable[[Hashable], Hashable]

@@ -4,8 +4,8 @@ Each ``check_fact_*`` function evaluates both sides of the corresponding
 inequality/identity on a concrete :class:`JointDistribution` and returns a
 :class:`FactCheck` recording the two sides and whether the fact holds (within
 a numerical tolerance).  The property-based tests feed random joints through
-these checks; the E12 benchmark reports them for the distributions appearing
-in the lower-bound proofs.
+every check; E12 reports four of them — Facts A.1-(1), A.1-(2), A.1-(4) and
+A.4 — on the exact joint of D_Disj.
 """
 
 from __future__ import annotations

@@ -100,10 +100,6 @@ class InformationOdometer:
         """Readings after every round, from 0 up to the longest transcript."""
         return [self.reading_after(r) for r in range(self._max_rounds + 1)]
 
-    def final_information_cost(self) -> float:
-        """Internal information cost of the full protocol."""
-        return self.reading_after(self._max_rounds).total
-
 
 def truncate_at_budget(
     odometer: InformationOdometer,

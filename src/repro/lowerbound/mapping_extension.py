@@ -14,7 +14,7 @@ universe.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Tuple
+from typing import FrozenSet, Iterable, List, Tuple
 
 from repro.exceptions import DistributionError
 from repro.utils.bitset import bitset_from_iterable
@@ -69,14 +69,6 @@ class MappingExtension:
     def extend_mask(self, subset: Iterable[int]) -> int:
         """f(A) as a bitset mask over the universe."""
         return bitset_from_iterable(self.extend(subset))
-
-    def preimage_table(self) -> Dict[int, int]:
-        """Map each covered universe element back to its block index."""
-        table: Dict[int, int] = {}
-        for block_index, block in enumerate(self.blocks):
-            for element in block:
-                table[element] = block_index
-        return table
 
 
 def block_sizes(universe_size: int, t: int) -> List[int]:

@@ -2,23 +2,19 @@
 
 * Set disjointness ``Disj_t`` with the hard distribution ``D_Disj`` of
   Section 2.2 (and its Yes / No conditionals).
-* Gap-Hamming-Distance ``GHD_t`` with the uniform distribution ``U``, the
-  size-conditioned ``U(a, b)``, and the ``D_GHD^{Y/N}`` conditionals of
-  Section 4.1.
+* Gap-Hamming-Distance ``GHD_t`` with the ``D_GHD^{Y/N}`` conditionals of
+  Section 4.1, drawn from the size-conditioned uniform ``U(a, b)``.
 """
 
 from repro.problems.disjointness import (
     DisjointnessInstance,
-    disjointness_answer,
     sample_ddisj,
     sample_ddisj_yes,
     sample_ddisj_no,
 )
 from repro.problems.ghd import (
     GHDInstance,
-    hamming_distance,
     ghd_answer,
-    sample_uniform_ghd,
     sample_dghd,
     sample_dghd_yes,
     sample_dghd_no,
@@ -26,14 +22,11 @@ from repro.problems.ghd import (
 
 __all__ = [
     "DisjointnessInstance",
-    "disjointness_answer",
     "sample_ddisj",
     "sample_ddisj_yes",
     "sample_ddisj_no",
     "GHDInstance",
-    "hamming_distance",
     "ghd_answer",
-    "sample_uniform_ghd",
     "sample_dghd",
     "sample_dghd_yes",
     "sample_dghd_no",

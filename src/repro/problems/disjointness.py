@@ -71,11 +71,6 @@ class DisjointnessInstance:
         return not (self.alice & self.bob)
 
 
-def disjointness_answer(instance: DisjointnessInstance) -> str:
-    """The Disj answer for an instance: "Yes" iff the sets are disjoint."""
-    return "Yes" if instance.is_disjoint else "No"
-
-
 def _sets_from_rolls(draws) -> tuple:
     """Apply the 1/3-1/3-1/3 roll transform ``⌊3u⌋`` to a float sequence."""
     numpy = batching_numpy()

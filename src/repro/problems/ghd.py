@@ -47,11 +47,6 @@ class GHDInstance:
         return len(self.alice ^ self.bob)
 
 
-def hamming_distance(a: FrozenSet[int], b: FrozenSet[int]) -> int:
-    """Size of the symmetric difference of two sets."""
-    return len(a ^ b)
-
-
 def ghd_answer(instance: GHDInstance) -> str:
     """The GHD answer: "Yes", "No", or "*" inside the promise gap."""
     threshold = math.sqrt(instance.t)
@@ -61,17 +56,6 @@ def ghd_answer(instance: GHDInstance) -> str:
     if distance <= instance.t / 2 - threshold:
         return "No"
     return "*"
-
-
-def sample_uniform_ghd(t: int, seed: SeedLike = None) -> GHDInstance:
-    """Sample (A, B) from the uniform distribution U on pairs of subsets."""
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
-    rng = spawn_rng(seed)
-    draws = rng.random_batch(2 * t)
-    alice = frozenset(e for e in range(t) if draws[e] < 0.5)
-    bob = frozenset(e for e in range(t) if draws[t + e] < 0.5)
-    return GHDInstance(t=t, alice=alice, bob=bob)
 
 
 def default_set_sizes(t: int) -> Tuple[int, int]:

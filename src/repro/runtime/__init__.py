@@ -31,7 +31,6 @@ from repro.runtime.executor import (
     TaskExecutor,
     TaskOutcome,
     default_chunksize,
-    run_cached,
 )
 from repro.runtime.scenarios import (
     SCENARIO_REGISTRY,
@@ -48,7 +47,6 @@ from repro.runtime.seeding import (
     DEFAULT_ROOT_SEED,
     SeedStreams,
     repetition_seed,
-    run_streams,
     scenario_seed,
     stream_seed,
 )
@@ -77,8 +75,6 @@ __all__ = [
     "register_grid",
     "register_scenario",
     "repetition_seed",
-    "run_cached",
-    "run_streams",
     "scenario_seed",
     "stream_seed",
     "task_fingerprint",

@@ -24,9 +24,6 @@ and telemetry are flushed, and a partial report (``interrupted=True``) is
 returned instead of a traceback.  No worker outlives a run, and a worker
 whose parent dies exits on its own.
 
-Also exposes :func:`run_cached`, the store-aware entry point the benchmark
-harness wraps experiment calls in.
-
 Instances embedded in tasks cross the worker boundary in the packed wire
 form (:class:`~repro.setcover.PackedSetSystem`): one contiguous bytes buffer
 per system instead of per-set Python objects, adopted zero-copy by the
@@ -51,25 +48,23 @@ import traceback
 from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing.connection import Connection, wait
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.exceptions import PayloadIntegrityError
 from repro.experiments.harness import ExperimentResult
-from repro.experiments.report import result_from_dict, result_to_dict
+from repro.experiments.report import result_from_dict
 from repro.experiments.workload_defs import release_instance_cache
 from repro.resilience.degrade import record_degradation
 from repro.resilience.durability import canonical_checksum
 from repro.resilience.faults import attempt_scope, faults_enabled, inject
 from repro.resilience.policy import CircuitBreaker, RetryPolicy, policy_from_env, retry_call
 from repro.resilience.workers import Worker, kill, spawn
-from repro.runtime.scenarios import freeze_params
 from repro.runtime.store import ResultStore
 from repro.runtime.tasks import RuntimeTask, execute_task
 from repro.telemetry import metrics
 from repro.telemetry.session import (
     TelemetrySession,
     active_session,
-    capture_wanted,
     merge_telemetry_blocks,
     summarize_snapshot,
 )
@@ -317,7 +312,7 @@ class TaskExecutor:
         """
         ordered = list(tasks)
         session = active_session()
-        capture = session is not None or capture_wanted()
+        capture = session is not None
         outcomes: Dict[int, TaskOutcome] = {}
         raw_telemetry: Dict[int, Dict[str, Any]] = {}
         pending: List[Tuple[int, RuntimeTask]] = []
@@ -621,35 +616,3 @@ def _await_replies(
             event("executor.timeout", tasks=len(chunk[0]))
             lost.append((worker, chunk))
     return replies, lost
-
-
-def run_cached(
-    func: Callable[..., ExperimentResult],
-    kwargs: Mapping[str, Any],
-    store: ResultStore,
-) -> Tuple[ExperimentResult, str]:
-    """Run an experiment function through the result store.
-
-    Resolves ``func`` back to its experiment-registry id so the fingerprint
-    matches CLI-initiated runs of the same computation; unregistered
-    functions are fingerprinted under their qualified name.  Returns the
-    result plus the outcome status (``"computed"``/``"cached"``).
-    """
-    from repro.experiments.runners import RUNNER_REGISTRY
-
-    runner_id = next(
-        (eid for eid, fn in RUNNER_REGISTRY.items() if fn is func),
-        f"{func.__module__}.{func.__qualname__}",
-    )
-    seed = kwargs.get("seed")
-    params = {key: value for key, value in kwargs.items() if key != "seed"}
-    task = RuntimeTask(
-        key=runner_id, runner=runner_id, params=freeze_params(params), seed=seed
-    )
-    cached = store.get(task)
-    if cached is not None:
-        store.record_skip()
-        return result_from_dict(cached), STATUS_CACHED
-    result = func(**kwargs)
-    store.put(task, result_to_dict(result))
-    return result, STATUS_COMPUTED

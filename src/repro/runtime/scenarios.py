@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.experiments.experiment_defs import (
     EXPERIMENT_DESCRIPTIONS,
@@ -116,10 +116,6 @@ class ScenarioSpec:
     def kwargs(self) -> Dict[str, Any]:
         """The runner keyword overrides as a plain dict."""
         return dict(self.params)
-
-    def resolve_runner(self) -> Callable[..., Any]:
-        """Look up the experiment function this scenario runs."""
-        return RUNNER_REGISTRY[self.runner]
 
 
 @dataclass(frozen=True)

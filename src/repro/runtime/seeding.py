@@ -30,7 +30,7 @@ Example — streams are cached per name and independent of creation order::
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Tuple, Union
+from typing import Dict, Iterator, Optional, Tuple
 
 from repro.utils.rng import RandomSource, derive_seed
 
@@ -92,11 +92,3 @@ class SeedStreams:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SeedStreams(base_seed={self.base_seed}, streams={self.names()})"
-
-
-def run_streams(
-    scenario_root: Optional[int], scenario_name: str, repetition: int = 0
-) -> SeedStreams:
-    """Convenience: the :class:`SeedStreams` for one repetition of a scenario."""
-    root = scenario_seed(scenario_root, scenario_name)
-    return SeedStreams(repetition_seed(root, repetition))

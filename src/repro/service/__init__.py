@@ -32,18 +32,22 @@ and load generator are imported from their modules directly.
 
 Example — the deadline token is ambient and cooperative::
 
-    >>> from repro.service.deadline import Deadline, deadline_scope, current_deadline
-    >>> current_deadline() is None
-    True
+    >>> from repro.exceptions import DeadlineExceededError
+    >>> from repro.service.deadline import Deadline, check_deadline, deadline_scope
+    >>> check_deadline()  # no deadline armed: a no-op
     >>> with deadline_scope(Deadline.after(60.0)):
-    ...     current_deadline().remaining() > 59.0
-    True
+    ...     check_deadline()  # budget left: a no-op too
+    >>> with deadline_scope(Deadline(expires_at=0.0)):  # already expired
+    ...     try:
+    ...         check_deadline()
+    ...     except DeadlineExceededError:
+    ...         print("expired")
+    expired
 """
 
 from repro.service.deadline import (
     Deadline,
     check_deadline,
-    current_deadline,
     deadline_scope,
     remaining_budget,
 )
@@ -63,7 +67,6 @@ __all__ = [
     "PROTOCOL_VERSION",
     "STATUSES",
     "check_deadline",
-    "current_deadline",
     "deadline_scope",
     "decode_frame",
     "encode_frame",

@@ -75,15 +75,6 @@ class ServiceClient:
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
 
-    def _roundtrip(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        send_message(self._sock, message)
-        response = recv_message(self._sock)
-        if response is None:
-            raise ServiceUnavailableError(
-                f"service at {self.host}:{self.port} closed the connection"
-            )
-        return response
-
     def request(
         self,
         kind: str,
@@ -92,22 +83,34 @@ class ServiceClient:
         deadline_s: Optional[float] = None,
         request_id: Optional[str] = None,
     ) -> Dict[str, Any]:
-        """Send one solver request and block for its response."""
+        """Send one request and block for its response.
+
+        Every call of this client goes through here, so a server that dies
+        mid-response raises :class:`ServiceUnavailableError` on each of them.
+        """
         self._seq += 1
         rid = request_id or f"c{self._seq}"
-        return self._roundtrip(
-            build_request(rid, kind, params=params, instance=instance, deadline_s=deadline_s)
+        send_message(
+            self._sock,
+            build_request(rid, kind, params=params, instance=instance, deadline_s=deadline_s),
         )
+        try:
+            response = recv_message(self._sock)
+        except FrameError as exc:
+            raise ServiceUnavailableError(str(exc)) from exc
+        if response is None:
+            raise ServiceUnavailableError(
+                f"service at {self.host}:{self.port} closed the connection"
+            )
+        return response
 
     def ping(self) -> Dict[str, Any]:
         """Liveness probe (answered inline even while draining)."""
-        self._seq += 1
-        return self._roundtrip(build_request(f"c{self._seq}", "ping"))
+        return self.request("ping")
 
     def health(self) -> Dict[str, Any]:
         """Readiness probe: queue depth, cache stats, pool state, counters."""
-        self._seq += 1
-        return self._roundtrip(build_request(f"c{self._seq}", "health"))
+        return self.request("health")
 
 
 class AsyncServiceClient:
@@ -148,7 +151,11 @@ class AsyncServiceClient:
         deadline_s: Optional[float] = None,
         request_id: Optional[str] = None,
     ) -> Dict[str, Any]:
-        """Send one request and await its response on this connection."""
+        """Send one request and await its response on this connection.
+
+        Every call of this client goes through here, so a server that dies
+        mid-response raises :class:`ServiceUnavailableError` on each of them.
+        """
         if self._writer is None or self._reader is None:
             raise ServiceUnavailableError("client is not connected")
         self._seq += 1
@@ -169,29 +176,11 @@ class AsyncServiceClient:
 
     async def ping(self) -> Dict[str, Any]:
         """Liveness probe (answered inline even while draining)."""
-        if self._writer is None or self._reader is None:
-            raise ServiceUnavailableError("client is not connected")
-        self._seq += 1
-        await write_message(self._writer, build_request(f"c{self._seq}", "ping"))
-        response = await read_message(self._reader)
-        if response is None:
-            raise ServiceUnavailableError(
-                f"service at {self.host}:{self.port} closed the connection"
-            )
-        return response
+        return await self.request("ping")
 
     async def health(self) -> Dict[str, Any]:
         """Readiness probe: queue depth, cache stats, pool state, counters."""
-        if self._writer is None or self._reader is None:
-            raise ServiceUnavailableError("client is not connected")
-        self._seq += 1
-        await write_message(self._writer, build_request(f"c{self._seq}", "health"))
-        response = await read_message(self._reader)
-        if response is None:
-            raise ServiceUnavailableError(
-                f"service at {self.host}:{self.port} closed the connection"
-            )
-        return response
+        return await self.request("health")
 
 
 __all__ = [

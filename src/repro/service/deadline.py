@@ -79,11 +79,6 @@ class Deadline:
         return clock() >= self.expires_at
 
 
-def current_deadline() -> Optional[Deadline]:
-    """The ambient deadline, or ``None`` when no scope is active."""
-    return _DEADLINE.get()
-
-
 @contextmanager
 def deadline_scope(deadline: Optional[Deadline]) -> Iterator[None]:
     """Make ``deadline`` ambient for the block (``None`` clears any outer one).
@@ -132,7 +127,6 @@ __all__ = [
     "Deadline",
     "check_deadline",
     "clock",
-    "current_deadline",
     "deadline_scope",
     "remaining_budget",
 ]

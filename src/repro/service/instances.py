@@ -42,7 +42,7 @@ from __future__ import annotations
 from typing import Any, Dict, Tuple
 
 from repro.setcover.instance import SetSystem
-from repro.utils.bitset import MAX_UNIVERSE_SIZE
+from repro.utils.bitset import MAX_UNIVERSE_SIZE, check_instance_bits
 
 #: The default spec ``repro serve`` uses when no ``--instance`` is given.
 #: Sized so every request kind — including ``estimate``, whose multi-pass
@@ -132,6 +132,10 @@ def build_instance(spec: str) -> Tuple[str, SetSystem]:
     if n > MAX_UNIVERSE_SIZE:
         raise InstanceSpecError(f"instance key 'n' {n} exceeds the limit {MAX_UNIVERSE_SIZE}")
     m = _as_int(options, "m", required=True)
+    try:
+        check_instance_bits(n, m)
+    except ValueError as error:
+        raise InstanceSpecError(str(error)) from None
     seed = _as_int(options, "seed", default=0)
 
     if generator == "random":

@@ -26,12 +26,8 @@ from repro.setcover.source import (
 )
 from repro.setcover.greedy import greedy_set_cover, greedy_cover_trace
 from repro.setcover.exact import exact_set_cover, exact_cover_value, brute_force_set_cover
-from repro.setcover.maxcover import (
-    greedy_max_coverage,
-    exact_max_coverage,
-    coverage_of,
-)
-from repro.setcover.verify import is_feasible_cover, verify_cover, uncovered_elements
+from repro.setcover.maxcover import greedy_max_coverage, exact_max_coverage
+from repro.setcover.verify import is_feasible_cover, verify_cover
 
 __all__ = [
     "PackedSetSystem",
@@ -55,8 +51,6 @@ __all__ = [
     "brute_force_set_cover",
     "greedy_max_coverage",
     "exact_max_coverage",
-    "coverage_of",
     "is_feasible_cover",
     "verify_cover",
-    "uncovered_elements",
 ]

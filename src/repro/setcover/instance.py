@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.exceptions import InfeasibleInstanceError
 from repro.utils.bitset import (
     bitset_from_iterable,
     bitset_size,
@@ -157,11 +156,6 @@ class SetSystem:
     def names(self) -> List[str]:
         """Per-set human readable names (copy)."""
         return list(self._names)
-
-    @property
-    def requested_backend(self) -> str:
-        """The backend request this system was constructed with."""
-        return self._backend
 
     @property
     def backend(self) -> str:
@@ -438,33 +432,6 @@ class SetSystem:
             backend=self._backend,
         )
 
-    def permuted(self, order: Sequence[int]) -> "SetSystem":
-        """Return a new system with sets re-ordered according to ``order``."""
-        if sorted(order) != list(range(self.num_sets)):
-            raise ValueError("order must be a permutation of the set indices")
-        return self.subsystem(list(order))
-
-    def incidence_count(self) -> int:
-        """Total number of (set, element) incidences — the input size ``O(mn)``."""
-        return sum(bitset_size(mask) for mask in self._masks)
-
-    def to_dict(self) -> Dict[str, object]:
-        """Serialise into plain Python data (for logging / fixtures)."""
-        return {
-            "universe_size": self._n,
-            "sets": [sorted(self.elements(i)) for i in range(self.num_sets)],
-            "names": list(self._names),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "SetSystem":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            int(payload["universe_size"]),
-            payload["sets"],  # type: ignore[arg-type]
-            payload.get("names"),  # type: ignore[arg-type]
-        )
-
 
 class SetCoverInstance:
     """A set cover instance: a :class:`SetSystem` plus solution bookkeeping.
@@ -496,19 +463,6 @@ class SetCoverInstance:
     def num_sets(self) -> int:
         """Number of sets m."""
         return self.system.num_sets
-
-    def require_coverable(self) -> None:
-        """Raise :class:`InfeasibleInstanceError` unless the instance is coverable."""
-        if not self.system.is_coverable():
-            raise InfeasibleInstanceError(
-                "the union of all sets does not cover the universe"
-            )
-
-    def approximation_ratio(self, solution_size: int) -> Optional[float]:
-        """Return ``solution_size / opt`` when the planted optimum is known."""
-        if self.planted_opt is None:
-            return None
-        return solution_size / self.planted_opt
 
     def __repr__(self) -> str:
         return (

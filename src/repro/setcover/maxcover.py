@@ -14,16 +14,11 @@ answer, a parity the conformance and property suites pin down.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.setcover.greedy import LazyGreedyPicker
 from repro.setcover.instance import SetSystem
 from repro.utils.bitset import bitset_size
-
-
-def coverage_of(system: SetSystem, indices: Iterable[int]) -> int:
-    """Number of universe elements covered by the union of ``indices``."""
-    return system.coverage(list(indices))
 
 
 def greedy_max_coverage(

@@ -865,11 +865,6 @@ class ContainerWriter:
         """Bytes per packed set row."""
         return self._row_bytes
 
-    @property
-    def rows_written(self) -> int:
-        """Rows appended so far."""
-        return self._rows_written
-
     def append_rows(self, data: bytes) -> None:
         """Append one or more packed rows (length multiple of ``row_bytes``)."""
         if self._closed:

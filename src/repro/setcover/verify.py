@@ -8,15 +8,10 @@ trust an algorithm's own claim of correctness.
 from __future__ import annotations
 
 from itertools import islice
-from typing import Iterable, Sequence, Set
+from typing import Iterable, Sequence
 
 from repro.setcover.instance import SetSystem
-from repro.utils.bitset import bitset_size, bitset_to_set, iter_bits
-
-
-def uncovered_elements(system: SetSystem, indices: Iterable[int]) -> Set[int]:
-    """Return the set of universe elements not covered by ``indices``."""
-    return bitset_to_set(system.uncovered_mask(list(indices)))
+from repro.utils.bitset import bitset_size, iter_bits
 
 
 def is_feasible_cover(system: SetSystem, indices: Iterable[int]) -> bool:

@@ -7,7 +7,7 @@ restricted — computation per item is free, exactly as in the paper's model.
 """
 
 from repro.streaming.space import SpaceMeter, SpaceReport
-from repro.streaming.stream import SetStream, StreamOrder, stream_from_system
+from repro.streaming.stream import SetStream, StreamOrder
 from repro.streaming.algorithm_base import StreamingAlgorithm, StreamingResult
 from repro.streaming.engine import MultiPassEngine, run_streaming_algorithm
 
@@ -16,7 +16,6 @@ __all__ = [
     "SpaceReport",
     "SetStream",
     "StreamOrder",
-    "stream_from_system",
     "StreamingAlgorithm",
     "StreamingResult",
     "MultiPassEngine",

@@ -163,13 +163,3 @@ class SetStream:
     def reset(self) -> None:
         """Reset the pass counter (the arrival order is preserved)."""
         self._passes_consumed = 0
-
-
-def stream_from_system(
-    system: SetSystem,
-    order: StreamOrder = StreamOrder.ADVERSARIAL,
-    seed: SeedLike = None,
-    permutation: Optional[Sequence[int]] = None,
-) -> SetStream:
-    """Convenience constructor mirroring :class:`SetStream`'s signature."""
-    return SetStream(system, order=order, permutation=permutation, seed=seed)

@@ -48,14 +48,10 @@ from repro.telemetry.schema import (
     validate_trace_line,
 )
 from repro.telemetry.session import (
-    TELEMETRY_ENV_VAR,
-    TRACE_ENV_VAR,
     TelemetrySession,
     active_session,
-    capture_wanted,
     merge_telemetry_blocks,
     summarize_snapshot,
-    trace_dir_from_env,
 )
 from repro.telemetry.spans import Tracer, active_tracer, clock, event, span
 from repro.telemetry.instrument import (
@@ -68,15 +64,12 @@ __all__ = [
     "InstrumentedKernel",
     "InstrumentedTracker",
     "MetricsRegistry",
-    "TELEMETRY_ENV_VAR",
-    "TRACE_ENV_VAR",
     "TRACE_SCHEMA",
     "TelemetrySession",
     "Tracer",
     "active_session",
     "active_tracer",
     "add",
-    "capture_wanted",
     "clock",
     "event",
     "gauge_set",
@@ -87,7 +80,6 @@ __all__ = [
     "observe",
     "span",
     "summarize_snapshot",
-    "trace_dir_from_env",
     "validate_trace_dir",
     "validate_trace_file",
     "validate_trace_line",

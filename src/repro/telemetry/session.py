@@ -38,7 +38,7 @@ import os
 import time
 from contextvars import ContextVar
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Union
+from typing import Any, Dict, Iterable, Optional, Union
 
 from repro.telemetry import metrics as _metrics
 from repro.telemetry import spans as _spans
@@ -48,12 +48,6 @@ from repro.telemetry.spans import Tracer, clock
 
 PathLike = Union[str, Path]
 
-#: Environment variable naming a directory to write trace JSONL files into.
-TRACE_ENV_VAR = "REPRO_TRACE"
-
-#: Environment variable enabling capture without trace export ("1"/"on").
-TELEMETRY_ENV_VAR = "REPRO_TELEMETRY"
-
 _SESSION: "ContextVar[Optional[TelemetrySession]]" = ContextVar(
     "repro_telemetry_session", default=None
 )
@@ -62,26 +56,6 @@ _SESSION: "ContextVar[Optional[TelemetrySession]]" = ContextVar(
 def active_session() -> "Optional[TelemetrySession]":
     """The telemetry session active in this context, or ``None``."""
     return _SESSION.get()
-
-
-def trace_dir_from_env() -> Optional[str]:
-    """The ``REPRO_TRACE`` directory, or ``None`` when unset/empty."""
-    value = os.environ.get(TRACE_ENV_VAR, "").strip()
-    return value or None
-
-
-def capture_wanted() -> bool:
-    """Whether the environment asks for telemetry capture.
-
-    True when ``REPRO_TRACE`` names a directory, or ``REPRO_TELEMETRY`` is a
-    truthy flag (anything except empty/``0``/``off``/``false``).  The
-    executor ORs it with an active session to decide whether its tasks
-    capture, and hands that decision to its workers as an explicit flag.
-    """
-    if trace_dir_from_env() is not None:
-        return True
-    flag = os.environ.get(TELEMETRY_ENV_VAR, "").strip().lower()
-    return flag not in ("", "0", "off", "false", "no")
 
 
 class TelemetrySession:

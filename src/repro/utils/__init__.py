@@ -6,8 +6,6 @@ from repro.utils.bitset import (
     bitset_to_set,
     bitset_size,
     bitset_union,
-    bitset_intersection,
-    bitset_difference,
     universe_mask,
     iter_bits,
 )
@@ -20,8 +18,6 @@ __all__ = [
     "bitset_to_set",
     "bitset_size",
     "bitset_union",
-    "bitset_intersection",
-    "bitset_difference",
     "universe_mask",
     "iter_bits",
     "Table",

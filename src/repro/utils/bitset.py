@@ -159,27 +159,32 @@ def bitset_union(*masks: int) -> int:
     return result
 
 
-def bitset_intersection(*masks: int) -> int:
-    """Return the intersection of the given bitsets (full universe if empty)."""
-    if not masks:
-        raise ValueError("intersection of zero bitsets is undefined")
-    result = masks[0]
-    for mask in masks[1:]:
-        result &= mask
-    return result
-
-
-def bitset_difference(a: int, b: int) -> int:
-    """Return the set difference a \\ b."""
-    return a & ~b
-
-
 #: The largest universe size n any instance input may declare: instance
 #: text, container headers, ``repro serve`` instance specs and
 #: ``gen-instance``.  Each parser checks it before building a mask, since a
 #: mask of n bits costs n/8 bytes however short the text declaring it (see
 #: docs/robustness.md, "Hostile instance input").
 MAX_UNIVERSE_SIZE = 1 << 24
+
+#: The most mask bits an instance read from instance text or built from a
+#: ``repro serve`` spec may hold: n·m, with each set counted in whole 64-bit
+#: words (at least one), as its packed row stores it.  A header declaring m
+#: costs a few bytes whatever m is, while m masks stay resident (see
+#: docs/robustness.md, "Hostile instance input").
+MAX_INSTANCE_BITS = 1 << 27
+
+
+def check_instance_bits(universe_size: int, num_sets: int) -> None:
+    """Raise ``ValueError`` when an n × m instance exceeds :data:`MAX_INSTANCE_BITS`.
+
+    Called with the declared sizes before any mask is built.
+    """
+    bits = num_sets * max(1, (universe_size + 63) // 64) * 64
+    if bits > MAX_INSTANCE_BITS:
+        raise ValueError(
+            f"instance of n={universe_size}, m={num_sets} needs {bits} mask bits, "
+            f"over the limit {MAX_INSTANCE_BITS}"
+        )
 
 
 def universe_mask(n: int) -> int:

@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, List, Optional, Union
 
 from repro.setcover.instance import SetCoverInstance, SetSystem
-from repro.utils.bitset import MAX_UNIVERSE_SIZE
+from repro.utils.bitset import MAX_UNIVERSE_SIZE, check_instance_bits
 
 PathLike = Union[str, Path]
 
@@ -144,6 +144,7 @@ def _parse_instance_lines(lines: Iterable[str]) -> SetCoverInstance:
                 raise ValueError(
                     f"universe size {universe_size} exceeds the limit {MAX_UNIVERSE_SIZE}"
                 )
+            check_instance_bits(universe_size, num_sets)
             continue
         row = [int(token) for token in line.split()] if line != "-" else []
         # Checked here: SetSystem would build the bitset 1 << element first.

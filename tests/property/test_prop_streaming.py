@@ -10,7 +10,6 @@ from repro.baselines import (
     McGregorVuMaxCoverage,
     ProgressiveGreedyPasses,
     SahaGetoorGreedy,
-    StoreEverythingMaxCover,
     StoreEverythingSetCover,
 )
 from repro.core.maxcover_stream import StreamingMaxCoverage
@@ -114,7 +113,6 @@ _PARITY_ALGORITHMS = [
     ("har-peled", lambda: IterativePruningSetCover(alpha=2, opt_guess=3, seed=101)),
     ("mcgregor-vu", lambda: McGregorVuMaxCoverage(k=2, sketch_size=3, seed=202)),
     ("store-setcover", lambda: StoreEverythingSetCover(solver="greedy")),
-    ("store-maxcover", lambda: StoreEverythingMaxCover(k=2, solver="greedy")),
     (
         "streaming-maxcover",
         lambda: StreamingMaxCoverage(k=2, epsilon=0.5, solver="greedy", seed=303),

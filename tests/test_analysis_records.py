@@ -96,11 +96,6 @@ class TestRecordFromEntry:
         record = record_from_entry(make_entry(solution_size=None))
         assert record.approx_ratio is None
 
-    def test_space_fraction(self):
-        record = record_from_entry(make_entry(space_budget=600))
-        assert record.space_fraction == pytest.approx(0.5)
-        assert record_from_entry(make_entry()).space_fraction is None
-
     def test_outcome_priority(self):
         assert record_from_entry(make_entry()).outcome == "ok"
         assert record_from_entry(make_entry(feasible=False)).outcome == "infeasible"

@@ -4,10 +4,9 @@ import pytest
 
 from repro.baselines.demaine import ProgressiveGreedyPasses
 from repro.baselines.emek_rosen import EmekRosenSemiStreaming
-from repro.baselines.full_storage import StoreEverythingMaxCover, StoreEverythingSetCover
+from repro.baselines.full_storage import StoreEverythingSetCover
 from repro.baselines.har_peled import IterativePruningSetCover, har_peled_space_words
 from repro.baselines.saha_getoor import SahaGetoorGreedy
-from repro.setcover.maxcover import exact_max_coverage
 from repro.setcover.verify import is_feasible_cover
 from repro.streaming.engine import run_streaming_algorithm
 from repro.workloads.random_instances import plant_cover_instance
@@ -110,23 +109,12 @@ class TestStoreEverything:
         assert result.solution_size == planted_instance.planted_opt
 
     def test_setcover_space_is_input_size(self, planted_instance):
-        algorithm = StoreEverythingSetCover()
-        result = run_streaming_algorithm(algorithm, planted_instance.system)
-        assert (
-            result.space.peak_by_category["stored_incidences"]
-            == planted_instance.system.incidence_count()
+        system = planted_instance.system
+        result = run_streaming_algorithm(StoreEverythingSetCover(), system)
+        assert result.space.peak_by_category["stored_incidences"] == sum(
+            system.set_size(i) for i in range(system.num_sets)
         )
-
-    def test_maxcover(self, planted_instance):
-        algorithm = StoreEverythingMaxCover(k=2, solver="exact")
-        result = run_streaming_algorithm(
-            algorithm, planted_instance.system, verify_solution=False
-        )
-        _, opt = exact_max_coverage(planted_instance.system, 2)
-        assert result.estimated_value == opt
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             StoreEverythingSetCover(solver="none")
-        with pytest.raises(ValueError):
-            StoreEverythingMaxCover(k=0)

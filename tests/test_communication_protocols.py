@@ -93,12 +93,6 @@ class TestSetCoverInputs:
         with pytest.raises(ValueError):
             merge_inputs(a, b)
 
-    def test_as_system(self):
-        payload = SetCoverInput(4, {3: 0b1010, 1: 0b0001})
-        system = payload.as_system()
-        assert system.num_sets == 2
-        assert system.names == ["S1", "S3"]
-
 
 class TestFullExchangeSetCover:
     def test_outputs_exact_opt(self, planted_instance):

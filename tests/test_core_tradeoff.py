@@ -96,10 +96,6 @@ class TestPowerLawFit:
         assert fit.constant == pytest.approx(3.0, rel=1e-9)
         assert fit.r_squared == pytest.approx(1.0)
 
-    def test_predict(self):
-        fit = PowerLawFit(exponent=2.0, log_constant=0.0, r_squared=1.0)
-        assert fit.predict(3.0) == pytest.approx(9.0)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             fit_power_law([1.0], [1.0])

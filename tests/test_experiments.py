@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.harness import ExperimentResult, summarize_results
+from repro.experiments.harness import ExperimentResult
 from repro.experiments.experiment_defs import (
     EXPERIMENT_REGISTRY,
     run_e02_passes_and_approx,
@@ -23,16 +23,6 @@ class TestHarness:
         result = ExperimentResult("E0", "demo experiment", table, {"k": 3})
         text = result.render()
         assert "E0" in text and "demo experiment" in text and "k = 3" in text
-
-    def test_summarize_results(self):
-        table = Table(["x"])
-        table.add_row(1)
-        results = [
-            ExperimentResult("E1", "one", table),
-            ExperimentResult("E2", "two", table),
-        ]
-        text = summarize_results(results)
-        assert "E1" in text and "E2" in text and "=" * 72 in text
 
     def test_registry_complete(self):
         assert set(EXPERIMENT_REGISTRY) == {f"E{i}" for i in range(1, 13)}

@@ -6,7 +6,6 @@ import pytest
 
 from repro.experiments.harness import ExperimentResult
 from repro.experiments.report import (
-    load_results_json,
     render_markdown_report,
     result_from_dict,
     result_to_dict,
@@ -48,7 +47,7 @@ class TestRoundTrip:
 
     def test_json_file_round_trip(self, sample_result, tmp_path):
         path = save_results_json([sample_result], tmp_path / "results.json")
-        loaded = load_results_json(path)
+        loaded = [result_from_dict(entry) for entry in json.loads(path.read_text())]
         assert len(loaded) == 1
         assert loaded[0].title == "demo experiment"
 

@@ -67,15 +67,6 @@ class TestMarginalAndConditioning:
         with pytest.raises(KeyError):
             xor_joint.marginal(["Z"])
 
-    def test_condition(self, xor_joint):
-        conditioned = xor_joint.condition(["A"], (0,))
-        assert conditioned.probability((0, 1, 1)) == pytest.approx(0.5)
-        assert conditioned.probability((1, 1, 0)) == 0.0
-
-    def test_condition_zero_probability_event(self, xor_joint):
-        with pytest.raises(ValueError):
-            xor_joint.condition(["A"], (7,))
-
     def test_map_variable(self, xor_joint):
         mapped = xor_joint.map_variable("C", "NotC", lambda c: 1 - c)
         assert mapped.variables == ["A", "B", "NotC"]

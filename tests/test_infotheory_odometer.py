@@ -33,13 +33,13 @@ class TestOdometerReadings:
         odometer = InformationOdometer(
             uniform_bits_inputs(), lambda x, y: ["hello", "world"]
         )
-        assert odometer.final_information_cost() == pytest.approx(0.0)
+        assert odometer.reading_after(odometer.max_rounds).total == pytest.approx(0.0)
 
     def test_correlated_inputs_reveal_less(self):
         # Bob already knows Alice's bit: sending it reveals nothing.
         inputs = [(0, 0, 0.5), (1, 1, 0.5)]
         odometer = InformationOdometer(inputs, lambda x, y: [("alice", x)])
-        assert odometer.final_information_cost() == pytest.approx(0.0)
+        assert odometer.reading_after(odometer.max_rounds).total == pytest.approx(0.0)
 
     def test_max_rounds(self):
         odometer = InformationOdometer(

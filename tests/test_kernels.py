@@ -289,7 +289,7 @@ class TestKernelPrimitives:
 class TestSetSystemIntegration:
     def test_default_backend_is_auto(self):
         system = SetSystem(N, [[0, 1], [2]])
-        assert system.requested_backend == "auto"
+        assert system._backend == "auto"
         assert system.backend in registered_backends()
 
     def test_explicit_backend_respected(self):
@@ -303,8 +303,8 @@ class TestSetSystemIntegration:
 
     def test_backend_survives_derivation(self):
         system = SetSystem(N, [[0, 1], [2, 3]], backend="python")
-        assert system.restrict_to_elements([0, 2]).requested_backend == "python"
-        assert system.subsystem([1]).requested_backend == "python"
+        assert system.restrict_to_elements([0, 2])._backend == "python"
+        assert system.subsystem([1])._backend == "python"
 
     def test_restrict_accepts_mask(self):
         system = SetSystem(N, [[0, 1], [2, 3]])

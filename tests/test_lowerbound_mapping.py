@@ -43,13 +43,6 @@ class TestRandomMappingExtension:
         mapping = random_mapping_extension(12, 3, seed=6)
         assert mapping.extend([]) == frozenset()
 
-    def test_preimage_table(self):
-        mapping = random_mapping_extension(18, 3, seed=7)
-        table = mapping.preimage_table()
-        for block_index in range(3):
-            for element in mapping.image(block_index):
-                assert table[element] == block_index
-
     def test_determinism(self):
         a = random_mapping_extension(30, 5, seed=9)
         b = random_mapping_extension(30, 5, seed=9)

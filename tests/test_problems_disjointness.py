@@ -4,7 +4,6 @@ import pytest
 
 from repro.problems.disjointness import (
     DisjointnessInstance,
-    disjointness_answer,
     enumerate_ddisj_support,
     sample_ddisj,
     sample_ddisj_no,
@@ -17,12 +16,10 @@ class TestInstanceBasics:
     def test_answer_disjoint(self):
         instance = DisjointnessInstance(4, frozenset({0}), frozenset({1}))
         assert instance.is_disjoint
-        assert disjointness_answer(instance) == "Yes"
 
     def test_answer_intersecting(self):
         instance = DisjointnessInstance(4, frozenset({0, 2}), frozenset({2}))
         assert not instance.is_disjoint
-        assert disjointness_answer(instance) == "No"
         assert instance.intersection == frozenset({2})
 
 

@@ -9,19 +9,17 @@ from repro.problems.ghd import (
     GHDInstance,
     default_set_sizes,
     ghd_answer,
-    hamming_distance,
     sample_dghd,
     sample_dghd_no,
     sample_dghd_yes,
-    sample_uniform_ghd,
 )
 from repro.utils.rng import RandomSource
 
 
 class TestBasics:
     def test_hamming_distance(self):
-        assert hamming_distance(frozenset({1, 2}), frozenset({2, 3})) == 2
-        assert hamming_distance(frozenset(), frozenset()) == 0
+        assert GHDInstance(4, frozenset({1, 2}), frozenset({2, 3})).distance == 2
+        assert GHDInstance(4, frozenset(), frozenset()).distance == 0
 
     def test_answer_yes(self):
         t = 16
@@ -49,11 +47,6 @@ class TestBasics:
 
 
 class TestSamplers:
-    def test_uniform_sampler_in_universe(self):
-        instance = sample_uniform_ghd(20, seed=1)
-        assert instance.alice <= frozenset(range(20))
-        assert instance.bob <= frozenset(range(20))
-
     def test_yes_sampler_respects_gap(self):
         rng = RandomSource(2)
         t = 36
@@ -86,7 +79,7 @@ class TestSamplers:
 
     def test_invalid_t(self):
         with pytest.raises(ValueError):
-            sample_uniform_ghd(0)
+            sample_dghd_yes(0)
 
     def test_impossible_condition_raises(self):
         # With a = b = t the two sets are equal, so a Yes (large-distance)

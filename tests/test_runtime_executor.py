@@ -1,12 +1,10 @@
 """Tests for the sharded executor: determinism, caching, ordered merging."""
 
-from repro.experiments.experiment_defs import run_e12_infotheory
 from repro.runtime.executor import (
     STATUS_CACHED,
     STATUS_COMPUTED,
     TaskExecutor,
     default_chunksize,
-    run_cached,
 )
 from repro.runtime.scenarios import freeze_params
 from repro.runtime.store import ResultStore
@@ -105,26 +103,6 @@ class TestFailureSemantics:
         """A task's own exception is not swallowed by the sandbox fallback."""
         with pytest.raises(TypeError):
             TaskExecutor(workers=2).run([grid_tasks()[0], self.bad_task()])
-
-
-class TestRunCached:
-    def test_registry_function_round_trip(self, tmp_path):
-        store = ResultStore(tmp_path)
-        result, status = run_cached(run_e12_infotheory, {"t": 2, "seed": 9}, store)
-        assert status == STATUS_COMPUTED
-        again, status = run_cached(run_e12_infotheory, {"t": 2, "seed": 9}, store)
-        assert status == STATUS_CACHED
-        assert again.render() == result.render()
-
-    def test_shares_fingerprints_with_cli_tasks(self, tmp_path):
-        """A benchmark-cached call hits the cache a CLI run populated."""
-        store = ResultStore(tmp_path)
-        task = RuntimeTask(
-            key="E12", runner="E12", params=freeze_params({"t": 2}), seed=9
-        )
-        TaskExecutor(store=store).run([task])
-        _, status = run_cached(run_e12_infotheory, {"t": 2, "seed": 9}, store)
-        assert status == STATUS_CACHED
 
 
 class TestChunkedSubmission:

@@ -67,7 +67,6 @@ class TestScenarioSpec:
             name="t", runner="E12", params=freeze_params({"t": 2})
         )
         assert spec.kwargs() == {"t": 2}
-        assert spec.resolve_runner() is EXPERIMENT_REGISTRY["E12"]
 
 
 class TestRegistration:

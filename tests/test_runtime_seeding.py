@@ -4,7 +4,6 @@ from repro.runtime.seeding import (
     DEFAULT_ROOT_SEED,
     SeedStreams,
     repetition_seed,
-    run_streams,
     scenario_seed,
     stream_seed,
 )
@@ -92,14 +91,19 @@ class TestSeedStreams:
         assert list(streams) == ["a", "b"]
 
 
+def repetition_streams(root, name, repetition):
+    """The streams of one repetition of a scenario, as the protocol composes them."""
+    return SeedStreams(repetition_seed(scenario_seed(root, name), repetition))
+
+
 class TestRunStreams:
     def test_repetitions_get_distinct_streams(self):
-        rep0 = run_streams(None, "demo", repetition=0)
-        rep1 = run_streams(None, "demo", repetition=1)
+        rep0 = repetition_streams(None, "demo", repetition=0)
+        rep1 = repetition_streams(None, "demo", repetition=1)
         assert rep0.base_seed != rep1.base_seed
         assert rep0.stream("x").random() != rep1.stream("x").random()
 
     def test_reproducible_across_managers(self):
-        first = run_streams(77, "demo", repetition=3)
-        second = run_streams(77, "demo", repetition=3)
+        first = repetition_streams(77, "demo", repetition=3)
+        second = repetition_streams(77, "demo", repetition=3)
         assert first.stream("x").random() == second.stream("x").random()

@@ -9,7 +9,6 @@ from repro.service.deadline import (
     Deadline,
     check_deadline,
     clock,
-    current_deadline,
     deadline_scope,
     remaining_budget,
 )
@@ -38,22 +37,21 @@ class TestDeadlineValue:
 
 class TestAmbientToken:
     def test_no_deadline_by_default(self):
-        assert current_deadline() is None
+        assert remaining_budget() is None
         check_deadline()  # must be a no-op, not a raise
         assert remaining_budget(7.5) == 7.5
 
     def test_scope_sets_and_resets(self):
         deadline = Deadline.after(60.0)
         with deadline_scope(deadline):
-            assert current_deadline() is deadline
             assert remaining_budget(999.0) < 61.0
-        assert current_deadline() is None
+        assert remaining_budget() is None
 
     def test_scope_resets_after_exception(self):
         with pytest.raises(RuntimeError):
             with deadline_scope(Deadline.after(60.0)):
                 raise RuntimeError("boom")
-        assert current_deadline() is None
+        assert remaining_budget() is None
 
     def test_check_raises_with_positive_overrun(self):
         with deadline_scope(EXPIRED):

@@ -7,11 +7,13 @@ import json
 import socket
 import struct
 import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.service.client import AsyncServiceClient, ServiceClient, ServiceUnavailableError
 from repro.service.protocol import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
@@ -126,6 +128,58 @@ class TestAsyncHelpers:
             return await read_message(self._reader_with(frame[:-3]))
 
         with pytest.raises(FrameError, match="mid-frame"):
+            asyncio.run(go())
+
+
+#: Each client call, as ``(name, args)``: every one must map a lost answer.
+_CLIENT_CALLS = [("request", ("cover",)), ("ping", ()), ("health", ())]
+
+
+def _truncated_answer() -> bytes:
+    """A response frame cut three bytes short: a server dying mid-response."""
+    return encode_frame(make_response("c1", "ok", {"value": 1}))[:-3]
+
+
+class TestClientsMapTruncatedFrames:
+    @pytest.mark.parametrize("call, args", _CLIENT_CALLS)
+    def test_blocking_client(self, call, args):
+        server = socket.create_server(("127.0.0.1", 0))
+
+        def answer_once():
+            conn, _ = server.accept()
+            with conn:
+                recv_message(conn)
+                conn.sendall(_truncated_answer())
+
+        thread = threading.Thread(target=answer_once, daemon=True)
+        thread.start()
+        try:
+            with ServiceClient("127.0.0.1", server.getsockname()[1], timeout=10) as client:
+                with pytest.raises(ServiceUnavailableError, match="mid-frame"):
+                    getattr(client, call)(*args)
+        finally:
+            thread.join(timeout=10)
+            server.close()
+
+    @pytest.mark.parametrize("call, args", _CLIENT_CALLS)
+    def test_async_client(self, call, args):
+        async def answer_once(reader, writer):
+            await read_message(reader)
+            writer.write(_truncated_answer())
+            await writer.drain()
+            writer.close()
+
+        async def go():
+            server = await asyncio.start_server(answer_once, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            try:
+                async with AsyncServiceClient("127.0.0.1", port) as client:
+                    await getattr(client, call)(*args)
+            finally:
+                server.close()
+                await server.wait_closed()
+
+        with pytest.raises(ServiceUnavailableError, match="mid-frame"):
             asyncio.run(go())
 
 

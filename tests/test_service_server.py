@@ -97,11 +97,44 @@ class TestInstanceSpecs:
             "x=random:n=4,m=2,seed=zzz",
             "x=random:n=99999999999,m=1",
             "x=planted:n=16777217,m=2,cover=1",
+            "x=random:n=0,m=3000000",
+            "x=planted:n=16777216,m=9,cover=1",
         ],
     )
     def test_bad_specs_rejected(self, spec):
         with pytest.raises(InstanceSpecError):
             build_instance(spec)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+    def test_sets_times_universe_refused_before_generation(self):
+        # A spec of a few bytes must not reach the generator.  The child caps
+        # its address space 1 GiB above what it holds after the imports, so
+        # an unbounded build fails with MemoryError there, not on the host.
+        code = (
+            "import resource\n"
+            "from repro.service.instances import build_instance\n"
+            "with open('/proc/self/status') as status:\n"
+            "    vm_kb = next(int(line.split()[1]) for line in status\n"
+            "                 if line.startswith('VmSize:'))\n"
+            "limit = vm_kb * 1024 + (1 << 30)\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+            "try:\n"
+            "    build_instance('x=random:n=48,m=1000000000')\n"
+            "except Exception as exc:\n"
+            "    print(type(exc).__name__, exc)\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=300,
+        )
+        assert result.stdout.startswith("InstanceSpecError"), result.stdout + result.stderr
+        assert "over the limit" in result.stdout
 
     @pytest.mark.parametrize("backing", ["mmap", "heap"])
     def test_corrupt_container_refused(self, tmp_path, backing):

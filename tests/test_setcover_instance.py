@@ -4,7 +4,6 @@ import pickle
 
 import pytest
 
-from repro.exceptions import InfeasibleInstanceError
 from repro.kernels import HAS_NUMPY
 from repro.setcover.greedy import greedy_set_cover
 from repro.setcover.instance import (
@@ -103,9 +102,6 @@ class TestCoverage:
         assert tiny_system.is_coverable()
         assert not SetSystem(3, [[0], [1]]).is_coverable()
 
-    def test_incidence_count(self, tiny_system):
-        assert tiny_system.incidence_count() == 3 + 3 + 2 + 2 + 2 + 4
-
 
 class TestTransformations:
     def test_restrict_to_elements(self, tiny_system):
@@ -120,39 +116,15 @@ class TestTransformations:
         assert sub.elements(0) == frozenset({3, 4, 5})
         assert sub.names == ["S1", "S3"]
 
-    def test_permuted(self, tiny_system):
-        permuted = tiny_system.permuted([5, 4, 3, 2, 1, 0])
-        assert permuted.elements(0) == tiny_system.elements(5)
-
-    def test_permuted_invalid(self, tiny_system):
-        with pytest.raises(ValueError):
-            tiny_system.permuted([0, 0, 1, 2, 3, 4])
-
-    def test_dict_round_trip(self, tiny_system):
-        payload = tiny_system.to_dict()
-        rebuilt = SetSystem.from_dict(payload)
-        assert rebuilt == tiny_system
-
 
 class TestSetCoverInstance:
     def test_planted_opt_recorded(self, tiny_system):
         instance = SetCoverInstance(tiny_system, planted_opt=2)
         assert instance.planted_opt == 2
-        assert instance.approximation_ratio(4) == 2.0
-
-    def test_unknown_opt_gives_none_ratio(self, tiny_system):
-        instance = SetCoverInstance(tiny_system)
-        assert instance.approximation_ratio(4) is None
 
     def test_invalid_planted_opt(self, tiny_system):
         with pytest.raises(ValueError):
             SetCoverInstance(tiny_system, planted_opt=0)
-
-    def test_require_coverable(self, tiny_system):
-        SetCoverInstance(tiny_system).require_coverable()
-        bad = SetCoverInstance(SetSystem(3, [[0]]))
-        with pytest.raises(InfeasibleInstanceError):
-            bad.require_coverable()
 
 
 class TestPackedForm:
@@ -192,7 +164,7 @@ class TestPackedForm:
         assert "_masks" not in state
         rebuilt = pickle.loads(pickle.dumps(system))
         assert rebuilt == system
-        assert rebuilt.requested_backend == system.requested_backend
+        assert rebuilt._backend == system._backend
         assert greedy_set_cover(rebuilt) == greedy_set_cover(system)
 
     @needs_numpy

@@ -2,18 +2,19 @@
 
 import pytest
 
-from repro.setcover.verify import is_feasible_cover, uncovered_elements, verify_cover
+from repro.setcover.verify import is_feasible_cover, verify_cover
+from repro.utils.bitset import bitset_to_set
 
 
 class TestUncoveredElements:
     def test_full_cover(self, tiny_system):
-        assert uncovered_elements(tiny_system, [0, 1]) == set()
+        assert bitset_to_set(tiny_system.uncovered_mask([0, 1])) == set()
 
     def test_partial_cover(self, tiny_system):
-        assert uncovered_elements(tiny_system, [0]) == {3, 4, 5}
+        assert bitset_to_set(tiny_system.uncovered_mask([0])) == {3, 4, 5}
 
     def test_empty_solution(self, tiny_system):
-        assert uncovered_elements(tiny_system, []) == {0, 1, 2, 3, 4, 5}
+        assert bitset_to_set(tiny_system.uncovered_mask([])) == {0, 1, 2, 3, 4, 5}
 
 
 class TestIsFeasible:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.streaming.stream import SetStream, StreamOrder, stream_from_system
+from repro.streaming.stream import SetStream, StreamOrder
 
 
 class TestAdversarialOrder:
@@ -69,7 +69,7 @@ class TestCustomOrder:
 
 class TestConvenience:
     def test_stream_from_system(self, tiny_system):
-        stream = stream_from_system(tiny_system, order=StreamOrder.RANDOM, seed=2)
+        stream = SetStream(tiny_system, order=StreamOrder.RANDOM, seed=2)
         assert stream.num_sets == 6
         assert stream.universe_size == 6
         assert stream.order is StreamOrder.RANDOM

@@ -9,19 +9,16 @@ from repro.telemetry import (
     TRACE_SCHEMA,
     TelemetrySession,
     active_session,
-    capture_wanted,
     instrument_kernel,
     measure_overhead,
     merge_telemetry_blocks,
     summarize_snapshot,
-    trace_dir_from_env,
     validate_trace_dir,
     validate_trace_file,
     validate_trace_line,
 )
 from repro.telemetry import metrics, spans
 from repro.telemetry.metrics import MetricsRegistry, merge_counter_maps
-from repro.telemetry.session import TELEMETRY_ENV_VAR, TRACE_ENV_VAR
 from repro.telemetry.spans import Tracer
 
 
@@ -190,20 +187,6 @@ class TestSession:
             pass
         assert session.trace_path is not None
         assert validate_trace_file(session.trace_path) == []
-
-    def test_env_helpers(self, monkeypatch):
-        monkeypatch.delenv(TRACE_ENV_VAR, raising=False)
-        monkeypatch.delenv(TELEMETRY_ENV_VAR, raising=False)
-        assert trace_dir_from_env() is None
-        assert capture_wanted() is False
-        monkeypatch.setenv(TELEMETRY_ENV_VAR, "0")
-        assert capture_wanted() is False
-        monkeypatch.setenv(TELEMETRY_ENV_VAR, "1")
-        assert capture_wanted() is True
-        monkeypatch.delenv(TELEMETRY_ENV_VAR)
-        monkeypatch.setenv(TRACE_ENV_VAR, "/tmp/somewhere")
-        assert trace_dir_from_env() == "/tmp/somewhere"
-        assert capture_wanted() is True
 
 
 class TestSummaries:

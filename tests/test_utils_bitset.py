@@ -8,18 +8,19 @@ from hypothesis import strategies as st
 
 from repro.core.element_sampling import element_sample, element_sample_mask
 from repro.utils.bitset import (
+    MAX_INSTANCE_BITS,
+    MAX_UNIVERSE_SIZE,
     _TABLE_BITS_PER_SET_BIT,
     _TABLE_FIXED_SET_BITS,
     _TABLE_MIN_SET_BITS,
     _lowest_bits,
     _table_bits,
-    bitset_difference,
     bitset_from_indices,
     bitset_from_iterable,
-    bitset_intersection,
     bitset_size,
     bitset_to_set,
     bitset_union,
+    check_instance_bits,
     iter_bits,
     universe_mask,
 )
@@ -89,18 +90,22 @@ class TestSizeAndOps:
     def test_union_of_none(self):
         assert bitset_union() == 0
 
-    def test_intersection(self):
-        assert bitset_intersection(0b0111, 0b1110) == 0b0110
 
-    def test_intersection_requires_operand(self):
-        with pytest.raises(ValueError):
-            bitset_intersection()
+class TestInstanceBits:
+    def test_rows_are_charged_in_whole_words(self):
+        rows = MAX_INSTANCE_BITS // 64
+        check_instance_bits(64, rows)
+        check_instance_bits(0, rows)  # an empty row still takes one word
+        with pytest.raises(ValueError, match="over the limit"):
+            check_instance_bits(0, rows + 1)
+        with pytest.raises(ValueError, match="over the limit"):
+            check_instance_bits(65, rows // 2 + 1)
 
-    def test_difference(self):
-        assert bitset_difference(0b1111, 0b0101) == 0b1010
-
-    def test_difference_disjoint(self):
-        assert bitset_difference(0b11, 0b1100) == 0b11
+    def test_universe_bound_leaves_room_for_a_few_rows(self):
+        rows = MAX_INSTANCE_BITS // MAX_UNIVERSE_SIZE
+        check_instance_bits(MAX_UNIVERSE_SIZE, rows)
+        with pytest.raises(ValueError, match="over the limit"):
+            check_instance_bits(MAX_UNIVERSE_SIZE, rows + 1)
 
 
 class TestPopcountImplementations:

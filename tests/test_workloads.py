@@ -22,7 +22,7 @@ class TestRandomSetSystem:
 
     def test_density_sets(self):
         system = random_set_system(100, 20, density=0.3, seed=2)
-        total = system.incidence_count()
+        total = sum(system.set_size(i) for i in range(system.num_sets))
         assert 400 <= total <= 800  # 20 * 100 * 0.3 = 600 expected
 
     def test_default_density_coverable_often(self):

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.setcover.instance import SetCoverInstance, SetSystem
-from repro.utils.bitset import MAX_UNIVERSE_SIZE
+from repro.utils.bitset import MAX_INSTANCE_BITS, MAX_UNIVERSE_SIZE
 from repro.workloads.io import dumps_instance, load_instance, loads_instance, save_instance
 from repro.workloads.random_instances import plant_cover_instance
 
@@ -142,6 +142,13 @@ class TestParsingErrors:
         instance = loads_instance(f"{MAX_UNIVERSE_SIZE} 1\n{MAX_UNIVERSE_SIZE - 1}\n")
         assert instance.system.elements(0) == frozenset({MAX_UNIVERSE_SIZE - 1})
 
+    def test_sets_times_universe_beyond_the_limit(self):
+        # 40 rows at the universe bound would be 40 masks of 2 MiB from a
+        # 372-byte text: refused at the header, before any mask is built.
+        text = f"{MAX_UNIVERSE_SIZE} 40\n" + f"{MAX_UNIVERSE_SIZE - 1}\n" * 40
+        with pytest.raises(ValueError, match="over the limit"):
+            loads_instance(text)
+
     def test_deeply_nested_metadata_is_a_value_error(self):
         with pytest.raises(ValueError, match="nests too deeply"):
             loads_instance("# meta x: " + "[" * 100_000 + "\n1 0\n")
@@ -157,6 +164,7 @@ class TestParsingErrors:
 _NUMBERS = st.one_of(
     st.integers(min_value=-3, max_value=40),
     st.sampled_from([MAX_UNIVERSE_SIZE - 1, MAX_UNIVERSE_SIZE, MAX_UNIVERSE_SIZE + 1]),
+    st.sampled_from([MAX_INSTANCE_BITS // 64, MAX_INSTANCE_BITS // 64 + 1]),
     st.integers(min_value=-(2**70), max_value=2**70),
 )
 _TOKENS = st.one_of(_NUMBERS.map(str), st.text(max_size=6))
