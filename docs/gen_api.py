@@ -15,13 +15,20 @@ import breaks fails CI before the docs job does.
 
 from __future__ import annotations
 
+import ast
 import importlib
+import importlib.util
 import inspect
 import pkgutil
 from pathlib import Path
 from typing import Dict, List
 
 API_DIR = Path(__file__).parent / "api"
+
+#: Optional extras.  A module that imports one of them at import time (the
+#: NumPy and compiled kernel tiers) is documented from its source where the
+#: extra is missing, so a bare interpreter still writes and checks every page.
+OPTIONAL_DEPENDENCIES = ("numpy", "numba")
 
 
 def iter_module_names() -> List[str]:
@@ -78,29 +85,79 @@ def public_names(module) -> List[str]:
     return sorted(names)
 
 
-def render_module_section(name: str, top_level: bool = False) -> str:
-    """One module's documentation: docstring verbatim plus its public names."""
-    module = importlib.import_module(name)
-    lines = [f"{'#' if top_level else '##'} `{name}`", ""]
-    doc = inspect.getdoc(module)
-    lines.append(doc if doc else "*No module docstring.*")
-    lines.append("")
+def _entry(kind: str, name: str, signature: str, doc: str) -> str:
+    summary = _first_paragraph(doc or "")
+    return f"- **`{kind} {name}{signature}`** — {summary}"
+
+
+def _imported_entries(module, top_level: bool) -> List[str]:
     entries = []
     for public in public_names(module):
         value = getattr(module, public, None)
         if value is None or inspect.ismodule(value):
             continue
         # Re-exported names are documented where they are defined.
-        if not top_level and getattr(value, "__module__", name) != name:
+        if not top_level and getattr(value, "__module__", module.__name__) != module.__name__:
             continue
         if inspect.isclass(value) or inspect.isfunction(value):
-            summary = _first_paragraph(inspect.getdoc(value) or "")
             kind = "class" if inspect.isclass(value) else "def"
-            entries.append(
-                f"- **`{kind} {public}{_signature(value)}`** — {summary}"
-            )
+            entries.append(_entry(kind, public, _signature(value), inspect.getdoc(value)))
         else:
             entries.append(f"- **`{public}`** — constant")
+    return entries
+
+
+def _source_signature(node) -> str:
+    """A def's or a class constructor's parameters as written in the source."""
+    if isinstance(node, ast.ClassDef):
+        inits = [
+            item
+            for item in node.body
+            if isinstance(item, ast.FunctionDef) and item.name == "__init__"
+        ]
+        if not inits:
+            return "(…)"
+        arguments = inits[0].args
+        arguments.args = arguments.args[1:]  # drop self
+    else:
+        arguments = node.args
+    text = f"({ast.unparse(arguments)})"
+    return text if len(text) <= 240 else text[:237] + "..."
+
+
+def _source_module(name: str):
+    """``(docstring, entries)`` of a module read from its source, not imported.
+
+    Lists the public defs and classes, as :func:`public_names` does for a
+    module without ``__all__``.
+    """
+    tree = ast.parse(Path(importlib.util.find_spec(name).origin).read_text(encoding="utf-8"))
+    entries = [
+        _entry(
+            "class" if isinstance(node, ast.ClassDef) else "def",
+            node.name,
+            _source_signature(node),
+            ast.get_docstring(node),
+        )
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    ]
+    return ast.get_docstring(tree), entries
+
+
+def render_module_section(name: str, top_level: bool = False) -> str:
+    """One module's documentation: docstring verbatim plus its public names."""
+    try:
+        module = importlib.import_module(name)
+    except ModuleNotFoundError as error:
+        if error.name not in OPTIONAL_DEPENDENCIES:
+            raise
+        doc, entries = _source_module(name)
+    else:
+        doc, entries = inspect.getdoc(module), _imported_entries(module, top_level)
+    lines = [f"{'#' if top_level else '##'} `{name}`", ""]
+    lines.append(doc if doc else "*No module docstring.*")
+    lines.append("")
     if entries:
         lines.append("**Public API:**")
         lines.append("")

@@ -204,26 +204,10 @@ def run_protocol(
         else:
             payload, output = protocol.bob_round(bob_input, transcript.messages, state)
             sender = "bob"
-        if payload is not _NO_MESSAGE:
-            transcript.messages.append(Message(sender=sender, payload=payload))
+        transcript.messages.append(Message(sender=sender, payload=payload))
         if output is not None:
             transcript.output = output
             return transcript
     raise ProtocolError(
         f"protocol {protocol.name!r} did not terminate within {protocol.max_rounds} rounds"
     )
-
-
-class _NoMessage:
-    """Sentinel: a round that sends nothing (used by silent turns)."""
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return "<no message>"
-
-
-_NO_MESSAGE = _NoMessage()
-
-
-def no_message() -> Any:
-    """Return the sentinel meaning 'this round sends no message'."""
-    return _NO_MESSAGE

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.communication.model import Message, TwoPartyProtocol, no_message
+from repro.communication.model import Message, TwoPartyProtocol
 from repro.problems.disjointness import DisjointnessInstance
 
 

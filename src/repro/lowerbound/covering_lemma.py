@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Iterator, List, Sequence
 
 from repro.utils.bitset import bitset_from_indices, bitset_size, universe_mask
-from repro.utils.rng import SeedLike, spawn_rng
+from repro.utils.rng import SeedLike, spawn_rng, spent_subset_masks
 
 
 @dataclass
@@ -45,6 +45,39 @@ def lemma_2_2_bound(universe_size: int, u_size: int, s: int, k: int) -> float:
     return min(1.0, 2.0 * math.exp(-exponent))
 
 
+def _check_trial_parameters(universe_size: int, u_size: int, s: int, k: int) -> None:
+    if not 0 < s <= universe_size:
+        raise ValueError(f"s must lie in (0, n], got {s}")
+    if not 0 <= u_size <= universe_size:
+        raise ValueError(f"u_size must lie in [0, n], got {u_size}")
+    if k < 0:
+        raise ValueError(f"k must be non-negative, got {k}")
+
+
+def _trial_outcome(
+    universe_size: int, u_size: int, s: int, k: int, drops: Iterator[int]
+) -> CoverageTrial:
+    """The trial's outcome from its sets' dropped elements, taken lazily.
+
+    U is a fixed ``u_size``-subset.  An element stays uncovered by a drawn
+    set exactly when the set dropped it, so each draw intersects U's
+    uncovered mask with its dropped elements; once U is covered no further
+    set is taken.
+    """
+    uncovered = universe_mask(u_size)
+    for dropped in drops:
+        uncovered &= dropped
+        if not uncovered:
+            break
+    threshold = lemma_2_2_threshold(universe_size, u_size, s, k)
+    count = bitset_size(uncovered)
+    return CoverageTrial(
+        uncovered_count=count,
+        threshold=threshold,
+        below_threshold=count < threshold,
+    )
+
+
 def coverage_shortfall_trial(
     universe_size: int,
     u_size: int,
@@ -66,35 +99,19 @@ def coverage_shortfall_trial(
         (every element dropped from each set independently with probability
         s/2n) instead of exact ``(n−s)``-subsets.
     """
-    if not 0 < s <= universe_size:
-        raise ValueError(f"s must lie in (0, n], got {s}")
-    if not 0 <= u_size <= universe_size:
-        raise ValueError(f"u_size must lie in [0, n], got {u_size}")
-    if k < 0:
-        raise ValueError(f"k must be non-negative, got {k}")
+    _check_trial_parameters(universe_size, u_size, s, k)
     rng = spawn_rng(seed)
-    # Masks throughout: an element stays uncovered by a drawn set exactly
-    # when the set dropped it, so each draw intersects its dropped elements.
-    uncovered = universe_mask(u_size)
-    for _ in range(k):
-        if independent_drops:
-            drop_probability = s / (2.0 * universe_size)
-            dropped = bitset_from_indices(
+    if independent_drops:
+        drop_probability = s / (2.0 * universe_size)
+        drops = (
+            bitset_from_indices(
                 [e for e in range(universe_size) if rng.bernoulli(drop_probability)]
             )
-        else:
-            dropped = rng.subset_mask(universe_size, s)
-        uncovered &= dropped
-        if not uncovered:
-            break
-
-    threshold = lemma_2_2_threshold(universe_size, u_size, s, k)
-    count = bitset_size(uncovered)
-    return CoverageTrial(
-        uncovered_count=count,
-        threshold=threshold,
-        below_threshold=count < threshold,
-    )
+            for _ in range(k)
+        )
+    else:
+        drops = (rng.subset_mask(universe_size, s) for _ in range(k))
+    return _trial_outcome(universe_size, u_size, s, k, drops)
 
 
 def estimate_uncovered_probability(
@@ -106,22 +123,31 @@ def estimate_uncovered_probability(
     seed: SeedLike = None,
     independent_drops: bool = False,
 ) -> float:
-    """Empirical probability of the lemma's bad event over ``trials`` draws."""
+    """Empirical probability of the lemma's bad event over ``trials`` draws.
+
+    Every trial runs on its own child of ``seed``'s source, spawned up front
+    in trial order.  The children's ``(n−s)``-subsets are drawn in one walk
+    across all trials where :func:`~repro.utils.rng.spent_subset_masks`
+    applies, and by :func:`coverage_shortfall_trial` otherwise; either way
+    a trial stops taking sets once U is covered, and the outcomes, the
+    parent's position and ``rng.draws`` are the same.
+    """
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    _check_trial_parameters(universe_size, u_size, s, k)
     rng = spawn_rng(seed)
-    failures = 0
-    for _ in range(trials):
-        trial = coverage_shortfall_trial(
-            universe_size,
-            u_size,
-            s,
-            k,
-            seed=rng.spawn(),
-            independent_drops=independent_drops,
-        )
-        if trial.below_threshold:
-            failures += 1
+    children = [rng.spawn() for _ in range(trials)]
+    drawn = None if independent_drops else spent_subset_masks(children, universe_size, s, k)
+    if drawn is None:
+        outcomes = [
+            coverage_shortfall_trial(
+                universe_size, u_size, s, k, seed=child, independent_drops=independent_drops
+            )
+            for child in children
+        ]
+    else:
+        outcomes = [_trial_outcome(universe_size, u_size, s, k, drops) for drops in drawn]
+    failures = sum(trial.below_threshold for trial in outcomes)
     return failures / trials
 
 

@@ -8,11 +8,13 @@ streams for each component.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
+import itertools
 import math
 import os
 import random
-from typing import List, Optional, Sequence, Union
+from typing import Iterator, List, Optional, Sequence, Union
 
 from repro.telemetry.metrics import add as _count
 from repro.utils.bitset import bitset_from_indices, masks_from_bool_rows
@@ -138,6 +140,15 @@ def _row_end(np, prev, start: int, k: int, limit: int) -> Optional[int]:
     return None
 
 
+def _mt_words(np, rng: random.Random, count: int):
+    """``rng``'s next ``count`` MT19937 words as a uint32 array, in draw order.
+
+    ``getrandbits(32·W)`` returns W consecutive words, least significant
+    first.
+    """
+    return np.frombuffer(rng.getrandbits(32 * count).to_bytes(4 * count, "little"), dtype="<u4")
+
+
 def _replay_subset_masks(
     np, rng: random.Random, n: int, k: int, count: int
 ) -> List[int]:
@@ -168,9 +179,7 @@ def _replay_subset_masks(
         rows = min(count - len(masks), max_rows)
         words = max(at_least, words_for(1), min(_SUBSET_CHUNK_WORDS, words_for(rows)))
         state = rng.getstate()
-        values = np.frombuffer(
-            rng.getrandbits(32 * words).to_bytes(4 * words, "little"), dtype="<u4"
-        ) >> (32 - bits)
+        values = _mt_words(np, rng, words) >> (32 - bits)
         positions = np.flatnonzero(values < n)
         values = values[positions].astype(np.min_scalar_type(n - 1))
         prev = _previous_occurrences(np, values)
@@ -194,6 +203,240 @@ def _replay_subset_masks(
         member[row_of, values[:start]] = True
         masks.extend(masks_from_bool_rows(member))
     return masks
+
+
+#: Fewest draws (masks × size) and fewest masks for which
+#: :meth:`RandomSource.subset_masks` replays ``random.sample``'s pool
+#: branch in bulk.  The walk has a fixed cost of about 0.5 ms plus about
+#: 2 µs per step of a row for the swaps; the measured crossover with the
+#: per-mask loop is 200–2900 draws for set sizes 3–170, and 8 masks at
+#: n = 4096, k = 682 (docs/performance.md).
+_POOL_BULK_MIN_DRAWS = 2000
+_POOL_BULK_MIN_ROWS = 8
+
+#: MT19937 words one pool-walk block draws across its streams, unless a
+#: single stream's rows need more.
+_POOL_BLOCK_WORDS = 1 << 14
+
+#: Standard deviations of word use that a stream draws beyond its expected
+#: need; a stream that still runs short draws again.
+_POOL_WORD_MARGIN = 4.0
+
+#: A segment of same-bit-length steps spans at most 2^bits >> this many
+#: steps (and at least 16), so about one word in 2^this is ambiguous
+#: within it.
+_POOL_SEGMENT_SHIFT = 3
+
+#: Cells (rows × n) of the pool matrix one batch of swaps replays.
+_POOL_SWAP_CELLS = 1 << 17
+
+
+def _pool_steps(n: int, k: int):
+    """Accept thresholds and segments of pool-branch ``sample(range(n), k)``.
+
+    Step i calls ``_randbelow(n − i)``, which draws ``getrandbits(b)`` with
+    ``b = (n − i).bit_length()`` until the value is below n − i.  That value
+    is one MT19937 word w shifted right by ``32 − b``, so the word is
+    accepted iff ``w < (n − i) << (32 − b)`` and then yields
+    ``j = w >> (32 − b)``.  Within a run of steps that share b the threshold
+    falls by ``1 << (32 − b)`` a step, so each segment of such a run accepts
+    every word below its last step's threshold, rejects every word at or
+    above its first step's and leaves only the words between ambiguous.
+    Returns ``(thresholds, shifts, segments)`` with segments as
+    ``(first step, stop step)`` pairs covering ``range(k)``.
+    """
+    thresholds: List[int] = []
+    shifts: List[int] = []
+    for step in range(k):
+        remaining = n - step
+        shift = 32 - remaining.bit_length()
+        thresholds.append(remaining << shift)
+        shifts.append(shift)
+    segments = []
+    start = 0
+    for stop in range(1, k + 1):
+        span = 1 << max(4, 32 - shifts[start] - _POOL_SEGMENT_SHIFT)
+        if stop == k or shifts[stop] != shifts[start] or stop - start == span:
+            segments.append((start, stop))
+            start = stop
+    return thresholds, shifts, segments
+
+
+def _scan_pool_stream(
+    words, classes, thresholds, segments, state, base, end, rows, ends, accepted
+) -> int:
+    """Walk one stream's words ``[base, end)`` on from ``state``.
+
+    ``classes[g]`` holds segment g's definite accepts (word positions), its
+    ambiguous positions (with a sentinel past the block) and, for each
+    ambiguous position, the number of definite accepts before it.  A run of
+    definite words therefore costs two lookups; only an ambiguous word is
+    decided here, against the threshold of the step the walk has reached,
+    and goes to ``accepted`` when taken.  Every finished or cut segment
+    appends its end position to ``ends``.  ``state`` is ``[row, segment,
+    step]`` and is updated: the stream is done when its row reaches
+    ``rows`` and otherwise ran out of words.  Returns the position after
+    the last word the stream used.
+    """
+    row, segment, step = state
+    position = base
+    while row < rows:
+        stop = segments[segment][1]
+        accepts, ambiguous, before = classes[segment]
+        done = bisect.bisect_left(accepts, position)
+        index = bisect.bisect_left(ambiguous, position)
+        while True:
+            word = ambiguous[index]
+            gain = before[index] - done
+            if step + gain >= stop:
+                # The segment ends at its last needed definite accept.
+                last = accepts[done + stop - step - 1]
+                if last < end:
+                    position, step = last + 1, stop
+                    break
+                word = end
+            if word >= end:
+                # The stream's words ran out inside this segment.
+                step += bisect.bisect_left(accepts, end, done) - done
+                state[:] = [row, segment, step]
+                ends.append(end)
+                return end
+            step += gain
+            done = before[index]
+            if words[word] < thresholds[step]:
+                accepted.append(word)
+                step += 1
+            position = word + 1
+            index += 1
+            if step == stop:
+                break
+        ends.append(position)
+        segment += 1
+        if segment == len(segments):
+            segment, row = 0, row + 1
+        step = segments[segment][0]
+    state[:] = [row, segment, step]
+    return position
+
+
+def _pool_swaps(np, picks, n: int, k: int) -> List[int]:
+    """Masks of pool-branch samples whose picks ``picks[r, i]`` are known.
+
+    Step i swaps the value at ``picks[r, i]`` in row r's pool with the
+    pool's last live value, at ``n − 1 − i``, so that the chosen values
+    gather at the tail.  A batch of rows is replayed in lockstep on a
+    position-major pool, where every row's last live value sits in one
+    contiguous slice: one gather and one scatter per step.
+    """
+    masks: List[int] = []
+    per_batch = max(1, _POOL_SWAP_CELLS // n)
+    for first in range(0, len(picks), per_batch):
+        batch = picks[first : first + per_batch]
+        rows = len(batch)
+        flat = batch.T.astype(np.intp) * rows + np.arange(rows)
+        pool = np.repeat(np.arange(n, dtype=np.min_scalar_type(n - 1)), rows)
+        for step in range(k):
+            tail = pool[(n - 1 - step) * rows : (n - step) * rows]
+            picked = pool.take(flat[step])
+            # A copy: put() copies the whole pool when its values overlap it.
+            pool.put(flat[step], tail.copy())
+            tail[:] = picked
+        member = np.zeros((rows, n), dtype=bool)
+        member[np.tile(np.arange(rows), k), pool[(n - k) * rows :]] = True
+        masks.extend(masks_from_bool_rows(member))
+    return masks
+
+
+def _replay_pool_masks(
+    np, engines: Sequence[random.Random], n: int, k: int, rows: int, exact: bool
+) -> List[int]:
+    """``rows`` pool-branch ``random.sample(range(n), k)`` masks per engine.
+
+    The masks come engine by engine, each engine's in draw order.  A block
+    of engines draws its words with one ``getrandbits(32·W)`` call per
+    engine; a few NumPy passes per segment (see :func:`_pool_steps`) class
+    them, :func:`_scan_pool_stream` walks each engine's rows, and the taken
+    words become picks ``w >> (32 − b)`` for :func:`_pool_swaps`.  An engine
+    that runs short draws again in a later block.  With ``exact`` every
+    engine is left at exactly the words its rows consumed; otherwise it is
+    left past them, for callers that discard it.
+    """
+    thresholds, shifts, segments = _pool_steps(n, k)
+    lows = [thresholds[stop - 1] for _, stop in segments]
+    widths = [thresholds[start] - low for (start, _), low in zip(segments, lows)]
+    # Index len(segments) marks a finished stream's unused words.
+    low_of = np.array(lows + [0], dtype=np.uint32)
+    shift_of = np.array([shifts[start] for start, _ in segments] + [0], dtype=np.uint8)
+    order = range(len(segments))
+    odds = [threshold / 2.0**32 for threshold in thresholds]
+    row_words = sum(1 / p for p in odds)
+    row_spread = sum((1 - p) / (p * p) for p in odds)
+    saved = [engine.getstate() for engine in engines] if exact else None
+    used = [0] * len(engines)
+    states = [[0, 0, 0] for _ in engines]
+    picks: List[list] = [[] for _ in engines]
+    pending = list(range(len(engines)))
+    while pending:
+        block, sizes = [], []
+        for stream in pending:
+            rows_left = rows - states[stream][0]
+            want = rows_left * row_words
+            want += _POOL_WORD_MARGIN * math.sqrt(rows_left * row_spread)
+            size = max(1, min(_POOL_BLOCK_WORDS, int(want)))
+            if block and sum(sizes) + size > _POOL_BLOCK_WORDS:
+                break
+            block.append(stream)
+            sizes.append(size)
+        pending = pending[len(block) :]
+        words = np.concatenate(
+            [_mt_words(np, engines[stream], size) for stream, size in zip(block, sizes)]
+        )
+        total = len(words)
+        classes = []
+        for low, width in zip(lows, widths):
+            accepts = np.flatnonzero(words < low)
+            ambiguous = np.append(
+                np.flatnonzero(words - np.uint32(low) < np.uint32(width)), total
+            )
+            before = np.searchsorted(accepts, ambiguous)
+            classes.append(tuple(map(memoryview, (accepts, ambiguous, before))))
+        view = memoryview(words)
+        ends: List[int] = []
+        ids: List[int] = []
+        accepted: List[int] = []
+        bounds = np.cumsum(sizes).tolist()
+        base = 0
+        for stream, end in zip(block, bounds):
+            state = states[stream]
+            first, marks = state[1], len(ends)
+            stop = _scan_pool_stream(
+                view, classes, thresholds, segments, state, base, end, rows, ends, accepted
+            )
+            # The segments this stream walked, from where the block found it.
+            ids.extend(itertools.islice(itertools.cycle(order), first, first + len(ends) - marks))
+            used[stream] += stop - base
+            if state[0] < rows:
+                pending.append(stream)
+            elif stop < end:
+                ends.append(end)
+                ids.append(len(segments))
+            base = end
+        segment_of = np.repeat(np.array(ids, dtype=np.int16), np.diff(ends, prepend=0))
+        taken = words < low_of[segment_of]
+        taken[np.array(accepted, dtype=np.intp)] = True
+        positions = np.flatnonzero(taken)
+        values = (words[positions] >> shift_of[segment_of[positions]]).astype(
+            np.min_scalar_type(n - 1)
+        )
+        split = np.searchsorted(positions, bounds).tolist()
+        for stream, low, high in zip(block, [0] + split, split):
+            picks[stream].append(values[low:high])
+    if exact:
+        for engine, state, words_used in zip(engines, saved, used):
+            engine.setstate(state)
+            engine.getrandbits(32 * words_used)
+    chosen = np.concatenate([part for parts in picks for part in parts])
+    return _pool_swaps(np, chosen.reshape(-1, k), n, k)
 
 
 def batching_numpy():
@@ -392,25 +635,23 @@ class RandomSource:
 
         The returned masks, the stream position afterwards and ``rng.draws``
         equal ``count`` sequential :meth:`subset_mask` calls.  When NumPy
-        batching is on and ``random.sample`` would take its set-selection
-        branch, the draws are replayed in bulk (see
-        :func:`_replay_subset_masks`).  Every other case runs the
-        :meth:`subset_mask` loop itself: the pool branch, fewer draws than
-        the measured crossover, a generator that is not exactly
-        :class:`random.Random`, n ≥ 2³², no NumPy, ``REPRO_SAMPLER_BATCH=off``
-        and a size the loop rejects (with the loop's ``ValueError``).
+        batching is on, the draws are replayed in bulk in either branch of
+        ``random.sample``: the set-selection branch by
+        :func:`_replay_subset_masks`, the pool branch by
+        :func:`_replay_pool_masks`.  Every other case runs the
+        :meth:`subset_mask` loop itself: fewer draws than the branch's
+        measured crossover, a generator that is not exactly
+        :class:`random.Random`, n ≥ 2³², no NumPy,
+        ``REPRO_SAMPLER_BATCH=off`` and a size the loop rejects (with the
+        loop's ``ValueError``).
         """
-        np = batching_numpy()
-        if (
-            np is None
-            or count * size < _SUBSET_BULK_MIN_DRAWS
-            or type(self._rng) is not random.Random
-            or not 0 < size <= universe_size < 1 << 32
-            or not _sample_selects_by_set(universe_size, size)
-        ):
+        np = _bulk_numpy([self], universe_size, size, count)
+        if np is None:
             return [self.subset_mask(universe_size, size) for _ in range(count)]
         _count("rng.draws", size * count)
-        return _replay_subset_masks(np, self._rng, universe_size, size, count)
+        if _sample_selects_by_set(universe_size, size):
+            return _replay_subset_masks(np, self._rng, universe_size, size, count)
+        return _replay_pool_masks(np, [self._rng], universe_size, size, count, True)
 
     # -- spawning -------------------------------------------------------
     def spawn(self) -> "RandomSource":
@@ -429,3 +670,62 @@ def spawn_rng(seed: SeedLike) -> RandomSource:
     if isinstance(seed, RandomSource):
         return seed
     return RandomSource(seed)
+
+
+def _bulk_numpy(sources: Sequence[RandomSource], universe_size: int, size: int, count: int):
+    """NumPy when ``count`` subset masks per source are worth replaying in bulk.
+
+    None (the ``subset_mask`` loop) without sampler batching, for a
+    generator that is not exactly :class:`random.Random`, for a size the
+    loop rejects or n ≥ 2³², and below the crossover of the branch that
+    ``random.sample`` takes, counted over all sources' masks.
+    """
+    np = batching_numpy()
+    if (
+        np is None
+        or any(type(source._rng) is not random.Random for source in sources)
+        or not 0 < size <= universe_size < 1 << 32
+    ):
+        return None
+    rows = len(sources) * count
+    if _sample_selects_by_set(universe_size, size):
+        worth = rows * size >= _SUBSET_BULK_MIN_DRAWS
+    else:
+        worth = rows * size >= _POOL_BULK_MIN_DRAWS and rows >= _POOL_BULK_MIN_ROWS
+    return np if worth else None
+
+
+def _counted_masks(masks: Sequence[int], size: int) -> Iterator[int]:
+    """Yield ``masks``, counting ``size`` ``rng.draws`` for each one taken."""
+    for mask in masks:
+        _count("rng.draws", size)
+        yield mask
+
+
+def spent_subset_masks(
+    sources: Sequence[RandomSource], universe_size: int, size: int, count: int
+) -> Optional[List[Iterator[int]]]:
+    """Each source's next ``count`` :meth:`~RandomSource.subset_mask` draws, in one walk.
+
+    For many short-lived sources that each draw a few pool-branch masks
+    (one Lemma 2.2 trial per source): the walk of
+    :func:`_replay_pool_masks` runs across all of them at once.  The masks
+    equal each source's own ``subset_mask`` loop.  Each source's masks come
+    as an iterator that counts ``rng.draws`` as that loop would, mask by
+    mask as they are taken, so a caller that stops early counts only the
+    masks it used.  The sources are spent: each is left past the words its
+    masks used, and must not be drawn from again.  Returns None, drawing
+    nothing, where :meth:`~RandomSource.subset_masks` would run its loop or
+    ``random.sample`` takes its set-selection branch; callers then run
+    their loop.
+    """
+    np = _bulk_numpy(sources, universe_size, size, count)
+    if np is None or _sample_selects_by_set(universe_size, size):
+        return None
+    masks = _replay_pool_masks(
+        np, [source._rng for source in sources], universe_size, size, count, False
+    )
+    return [
+        _counted_masks(masks[first : first + count], size)
+        for first in range(0, len(masks), count)
+    ]

@@ -10,8 +10,8 @@ appends.  Fixed-size subsets (planted decoys, ``set_size=`` systems) are
 drawn ``count`` at a time through
 :meth:`~repro.utils.rng.RandomSource.subset_masks`, which equals ``count``
 :meth:`~repro.utils.rng.RandomSource.subset_mask` calls mask for mask and
-leaves the stream where they would; where CPython's ``random.sample``
-tracks its selections in a set, it replays those draws in bulk.  Every
+leaves the stream where they would, replaying either branch of CPython's
+``random.sample`` in bulk above its crossover.  Every
 generator feeds :meth:`SetSystem.from_masks`, so no intermediate element
 lists are materialised; coverability patches go through
 :meth:`SetSystem.with_patched_mask`.

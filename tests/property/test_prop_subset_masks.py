@@ -1,25 +1,29 @@
 """Identity of ``RandomSource.subset_masks`` with the ``subset_mask`` loop.
 
-``subset_masks`` replays CPython's set-selection ``random.sample`` in bulk
-when NumPy batching is on and runs the ``subset_mask`` loop otherwise.
-Either way the masks, the generator state afterwards and the ``rng.draws``
-count must equal ``count`` sequential ``subset_mask`` calls.  The suite runs
-the default thresholds, forces the replay for every eligible shape (the
-crossover lowered to one draw), shrinks the replay's chunks so rows
-straddle and overflow them, and pins the cases that must keep the loop.
-Under ``REPRO_SAMPLER_BATCH=off`` or without NumPy both sides take the loop
-and the identity is trivial, but the grid still runs.
+``subset_masks`` replays CPython's ``random.sample`` in bulk when NumPy
+batching is on, in its set-selection branch and in its pool branch, and
+runs the ``subset_mask`` loop otherwise.  Either way the masks, the
+generator state afterwards and the ``rng.draws`` count must equal ``count``
+sequential ``subset_mask`` calls.  The suite runs the default thresholds,
+forces the replays for every eligible shape (the crossovers lowered to one
+draw), shrinks the replays' chunks and blocks so rows straddle and overflow
+them, starves the pool walk of words, and pins the cases that must keep
+the loop.  ``spent_subset_masks``, the pool walk across many sources, must
+equal each source's own loop.  Under ``REPRO_SAMPLER_BATCH=off`` or
+without NumPy both sides take the loop and the identity is trivial, but
+the grid still runs.
 """
 
+import itertools
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.telemetry.metrics import _ACTIVE, MetricsRegistry
 from repro.utils import rng as rng_module
-from repro.utils.rng import RandomSource
+from repro.utils.rng import RandomSource, spent_subset_masks
 
 
 class SubclassedRandom(random.Random):
@@ -57,6 +61,29 @@ def selects_by_set(universe_size, size):
 
 
 @st.composite
+def pool_shapes(draw):
+    """Pool-branch shapes, n often a power of two or one above it."""
+    bits = draw(st.integers(min_value=0, max_value=12))
+    universe_size = draw(
+        st.one_of(
+            st.sampled_from([1 << bits, (1 << bits) + 1]),
+            st.integers(min_value=1, max_value=4096),
+        )
+    )
+    size = draw(
+        st.one_of(
+            st.just(universe_size),
+            st.just(1),
+            st.integers(min_value=1, max_value=universe_size),
+        )
+    )
+    assume(not selects_by_set(universe_size, size))
+    count = draw(st.integers(min_value=0, max_value=12 if size > 512 else 40))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    return universe_size, size, count, seed
+
+
+@st.composite
 def shapes(draw):
     """n ∈ [1, 4096], k ∈ [0, n] (often small enough for the set branch)."""
     universe_size = draw(st.integers(min_value=1, max_value=4096))
@@ -83,6 +110,16 @@ EDGE_SHAPES = [
     (86, 6, 40, 5),  # ... and one past it, set branch
     (4096, 341, 40, 6),  # the largest set-branch k at n = 4096
     (4096, 342, 20, 7),  # the smallest pool-branch k at n = 4096
+    # Pool branch.  Step i accepts a word below (n − i) << (32 − b), with
+    # b = (n − i).bit_length(), so the threshold jumps wherever n − i
+    # crosses a power of two.
+    (1024, 170, 40, 9),  # n a power of two: the first step alone halves
+    (1025, 300, 12, 10),  # n one above it: the jump comes at the third step
+    (512, 512, 3, 11),  # k = n through every power of two below n
+    (513, 513, 3, 12),
+    (16, 1, 200, 13),  # k = 1, n ≤ 21
+    (17, 17, 40, 14),  # k = n, n ≤ 21
+    (2, 1, 300, 15),  # n − i = 1 accepts exactly half the words
 ]
 
 
@@ -92,6 +129,26 @@ def with_edges(test):
     return test
 
 
+def forced(patch):
+    """Lower both replays' crossovers to one draw."""
+    patch.setattr(rng_module, "_SUBSET_BULK_MIN_DRAWS", 1)
+    patch.setattr(rng_module, "_POOL_BULK_MIN_DRAWS", 1)
+    patch.setattr(rng_module, "_POOL_BULK_MIN_ROWS", 1)
+
+
+def spy_on(monkeypatch, name):
+    """Record the ``(n, k, count)`` of every call of the replay ``name``."""
+    calls = []
+    replay = getattr(rng_module, name)
+
+    def recorded(np, engines, n, k, count, *rest):
+        calls.append((n, k, count))
+        return replay(np, engines, n, k, count, *rest)
+
+    monkeypatch.setattr(rng_module, name, recorded)
+    return calls
+
+
 class TestIdentity:
     def test_edge_shapes_cover_both_branches(self):
         branches = {selects_by_set(n, k) for n, k, _, _ in EDGE_SHAPES if k > 0}
@@ -99,6 +156,7 @@ class TestIdentity:
         assert not selects_by_set(21, 1) and selects_by_set(22, 1)
         assert not selects_by_set(85, 6) and selects_by_set(86, 6)
         assert selects_by_set(4096, 341) and not selects_by_set(4096, 342)
+        assert not any(selects_by_set(n, k) for n, k, _, seed in EDGE_SHAPES if seed >= 9)
 
     @given(shapes())
     @with_edges
@@ -113,7 +171,7 @@ class TestIdentity:
     def test_forced_replay(self, shape):
         universe_size, size, count, seed = shape
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(rng_module, "_SUBSET_BULK_MIN_DRAWS", 1)
+            forced(patch)
             assert_matches_loop(seed, universe_size, size, count)
 
     @given(shapes())
@@ -144,15 +202,95 @@ class TestIdentity:
     def test_replay_runs_when_eligible(self, monkeypatch):
         if rng_module.batching_numpy() is None:
             pytest.skip("sampler batching is off or NumPy is missing")
-        calls = []
-        replay = rng_module._replay_subset_masks
-        monkeypatch.setattr(
-            rng_module,
-            "_replay_subset_masks",
-            lambda *args: calls.append(args[2:]) or replay(*args),
-        )
+        calls = spy_on(monkeypatch, "_replay_subset_masks")
         assert_matches_loop(3, 400, 50, 36)
         assert calls == [(400, 50, 36)]
+
+    def test_pool_branch(self, monkeypatch):
+        # E1's decoys at n = 1024: the pool walk runs and equals the loop.
+        assert not selects_by_set(1024, 170)
+        calls = spy_on(monkeypatch, "_replay_pool_masks")
+        assert_matches_loop(9, 1024, 170, 40)
+        if rng_module.batching_numpy() is not None:
+            assert calls == [(1024, 170, 40)]
+
+    @given(pool_shapes())
+    @with_edges
+    @settings(max_examples=80, deadline=None)
+    def test_pool_walk(self, shape):
+        universe_size, size, count, seed = shape
+        with pytest.MonkeyPatch.context() as patch:
+            forced(patch)
+            assert_matches_loop(seed, universe_size, size, count)
+
+    @given(pool_shapes())
+    @with_edges
+    @settings(max_examples=60, deadline=None)
+    def test_pool_walk_short_of_words(self, shape):
+        # No margin: a stream draws only its expected words, so about half
+        # run short and draw again; 64-word blocks cut long rows many times;
+        # one-row swap batches.
+        universe_size, size, count, seed = shape
+        with pytest.MonkeyPatch.context() as patch:
+            forced(patch)
+            patch.setattr(rng_module, "_POOL_WORD_MARGIN", 0.0)
+            patch.setattr(rng_module, "_POOL_BLOCK_WORDS", 64)
+            patch.setattr(rng_module, "_POOL_SWAP_CELLS", 1)
+            assert_matches_loop(seed, universe_size, size, count)
+
+
+def spent_outcome(seed, universe_size, size, count, taken, walk):
+    """Masks taken per source, and the counters, from one walk or the loops.
+
+    Source i takes the first ``taken[i]`` of its ``count`` masks.
+    """
+
+    def loop(child):
+        return (child.subset_mask(universe_size, size) for _ in range(count))
+
+    parent = RandomSource(seed)
+    children = [parent.spawn() for _ in taken]
+    registry = MetricsRegistry()
+    token = _ACTIVE.set(registry)
+    try:
+        drawn = spent_subset_masks(children, universe_size, size, count) if walk else None
+        if walk and count and rng_module.batching_numpy() is not None:
+            assert drawn is not None
+        if drawn is None:
+            drawn = [loop(child) for child in children]
+        masks = [list(itertools.islice(drops, limit)) for drops, limit in zip(drawn, taken)]
+    finally:
+        _ACTIVE.reset(token)
+    return masks, registry.snapshot()["counters"]
+
+
+class TestSpentSources:
+    """``spent_subset_masks`` against each source's own loop."""
+
+    @given(pool_shapes(), st.lists(st.integers(min_value=0, max_value=8), min_size=1, max_size=6))
+    @settings(max_examples=50, deadline=None)
+    def test_matches_each_source_loop(self, shape, taken):
+        universe_size, size, count, seed = shape
+        taken = [min(limit, count) for limit in taken]
+        with pytest.MonkeyPatch.context() as patch:
+            forced(patch)
+            patch.setattr(rng_module, "_POOL_WORD_MARGIN", 0.0)
+            patch.setattr(rng_module, "_POOL_BLOCK_WORDS", 256)
+            walked = spent_outcome(seed, universe_size, size, count, taken, True)
+        assert walked == spent_outcome(seed, universe_size, size, count, taken, False)
+
+    def test_declines_where_the_loop_runs(self, monkeypatch):
+        children = [RandomSource(seed) for seed in range(200)]
+        # Set-selection branch, and pool-branch calls below the crossover.
+        assert spent_subset_masks(children, 4096, 50, 4) is None
+        assert spent_subset_masks(children[:1], 600, 150, 13) is None
+        assert spent_subset_masks(children[:7], 4096, 682, 1) is None
+        assert spent_subset_masks(children, 600, 0, 4) is None
+        assert spent_subset_masks(children, 600, 601, 4) is None
+        subclassed = children[:-1] + [RandomSource(SubclassedRandom(1))]
+        assert spent_subset_masks(subclassed, 600, 150, 4) is None
+        monkeypatch.setenv("REPRO_SAMPLER_BATCH", "off")
+        assert spent_subset_masks(children, 600, 150, 4) is None
 
 
 def forbid_replay(monkeypatch):
@@ -160,6 +298,7 @@ def forbid_replay(monkeypatch):
         raise AssertionError("the bulk replay ran for a loop-only case")
 
     monkeypatch.setattr(rng_module, "_replay_subset_masks", replay)
+    monkeypatch.setattr(rng_module, "_replay_pool_masks", replay)
 
 
 class TestLoopCases:
@@ -194,11 +333,22 @@ class TestLoopCases:
         if count:
             assert bulk[0][0] == "ValueError"
 
-    def test_pool_branch(self, monkeypatch):
-        forbid_replay(monkeypatch)
-        assert not selects_by_set(1024, 170)
-        assert_matches_loop(9, 1024, 170, 40)
-
     def test_below_crossover(self, monkeypatch):
         forbid_replay(monkeypatch)
         assert_matches_loop(10, 400, 50, 3)
+
+    @pytest.mark.parametrize(
+        "universe_size,size,count",
+        [
+            (600, 150, 13),  # fewer draws than the crossover
+            (4096, 682, 7),  # enough draws, too few masks
+        ],
+    )
+    def test_pool_branch_below_crossover(self, monkeypatch, universe_size, size, count):
+        forbid_replay(monkeypatch)
+        assert not selects_by_set(universe_size, size)
+        assert (
+            count * size < rng_module._POOL_BULK_MIN_DRAWS
+            or count < rng_module._POOL_BULK_MIN_ROWS
+        )
+        assert_matches_loop(11, universe_size, size, count)

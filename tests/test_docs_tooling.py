@@ -49,6 +49,23 @@ class TestGenApi:
         assert "m·n^{1/α}" in section
         assert "theoretical_space" in section
 
+    def test_module_needing_a_missing_extra_is_read_from_source(self, gen_api, monkeypatch):
+        def missing(dependency):
+            def import_module(name):
+                raise ModuleNotFoundError(f"No module named {dependency!r}", name=dependency)
+
+            return import_module
+
+        monkeypatch.setattr(gen_api.importlib, "import_module", missing("numpy"))
+        section = gen_api.render_module_section("repro.kernels.numpy_backend")
+        assert section.startswith("## `repro.kernels.numpy_backend`")
+        assert "NumPy packed-bitmap kernel" in section
+        assert "- **`class NumpyKernel(universe_size: int, masks: Sequence[int]" in section
+        assert "- **`def pack_row(mask: int, universe_size: int)`** — One mask" in section
+        monkeypatch.setattr(gen_api.importlib, "import_module", missing("yaml"))
+        with pytest.raises(ModuleNotFoundError):
+            gen_api.render_module_section("repro.kernels.numpy_backend")
+
     def test_generated_tree_matches_nav_entrypoints(self, gen_api, tmp_path):
         written = gen_api.main(api_dir=tmp_path)
         names = {path.name for path in written}

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro import kernels
 from repro.experiments import workload_defs
 from repro.experiments.runners import RUNNER_DESCRIPTIONS, RUNNER_REGISTRY
 from repro.experiments.workload_defs import (
@@ -21,6 +22,8 @@ from repro.runtime.tasks import execute_task, tasks_from_scenario
 from repro.setcover.source import HeapSource, write_container
 from repro.telemetry import TelemetrySession
 from repro.workloads.random_instances import random_set_system
+
+requires_numpy = pytest.mark.skipif(not kernels.HAS_NUMPY, reason="NumPy not installed")
 
 
 class TestRunnerRegistry:
@@ -209,7 +212,13 @@ class TestInstanceCache:
         counters = session.registry.snapshot()["counters"]
         assert counters.get("kernel.calls.gains", 0) > 0
 
-    def test_payloads_do_not_depend_on_cell_order(self):
+    def run_in_three_orders(self):
+        """Per order of the ADV cells: the payload digest and the index crossing.
+
+        The crossing is the first cell after which the NumPy kernel's shared
+        inverted index exists (None on the pure-Python kernel, which has
+        none).
+        """
         # A heap instance large enough for the NumPy kernel, whose shared
         # inverted index is built once its rescans pass the break-even.
         system = random_set_system(256, 512, seed=7)
@@ -217,24 +226,33 @@ class TestInstanceCache:
         tasks = adv_tasks(descriptor)
         shuffled = list(tasks)
         random.Random(17).shuffle(shuffled)
-        crossings = set()
+        runs = []
         for order in (tasks, tasks[::-1], shuffled):
             payloads, crossing = {}, None
             try:
                 for task in order:
                     payloads[task.key] = canonical_json(execute_task(task))
                     instance, _ = workload_defs._INSTANCE_CACHE.get(descriptor)
-                    if crossing is None and instance.system.kernel()._inverted is not None:
+                    index = getattr(instance.system.kernel(), "_inverted", None)
+                    if crossing is None and index is not None:
                         crossing = task.key
             finally:
                 release_instance_cache()
             digest = hashlib.sha256()
             for task in tasks:
                 digest.update(payloads[task.key].encode())
-            # The payloads of the build that opened the instance per cell.
-            assert digest.hexdigest() == OPEN_PER_CELL_DIGEST
-            crossings.add(crossing)
-        # Each order switched the kernel to its index at a different cell.
+            runs.append((digest.hexdigest(), crossing))
+        return runs
+
+    def test_payloads_do_not_depend_on_cell_order(self):
+        # The payloads of the build that opened the instance per cell, on
+        # whichever kernel this interpreter resolves.
+        for digest, _ in self.run_in_three_orders():
+            assert digest == OPEN_PER_CELL_DIGEST
+
+    @requires_numpy
+    def test_each_order_crosses_to_the_index_at_its_own_cell(self):
+        crossings = {crossing for _, crossing in self.run_in_three_orders()}
         assert None not in crossings and len(crossings) == 3
 
 
