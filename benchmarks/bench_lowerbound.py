@@ -4,8 +4,8 @@ Measures disjointness gadget collections and D_SC / D_MC instance sampling
 along two paths:
 
 * **batched** — the current samplers: bulk
-  :meth:`~repro.utils.rng.RandomSource.random_array` float draws (exact
-  MT19937 state transfer) with packed-bit mask assembly.
+  :meth:`~repro.utils.rng.RandomSource.random_array` float draws (decoded
+  exactly from MT19937 words) with packed-bit mask assembly.
 * **loop** — the same samplers with vectorization disabled
   (``REPRO_SAMPLER_BATCH=off``): the identical float stream transformed by
   per-draw Python loops.

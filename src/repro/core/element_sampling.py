@@ -13,11 +13,12 @@ of its α iterations with ``ρ = n^{-1/α}``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import FrozenSet, Iterable
 
-from repro.utils.bitset import bitset_to_set
-from repro.utils.rng import RandomSource, SeedLike, spawn_rng
+from repro.utils.bitset import bitset_to_set, mask_from_bools
+from repro.utils.rng import RandomSource, SeedLike, batching_numpy, spawn_rng
 
 
 def sampling_probability(
@@ -64,9 +65,11 @@ def element_sample(
 
     The per-element Bernoulli draws come from ``seed``'s stream in iteration
     order of ``elements``, batched through
-    :meth:`~repro.utils.rng.RandomSource.random_batch` — bit-identical to one
-    sequential ``bernoulli`` call per element (same kept set, same stream
-    advancement), just without the per-element Python dispatch.
+    :meth:`~repro.utils.rng.RandomSource.random_array` (or
+    :meth:`~repro.utils.rng.RandomSource.random_batch` on the loop path) —
+    bit-identical to one sequential ``bernoulli`` call per element (same
+    kept set, same stream advancement), just without the per-element
+    Python dispatch.
     """
     if not 0.0 <= probability <= 1.0:
         raise ValueError(f"probability must lie in [0, 1], got {probability}")
@@ -76,6 +79,10 @@ def element_sample(
         # path must not consume from the stream either.
         return frozenset(elements)
     order = list(elements)
+    numpy = batching_numpy()
+    draws = rng.random_array(len(order)) if numpy is not None else None
+    if draws is not None:
+        return frozenset(itertools.compress(order, (draws < probability).tolist()))
     draws = rng.random_batch(len(order))
     return frozenset(
         element for element, draw in zip(order, draws) if draw < probability
@@ -103,6 +110,12 @@ def element_sample_mask(
     if probability >= 1.0:
         return mask
     order = list(bitset_to_set(mask))
+    numpy = batching_numpy()
+    draws = rng.random_array(len(order)) if numpy is not None else None
+    if draws is not None:
+        member = numpy.zeros(mask.bit_length(), dtype=bool)
+        member[numpy.asarray(order)[draws < probability]] = True
+        return mask_from_bools(member)
     draws = rng.random_batch(len(order))
     sampled = 0
     for element, draw in zip(order, draws):

@@ -24,10 +24,10 @@ stream — ``t`` gadget rolls, one planted uniform, then ``n`` mapping uniforms
 pair order, followed by the θ flip and, when θ = 1, the special index and
 ``t`` resample rolls.  The fixed layout lets the sampler draw whole pair
 blocks through one :meth:`~repro.utils.rng.RandomSource.random_array` call
-(exact MT19937 state transfer) and assemble all 2m masks via packed-bit
-matrix operations, while the sequential loop path applies the identical
-transforms to the identical floats — batched and loop sampling are
-bit-identical.  Mapping-extension provenance is materialised lazily: the
+(floats decoded exactly from MT19937 words) and assemble all 2m masks via
+packed-bit matrix operations, while the sequential loop path applies the
+identical transforms to the identical floats — batched and loop sampling
+are bit-identical.  Mapping-extension provenance is materialised lazily: the
 sampler keeps the permutations and builds :class:`MappingExtension` objects
 only when ``instance.mappings`` is actually inspected.
 """
@@ -293,8 +293,9 @@ def _sample_pairs_batched(numpy, rng, n: int, m: int, t: int):
         rows = min(chunk_pairs, m - start)
         draws = rng.random_array(rows * stride)
         if draws is None:
-            # Too small a batch to amortise the state transfer (or NumPy
-            # went away): the loop path consumes the identical draws.
+            # Below random_array's minimum, or a generator that is not
+            # exactly random.Random: the loop path consumes the identical
+            # draws.
             part = _sample_pairs_loop(rng, n, rows, t)
             disjointness.extend(part[0])
             block_id_rows.extend(part[1])

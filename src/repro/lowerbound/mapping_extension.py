@@ -114,8 +114,10 @@ def mapping_permutation(universe_size: int, rng) -> "list":
     through one bulk :meth:`~repro.utils.rng.RandomSource.random_array` call,
     bit-identical to this sequential path.
     """
-    draws = rng.random_batch(universe_size)
     numpy = batching_numpy()
+    draws = rng.random_array(universe_size) if numpy is not None else None
+    if draws is None:
+        draws = rng.random_batch(universe_size)
     if numpy is not None and universe_size >= 64:
         return numpy.argsort(numpy.asarray(draws), kind="stable").tolist()
     return argsort_floats(draws)

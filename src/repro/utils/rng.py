@@ -24,16 +24,48 @@ SeedLike = Union[None, int, random.Random, "RandomSource"]
 #: Number of bits in a derived seed (fits comfortably in a C long).
 _SEED_BITS = 64
 
-#: Minimum batch size worth routing through NumPy.  The MT19937 state
-#: transfer (2 × 625 word conversions plus two RandomState state copies) is
-#: a flat ~0.2 ms, so the vectorized draw only wins once the plain loop
-#: would cost more than that — measured crossover is several thousand
-#: draws, not hundreds.  Below the threshold the loop path runs; the floats
-#: are bit-identical either way, only wall-clock changes.
-_BATCH_NUMPY_MIN = 8192
+#: Fewest floats for which :meth:`RandomSource.random_array` and
+#: :meth:`RandomSource.random_batch` decode MT19937 words
+#: (:func:`_floats_from_words`) instead of returning None or running the
+#: ``random()`` loop.  The decode has a fixed cost of 5–10 µs (about ten
+#: NumPy calls) and then costs about 40% of the loop per float; a list also
+#: pays ``tolist()``.  Measured crossovers with the loop: 224 floats as an
+#: array, 384–512 as a list (docs/performance.md).
+_WORDS_ARRAY_MIN = 224
+_WORDS_BATCH_MIN = 448
+
+#: Fewest floats for which the MT19937 state transfer
+#: (:func:`_batch_floats_numpy`) beats decoding words.  The transfer costs
+#: a flat 0.2–0.4 ms (2 × 625 word conversions plus two ``RandomState``
+#: state copies) and then a few nanoseconds a float; the measured
+#: crossover with the decode is 14–16k floats, as an array or a list.
+_BATCH_NUMPY_MIN = 15360
 
 
-def _batch_floats_numpy(rng: random.Random, count: int):
+def _mt_words(np, rng: random.Random, count: int):
+    """``rng``'s next ``count`` MT19937 words as a uint32 array, in draw order.
+
+    ``getrandbits(32·W)`` returns W consecutive words, least significant
+    first.
+    """
+    return np.frombuffer(rng.getrandbits(32 * count).to_bytes(4 * count, "little"), dtype="<u4")
+
+
+def _floats_from_words(np, rng: random.Random, count: int):
+    """``rng``'s next ``count`` ``random()`` floats, decoded from its words.
+
+    ``random()`` reads two MT19937 words a and b and returns
+    ``((a >> 5)·2^26 + (b >> 6)) / 2^53``.  The numerator is an integer
+    below 2^53 and the divisor a power of two, so float64 computes it
+    exactly: the floats, and the stream position afterwards, equal
+    ``count`` sequential ``random()`` calls.  One ``getrandbits(64·count)``
+    call draws the 2·count words (:func:`_mt_words`).
+    """
+    words = _mt_words(np, rng, 2 * count)
+    return ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) * (1.0 / 9007199254740992.0)
+
+
+def _batch_floats_numpy(np, rng: random.Random, count: int):
     """Draw ``count`` floats from ``rng``'s MT19937 stream via NumPy, exactly.
 
     CPython's ``random.Random`` and NumPy's legacy ``RandomState`` are both
@@ -41,19 +73,13 @@ def _batch_floats_numpy(rng: random.Random, count: int):
     624-word state across, drawing the batch vectorized, and copying the
     advanced state back yields *bit-identical* floats and leaves ``rng``
     positioned exactly as ``count`` sequential ``random()`` calls would.
-    Returns the draws as a NumPy array, or None when NumPy is unavailable or
-    the state layout is unexpected (non-CPython implementations), in which
-    case the caller falls back to the sequential loop — the stream is only
-    advanced on success.
+    Decodes words instead when the state layout is unexpected
+    (non-CPython implementations).
     """
-    try:
-        import numpy as np
-    except ImportError:  # pragma: no cover - exercised on NumPy-less installs
-        return None
     state = rng.getstate()
     version, internal = state[0], state[1]
     if version != 3 or len(internal) != 625:  # pragma: no cover - non-CPython
-        return None
+        return _floats_from_words(np, rng, count)
     mt = np.random.RandomState()
     mt.set_state(
         ("MT19937", np.asarray(internal[:624], dtype=np.uint32), internal[624], 0, 0.0)
@@ -66,6 +92,25 @@ def _batch_floats_numpy(rng: random.Random, count: int):
         (version, tuple(advanced[1].tolist()) + (int(advanced[2]),), state[2])
     )
     return draws
+
+
+def _vector_floats(rng: random.Random, count: int, minimum: int):
+    """``rng``'s next ``count`` floats as an array, or None for the loop.
+
+    None, drawing nothing, below ``minimum``, for a generator that is not
+    exactly :class:`random.Random` (a subclass may override ``random()``,
+    and ``SystemRandom`` keeps no state) and without sampler batching.
+    Otherwise the floats are transferred or decoded, whichever is faster
+    at ``count``.
+    """
+    if count < minimum or type(rng) is not random.Random:
+        return None
+    np = batching_numpy()
+    if np is None:
+        return None
+    if count >= _BATCH_NUMPY_MIN:
+        return _batch_floats_numpy(np, rng, count)
+    return _floats_from_words(np, rng, count)
 
 
 #: Fewest draws (masks × size) for which :meth:`RandomSource.subset_masks`
@@ -81,6 +126,12 @@ _SUBSET_CHUNK_WORDS = 1 << 15
 #: Cells (rows × n) of the boolean matrix one chunk packs: at most this
 #: many, or a single row when n alone exceeds it.
 _SUBSET_CHUNK_CELLS = 1 << 20
+
+#: Span of the set-branch replay's row-end walk (:func:`_row_ends`): this
+#: many times a row's expected values, plus 32.  A row longer than the span
+#: is redone by the :func:`_row_end` fixpoint; a wider span makes the walk
+#: visit more positions.
+_SUBSET_ROW_SPAN = 1.25
 
 
 def _sample_selects_by_set(n: int, k: int) -> bool:
@@ -140,13 +191,41 @@ def _row_end(np, prev, start: int, k: int, limit: int) -> Optional[int]:
     return None
 
 
-def _mt_words(np, rng: random.Random, count: int):
-    """``rng``'s next ``count`` MT19937 words as a uint32 array, in draw order.
+def _row_ends(np, prev, k: int, rows: int, span: int) -> List[int]:
+    """Ends of up to ``rows`` consecutive rows of ``k`` distinct values.
 
-    ``getrandbits(32·W)`` returns W consecutive words, least significant
-    first.
+    The first row starts at 0 and each next one where the last ended.  One
+    walk finds every end: a value repeats within a row of at most ``span``
+    values only if its previous occurrence lies less than ``span`` before
+    it, so the walk visits just those positions, in order, and pushes the
+    row's end one further for each whose ``prev`` lies at or after the
+    row's start.  A row the walk finds longer than ``span`` may have
+    missed a repeat and is redone by the :func:`_row_end` fixpoint.  Stops
+    at the first row that runs past the values drawn.
     """
-    return np.frombuffer(rng.getrandbits(32 * count).to_bytes(4 * count, "little"), dtype="<u4")
+    limit = len(prev)
+    near = np.flatnonzero((prev >= 0) & (np.arange(limit) - prev < span))
+    positions = near.tolist()
+    previous = prev[near].tolist()
+    total = len(positions)
+    ends: List[int] = []
+    start = index = 0
+    while len(ends) < rows:
+        end = start + k
+        while index < total and positions[index] < end:
+            if previous[index] >= start:
+                end += 1
+            index += 1
+        if end - start > span:
+            end = _row_end(np, prev, start, k, limit)
+            if end is None:
+                break
+            index = bisect.bisect_left(positions, end)
+        elif end > limit:
+            break
+        ends.append(end)
+        start = end
+    return ends
 
 
 def _replay_subset_masks(
@@ -164,6 +243,7 @@ def _replay_subset_masks(
     """
     bits = n.bit_length()
     per_row = _words_per_row(n, k)
+    span = int(_SUBSET_ROW_SPAN * per_row * n / (1 << bits)) + 32
 
     def words_for(rows: int) -> int:
         # The expected words plus a margin, so that one draw nearly always
@@ -182,21 +262,14 @@ def _replay_subset_masks(
         values = _mt_words(np, rng, words) >> (32 - bits)
         positions = np.flatnonzero(values < n)
         values = values[positions].astype(np.min_scalar_type(n - 1))
-        prev = _previous_occurrences(np, values)
-        ends: List[int] = []
-        start = 0
-        while len(ends) < rows:
-            end = _row_end(np, prev, start, k, len(values))
-            if end is None:
-                break
-            ends.append(end)
-            start = end
+        ends = _row_ends(np, _previous_occurrences(np, values), k, rows, span)
         rng.setstate(state)
         if not ends:
             # Not even one row completed: redraw a chunk twice the size.
             at_least = 2 * words
             continue
         at_least = 0
+        start = ends[-1]
         rng.getrandbits(32 * (int(positions[start - 1]) + 1))
         row_of = np.repeat(np.arange(len(ends)), np.diff(ends, prepend=0))
         member = np.zeros((len(ends), n), dtype=bool)
@@ -446,9 +519,10 @@ def batching_numpy():
     :meth:`RandomSource.random_batch` / :meth:`RandomSource.random_array`
     (bit-identical either way) and then *transform* them — argsorts, roll
     flooring, packed mask assembly — vectorized when this returns a module
-    and with plain Python loops otherwise.  Setting ``REPRO_SAMPLER_BATCH=off``
-    forces the loop path, which the bit-identity tests use to prove the two
-    transforms agree draw for draw.
+    and with plain Python loops otherwise; the floats themselves are drawn
+    vectorized only when this returns a module.  Setting
+    ``REPRO_SAMPLER_BATCH=off`` forces the loop path, which the bit-identity
+    tests use to prove the two transforms agree draw for draw.
     """
     if os.environ.get("REPRO_SAMPLER_BATCH", "").lower() in ("0", "off", "no", "false"):
         return None
@@ -563,40 +637,38 @@ class RandomSource:
     def random_batch(self, count: int) -> list:
         """Return ``count`` floats, identical to ``count`` :meth:`random` calls.
 
-        Large batches are drawn vectorized through NumPy when available (the
-        MT19937 state is transferred across and back, so the stream advances
-        exactly as the sequential loop would); small batches and NumPy-less
-        installs use the plain loop.  Either way the returned floats — and
-        every draw made from this source afterwards — are bit-identical.
+        From :data:`_WORDS_BATCH_MIN` floats on, with sampler batching on
+        (:func:`batching_numpy`) and a generator that is exactly
+        :class:`random.Random`, the floats are drawn vectorized: decoded
+        from MT19937 words, or for the largest batches through an MT19937
+        state transfer.  Otherwise the plain loop runs.  Either way the
+        returned floats, and every draw made from this source afterwards,
+        are bit-identical.
         """
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
         _count("rng.draws", count)
-        if count >= _BATCH_NUMPY_MIN:
-            draws = _batch_floats_numpy(self._rng, count)
-            if draws is not None:
-                return draws.tolist()
+        draws = _vector_floats(self._rng, count, _WORDS_BATCH_MIN)
+        if draws is not None:
+            return draws.tolist()
         return [self._rng.random() for _ in range(count)]
 
     def random_array(self, count: int):
         """``count`` floats as a NumPy array, or None when not worthwhile.
 
         The vectorized sibling of :meth:`random_batch` for callers that stay
-        in array land (packed instance generation): on success the returned
-        draws and the post-call stream position are bit-identical to
-        ``count`` sequential :meth:`random` calls.  Returns None — without
-        consuming anything — when NumPy is missing or the batch is too small
-        to amortise the MT19937 state transfer; callers then fall back to
-        :meth:`random_batch` or the plain loop.
+        in array land: the returned draws and the stream position afterwards
+        are bit-identical to ``count`` sequential :meth:`random` calls.
+        Returns None, consuming nothing, where :meth:`random_batch` would run
+        its loop (below :data:`_WORDS_ARRAY_MIN` floats here); callers then
+        fall back to :meth:`random_batch` or the plain loop.
         """
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
-        if count >= _BATCH_NUMPY_MIN:
-            draws = _batch_floats_numpy(self._rng, count)
-            if draws is not None:
-                _count("rng.draws", count)
-            return draws
-        return None
+        draws = _vector_floats(self._rng, count, _WORDS_ARRAY_MIN)
+        if draws is not None:
+            _count("rng.draws", count)
+        return draws
 
     def permutation(self, n: int) -> list:
         """Return a uniformly random permutation of range(n)."""

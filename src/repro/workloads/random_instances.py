@@ -1,13 +1,14 @@
 """Random set system generators with controllable structure.
 
-Instance construction is batched: Bernoulli-family generators draw their
-whole float budget through :meth:`~repro.utils.rng.RandomSource.random_batch`
-/ :meth:`~repro.utils.rng.RandomSource.random_array` (exact MT19937 state
-transfer — the draws and the post-call stream position are bit-identical to
-the historical per-element ``bernoulli`` loops) and assemble packed bitset
-masks in one array operation per set system instead of per-element list
-appends.  Fixed-size subsets (planted decoys, ``set_size=`` systems) are
-drawn ``count`` at a time through
+Instance construction is batched: Bernoulli-family generators, the
+planted sets' overlaps included, draw their whole float budget through
+:meth:`~repro.utils.rng.RandomSource.random_batch` /
+:meth:`~repro.utils.rng.RandomSource.random_array` (decoded from MT19937
+words, exactly: the draws and the post-call stream position are
+bit-identical to the historical per-element ``bernoulli`` loops) and
+assemble packed bitset masks in one array operation per set system instead
+of per-element list appends.  Fixed-size subsets (planted decoys,
+``set_size=`` systems) are drawn ``count`` at a time through
 :meth:`~repro.utils.rng.RandomSource.subset_masks`, which equals ``count``
 :meth:`~repro.utils.rng.RandomSource.subset_mask` calls mask for mask and
 leaves the stream where they would, replaying either branch of CPython's
@@ -19,18 +20,18 @@ lists are materialised; coverability patches go through
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.setcover.instance import SetCoverInstance, SetSystem
 from repro.utils.bitset import bitset_from_indices, masks_from_bool_rows
-from repro.utils.rng import RandomSource, SeedLike, spawn_rng
+from repro.utils.rng import RandomSource, SeedLike, batching_numpy, spawn_rng
 
 
 #: Sets per draw chunk in :func:`bernoulli_masks`: bounds the transient float
 #: array at ``chunk × n`` doubles (the same convention as the NumPy kernel's
-#: row chunking) while staying large enough to amortise the MT19937 state
-#: transfer.
+#: row chunking).
 _BERNOULLI_CHUNK_ROWS = 1024
 
 
@@ -123,21 +124,34 @@ def random_instance(
     return SetCoverInstance(system, metadata={"kind": "random", "patched": True})
 
 
-def _bernoulli_mask_excluding(
-    rng: RandomSource, universe_size: int, excluded: Sequence[int], probability: float
-) -> int:
-    """Bernoulli subset of the universe outside ``excluded`` (a sorted range).
+def _planted_masks(
+    rng: RandomSource, universe_size: int, bounds: Sequence[Tuple[int, int]], overlap: float
+) -> List[int]:
+    """One planted set per block ``[start, end)``: the block plus an overlap.
 
-    Draws exactly ``universe_size - len(excluded)`` floats in ascending
-    element order — the same consumption as the historical loop that skipped
-    excluded elements without drawing for them.
+    Each element outside a block joins its set with probability
+    ``overlap``, one float per element in ascending order, block after
+    block, so the (blocks − 1)·n floats are consecutive draws of one batch.
+    With NumPy batching they fill a boolean matrix outside each block, in
+    row-major order; the loop path reads the same floats from one
+    :meth:`~repro.utils.rng.RandomSource.random_batch`.
     """
-    start, end = (excluded[0], excluded[-1] + 1) if excluded else (0, 0)
-    outside = list(range(0, start)) + list(range(end, universe_size))
-    draws = rng.random_batch(len(outside))
-    return bitset_from_indices(
-        [element for element, draw in zip(outside, draws) if draw < probability]
-    )
+    count = (len(bounds) - 1) * universe_size
+    numpy = batching_numpy()
+    draws = rng.random_array(count) if numpy is not None else None
+    if draws is not None:
+        member = numpy.zeros((len(bounds), universe_size), dtype=bool)
+        for row, (start, end) in enumerate(bounds):
+            member[row, start:end] = True
+        member[~member] = draws < overlap
+        return masks_from_bool_rows(member)
+    floats = iter(rng.random_batch(count))
+    masks: List[int] = []
+    for start, end in bounds:
+        outside = itertools.chain(range(start), range(end, universe_size))
+        extra = [element for element in outside if next(floats) < overlap]
+        masks.append(((1 << end) - (1 << start)) | bitset_from_indices(extra))
+    return masks
 
 
 def plant_cover_instance(
@@ -167,18 +181,9 @@ def plant_cover_instance(
     rng = spawn_rng(seed)
 
     block_size = universe_size // cover_size
-    blocks: List[List[int]] = []
-    start = 0
-    for index in range(cover_size):
-        end = universe_size if index == cover_size - 1 else start + block_size
-        blocks.append(list(range(start, end)))
-        start = end
-
-    planted_masks: List[int] = []
-    for block in blocks:
-        block_mask = bitset_from_indices(block)
-        extra_mask = _bernoulli_mask_excluding(rng, universe_size, block, overlap)
-        planted_masks.append(block_mask | extra_mask)
+    starts = [index * block_size for index in range(cover_size)]
+    bounds = list(zip(starts, starts[1:] + [universe_size]))
+    planted_masks = _planted_masks(rng, universe_size, bounds, overlap)
 
     if decoy_set_size is None:
         # Decoys strictly smaller than a block so they cannot replace a

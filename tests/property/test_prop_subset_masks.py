@@ -9,7 +9,9 @@ forces the replays for every eligible shape (the crossovers lowered to one
 draw), shrinks the replays' chunks and blocks so rows straddle and overflow
 them, starves the pool walk of words, and pins the cases that must keep
 the loop.  ``spent_subset_masks``, the pool walk across many sources, must
-equal each source's own loop.  Under ``REPRO_SAMPLER_BATCH=off`` or
+equal each source's own loop.  The set-branch replay finds a chunk's row
+ends in one walk; it must equal the per-row fixpoint and a direct count of
+distinct values, also when rows outgrow the walk's span.  Under ``REPRO_SAMPLER_BATCH=off`` or
 without NumPy both sides take the loop and the identity is trivial, but
 the grid still runs.
 """
@@ -188,6 +190,18 @@ class TestIdentity:
             patch.setattr(rng_module, "_words_per_row", lambda n, k: 0.0)
             assert_matches_loop(seed, universe_size, size, count)
 
+    @given(shapes())
+    @with_edges
+    @settings(max_examples=60, deadline=None)
+    def test_rows_outgrow_the_span(self, shape):
+        # A span of 32 values: every row of more than 32 values leaves the
+        # chunk walk for the fixpoint.
+        universe_size, size, count, seed = shape
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rng_module, "_SUBSET_BULK_MIN_DRAWS", 1)
+            patch.setattr(rng_module, "_SUBSET_ROW_SPAN", 0.0)
+            assert_matches_loop(seed, universe_size, size, count)
+
     @pytest.mark.parametrize(
         "universe_size,size,count",
         [
@@ -237,6 +251,73 @@ class TestIdentity:
             patch.setattr(rng_module, "_POOL_BLOCK_WORDS", 64)
             patch.setattr(rng_module, "_POOL_SWAP_CELLS", 1)
             assert_matches_loop(seed, universe_size, size, count)
+
+
+def distinct_row_ends(values, size, rows):
+    """Each row ends just after its ``size``-th distinct value."""
+    ends, seen = [], set()
+    for position, value in enumerate(values):
+        if len(ends) == rows:
+            break
+        seen.add(value)
+        if len(seen) == size:
+            ends.append(position + 1)
+            seen = set()
+    return ends
+
+
+def fixpoint_row_ends(np, prev, size, rows):
+    """Row ends found one row at a time by the ``_row_end`` fixpoint."""
+    ends, start = [], 0
+    while len(ends) < rows:
+        end = rng_module._row_end(np, prev, start, size, len(prev))
+        if end is None:
+            break
+        ends.append(end)
+        start = end
+    return ends
+
+
+class TestRowEnds:
+    """The set-branch replay's chunk walk against the per-row fixpoint."""
+
+    @given(
+        st.integers(min_value=1, max_value=40).flatmap(
+            lambda alphabet: st.tuples(
+                st.lists(st.integers(min_value=0, max_value=alphabet - 1), max_size=400),
+                st.integers(min_value=1, max_value=alphabet),
+            )
+        ),
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=0, max_value=120),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_walk_equals_fixpoint(self, drawn, rows, span):
+        np = pytest.importorskip("numpy")
+        values, size = drawn
+        prev = rng_module._previous_occurrences(np, np.array(values, dtype=np.uint8))
+        walked = rng_module._row_ends(np, prev, size, rows, span)
+        assert walked == fixpoint_row_ends(np, prev, size, rows)
+        assert walked == distinct_row_ends(values, size, rows)
+
+    def test_row_longer_than_span_takes_the_fixpoint(self, monkeypatch):
+        np = pytest.importorskip("numpy")
+        # Rows of 10, 3 and 6 values, then one that never completes.
+        values = [0] * 6 + [1] * 3 + [2] + [3, 4, 5] + [5] * 4 + [6, 7] + [8]
+        starts = []
+        row_end = rng_module._row_end
+
+        def recorded(np, prev, start, size, limit):
+            starts.append(start)
+            return row_end(np, prev, start, size, limit)
+
+        monkeypatch.setattr(rng_module, "_row_end", recorded)
+        prev = rng_module._previous_occurrences(np, np.array(values, dtype=np.uint8))
+        assert rng_module._row_ends(np, prev, 3, 10, 5) == [10, 13, 19]
+        assert distinct_row_ends(values, 3, 10) == [10, 13, 19]
+        # The first and third rows outgrow the span of 5; the second does
+        # not, and the last is cut short by the values drawn.
+        assert starts == [0, 13]
 
 
 def spent_outcome(seed, universe_size, size, count, taken, walk):

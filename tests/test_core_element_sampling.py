@@ -1,8 +1,16 @@
 """Unit tests for the Lemma 3.12 element sampling primitive."""
 
+import random
+
 import pytest
 
-from repro.core.element_sampling import element_sample, sampling_probability
+from repro.core.element_sampling import (
+    element_sample,
+    element_sample_mask,
+    sampling_probability,
+)
+from repro.utils.bitset import bitset_to_set
+from repro.utils.rng import RandomSource
 
 
 class TestSamplingProbability:
@@ -66,3 +74,45 @@ class TestElementSample:
             element_sample(range(10), 1.5)
         with pytest.raises(ValueError):
             element_sample(range(10), -0.1)
+
+
+def kept_by_loop(order, probability, seed):
+    """The elements of ``order`` one ``random()`` draw each keeps."""
+    engine = random.Random(seed)
+    return [element for element in order if engine.random() < probability], engine
+
+
+#: Sizes on both sides of ``random_array``'s minimum, and one far above.
+SAMPLE_SIZES = [0, 1, 5, 223, 224, 225, 1000, 8100]
+
+
+class TestBatchedEqualsLoop:
+    """The vectorized selection and the loop keep what ``random()`` keeps."""
+
+    @pytest.mark.parametrize("batching", ["on", "off"])
+    @pytest.mark.parametrize("size", SAMPLE_SIZES)
+    def test_element_sample(self, monkeypatch, size, batching):
+        if batching == "off":
+            monkeypatch.setenv("REPRO_SAMPLER_BATCH", "off")
+        order = [3 * element + 1 for element in range(size)]
+        for probability in (0.0, 0.3, 0.999):
+            engine = random.Random(size)
+            sample = element_sample(order, probability, seed=RandomSource(engine))
+            kept, reference = kept_by_loop(order, probability, size)
+            assert sample == frozenset(kept)
+            assert engine.getstate() == reference.getstate()
+
+    @pytest.mark.parametrize("batching", ["on", "off"])
+    @pytest.mark.parametrize("size", SAMPLE_SIZES)
+    def test_element_sample_mask(self, monkeypatch, size, batching):
+        if batching == "off":
+            monkeypatch.setenv("REPRO_SAMPLER_BATCH", "off")
+        # Every other element of a wide universe: a set whose iteration
+        # order is not ascending once it outgrows its hash table.
+        mask = sum(1 << (2 * element + 700) for element in range(size))
+        for probability in (0.0, 0.3, 0.999):
+            engine = random.Random(size)
+            sample = element_sample_mask(mask, probability, seed=RandomSource(engine))
+            kept, reference = kept_by_loop(list(bitset_to_set(mask)), probability, size)
+            assert sample == sum(1 << element for element in kept)
+            assert engine.getstate() == reference.getstate()

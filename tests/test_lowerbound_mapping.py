@@ -1,9 +1,15 @@
 """Unit tests for mapping-extensions (Definition 3)."""
 
+import random
+
 import pytest
 
 from repro.exceptions import DistributionError
-from repro.lowerbound.mapping_extension import MappingExtension, random_mapping_extension
+from repro.lowerbound.mapping_extension import (
+    MappingExtension,
+    mapping_permutation,
+    random_mapping_extension,
+)
 from repro.utils.rng import RandomSource
 
 
@@ -67,3 +73,18 @@ class TestMappingExtensionValidation:
     def test_out_of_universe_rejected(self):
         with pytest.raises(DistributionError):
             MappingExtension(3, (frozenset({5}),))
+
+
+class TestMappingPermutation:
+    """The permutation is the stable argsort of n ``random()`` draws."""
+
+    @pytest.mark.parametrize("batching", ["on", "off"])
+    @pytest.mark.parametrize("universe_size", [1, 2, 63, 64, 223, 224, 900, 4096])
+    def test_equals_argsort_of_random_calls(self, monkeypatch, universe_size, batching):
+        if batching == "off":
+            monkeypatch.setenv("REPRO_SAMPLER_BATCH", "off")
+        engine, reference = random.Random(universe_size), random.Random(universe_size)
+        permutation = mapping_permutation(universe_size, RandomSource(engine))
+        floats = [reference.random() for _ in range(universe_size)]
+        assert permutation == sorted(range(universe_size), key=floats.__getitem__)
+        assert engine.getstate() == reference.getstate()

@@ -1,5 +1,13 @@
 """Unit tests for the seeded random source."""
 
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.telemetry.metrics import _ACTIVE, MetricsRegistry
+from repro.utils import rng as rng_module
 from repro.utils.rng import RandomSource, derive_seed, spawn_rng
 
 
@@ -64,8 +72,6 @@ class TestHelpers:
         assert all(0 <= e < 50 for e in subset)
 
     def test_subset_too_large_rejected(self):
-        import pytest
-
         with pytest.raises(ValueError):
             RandomSource(5).subset(3, 5)
 
@@ -87,15 +93,12 @@ class TestHelpers:
         assert a.random() == b.random()
 
     def test_subset_mask_too_large_rejected(self):
-        import pytest
-
         with pytest.raises(ValueError):
             RandomSource(5).subset_mask(3, 5)
 
     def test_random_array_matches_sequential_draws(self):
-        import pytest
-
-        pytest.importorskip("numpy")
+        if rng_module.batching_numpy() is None:
+            pytest.skip("sampler batching is off or NumPy is missing")
         from repro.utils.rng import _BATCH_NUMPY_MIN
 
         count = _BATCH_NUMPY_MIN + 100
@@ -120,10 +123,179 @@ class TestHelpers:
         assert rng.randbits(64) == before
 
     def test_random_array_rejects_negative(self):
-        import pytest
-
         with pytest.raises(ValueError):
             RandomSource(1).random_array(-1)
+
+
+def counted(call):
+    """``(call(), counters)`` with a fresh metrics registry active."""
+    registry = MetricsRegistry()
+    token = _ACTIVE.set(registry)
+    try:
+        result = call()
+    finally:
+        _ACTIVE.reset(token)
+    return result, registry.snapshot()["counters"]
+
+
+#: 0, 1, odd counts, and each side of the decode minimums and of the
+#: words/transfer crossover.
+FLOAT_COUNTS = sorted(
+    {0, 1, 3, 7, 1001}
+    | {
+        minimum + step
+        for minimum in (
+            rng_module._WORDS_ARRAY_MIN,
+            rng_module._WORDS_BATCH_MIN,
+            rng_module._BATCH_NUMPY_MIN,
+        )
+        for step in (-1, 0, 1)
+    }
+)
+
+#: How the floats are drawn: the measured thresholds, the decode forced
+#: from 0 floats (no transfer), and the transfer forced from 0 floats.
+FLOAT_MODES = {
+    "default": {},
+    "words": {"_WORDS_ARRAY_MIN": 0, "_WORDS_BATCH_MIN": 0, "_BATCH_NUMPY_MIN": 1 << 60},
+    "transfer": {"_WORDS_ARRAY_MIN": 0, "_WORDS_BATCH_MIN": 0, "_BATCH_NUMPY_MIN": 0},
+}
+
+
+def float_outcome(seed, count, mode, method):
+    """``(floats or None, state afterwards, counters)`` of one float call."""
+    engine = random.Random(seed)
+    with pytest.MonkeyPatch.context() as patch:
+        for name, value in FLOAT_MODES[mode].items():
+            patch.setattr(rng_module, name, value)
+        result, counters = counted(lambda: getattr(RandomSource(engine), method)(count))
+    return result, engine.getstate(), counters.get("rng.draws", 0)
+
+
+def random_calls(seed, count):
+    """``count`` ``random()`` calls and the state they leave."""
+    engine = random.Random(seed)
+    return [engine.random() for _ in range(count)], engine.getstate()
+
+
+class TestFloatBatches:
+    """``random_batch`` and ``random_array`` against the ``random()`` loop."""
+
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from(FLOAT_COUNTS),
+        st.sampled_from(sorted(FLOAT_MODES)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_batch(self, seed, count, mode):
+        floats, state, draws = float_outcome(seed, count, mode, "random_batch")
+        assert type(floats) is list
+        assert (floats, state) == random_calls(seed, count)
+        assert draws == count
+
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from(FLOAT_COUNTS),
+        st.sampled_from(sorted(FLOAT_MODES)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_array(self, seed, count, mode):
+        floats, state, draws = float_outcome(seed, count, mode, "random_array")
+        minimum = FLOAT_MODES[mode].get("_WORDS_ARRAY_MIN", rng_module._WORDS_ARRAY_MIN)
+        if rng_module.batching_numpy() is None or count < minimum:
+            # Declined: nothing drawn, nothing counted.
+            assert floats is None
+            assert state == random.Random(seed).getstate()
+            assert draws == 0
+            return
+        assert floats.dtype == "float64"
+        assert (floats.tolist(), state) == random_calls(seed, count)
+        assert draws == count
+
+    def test_each_path_runs_where_measured(self, monkeypatch):
+        np = rng_module.batching_numpy()
+        if np is None:
+            pytest.skip("sampler batching is off or NumPy is missing")
+        calls = []
+        for name in ("_floats_from_words", "_batch_floats_numpy"):
+            original = getattr(rng_module, name)
+
+            def recorded(np, rng, count, name=name, original=original):
+                calls.append((name, count))
+                return original(np, rng, count)
+
+            monkeypatch.setattr(rng_module, name, recorded)
+        source = RandomSource(4)
+        source.random_batch(rng_module._WORDS_BATCH_MIN - 1)
+        source.random_batch(rng_module._WORDS_BATCH_MIN)
+        assert source.random_array(rng_module._WORDS_ARRAY_MIN - 1) is None
+        source.random_array(rng_module._WORDS_ARRAY_MIN)
+        source.random_array(rng_module._BATCH_NUMPY_MIN - 1)
+        source.random_batch(rng_module._BATCH_NUMPY_MIN)
+        assert calls == [
+            ("_floats_from_words", rng_module._WORDS_BATCH_MIN),
+            ("_floats_from_words", rng_module._WORDS_ARRAY_MIN),
+            ("_floats_from_words", rng_module._BATCH_NUMPY_MIN - 1),
+            ("_batch_floats_numpy", rng_module._BATCH_NUMPY_MIN),
+        ]
+
+    def test_batching_off_runs_the_loop(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SAMPLER_BATCH", "off")
+        count = rng_module._BATCH_NUMPY_MIN + 1
+        assert RandomSource(8).random_array(count) is None
+        floats, state, _ = float_outcome(8, count, "default", "random_batch")
+        assert (floats, state) == random_calls(8, count)
+
+
+class ConstantRandom(random.Random):
+    """A subclass whose ``random()`` is its own."""
+
+    def random(self):
+        return 0.25
+
+
+class RecordingSystemRandom(random.SystemRandom):
+    """``SystemRandom`` that records the floats its ``random()`` returns."""
+
+    def __init__(self):
+        super().__init__()
+        self.returned = []
+
+    def random(self):
+        value = super().random()
+        self.returned.append(value)
+        return value
+
+
+#: Counts on each vectorized path if the generator were exactly Random.
+OTHER_GENERATOR_COUNTS = [
+    rng_module._WORDS_BATCH_MIN,
+    9000,
+    rng_module._BATCH_NUMPY_MIN,
+]
+
+
+class TestOtherGenerators:
+    """Only an exact ``random.Random`` is drawn vectorized; others loop."""
+
+    @pytest.mark.parametrize("count", OTHER_GENERATOR_COUNTS)
+    def test_subclass_random_is_called(self, count):
+        source = RandomSource(ConstantRandom(3))
+        assert source.random_batch(count) == [0.25] * count
+        assert source.random_array(count) is None
+
+    @pytest.mark.parametrize("count", OTHER_GENERATOR_COUNTS)
+    def test_system_random_floats_are_its_own(self, count):
+        engine = RecordingSystemRandom()
+        assert RandomSource(engine).random_batch(count) == engine.returned
+        assert len(engine.returned) == count
+
+    def test_system_random(self):
+        source = RandomSource(random.SystemRandom())
+        floats = source.random_batch(9000)
+        assert len(floats) == 9000
+        assert all(0.0 <= value < 1.0 for value in floats)
+        assert source.random_array(9000) is None
 
 
 class TestSpawnRng:

@@ -1,8 +1,12 @@
 """Unit tests for the workload generators."""
 
+import random
+
 import pytest
 
 from repro.setcover.exact import exact_cover_value
+from repro.telemetry.metrics import _ACTIVE, MetricsRegistry
+from repro.utils.rng import RandomSource
 from repro.workloads.adversarial import dmc_stream_instance, dsc_stream_instance
 from repro.workloads.coverage import topic_coverage_instance
 from repro.workloads.random_instances import (
@@ -116,6 +120,74 @@ class TestPlantedCover:
     def test_custom_decoy_size(self):
         instance = plant_cover_instance(60, 20, 3, decoy_set_size=2, seed=7)
         assert instance.metadata["decoy_set_size"] == 2
+
+
+def planted_by_block(universe_size, num_sets, cover_size, overlap, rng):
+    """``plant_cover_instance``'s sets, drawn one block and one float at a time.
+
+    The reference draw order: each planted set is its block plus one
+    ``random()`` draw per element outside it, in ascending order, block
+    after block; then the decoys and the shuffle.
+    """
+    block_size = universe_size // cover_size
+    masks = []
+    start = 0
+    for index in range(cover_size):
+        end = universe_size if index == cover_size - 1 else start + block_size
+        mask = sum(1 << element for element in range(start, end))
+        for element in range(universe_size):
+            if not start <= element < end and rng.random() < overlap:
+                mask |= 1 << element
+        masks.append(mask)
+        start = end
+    decoy_size = min(max(1, block_size // 2), universe_size)
+    masks += [rng.subset_mask(universe_size, decoy_size) for _ in range(num_sets - cover_size)]
+    order = rng.permutation(len(masks))
+    return [masks[index] for index in order]
+
+
+def planted_outcome(universe_size, num_sets, cover_size, overlap, seed, generate):
+    """``(masks, state afterwards, counters)`` of one planted instance."""
+    engine = random.Random(seed)
+    registry = MetricsRegistry()
+    token = _ACTIVE.set(registry)
+    try:
+        if generate:
+            instance = plant_cover_instance(
+                universe_size, num_sets, cover_size, overlap=overlap, seed=RandomSource(engine)
+            )
+            masks = instance.system.masks()
+        else:
+            masks = planted_by_block(
+                universe_size, num_sets, cover_size, overlap, RandomSource(engine)
+            )
+    finally:
+        _ACTIVE.reset(token)
+    return masks, engine.getstate(), registry.snapshot()["counters"]
+
+
+class TestPlantedMasks:
+    """The planted overlaps, drawn as one batch, against the per-block loop."""
+
+    @pytest.mark.parametrize("batching", ["on", "off"])
+    @pytest.mark.parametrize("overlap", [0.0, 0.1, 1.0])
+    @pytest.mark.parametrize("cover_size", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("universe_size", [97, 301])
+    def test_equals_per_block_loop(
+        self, monkeypatch, universe_size, cover_size, overlap, batching
+    ):
+        # n is prime, so no cover_size > 1 divides it; (cover_size − 1)·n
+        # spans both sides of random_array's minimum.
+        if batching == "off":
+            monkeypatch.setenv("REPRO_SAMPLER_BATCH", "off")
+        for seed in (0, 7):
+            shape = (universe_size, 3 * cover_size, cover_size, overlap, seed)
+            assert planted_outcome(*shape, True) == planted_outcome(*shape, False)
+
+    def test_e3_shape(self):
+        # E3's instances: n = 400, m = 40, four planted sets.
+        shape = (400, 40, 4, 0.1, 2019)
+        assert planted_outcome(*shape, True) == planted_outcome(*shape, False)
 
 
 class TestZipfAndBlocks:
