@@ -19,8 +19,8 @@ root, the committed baseline).  Run it directly::
     PYTHONPATH=src python benchmarks/bench_kernels.py --quick    # CI smoke grid
 
 ``--baseline BENCH_kernels.json`` gates the run (see ``microbench.py``) on
-lazy greedy at the largest quick entry, on the highest registered tier:
-``numpy`` without numba, ``compiled`` with it.
+lazy greedy at the largest quick entry, on the highest registered backend
+(``numpy`` where NumPy is installed).
 """
 
 from __future__ import annotations

@@ -26,9 +26,9 @@ from typing import Dict, List
 API_DIR = Path(__file__).parent / "api"
 
 #: Optional extras.  A module that imports one of them at import time (the
-#: NumPy and compiled kernel tiers) is documented from its source where the
-#: extra is missing, so a bare interpreter still writes and checks every page.
-OPTIONAL_DEPENDENCIES = ("numpy", "numba")
+#: NumPy kernel) is documented from its source where the extra is missing,
+#: so a bare interpreter still writes and checks every page.
+OPTIONAL_DEPENDENCIES = ("numpy",)
 
 
 def iter_module_names() -> List[str]:

@@ -5,8 +5,7 @@
 * Set cover: the full-exchange exact protocol and a two-party simulation of
   Algorithm 1 whose communication matches the paper's upper bound shape
   ``Õ(α · m · n^{1/α})``.
-* Maximum coverage: full exchange and an element-sampling protocol with
-  communication ``Õ(m/ε²)`` matching Theorem 4/5's shape.
+* Maximum coverage: full exchange.
 """
 
 from repro.communication.protocols.disjointness import (
@@ -19,10 +18,7 @@ from repro.communication.protocols.setcover_protocol import (
     TwoPartyAlgorithmOneProtocol,
     SetCoverInput,
 )
-from repro.communication.protocols.maxcover_protocol import (
-    FullExchangeMaxCoverProtocol,
-    SampledMaxCoverProtocol,
-)
+from repro.communication.protocols.maxcover_protocol import FullExchangeMaxCoverProtocol
 
 __all__ = [
     "TrivialDisjProtocol",
@@ -32,5 +28,4 @@ __all__ = [
     "TwoPartyAlgorithmOneProtocol",
     "SetCoverInput",
     "FullExchangeMaxCoverProtocol",
-    "SampledMaxCoverProtocol",
 ]

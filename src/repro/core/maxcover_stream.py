@@ -15,7 +15,7 @@ example applications (blog-watch) as the coverage-maximisation primitive.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.core.element_sampling import element_sample
 from repro.setcover.instance import SetSystem

@@ -22,13 +22,9 @@ from repro.communication.protocols.setcover_protocol import (
     FullExchangeSetCoverProtocol,
     TwoPartyAlgorithmOneProtocol,
 )
-from repro.communication.protocols.maxcover_protocol import (
-    FullExchangeMaxCoverProtocol,
-    SampledMaxCoverProtocol,
-)
+from repro.communication.protocols.maxcover_protocol import FullExchangeMaxCoverProtocol
 from repro.core.algorithm1 import AlgorithmOneConfig, StreamingSetCover
 from repro.core.element_sampling import element_sample, sampling_probability
-from repro.core.guessing import OptGuessingSetCover
 from repro.core.maxcover_stream import StreamingMaxCoverage
 from repro.core.tradeoff import (
     fit_power_law,
@@ -44,7 +40,7 @@ from repro.infotheory.facts import (
     check_fact_entropy_bounds,
     check_fact_mi_nonnegative,
 )
-from repro.lowerbound.covering_lemma import lemma_2_2_bound, run_sweep
+from repro.lowerbound.covering_lemma import run_sweep
 from repro.lowerbound.dmc import DMCParameters, sample_dmc
 from repro.lowerbound.dsc import DSCParameters, sample_dsc, sample_dsc_random_partition
 from repro.lowerbound.properties import (
@@ -64,7 +60,6 @@ from repro.problems.disjointness import enumerate_ddisj_support, sample_ddisj
 from repro.problems.ghd import sample_dghd
 from repro.setcover.exact import exact_cover_value
 from repro.setcover.greedy import greedy_set_cover
-from repro.setcover.instance import SetSystem
 from repro.setcover.maxcover import exact_max_coverage
 from repro.setcover.verify import is_feasible_cover
 from repro.streaming.engine import run_streaming_algorithm

@@ -13,7 +13,7 @@ of (X, Y, Π) and applying the exact mutual-information formulas.
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable, List, Sequence, Tuple
+from typing import Callable, Hashable, Iterable, Sequence, Tuple
 
 from repro.infotheory.distributions import JointDistribution
 from repro.infotheory.entropy import conditional_mutual_information

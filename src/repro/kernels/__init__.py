@@ -2,8 +2,8 @@
 
 Every :class:`~repro.setcover.SetSystem` delegates its batched primitives
 (per-set marginal gains, projections, element frequencies, claim resolution)
-to a :class:`~repro.kernels.base.Kernel`.  Three interchangeable in-memory
-backends exist, forming a tier ladder:
+to a :class:`~repro.kernels.base.Kernel`.  Two interchangeable in-memory
+backends exist:
 
 ``python``
     :class:`~repro.kernels.pyint.PyIntKernel` — pure Python int bitsets, the
@@ -12,25 +12,19 @@ backends exist, forming a tier ladder:
     :class:`~repro.kernels.numpy_backend.NumpyKernel` — packed ``uint64``
     incidence matrix with vectorized popcount gains.  Requires NumPy
     (``pip install -e .[perf]``).
-``compiled``
-    :class:`~repro.kernels.compiled.CompiledKernel` — numba-jitted parallel
-    sweeps over the same packed matrix (``pip install -e .[compiled]``);
-    registered only when numba imports.
 
 Backend selection (:func:`resolve_backend`):
 
-* ``backend="python"`` / ``"numpy"`` / ``"compiled"`` request a tier.  A
-  tier this environment has not registered degrades silently to the highest
-  registered tier below it, except that forcing NumPy without NumPy
-  installed raises :class:`ValueError`;
-* ``backend="auto"`` (the default everywhere) picks the highest registered
-  tier on large systems (``n·m`` at least :data:`AUTO_NUMPY_THRESHOLD`
-  cells — below that, packing overhead beats the vectorization win) and
-  ``python`` otherwise;
-* the ``REPRO_KERNEL`` environment variable (``python``/``numpy``/
-  ``compiled``/``auto``) overrides the *auto* choice without touching call
-  sites, degrading like a request — handy for benchmarking all backends on
-  the same workload.
+* ``backend="python"`` / ``"numpy"`` request a backend; ``"numpy"``
+  without NumPy installed raises :class:`ValueError`;
+* ``backend="auto"`` (the default everywhere) picks ``numpy`` on large
+  systems (``n·m`` at least :data:`AUTO_NUMPY_THRESHOLD` cells — below
+  that, packing overhead beats the vectorization win) when NumPy is
+  installed, and ``python`` otherwise;
+* the ``REPRO_KERNEL`` environment variable (``python``/``numpy``/``auto``)
+  overrides the *auto* choice without touching call sites — handy for
+  benchmarking both backends on the same workload.  A ``numpy`` hint
+  without NumPy runs ``python``.
 
 All backends are output-identical bit for bit — enforced by the conformance
 harness in ``tests/kernel_conformance.py``, which every registered backend
@@ -62,15 +56,8 @@ try:  # NumPy is an optional [perf] extra; everything degrades gracefully.
 except ImportError:  # pragma: no cover - exercised via monkeypatched tests
     HAS_NUMPY = False
 
-try:  # numba is an optional [compiled] extra on top of NumPy.
-    import numba  # noqa: F401
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - the CI compiled job exercises both
-    HAS_NUMBA = False
-
 #: Names accepted by ``backend=`` parameters throughout the library.
-BACKENDS = ("auto", "python", "numpy", "compiled")
+BACKENDS = ("auto", "python", "numpy")
 
 #: Minimum ``n·m`` (incidence-matrix cells) for *auto* to leave pure Python:
 #: below this, packing the matrix costs more than the vectorized ops save.
@@ -90,33 +77,23 @@ def _factory_numpy(universe_size: int, masks: Sequence[int], packed=None) -> Ker
     return NumpyKernel(universe_size, masks, packed=packed)
 
 
-def _factory_compiled(
-    universe_size: int, masks: Sequence[int], packed=None, **options
-) -> Kernel:
-    from repro.kernels.compiled import CompiledKernel
-
-    return CompiledKernel(universe_size, masks, packed=packed, **options)
-
-
 def kernel_registry() -> Dict[str, Callable[..., Kernel]]:
-    """Concrete backend name → factory, in ascending tier order.
+    """Concrete backend name → factory, ``python`` first.
 
     The single source of truth for what can run *in this environment*: the
     conformance harness, the property suites, and the benchmarks all
     enumerate this registry, so a newly registered backend is covered by
-    every cross-backend gate automatically.  A tier is registered only when
-    its dependencies import (``numpy`` needs NumPy, ``compiled`` numba too).
+    every cross-backend gate automatically.  ``numpy`` is registered only
+    when NumPy imports.
     """
     registry: Dict[str, Callable[..., Kernel]] = {"python": _factory_python}
     if HAS_NUMPY:
         registry["numpy"] = _factory_numpy
-        if HAS_NUMBA:
-            registry["compiled"] = _factory_compiled
     return registry
 
 
 def registered_backends() -> List[str]:
-    """The concrete backends usable in this environment, tier order."""
+    """The concrete backends usable in this environment, ``python`` first."""
     return list(kernel_registry())
 
 
@@ -124,12 +101,10 @@ def resolve_backend(backend: str = "auto", universe_size: int = 0, num_sets: int
     """Resolve a backend request into a concrete, registered backend name.
 
     ``auto`` consults the :data:`KERNEL_ENV_VAR` environment variable first,
-    then picks the highest registered tier for large systems.  A request for
-    a tier this environment cannot build degrades silently to the highest
-    registered tier below it — containers, pickles and service specs carry
-    the request across hosts, and every tier answers the same bits.  The one
-    exception is an explicit ``"numpy"`` request without NumPy installed,
-    which raises: that caller asked for the ``[perf]`` extra by name.
+    then picks ``numpy`` for large systems.  Without NumPy an explicit
+    ``"numpy"`` request raises (that caller asked for the ``[perf]`` extra
+    by name), while a large system or a ``numpy`` hint in the environment
+    runs ``python``: every backend answers the same bits.
     """
     if backend not in BACKENDS:
         raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
@@ -145,12 +120,10 @@ def resolve_backend(backend: str = "auto", universe_size: int = 0, num_sets: int
                 f"{KERNEL_ENV_VAR} must be one of {BACKENDS}, got {hint!r}"
             )
         backend = hint
-    registered = registered_backends()
     if backend == "auto":
         large = universe_size * num_sets >= AUTO_NUMPY_THRESHOLD
-        return registered[-1] if large else "python"
-    rank = BACKENDS.index(backend)
-    return [name for name in registered if BACKENDS.index(name) <= rank][-1]
+        backend = "numpy" if large else "python"
+    return backend if HAS_NUMPY else "python"
 
 
 def make_kernel(
@@ -163,31 +136,28 @@ def make_kernel(
 
     ``packed`` optionally supplies the masks' already-packed incidence buffer
     (the transport wire form); the packed-matrix backends adopt it zero-copy
-    instead of re-packing, the pure-Python backend ignores it.  A tier that
-    fails to build (broken install, injected ``kernel.make`` fault) falls to
-    the next registered tier below it, down to the pure-Python kernel, which
-    cannot fail — every tier is bit-identical by the conformance suite, so a
-    fallback costs wall-clock, never bytes.
+    instead of re-packing, the pure-Python backend ignores it.  A NumPy
+    kernel that fails to build (broken install, injected ``kernel.make``
+    fault) falls back to the pure-Python kernel, which cannot fail — both
+    are bit-identical by the conformance suite, so a fallback costs
+    wall-clock, never bytes.
     """
-    resolved = resolve_backend(backend, universe_size=universe_size, num_sets=len(masks))
-    registry = kernel_registry()
-    tiers = list(registry)
-    for rung in reversed(tiers[1 : tiers.index(resolved) + 1]):
+    kernel = None
+    if resolve_backend(backend, universe_size=universe_size, num_sets=len(masks)) == "numpy":
         try:
             from repro.resilience.faults import inject
 
-            inject("kernel.make", key=f"{rung}:{universe_size}x{len(masks)}")
-            kernel = registry[rung](universe_size, masks, packed=packed)
-            break
+            inject("kernel.make", key=f"numpy:{universe_size}x{len(masks)}")
+            kernel = _factory_numpy(universe_size, masks, packed=packed)
         except Exception as exc:
             from repro.resilience.degrade import record_degradation
 
             record_degradation(
                 "kernel_backend",
                 reason=f"{type(exc).__name__}: {exc}",
-                backend=rung,
+                backend="numpy",
             )
-    else:
+    if kernel is None:
         kernel = PyIntKernel(universe_size, masks)
     # Wrap in the metering proxy only while telemetry capture is active, so
     # the telemetry-off path hands out the raw backend unchanged.
@@ -203,7 +173,6 @@ def make_kernel(
 __all__ = [
     "AUTO_NUMPY_THRESHOLD",
     "BACKENDS",
-    "HAS_NUMBA",
     "HAS_NUMPY",
     "KERNEL_ENV_VAR",
     "Kernel",

@@ -10,9 +10,9 @@ built on).  All masks cross the boundary as plain Python integers (bit ``i``
 set means element ``i`` present), so every backend is interchangeable and
 callers never see the internal representation.
 
-The backend tier ladder implements the protocol (see
-:func:`repro.kernels.kernel_registry` for what is registered in the current
-environment):
+Three backends implement the protocol (see
+:func:`repro.kernels.kernel_registry` for the in-memory ones registered in
+the current environment):
 
 * :class:`~repro.kernels.pyint.PyIntKernel` — the seed implementation's pure
   Python int-bitset arithmetic, always available, and the conformance
@@ -20,8 +20,6 @@ environment):
 * :class:`~repro.kernels.numpy_backend.NumpyKernel` — a packed ``uint64``
   matrix of shape ``(m, ceil(n/64))`` with vectorized word-popcount gains,
   used automatically on large systems when NumPy is installed.
-* :class:`~repro.kernels.compiled.CompiledKernel` — numba-jitted parallel
-  sweeps over the same packed matrix, registered when numba is installed.
 * :class:`~repro.kernels.chunked.ChunkedKernel` — the out-of-core flavour,
   windowing any :class:`~repro.setcover.source.InstanceSource`.
 
@@ -48,7 +46,7 @@ from typing import List, Protocol, Sequence, runtime_checkable
 class Kernel(Protocol):
     """Interchangeable compute backend for a fixed set system."""
 
-    #: The concrete backend name (``"python"``, ``"numpy"`` or ``"compiled"``).
+    #: The concrete backend name (``"python"`` or ``"numpy"``).
     backend: str
 
     @property

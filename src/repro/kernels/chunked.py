@@ -44,8 +44,8 @@ class ChunkedKernel:
 
     ``backend`` resolves through the same
     :func:`~repro.kernels.resolve_backend` policy every system uses, so
-    ``REPRO_KERNEL`` pins it identically; ``python`` runs the python flavour
-    per window, every tier above it the numpy flavour.
+    ``REPRO_KERNEL`` pins it identically; each window runs the arithmetic of
+    the resident backend it resolves to.
     """
 
     def __init__(
@@ -62,10 +62,7 @@ class ChunkedKernel:
         self._chunk_rows = chunk_rows
         self.backend = resolve_backend(backend, self._n, self._m)
         self._numpy = None
-        if self.backend != "python":
-            # There is no windowed jit path: a compiled kernel's windows run
-            # the numpy flavour, so that name only changes the label, never
-            # the bytes.
+        if self.backend == "numpy":
             from repro.kernels import numpy_backend
 
             self._numpy = numpy_backend

@@ -169,7 +169,7 @@ class NumpyKernel:
         """Per-row popcount of ``matrix & against`` (int64, by set index).
 
         The one popcount every batched count shares — gains, sizes, the
-        greedy argmax, tracker rescans — and the hook a jitted tier overrides.
+        greedy argmax, tracker rescans.
         """
         return _popcount_rows(self._matrix & pack_row(against, self._n))
 

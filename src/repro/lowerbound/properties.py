@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.exceptions import InfeasibleInstanceError
 from repro.lowerbound.dmc import DMCInstance, lemma_4_3_tau

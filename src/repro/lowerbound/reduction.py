@@ -26,8 +26,8 @@ from typing import FrozenSet, List, Optional, Tuple
 
 from repro.communication.model import Message, Protocol, Transcript
 from repro.communication.protocols.setcover_protocol import SetCoverInput
-from repro.lowerbound.dmc import DMCInstance, DMCParameters, lemma_4_3_tau, sample_dmc
-from repro.lowerbound.dsc import DSCInstance, DSCParameters, sample_dsc
+from repro.lowerbound.dmc import DMCParameters, lemma_4_3_tau
+from repro.lowerbound.dsc import DSCParameters
 from repro.lowerbound.mapping_extension import random_mapping_extension
 from repro.problems.disjointness import DisjointnessInstance, sample_ddisj_no
 from repro.problems.ghd import GHDInstance, sample_dghd_no

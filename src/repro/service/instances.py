@@ -41,6 +41,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Tuple
 
+from repro.kernels import BACKENDS
 from repro.setcover.instance import SetSystem
 from repro.utils.bitset import MAX_UNIVERSE_SIZE, check_instance_bits
 
@@ -91,6 +92,10 @@ def build_instance(spec: str) -> Tuple[str, SetSystem]:
     generator = generator.strip().lower()
     options = _parse_kv(clauses)
     backend = options.pop("backend", "auto")
+    if backend not in BACKENDS:
+        raise InstanceSpecError(
+            f"instance key 'backend' must be one of {BACKENDS}, got {backend!r}"
+        )
 
     if generator == "file":
         # References an on-disk container rather than generating; ``n``/``m``

@@ -23,8 +23,7 @@ most of the heap every pick.  When a pick burns through the stale-pop budget
 per pick on the pure-Python and windowed kernels.  The packed-matrix
 backends rescan too until the kernel has served enough rescans to pay for
 an inverted element→sets index, then maintain exact gains by per-incidence
-decrements through it (jit-compiled on the ``compiled`` tier); later runs on
-that kernel start on the tracker.  The pick rule (max gain, lowest index,
+decrements through it; later runs on that kernel start on the tracker.  The pick rule (max gain, lowest index,
 already-chosen sets sit at gain 0) is identical in every regime, so
 switching never changes the trace, only the wall-clock.
 """

@@ -8,11 +8,11 @@ the bitset representation.
 
 Batched coverage arithmetic (per-set marginal gains, projections, element
 frequencies) is delegated to a pluggable compute kernel from
-:mod:`repro.kernels`: pure-Python int bitsets by default, climbing to a
-packed ``uint64`` NumPy matrix and numba-jitted parallel sweeps on large
-systems as those tiers are installed.  The ``backend=`` parameter controls
-the choice per system (``"auto"``/``"python"``/``"numpy"``/``"compiled"``);
-all backends are output-identical bit for bit.
+:mod:`repro.kernels`: pure-Python int bitsets by default, a packed
+``uint64`` NumPy matrix on large systems when NumPy is installed.  The
+``backend=`` parameter controls the choice per system
+(``"auto"``/``"python"``/``"numpy"``); all backends are output-identical
+bit for bit.
 
 This is the shared substrate for the offline solvers, the streaming
 algorithms, the workload generators, and the lower-bound distributions.
@@ -80,8 +80,8 @@ class SetSystem:
     names:
         Optional human-readable names per set (defaults to ``S0, S1, ...``).
     backend:
-        Compute-kernel request (``"auto"``, ``"python"``, ``"numpy"`` or
-        ``"compiled"``; see :func:`repro.kernels.resolve_backend`).  Resolved
+        Compute-kernel request (``"auto"``, ``"python"`` or ``"numpy"``; see
+        :func:`repro.kernels.resolve_backend`).  Resolved
         lazily on the first batched query, so constructing a system never
         requires NumPy.
     """

@@ -6,9 +6,9 @@ provide the offline greedy ``(1 - 1/e)``-approximation and an exact solver
 (used as ground truth for the ``D_MC`` gap experiments, where ``k = 2``).
 
 The greedy solver runs on the shared lazy picker, so its picks flow through
-the same batched kernel primitives as set cover — any registered backend
-(python / numpy / compiled) yields the identical ``(chosen, covered)``
-answer, a parity the conformance and property suites pin down.
+the same batched kernel primitives as set cover — either backend (python
+or numpy) yields the identical ``(chosen, covered)`` answer, a parity the
+conformance and property suites pin down.
 """
 
 from __future__ import annotations

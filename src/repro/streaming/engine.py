@@ -10,9 +10,8 @@ nonempty universe.
 
 The engine never inspects which compute-kernel backend the instance rides
 on: a run is byte-identical whether the batched primitives execute on the
-pure-Python, NumPy, or compiled kernel (at any thread count) — the
-cross-backend ``StreamingResult`` parity the differential suite in
-``tests/property/test_prop_compiled.py`` pins down.
+pure-Python or the NumPy kernel — the cross-backend ``StreamingResult``
+parity ``tests/property/test_prop_streaming.py`` pins down.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ Two families of invariants guard the compute-kernel seam:
 * **Backend parity** — on any random system, :class:`NumpyKernel` and
   :class:`PyIntKernel` return identical gains, projections, frequencies,
   unions and sizes (the packed uint64 matrix is a pure representation
-  change).
+  change), and the NumPy kernel passes the whole conformance harness.
 * **Lazy = eager greedy** — the CELF lazy greedy must reproduce the seed
   implementation's full-rescan loop *byte for byte*: same picks, same
   per-step statistics, same exceptions, on every backend, including the
@@ -17,7 +17,14 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from kernel_conformance import HANDOVER_BUDGETS, SWEPT_BACKENDS, rescan_budget
+from kernel_conformance import (
+    HANDOVER_BUDGETS,
+    SWEPT_BACKENDS,
+    assert_kernel_conformance,
+    build_kernel,
+    key_patterns,
+    rescan_budget,
+)
 from repro.exceptions import InfeasibleInstanceError
 from repro.kernels import HAS_NUMPY, PyIntKernel, make_kernel
 from repro.setcover.greedy import greedy_cover_trace
@@ -25,9 +32,8 @@ from repro.setcover.instance import SetSystem
 from repro.setcover.maxcover import greedy_max_coverage
 from repro.utils.bitset import bitset_size
 
-# Enumerated from the make_kernel registry (plus the compiled request where
-# it degrades) so newly registered backends are covered by these suites
-# automatically (no hardcoded name lists).
+# Enumerated from the make_kernel registry so newly registered backends are
+# covered by these suites automatically (no hardcoded name lists).
 BACKENDS = SWEPT_BACKENDS
 ACCELERATED = [name for name in BACKENDS if name != "python"]
 
@@ -108,6 +114,37 @@ class TestBackendParity:
             assert kernel.set_sizes() == py.set_sizes(), backend
             for index in range(len(masks)):
                 assert kernel.gain(index, uncovered) == py.gain(index, uncovered)
+
+    @pytest.mark.skipif(not ACCELERATED, reason="no accelerated backends installed")
+    @settings(max_examples=25, deadline=None)
+    @given(data=mask_systems(max_n=70, max_m=9), uncovered_bits=st.integers(min_value=0))
+    def test_primitives_identical_on_drawn_systems(self, data, uncovered_bits):
+        """Gains, argmax, frequencies and claim resolution under every key
+        pattern match the pure-Python kernel on each drawn system."""
+        n, masks = data
+        uncovered = uncovered_bits & ((1 << n) - 1)
+        reference = PyIntKernel(n, masks)
+        for backend in ACCELERATED:
+            kernel = build_kernel(backend, n, masks)
+            assert kernel.gains(uncovered) == reference.gains(uncovered), backend
+            assert kernel.best_gain_index(uncovered) == reference.best_gain_index(
+                uncovered
+            ), backend
+            assert kernel.element_frequencies() == reference.element_frequencies()
+            for name, keys in key_patterns(len(masks)):
+                assert kernel.claim_resolution(keys) == reference.claim_resolution(
+                    keys
+                ), (backend, name)
+
+    @pytest.mark.skipif(not ACCELERATED, reason="no accelerated backends installed")
+    @settings(max_examples=15, deadline=None)
+    @given(data=mask_systems(max_n=48, max_m=8))
+    def test_full_conformance_on_drawn_systems(self, data):
+        """The whole kernel contract on drawn systems: argmax tie-breaks,
+        claim resolution under every key pattern, the gain-tracker replay."""
+        n, masks = data
+        for backend in ACCELERATED:
+            assert_kernel_conformance(build_kernel(backend, n, masks), n, masks)
 
     @settings(max_examples=40, deadline=None)
     @given(data=mask_systems())

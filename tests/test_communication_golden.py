@@ -15,10 +15,7 @@ import hashlib
 import json
 from pathlib import Path
 
-from repro.communication.protocols.maxcover_protocol import (
-    FullExchangeMaxCoverProtocol,
-    SampledMaxCoverProtocol,
-)
+from repro.communication.protocols.maxcover_protocol import FullExchangeMaxCoverProtocol
 from repro.communication.protocols.setcover_protocol import (
     FullExchangeSetCoverProtocol,
     TwoPartyAlgorithmOneProtocol,
@@ -70,9 +67,6 @@ def golden_cases():
             alice, bob = instance.communication_inputs()
             label = f"dmc/{seed}/{theta}"
             yield f"{label}/full-exact", FullExchangeMaxCoverProtocol(k=2).execute(alice, bob)
-            yield f"{label}/sampled", SampledMaxCoverProtocol(
-                k=2, epsilon=0.35, sampling_constant=0.5, seed=seed
-            ).execute(alice, bob)
     ghd = GHDViaMaxCoverProtocol(
         FullExchangeMaxCoverProtocol(k=2, solver="exact"), dmc_parameters, seed=4
     )

@@ -9,10 +9,7 @@ from repro.communication.protocols.disjointness import (
     extract_inputs,
 )
 from repro.communication.protocols.ghd import TrivialGHDProtocol, correct_ghd_answer
-from repro.communication.protocols.maxcover_protocol import (
-    FullExchangeMaxCoverProtocol,
-    SampledMaxCoverProtocol,
-)
+from repro.communication.protocols.maxcover_protocol import FullExchangeMaxCoverProtocol
 from repro.communication.protocols.setcover_protocol import (
     FullExchangeSetCoverProtocol,
     SetCoverInput,
@@ -159,21 +156,6 @@ class TestMaxCoverProtocols:
         _, opt = exact_max_coverage(planted_instance.system, 2)
         assert transcript.output == opt
 
-    def test_sampled_estimate_reasonable(self, planted_instance):
-        alice, bob = split_instance(planted_instance.system, seed=8)
-        protocol = SampledMaxCoverProtocol(k=2, epsilon=0.3, seed=9)
-        transcript = protocol.execute(alice, bob)
-        _, opt = exact_max_coverage(planted_instance.system, 2)
-        assert transcript.output == pytest.approx(opt, rel=0.6)
-
-    def test_sampled_cheaper_for_coarse_epsilon(self, planted_instance):
-        alice, bob = split_instance(planted_instance.system, seed=8)
-        coarse = SampledMaxCoverProtocol(k=2, epsilon=0.6, seed=9).execute(alice, bob)
-        fine = SampledMaxCoverProtocol(k=2, epsilon=0.15, seed=9).execute(alice, bob)
-        assert coarse.total_bits <= fine.total_bits
-
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             FullExchangeMaxCoverProtocol(k=0)
-        with pytest.raises(ValueError):
-            SampledMaxCoverProtocol(k=2, epsilon=1.5)

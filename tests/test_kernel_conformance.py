@@ -1,10 +1,10 @@
 """Drive the cross-backend conformance harness over the kernel registry.
 
 The harness itself lives in ``tests/kernel_conformance.py``; this file only
-parameterizes it: every swept backend request × every adversarial shape
-(once as is and once per position of the trackers' rescan-to-index switch),
-plus numba thread-count sweeps for the compiled backend and a telemetry leg
-proving ``kernel.calls.*`` metering survives the compiled request's paths.
+parameterizes it: every registered backend × every adversarial shape (once
+as is and once per position of the trackers' rescan-to-index switch), plus
+a telemetry leg proving ``kernel.calls.*`` metering survives the
+accelerated backend's paths.
 """
 
 import pytest
@@ -14,11 +14,9 @@ from kernel_conformance import (
     SWEPT_BACKENDS,
     assert_kernel_conformance,
     assert_tracker_handover_conformance,
-    build_compiled_kernel,
     build_kernel,
-    numba_threads,
 )
-from repro.kernels import kernel_registry, resolve_backend
+from repro.kernels import kernel_registry, registered_backends
 from repro.setcover.instance import SetSystem
 
 CASE_IDS = sorted(CONFORMANCE_CASES)
@@ -40,21 +38,6 @@ def test_tracker_handover_conforms_to_reference(backend, case):
     assert_tracker_handover_conformance(backend, universe_size, masks)
 
 
-@pytest.mark.parametrize("threads", [1, 2, 4])
-@pytest.mark.parametrize("case", CASE_IDS)
-def test_compiled_conforms_at_every_thread_count(threads, case):
-    """Parallel sweeps must be deterministic: same bytes at 1, 2, 4 threads.
-
-    With numba the jitted kernel runs in multi-chunk form on ``threads``
-    numba threads; without it the ``compiled`` request degrades, there are
-    no threads to vary, and the degraded kernel must conform all the same.
-    """
-    universe_size, masks = CONFORMANCE_CASES[case]
-    with numba_threads(threads):
-        kernel = build_compiled_kernel(universe_size, masks)
-        assert_kernel_conformance(kernel, universe_size, masks)
-
-
 def test_registry_factories_accept_packed_buffers():
     """Packed transport buffers are adopted without changing any observable."""
     universe_size, masks = CONFORMANCE_CASES["three-words"]
@@ -64,9 +47,9 @@ def test_registry_factories_accept_packed_buffers():
         assert_kernel_conformance(adopted, universe_size, masks)
 
 
-def test_metering_counts_compiled_primitives():
-    """kernel.calls.* / kernel.words.* accumulate through whatever kernel a
-    ``compiled`` request builds — the jitted paths where numba is installed."""
+def test_metering_counts_kernel_primitives():
+    """kernel.calls.* / kernel.words.* accumulate through the highest
+    registered backend — the NumPy paths where NumPy is installed."""
     from repro.kernels import make_kernel
     from repro.telemetry.metrics import MetricsRegistry, _ACTIVE
 
@@ -74,7 +57,7 @@ def test_metering_counts_compiled_primitives():
     registry = MetricsRegistry()
     token = _ACTIVE.set(registry)
     try:
-        kernel = make_kernel(universe_size, masks, backend="compiled")
+        kernel = make_kernel(universe_size, masks, backend=registered_backends()[-1])
         kernel.gains((1 << universe_size) - 1)
         kernel.claim_resolution([1] * len(masks))
         tracker = kernel.gain_tracker((1 << universe_size) - 1)
@@ -82,7 +65,7 @@ def test_metering_counts_compiled_primitives():
         tracker.cover(masks[0])
     finally:
         _ACTIVE.reset(token)
-    assert kernel.backend == resolve_backend("compiled")
+    assert kernel.backend == registered_backends()[-1]
     assert registry.counters["kernel.calls.gains"] == 1
     assert registry.counters["kernel.calls.claim_resolution"] == 1
     assert registry.counters["kernel.calls.gain_tracker"] == 1

@@ -1,7 +1,6 @@
 """Unit tests for the pluggable compute kernels (repro.kernels)."""
 
 import pickle
-import warnings
 
 import pytest
 
@@ -29,7 +28,7 @@ requires_numpy = pytest.mark.skipif(not kernels.HAS_NUMPY, reason="NumPy not ins
 
 
 def swept_kernels():
-    """One raw kernel per swept backend request, labelled by the request."""
+    """One raw kernel per registered backend, labelled by its name."""
     return [pytest.param(build_kernel(name, N, MASKS), id=name) for name in SWEPT_BACKENDS]
 
 
@@ -48,7 +47,6 @@ class TestBackendResolution:
     @requires_numpy
     def test_auto_large_system_picks_numpy(self, monkeypatch):
         monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
-        monkeypatch.setattr(kernels, "HAS_NUMBA", False)
         assert resolve_backend("auto", 1 << 12, 1 << 12) == "numpy"
 
     @requires_numpy
@@ -96,100 +94,6 @@ class TestBackendResolution:
         assert list(kernel_registry()) == registered_backends()
         assert registered_backends()[0] == "python"
         assert registered_backends() == sorted(registered_backends(), key=BACKENDS.index)
-
-
-@requires_numpy
-class TestCompiledResolutionAndFallbackLadder:
-    """The compiled tier's selection rules and degradation ladder: it is
-    registered only with numba; a compiled request elsewhere degrades
-    silently to the highest registered tier below it; a failed build walks
-    the registry down a tier at a time; the bytes never change."""
-
-    def test_explicit_compiled_resolves(self, monkeypatch):
-        monkeypatch.setattr(kernels, "HAS_NUMBA", True)
-        assert resolve_backend("compiled", 4, 4) == "compiled"
-        monkeypatch.setattr(kernels, "HAS_NUMBA", False)
-        assert resolve_backend("compiled", 4, 4) == "numpy"
-
-    def test_env_var_forces_compiled(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "compiled")
-        monkeypatch.setattr(kernels, "HAS_NUMBA", True)
-        assert resolve_backend("auto", 2, 2) == "compiled"
-        monkeypatch.setattr(kernels, "HAS_NUMBA", False)
-        assert resolve_backend("auto", 2, 2) == "numpy"
-
-    def test_auto_tier_requires_numba_for_compiled(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
-        monkeypatch.setattr(kernels, "HAS_NUMBA", False)
-        assert resolve_backend("auto", 1 << 12, 1 << 12) == "numpy"
-        monkeypatch.setattr(kernels, "HAS_NUMBA", True)
-        assert resolve_backend("auto", 1 << 12, 1 << 12) == "compiled"
-
-    def test_compiled_registered_only_with_numba(self, monkeypatch):
-        monkeypatch.setattr(kernels, "HAS_NUMBA", False)
-        assert registered_backends() == ["python", "numpy"]
-        monkeypatch.setattr(kernels, "HAS_NUMBA", True)
-        assert registered_backends() == ["python", "numpy", "compiled"]
-
-    def test_compiled_kernel_needs_numba(self, monkeypatch):
-        from repro.kernels import compiled
-
-        monkeypatch.setattr(compiled, "HAS_NUMBA", False)
-        with pytest.raises(ImportError, match="numba"):
-            compiled.CompiledKernel(N, MASKS)
-
-    def test_make_kernel_compiled_flavour(self):
-        from repro.kernels.compiled import CompiledKernel
-        from repro.kernels.numpy_backend import NumpyKernel
-
-        kernel = make_kernel(N, MASKS, backend="compiled")
-        assert type(kernel) is (CompiledKernel if kernels.HAS_NUMBA else NumpyKernel)
-        assert kernel.backend == resolve_backend("compiled")
-        assert kernel.gains(0b11111) == PyIntKernel(N, MASKS).gains(0b11111)
-
-    def test_numpy_missing_compiled_degrades_to_python_silently(self, monkeypatch):
-        monkeypatch.setattr(kernels, "HAS_NUMPY", False)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert resolve_backend("compiled") == "python"
-            kernel = make_kernel(N, MASKS, backend="compiled")
-        assert isinstance(kernel, PyIntKernel)
-        assert kernel.gains(0b11111) == PyIntKernel(N, MASKS).gains(0b11111)
-
-    def test_numpy_missing_env_hint_compiled_degrades(self, monkeypatch):
-        monkeypatch.setattr(kernels, "HAS_NUMPY", False)
-        monkeypatch.setenv(KERNEL_ENV_VAR, "compiled")
-        assert resolve_backend("auto", 1 << 12, 1 << 12) == "python"
-
-    def test_failed_compiled_build_falls_back_to_numpy(self, monkeypatch):
-        """One broken rung falls exactly one rung, not all the way down.
-
-        Registering a compiled tier whose build fails runs the ladder on any
-        host, numba or not.
-        """
-        from repro.kernels.numpy_backend import NumpyKernel
-
-        def boom(*args, **kwargs):
-            raise RuntimeError("simulated compiled-build failure")
-
-        monkeypatch.setattr(kernels, "HAS_NUMBA", True)
-        monkeypatch.setattr(kernels, "_factory_compiled", boom)
-        kernel = make_kernel(N, MASKS, backend="compiled")
-        underlying = getattr(kernel, "_kernel", kernel)
-        assert type(underlying) is NumpyKernel
-        assert kernel.gains(0b11111) == PyIntKernel(N, MASKS).gains(0b11111)
-
-    def test_injected_build_faults_fall_to_pyint(self, monkeypatch):
-        """A rate-1 kernel.make fault breaks every accelerated rung: the
-        ladder bottoms out at the always-available pure-Python kernel."""
-        from repro.resilience.faults import fault_plan_active, parse_fault_spec
-
-        monkeypatch.setattr(kernels, "HAS_NUMBA", True)
-        with fault_plan_active(parse_fault_spec("seed=1,kernel.make:raise:1:1")):
-            kernel = make_kernel(N, MASKS, backend="compiled")
-        underlying = getattr(kernel, "_kernel", kernel)
-        assert isinstance(underlying, PyIntKernel)
-        assert kernel.gains(0b11111) == PyIntKernel(N, MASKS).gains(0b11111)
 
 
 class TestKernelPrimitives:

@@ -63,13 +63,11 @@ class TestBaselineGate:
         assert "this run has no such time" in capsys.readouterr().out
 
     def test_fails_when_the_baseline_lacks_the_backend(self, tmp_path, monkeypatch):
-        # On a host with the compiled tier the kernels gate reads it.
-        monkeypatch.setattr(
-            bench_kernels, "registered_backends", lambda: ["python", "numpy", "compiled"]
-        )
+        # On a host with NumPy the kernels gate reads the numpy time.
+        monkeypatch.setattr(bench_kernels, "registered_backends", lambda: ["python", "numpy"])
         entry = {"n": 512, "m": 1024, "seed": 1}
-        measured = {"grid": [dict(entry, greedy={"lazy_compiled_s": 0.001})]}
-        committed = {"grid": [dict(entry, greedy={"lazy_numpy_s": 0.002})]}
+        measured = {"grid": [dict(entry, greedy={"lazy_numpy_s": 0.001})]}
+        committed = {"grid": [dict(entry, greedy={"lazy_python_s": 0.002})]}
         assert self.gate(tmp_path, measured, committed, bench_kernels) == 1
 
     def test_without_a_baseline_only_writes(self, tmp_path):
@@ -81,7 +79,6 @@ class TestBaselineGate:
     "script,baseline,tiers",
     [
         (bench_kernels, "BENCH_kernels.json", ["python", "numpy"]),
-        (bench_kernels, "BENCH_kernels.json", ["python", "numpy", "compiled"]),
         (bench_streaming, "BENCH_streaming.json", ["python", "numpy"]),
         (bench_lowerbound, "BENCH_lowerbound.json", None),
     ],

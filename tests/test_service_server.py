@@ -99,6 +99,7 @@ class TestInstanceSpecs:
             "x=planted:n=16777217,m=2,cover=1",
             "x=random:n=0,m=3000000",
             "x=planted:n=16777216,m=9,cover=1",
+            "x=random:n=4,m=2,backend=bogus",
         ],
     )
     def test_bad_specs_rejected(self, spec):

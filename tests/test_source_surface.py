@@ -15,6 +15,10 @@ naming a definition:
 A kept exception goes in :data:`ALLOWED` with its reason.  An entry whose
 definition is gone or has gained a caller is stale and fails the test too,
 so the list only ever holds what it has to.
+
+Because an import outside ``__init__.py`` counts as naming, a dead import
+would hide a definition only tests reach; a second test fails on any
+``src/`` module outside ``__init__.py`` that imports a name it never uses.
 """
 
 from __future__ import annotations
@@ -148,3 +152,30 @@ def test_only_tests_reach_nothing_outside_the_allowlist():
     )
     stale = sorted(set(ALLOWED) - set(unreached))
     assert not stale, f"allowlist entries that are gone or now reached: {stale}"
+
+
+def _unused_imports(tree: ast.Module) -> List[str]:
+    """Names ``tree`` imports that no ``Name`` node or string constant in it
+    mentions (string constants cover quoted annotations and doctests)."""
+    imported: List[str] = []
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.update(_IDENTIFIER.findall(node.value))
+    return [name for name in imported if name not in used]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = [
+        f"{_module_name(path)}:{name}"
+        for path in sorted(SRC.rglob("*.py"))
+        if path.name != "__init__.py"
+        for name in _unused_imports(ast.parse(path.read_text()))
+    ]
+    assert not unused, f"imports that their module never uses: {unused}"
