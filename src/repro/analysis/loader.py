@@ -45,6 +45,7 @@ from repro.runtime.scenarios import (
 )
 from repro.runtime.store import (
     STORE_FORMAT_VERSION,
+    entry_fault,
     read_store_stats,
     task_fingerprint,
 )
@@ -127,14 +128,19 @@ def detect_grids(records: Sequence[AnalysisRecord]) -> Tuple[str, ...]:
 
 
 def _read_entry(path: Path) -> Optional[dict]:
-    """Parse one store file; ``None`` for corrupt or foreign-format entries."""
+    """Parse one store file; ``None`` for corrupt or foreign-format entries.
+
+    Corruption is judged by :func:`~repro.runtime.store.entry_fault`, the
+    rule ``repro run`` quarantines by, so the report never shows an entry a
+    run would recompute.  Reading never moves a file.
+    """
     try:
         entry = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError):
         return None
-    if not isinstance(entry, dict) or entry.get("format") != STORE_FORMAT_VERSION:
+    if entry_fault(entry, path.stem) is not None:
         return None
-    if "result" not in entry or "fingerprint" not in entry:
+    if entry.get("format") != STORE_FORMAT_VERSION or "result" not in entry:
         return None
     return entry
 

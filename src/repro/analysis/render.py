@@ -583,13 +583,13 @@ def write_report(
 
 
 # --------------------------------------------------------------------------
-# Legacy experiment-result rendering (the experiments/report.py contract)
+# Experiment-result markdown (what experiments/report.py writes)
 # --------------------------------------------------------------------------
 def experiment_results_markdown(results, title: Optional[str] = None) -> str:
     """Markdown for a list of :class:`ExperimentResult` (legacy report shape).
 
     This is the renderer behind
-    :func:`repro.experiments.report.render_markdown_report`; the section
+    :func:`repro.experiments.report.save_markdown_report`; the section
     format (``## <id> — <title>``, fenced ASCII table, findings bullets) is
     stable because downstream notebooks parse it.
     """

@@ -163,10 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="exact elements per set (mutually exclusive with --density)",
     )
     gen_parser.add_argument("--seed", type=int, default=None)
-    gen_parser.add_argument(
-        "--backend", choices=("auto", "python", "numpy"), default="auto",
-        help="compute-kernel hint recorded in the container header",
-    )
 
     chaos_parser = subparsers.add_parser(
         "chaos",
@@ -725,7 +721,6 @@ def _gen_instance_command(args: argparse.Namespace) -> int:
             set_size=args.set_size,
             density=args.density,
             seed=args.seed,
-            backend=args.backend,
         )
     except (ValueError, OSError) as exc:
         raise SystemExit(str(exc))

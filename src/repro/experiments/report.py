@@ -5,11 +5,11 @@ in machine-readable form; this module converts :class:`ExperimentResult`
 objects to/from plain dictionaries, writes JSON files, and renders a combined
 markdown report (one ``## <id> — <title>`` section per experiment).
 
-Markdown rendering delegates to :mod:`repro.analysis.render` — the
-tradeoff-analysis subsystem owns all report generation; this module keeps
-only the (de)serialisation primitives the runtime store is built on, plus
-thin wrappers preserving the legacy entry points.  For full paper-style
-tradeoff reports over a result-store directory, use ``repro report`` /
+Markdown rendering is :func:`repro.analysis.render.experiment_results_markdown`
+— the tradeoff-analysis subsystem owns all report generation; this module
+keeps only the (de)serialisation primitives the runtime store is built on
+and the file writers.  For full paper-style tradeoff reports over a
+result-store directory, use ``repro report`` /
 :func:`repro.analysis.render.build_report` instead.
 """
 
@@ -78,23 +78,12 @@ def save_results_json(
     return path
 
 
-def render_markdown_report(
-    results: Iterable[ExperimentResult], title: Optional[str] = None
-) -> str:
-    """Render results as a markdown report (one section per experiment).
-
-    Delegates to :func:`repro.analysis.render.experiment_results_markdown`;
-    the section format is stable because downstream notebooks parse it.
-    """
-    from repro.analysis.render import experiment_results_markdown
-
-    return experiment_results_markdown(list(results), title=title)
-
-
 def save_markdown_report(
     results: Iterable[ExperimentResult], path: PathLike, title: Optional[str] = None
 ) -> Path:
     """Write the markdown report to disk and return the path."""
+    from repro.analysis.render import experiment_results_markdown
+
     path = Path(path)
-    path.write_text(render_markdown_report(list(results), title=title))
+    path.write_text(experiment_results_markdown(list(results), title=title))
     return path

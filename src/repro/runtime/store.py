@@ -117,6 +117,25 @@ def task_fingerprint(task: RuntimeTask) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def entry_fault(entry: Any, fingerprint: str) -> Optional[str]:
+    """Why a parsed entry cannot stand at ``fingerprint``'s path, or ``None``.
+
+    The one corruption rule every reader applies: the entry must be a JSON
+    object, its ``checksum`` (when it carries one) must match its content,
+    and its ``fingerprint`` must name the path it was read from.  Returns
+    the reason (``malformed``, ``checksum`` or ``fingerprint``).  A format
+    mismatch is not corruption and is left to the caller.
+    """
+    if not isinstance(entry, dict):
+        return "malformed"
+    checksum = entry.get("checksum")
+    if checksum is not None and checksum != entry_checksum(entry):
+        return "checksum"
+    if entry.get("fingerprint") != fingerprint:
+        return "fingerprint"
+    return None
+
+
 class StoreWriteError(ReproError):
     """Raised when an entry could not be durably written within the retry budget."""
 
@@ -183,15 +202,9 @@ class ResultStore:
             if path.exists():
                 self.quarantine(path, reason="unreadable")
             return None
-        if not isinstance(entry, dict):
-            self.quarantine(path, reason="malformed")
-            return None
-        checksum = entry.get("checksum")
-        if checksum is not None and checksum != entry_checksum(entry):
-            self.quarantine(path, reason="checksum")
-            return None
-        if entry.get("fingerprint") != fingerprint:
-            self.quarantine(path, reason="fingerprint")
+        fault = entry_fault(entry, fingerprint)
+        if fault is not None:
+            self.quarantine(path, reason=fault)
             return None
         if entry.get("format") != STORE_FORMAT_VERSION:
             return None

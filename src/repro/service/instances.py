@@ -18,14 +18,14 @@ Grammar: ``NAME=GENERATOR:key=value,...``.  Generators:
                ``overlap``, ``seed``
 ``file``       a container file written by
                :func:`~repro.workloads.outofcore.generate_to_file` or
-               ``SetSystem.to_file`` — keys ``path`` (required) and
-               optional ``backing`` (``mmap``, the default, serves the
-               instance windowed straight off disk; ``heap`` loads it
-               resident)
+               ``SetSystem.to_file`` — key ``path`` (required); the file
+               is opened windowed off disk
 =============  ==========================================================
 
-Every generator accepts ``backend`` (``auto``/``python``/``numpy``) so the
-parity suite can pin the compute kernel per side.
+A spec names the instance only: no key picks a compute kernel or a
+backing.  Every process picks its own kernel, and ``repro serve``
+publishes each instance into shared memory for its workers whatever the
+spec built.
 
 Example — specs are deterministic and name-addressable::
 
@@ -41,7 +41,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, Tuple
 
-from repro.kernels import BACKENDS
 from repro.setcover.instance import SetSystem
 from repro.utils.bitset import MAX_UNIVERSE_SIZE, check_instance_bits
 
@@ -91,11 +90,6 @@ def build_instance(spec: str) -> Tuple[str, SetSystem]:
     generator, _, clauses = rest.partition(":")
     generator = generator.strip().lower()
     options = _parse_kv(clauses)
-    backend = options.pop("backend", "auto")
-    if backend not in BACKENDS:
-        raise InstanceSpecError(
-            f"instance key 'backend' must be one of {BACKENDS}, got {backend!r}"
-        )
 
     if generator == "file":
         # References an on-disk container rather than generating; ``n``/``m``
@@ -103,15 +97,10 @@ def build_instance(spec: str) -> Tuple[str, SetSystem]:
         path = options.get("path")
         if not path:
             raise InstanceSpecError("file instance spec requires a 'path' key")
-        backing = options.get("backing", "mmap")
-        unknown = set(options) - {"path", "backing"}
+        unknown = set(options) - {"path"}
         if unknown:
             raise InstanceSpecError(
                 f"unknown instance key(s) {sorted(unknown)} in {spec!r}"
-            )
-        if backing not in ("mmap", "heap"):
-            raise InstanceSpecError(
-                f"file instance backing must be 'mmap' or 'heap', got {backing!r}"
             )
         from repro.exceptions import InstanceSourceLostError
         from repro.setcover.source import MmapSource
@@ -120,18 +109,7 @@ def build_instance(spec: str) -> Tuple[str, SetSystem]:
             source = MmapSource.open(path)
         except (ValueError, OSError, InstanceSourceLostError) as error:
             raise InstanceSpecError(f"cannot open instance file {path!r}: {error}")
-        if backing == "heap":
-            try:
-                system = SetSystem.from_packed(source.to_packed())
-            finally:
-                source.close()
-            if backend != "auto":
-                system = _rebackend(system, backend)
-        else:
-            system = SetSystem.from_source(
-                source, backend=None if backend == "auto" else backend
-            )
-        return name, system
+        return name, SetSystem.from_source(source)
 
     n = _as_int(options, "n", required=True)
     if n > MAX_UNIVERSE_SIZE:
@@ -169,17 +147,7 @@ def build_instance(spec: str) -> Tuple[str, SetSystem]:
     unknown = set(options) - known
     if unknown:
         raise InstanceSpecError(f"unknown instance key(s) {sorted(unknown)} in {spec!r}")
-    if backend != "auto":
-        system = _rebackend(system, backend)
     return name, system
-
-
-def _rebackend(system: SetSystem, backend: str) -> SetSystem:
-    """Rebuild ``system`` with an explicit compute-kernel backend."""
-    packed = system.to_packed()
-    from dataclasses import replace
-
-    return SetSystem.from_packed(replace(packed, backend=backend))
 
 
 def instance_digest(system: SetSystem) -> str:

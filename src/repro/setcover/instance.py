@@ -10,9 +10,10 @@ Batched coverage arithmetic (per-set marginal gains, projections, element
 frequencies) is delegated to a pluggable compute kernel from
 :mod:`repro.kernels`: pure-Python int bitsets by default, a packed
 ``uint64`` NumPy matrix on large systems when NumPy is installed.  The
-``backend=`` parameter controls the choice per system
-(``"auto"``/``"python"``/``"numpy"``); all backends are output-identical
-bit for bit.
+``backend=`` parameter pins the choice per system in this process
+(``"auto"``/``"python"``/``"numpy"``); the packed and pickled forms carry
+no request, so a system rebuilt elsewhere resolves its own.  All backends
+are output-identical bit for bit.
 
 This is the shared substrate for the offline solvers, the streaming
 algorithms, the workload generators, and the lower-bound distributions.
@@ -57,7 +58,6 @@ class PackedSetSystem:
     num_sets: int
     buffer: bytes
     names: Optional[Tuple[str, ...]] = None
-    backend: str = "auto"
 
     def __post_init__(self) -> None:
         expected = self.num_sets * packed_row_bytes(self.universe_size)
@@ -80,10 +80,11 @@ class SetSystem:
     names:
         Optional human-readable names per set (defaults to ``S0, S1, ...``).
     backend:
-        Compute-kernel request (``"auto"``, ``"python"`` or ``"numpy"``; see
-        :func:`repro.kernels.resolve_backend`).  Resolved
+        Compute-kernel pin for this process (``"auto"``, ``"python"`` or
+        ``"numpy"``; see :func:`repro.kernels.resolve_backend`).  Resolved
         lazily on the first batched query, so constructing a system never
-        requires NumPy.
+        requires NumPy.  Derived systems keep it; the packed and pickled
+        forms do not.
     """
 
     def __init__(
@@ -238,7 +239,6 @@ class SetSystem:
             num_sets=len(self._masks),
             buffer=buffer,
             names=None if self._default_names() else tuple(self._names),
-            backend=self._backend,
         )
 
     @classmethod
@@ -258,7 +258,6 @@ class SetSystem:
             packed.universe_size,
             masks,
             list(packed.names) if packed.names is not None else None,
-            backend=packed.backend,
         )
         # Adopt the transported bytes without copying (memoryviews and
         # bytearrays still get one defensive copy); the NumPy kernel later
@@ -268,7 +267,7 @@ class SetSystem:
         return system
 
     @classmethod
-    def from_source(cls, source, backend: Optional[str] = None) -> "SetSystem":
+    def from_source(cls, source) -> "SetSystem":
         """Build a system over an :class:`~repro.setcover.source.InstanceSource`.
 
         Heap sources rebuild through the ordinary :meth:`from_packed` path
@@ -281,13 +280,8 @@ class SetSystem:
         if getattr(source, "windowed", False):
             from repro.setcover.source import SourceBackedSetSystem
 
-            return SourceBackedSetSystem(source, backend=backend)
-        packed = source.to_packed()
-        if backend is not None and backend != packed.backend:
-            from dataclasses import replace
-
-            packed = replace(packed, backend=backend)
-        return cls.from_packed(packed)
+            return SourceBackedSetSystem(source)
+        return cls.from_packed(source.to_packed())
 
     def to_file(self, path: str):
         """Write this system to an on-disk container file.
@@ -319,15 +313,14 @@ class SetSystem:
         # Ship the packed incidence buffer, not the per-set Python integers:
         # one bytes object crosses the process boundary (pickle cost O(m·n/8)
         # in a single memcpy-friendly blob) and the receiving side's NumPy
-        # kernel adopts it zero-copy.  Kernels are always rebuilt lazily on
-        # the other side.
+        # kernel adopts it zero-copy.  The kernel and any kernel pin stay
+        # behind: the other side resolves its own lazily.
         packed = self.to_packed()
         return {
             "universe_size": packed.universe_size,
             "num_sets": packed.num_sets,
             "buffer": packed.buffer,
             "names": packed.names,
-            "backend": packed.backend,
         }
 
     def __setstate__(self, state: Dict[str, object]) -> None:
@@ -336,21 +329,10 @@ class SetSystem:
             # the same segment/file on this side instead of shipping bytes.
             from repro.setcover.source import open_source
 
-            rebuilt = SetSystem.from_source(
-                open_source(state["source"]),  # type: ignore[arg-type]
-                backend=state.get("backend"),  # type: ignore[arg-type]
-            )
+            rebuilt = SetSystem.from_source(open_source(state["source"]))  # type: ignore[arg-type]
             self.__dict__.update(rebuilt.__dict__)
             return
-        rebuilt = SetSystem.from_packed(
-            PackedSetSystem(
-                universe_size=state["universe_size"],  # type: ignore[arg-type]
-                num_sets=state["num_sets"],  # type: ignore[arg-type]
-                buffer=state["buffer"],  # type: ignore[arg-type]
-                names=state["names"],  # type: ignore[arg-type]
-                backend=state["backend"],  # type: ignore[arg-type]
-            )
-        )
+        rebuilt = SetSystem.from_packed(PackedSetSystem(**state))  # type: ignore[arg-type]
         self.__dict__.update(rebuilt.__dict__)
 
     def __repr__(self) -> str:

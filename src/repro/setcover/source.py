@@ -30,10 +30,14 @@ Container format
 a space-padded UTF-8 JSON header (length a multiple of 8, so the data
 section stays 8-byte aligned), then the packed incidence buffer exactly as
 ``PackedSetSystem.buffer`` lays it out.  The header records
-``{version, universe_size, num_sets, backend, names, digest}`` where
-``digest`` is the SHA-256 of the data section — written as a placeholder by
+``{version, universe_size, num_sets, names, digest}`` where ``digest`` is
+the SHA-256 of the data section — written as a placeholder by
 :class:`ContainerWriter` and patched in place on close, so the writer never
-needs the whole buffer in memory.
+needs the whole buffer in memory.  No compute-kernel request is stored:
+every process that reads the buffer picks its own kernel
+(:mod:`repro.kernels`), and every kernel answers the same bits.  A
+version 1 header, which carried such a request, is refused with the
+version message.
 
 Example — write a system to a container file and adopt it back zero-copy::
 
@@ -64,7 +68,6 @@ from repro.exceptions import (
     InstanceSourceLostError,
     SharedSegmentLostError,
 )
-from repro.kernels import BACKENDS
 from repro.setcover.instance import PackedSetSystem, SetSystem, packed_row_bytes
 from repro.utils.bitset import MAX_UNIVERSE_SIZE, universe_mask
 
@@ -72,7 +75,7 @@ from repro.utils.bitset import MAX_UNIVERSE_SIZE, universe_mask
 CONTAINER_MAGIC = b"REPROSC1"
 
 #: Current container header version.
-CONTAINER_VERSION = 1
+CONTAINER_VERSION = 2
 
 #: Default number of rows an out-of-core consumer materialises at once.
 #: Matches the generators' Bernoulli chunking so one window is ~8·n·1024 bits.
@@ -84,9 +87,7 @@ SOURCE_KINDS = ("heap", "shared", "mmap")
 _DIGEST_PLACEHOLDER = "0" * 64
 
 #: The header keys :func:`write_container` writes, all of them required.
-_HEADER_KEYS = frozenset(
-    ("version", "universe_size", "num_sets", "backend", "names", "digest")
-)
+_HEADER_KEYS = frozenset(("version", "universe_size", "num_sets", "names", "digest"))
 
 _HEX_DIGITS = frozenset("0123456789abcdef")
 
@@ -111,7 +112,6 @@ class SourceDescriptor:
     kind: str
     universe_size: int
     num_sets: int
-    backend: str = "auto"
     names: Optional[Tuple[str, ...]] = None
     path: Optional[str] = None
     segment: Optional[str] = None
@@ -178,7 +178,6 @@ class InstanceSource:
         universe_size: int,
         num_sets: int,
         names: Optional[Tuple[str, ...]] = None,
-        backend: str = "auto",
         digest: Optional[str] = None,
     ) -> None:
         if universe_size < 0 or num_sets < 0:
@@ -186,7 +185,6 @@ class InstanceSource:
         self._universe_size = universe_size
         self._num_sets = num_sets
         self._names = tuple(names) if names is not None else None
-        self._backend = backend
         self._digest = digest
 
     # -- metadata ----------------------------------------------------------
@@ -204,11 +202,6 @@ class InstanceSource:
     def names(self) -> Optional[Tuple[str, ...]]:
         """Per-set names, or None for the default ``S0, S1, ...`` naming."""
         return self._names
-
-    @property
-    def backend(self) -> str:
-        """The compute-kernel request carried with the buffer."""
-        return self._backend
 
     @property
     def row_bytes(self) -> int:
@@ -268,12 +261,7 @@ class InstanceSource:
             num_sets=self._num_sets,
             buffer=bytes(self.view()),
             names=self._names,
-            backend=self._backend,
         )
-
-    def system(self, backend: Optional[str] = None) -> SetSystem:
-        """Build a :class:`SetSystem` over this source (see ``from_source``)."""
-        return SetSystem.from_source(self, backend=backend)
 
     def descriptor(self) -> SourceDescriptor:
         """The picklable reference that reopens this source elsewhere."""
@@ -307,10 +295,9 @@ class HeapSource(InstanceSource):
         num_sets: int,
         buffer: bytes,
         names: Optional[Tuple[str, ...]] = None,
-        backend: str = "auto",
         digest: Optional[str] = None,
     ) -> None:
-        super().__init__(universe_size, num_sets, names, backend, digest)
+        super().__init__(universe_size, num_sets, names, digest)
         if not isinstance(buffer, bytes):
             buffer = bytes(buffer)
         if len(buffer) != self.buffer_bytes:
@@ -327,7 +314,6 @@ class HeapSource(InstanceSource):
             packed.num_sets,
             packed.buffer,
             names=packed.names,
-            backend=packed.backend,
             digest=digest,
         )
 
@@ -341,7 +327,6 @@ class HeapSource(InstanceSource):
             num_sets=self._num_sets,
             buffer=self._buffer,
             names=self._names,
-            backend=self._backend,
         )
 
     def descriptor(self) -> SourceDescriptor:
@@ -349,7 +334,6 @@ class HeapSource(InstanceSource):
             kind="heap",
             universe_size=self._universe_size,
             num_sets=self._num_sets,
-            backend=self._backend,
             names=self._names,
             digest=self.digest(),
             buffer=self._buffer,
@@ -374,11 +358,10 @@ class SharedMemorySource(InstanceSource):
         universe_size: int,
         num_sets: int,
         names: Optional[Tuple[str, ...]] = None,
-        backend: str = "auto",
         digest: Optional[str] = None,
         owner: bool = False,
     ) -> None:
-        super().__init__(universe_size, num_sets, names, backend, digest)
+        super().__init__(universe_size, num_sets, names, digest)
         self._shm = shm
         self._owner = owner
         self._view: Optional[memoryview] = None
@@ -401,7 +384,6 @@ class SharedMemorySource(InstanceSource):
             packed.universe_size,
             packed.num_sets,
             names=packed.names,
-            backend=packed.backend,
             digest=hashlib.sha256(packed.buffer).hexdigest(),
             owner=True,
         )
@@ -459,7 +441,6 @@ class SharedMemorySource(InstanceSource):
                 descriptor.universe_size,
                 descriptor.num_sets,
                 names=descriptor.names,
-                backend=descriptor.backend,
                 owner=False,
             ),
             descriptor.digest,
@@ -478,7 +459,6 @@ class SharedMemorySource(InstanceSource):
             kind="shared",
             universe_size=self._universe_size,
             num_sets=self._num_sets,
-            backend=self._backend,
             names=self._names,
             digest=self.digest(),
             segment=self.segment,
@@ -522,10 +502,9 @@ class MmapSource(InstanceSource):
         universe_size: int,
         num_sets: int,
         names: Optional[Tuple[str, ...]] = None,
-        backend: str = "auto",
         digest: Optional[str] = None,
     ) -> None:
-        super().__init__(universe_size, num_sets, names, backend, digest)
+        super().__init__(universe_size, num_sets, names, digest)
         self._path = path
         self._file = file
         self._mapped = mapped
@@ -587,7 +566,6 @@ class MmapSource(InstanceSource):
                 header["universe_size"],
                 header["num_sets"],
                 names=tuple(names) if names is not None else None,
-                backend=header["backend"],
             ),
             header["digest"],
             path,
@@ -610,7 +588,6 @@ class MmapSource(InstanceSource):
             kind="mmap",
             universe_size=self._universe_size,
             num_sets=self._num_sets,
-            backend=self._backend,
             names=self._names,
             digest=self.digest(),
             path=self._path,
@@ -699,7 +676,6 @@ def open_source(descriptor: SourceDescriptor) -> InstanceSource:
             descriptor.num_sets,
             descriptor.buffer,
             names=descriptor.names,
-            backend=descriptor.backend,
         )
         return _verified(source, descriptor.digest, descriptor.location())
     if descriptor.kind == "shared":
@@ -722,17 +698,12 @@ def open_source(descriptor: SourceDescriptor) -> InstanceSource:
 # container file format
 # ---------------------------------------------------------------------------
 def _encode_header(
-    universe_size: int,
-    num_sets: int,
-    backend: str,
-    names: Optional[Tuple[str, ...]],
-    digest: str,
+    universe_size: int, num_sets: int, names: Optional[Tuple[str, ...]], digest: str
 ) -> bytes:
     header = {
         "version": CONTAINER_VERSION,
         "universe_size": universe_size,
         "num_sets": num_sets,
-        "backend": backend,
         "names": list(names) if names is not None else None,
         "digest": digest,
     }
@@ -796,10 +767,6 @@ def read_container_header(path: str) -> Tuple[dict, int]:
     digest = header["digest"]
     if not (isinstance(digest, str) and len(digest) == 64 and set(digest) <= _HEX_DIGITS):
         raise ValueError(f"{path!r} header 'digest' must be 64 lowercase hex digits")
-    if header["backend"] not in BACKENDS:
-        raise ValueError(
-            f"{path!r} header 'backend' must be one of {BACKENDS}, got {header['backend']!r}"
-        )
     return header, len(CONTAINER_MAGIC) + 8 + header_len
 
 
@@ -825,7 +792,6 @@ class ContainerWriter:
         universe_size: int,
         num_sets: int,
         names: Optional[Sequence[str]] = None,
-        backend: str = "auto",
     ) -> None:
         if universe_size < 0 or num_sets < 0:
             raise ValueError("universe_size and num_sets must be non-negative")
@@ -836,16 +802,13 @@ class ContainerWriter:
         self._universe_size = universe_size
         self._num_sets = num_sets
         self._names = tuple(names) if names is not None else None
-        self._backend = backend
         self._row_bytes = packed_row_bytes(universe_size)
         self._rows_written = 0
         self._hash = hashlib.sha256()
         self._digest: Optional[str] = None
         self._closed = False
 
-        header = _encode_header(
-            universe_size, num_sets, backend, self._names, _DIGEST_PLACEHOLDER
-        )
+        header = _encode_header(universe_size, num_sets, self._names, _DIGEST_PLACEHOLDER)
         token = '"digest": "' + _DIGEST_PLACEHOLDER
         # magic + length word + offset of the hex digits inside the header.
         self._digest_offset = (
@@ -934,7 +897,6 @@ class ContainerWriter:
             kind="mmap",
             universe_size=self._universe_size,
             num_sets=self._num_sets,
-            backend=self._backend,
             names=self._names,
             digest=self._digest,
             path=self._path,
@@ -952,13 +914,7 @@ class ContainerWriter:
 
 def write_container(path: str, packed: PackedSetSystem) -> SourceDescriptor:
     """Write an in-memory packed system to a container file in one call."""
-    writer = ContainerWriter(
-        path,
-        packed.universe_size,
-        packed.num_sets,
-        names=packed.names,
-        backend=packed.backend,
-    )
+    writer = ContainerWriter(path, packed.universe_size, packed.num_sets, names=packed.names)
     with writer:
         writer.append_rows(packed.buffer)
     return writer.close()
@@ -1047,11 +1003,13 @@ class SourceBackedSetSystem(SetSystem):
     batched queries run on the chunked kernel, and pickling ships the tiny
     :class:`SourceDescriptor` instead of the buffer.  Built by
     ``SetSystem.from_source`` for windowed sources (shared memory, mmap).
+    ``backend`` pins the chunked kernel's flavour in this process only; it
+    is not pickled, so the far side resolves its own.
     """
 
-    def __init__(self, source: InstanceSource, backend: Optional[str] = None) -> None:
+    def __init__(self, source: InstanceSource, backend: str = "auto") -> None:
         self._n = source.universe_size
-        self._backend = backend if backend is not None else source.backend
+        self._backend = backend
         self._kernel = None
         self._packed = None
         self._universe_mask = universe_mask(source.universe_size)
@@ -1108,7 +1066,6 @@ class SourceBackedSetSystem(SetSystem):
             num_sets=self._source.num_sets,
             buffer=bytes(self._source.view()),
             names=self._source.names,
-            backend=self._backend,
         )
 
     def close(self) -> None:
@@ -1118,7 +1075,7 @@ class SourceBackedSetSystem(SetSystem):
     def __getstate__(self):
         # Ship the descriptor, not the buffer: the far side reattaches to
         # the same segment/file, which is the whole point of the backing.
-        return {"source": self._source.descriptor(), "backend": self._backend}
+        return {"source": self._source.descriptor()}
 
     def __repr__(self) -> str:
         return (

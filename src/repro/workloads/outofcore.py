@@ -55,7 +55,6 @@ def generate_to_file(
     density: Optional[float] = None,
     seed: SeedLike = None,
     chunk_rows: int = DEFAULT_CHUNK_ROWS,
-    backend: str = "auto",
 ) -> SourceDescriptor:
     """Generate a random set system directly into a container file.
 
@@ -88,7 +87,7 @@ def generate_to_file(
     if density is not None and not 0.0 <= density <= 1.0:
         raise ValueError(f"density must lie in [0, 1], got {density}")
 
-    writer = ContainerWriter(path, universe_size, num_sets, backend=backend)
+    writer = ContainerWriter(path, universe_size, num_sets)
     try:
         for start in range(0, num_sets, chunk_rows):
             rows = min(chunk_rows, num_sets - start)

@@ -68,6 +68,23 @@ class TestLoadStoreRoundTrip:
         assert len(analysis.records) == 2
         assert len(analysis.unreadable) == 2
 
+    def test_entries_a_run_would_quarantine_are_unreadable(self, wl_store):
+        tampered, intact = sorted(wl_store.root.glob("*/*.json"))
+        entry = json.loads(tampered.read_text())
+        entry["key"] += " TAMPERED"
+        tampered.write_text(json.dumps(entry))
+        elsewhere = wl_store.root / "ff" / f"{'f' * 64}.json"
+        elsewhere.parent.mkdir(exist_ok=True)
+        elsewhere.write_text(intact.read_text())
+        analysis = load_store(wl_store.root, grids=())
+        assert [record.key for record in analysis.records] == [
+            json.loads(intact.read_text())["key"]
+        ]
+        assert sorted(analysis.unreadable) == sorted([tampered, elsewhere])
+        # Reading never quarantines: the bad files stay where they are.
+        assert tampered.exists() and elsewhere.exists()
+        assert not (wl_store.root / "quarantine").exists()
+
 
 class TestMissingCells:
     def test_grid_detection_from_keys(self, wl_store):

@@ -386,6 +386,14 @@ class TestInstancePlaneFlags:
                  "--set-size", "2", "--density", "0.5"]
             )
 
+    def test_gen_instance_has_no_backend_flag(self, tmp_path, capsys):
+        path = tmp_path / "x.repro"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["gen-instance", str(path), "--n", "8", "--m", "4", "--backend", "numpy"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
+        assert not path.exists()
+
     def test_gen_instance_refuses_a_universe_beyond_the_limit(self, tmp_path):
         path = tmp_path / "x.repro"
         with pytest.raises(SystemExit, match="exceeds the limit"):

@@ -4,9 +4,9 @@ import json
 
 import pytest
 
+from repro.analysis.render import experiment_results_markdown
 from repro.experiments.harness import ExperimentResult
 from repro.experiments.report import (
-    render_markdown_report,
     result_from_dict,
     result_to_dict,
     save_markdown_report,
@@ -54,7 +54,7 @@ class TestRoundTrip:
 
 class TestMarkdown:
     def test_render_contains_table_and_findings(self, sample_result):
-        text = render_markdown_report([sample_result], title="Report")
+        text = experiment_results_markdown([sample_result], title="Report")
         assert "# Report" in text
         assert "## E1 — demo experiment" in text
         assert "`exponent` = 0.5" in text

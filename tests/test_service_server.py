@@ -26,7 +26,7 @@ from pathlib import Path
 import pytest
 
 from repro.exceptions import SharedSegmentLostError
-from repro.kernels import HAS_NUMPY
+from repro.kernels import HAS_NUMPY, KERNEL_ENV_VAR
 from repro.resilience.faults import parse_fault_spec
 from repro.service import pool as pool_module
 from repro.service.client import AsyncServiceClient
@@ -46,6 +46,7 @@ from repro.service.requests import (
 from repro.service.server import ServiceConfig, SolverService, _Pending
 from repro.setcover.source import SharedMemorySource
 from repro.telemetry import TelemetrySession
+from repro.utils.env import env_overrides
 
 needs_numpy = pytest.mark.skipif(not HAS_NUMPY, reason="NumPy backend not installed")
 
@@ -100,11 +101,20 @@ class TestInstanceSpecs:
             "x=random:n=0,m=3000000",
             "x=planted:n=16777216,m=9,cover=1",
             "x=random:n=4,m=2,backend=bogus",
+            "x=random:n=4,m=2,backend=numpy",
+            "x=file:path=P,backing=heap",
         ],
     )
     def test_bad_specs_rejected(self, spec):
         with pytest.raises(InstanceSpecError):
             build_instance(spec)
+
+    @pytest.mark.parametrize("key", ["backend=python", "backing=heap"])
+    def test_file_spec_refuses_a_kernel_or_backing_key(self, tmp_path, key):
+        path = tmp_path / "inst.repro"
+        build_instance(SPEC)[1].to_file(path)
+        with pytest.raises(InstanceSpecError, match="unknown instance key"):
+            build_instance(f"x=file:path={path},{key}")
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
     def test_sets_times_universe_refused_before_generation(self):
@@ -137,8 +147,7 @@ class TestInstanceSpecs:
         assert result.stdout.startswith("InstanceSpecError"), result.stdout + result.stderr
         assert "over the limit" in result.stdout
 
-    @pytest.mark.parametrize("backing", ["mmap", "heap"])
-    def test_corrupt_container_refused(self, tmp_path, backing):
+    def test_corrupt_container_refused(self, tmp_path):
         from repro.setcover.source import read_container_header
 
         path = tmp_path / "inst.repro"
@@ -148,7 +157,7 @@ class TestInstanceSpecs:
         data[offset] ^= 1
         path.write_bytes(bytes(data))
         with pytest.raises(InstanceSpecError, match="integrity check"):
-            build_instance(f"x=file:path={path},backing={backing}")
+            build_instance(f"x=file:path={path}")
 
     def test_digest_tracks_packed_buffer(self):
         _, a = build_instance(SPEC)
@@ -189,19 +198,20 @@ class TestRequestCore:
 
     @needs_numpy
     def test_payload_parity_across_kernel_backends(self):
-        base = "hot=random:n=40,m=30,seed=9,backend="
-        _, py_system = build_instance(base + "python")
-        _, np_system = build_instance(base + "numpy")
-        assert instance_digest(py_system) == instance_digest(np_system)
-        for kind, params in (
-            ("cover", {}),
-            ("maxcover", {"k": 4}),
-            ("estimate", {"alpha": 2, "seed": 0}),
-        ):
-            canon = canonical_params(kind, params)
-            assert canonical(compute_response(py_system, kind, canon)) == canonical(
-                compute_response(np_system, kind, canon)
-            )
+        answers = {}
+        for backend in ("python", "numpy"):
+            with env_overrides({KERNEL_ENV_VAR: backend}):
+                _, system = build_instance("hot=random:n=40,m=30,seed=9")
+                assert system.backend == backend
+                answers[backend] = [instance_digest(system)] + [
+                    canonical(compute_response(system, kind, canonical_params(kind, params)))
+                    for kind, params in (
+                        ("cover", {}),
+                        ("maxcover", {"k": 4}),
+                        ("estimate", {"alpha": 2, "seed": 0}),
+                    )
+                ]
+        assert answers["python"] == answers["numpy"]
 
 
 class TestRoundTrip:
@@ -230,8 +240,10 @@ class TestRoundTrip:
         async def go(svc, client):
             return await client.request("maxcover", params={"k": 5})
 
-        py = serve_and(go, instances=(SPEC + ",backend=python",))
-        np_ = serve_and(go, instances=(SPEC + ",backend=numpy",))
+        with env_overrides({KERNEL_ENV_VAR: "python"}):
+            py = serve_and(go)
+        with env_overrides({KERNEL_ENV_VAR: "numpy"}):
+            np_ = serve_and(go)
         assert canonical(py["result"]) == canonical(np_["result"])
 
     def test_cache_hit_is_flagged_and_counted(self):

@@ -4,7 +4,7 @@ import pickle
 
 import pytest
 
-from repro.kernels import HAS_NUMPY
+from repro.kernels import AUTO_NUMPY_THRESHOLD, HAS_NUMPY, KERNEL_ENV_VAR
 from repro.setcover.greedy import greedy_set_cover
 from repro.setcover.instance import (
     PackedSetSystem,
@@ -12,6 +12,7 @@ from repro.setcover.instance import (
     SetSystem,
     packed_row_bytes,
 )
+from repro.utils.env import env_overrides
 from repro.workloads.random_instances import random_instance
 
 needs_numpy = pytest.mark.skipif(not HAS_NUMPY, reason="NumPy backend not installed")
@@ -169,9 +170,13 @@ class TestPackedForm:
 
     @needs_numpy
     def test_numpy_kernel_adopts_transported_buffer(self):
-        system = SetSystem.from_masks(70, _sample_system(70, 16).masks(), backend="numpy")
-        rebuilt = pickle.loads(pickle.dumps(system))
-        kernel = rebuilt.kernel()
+        # The pickle carries no kernel pin: the far side's ``auto`` picks
+        # numpy because n·m reaches the threshold.
+        num_sets = AUTO_NUMPY_THRESHOLD // 70 + 1
+        system = SetSystem.from_masks(70, _sample_system(70, num_sets).masks(), backend="numpy")
+        with env_overrides({KERNEL_ENV_VAR: None}):
+            rebuilt = pickle.loads(pickle.dumps(system))
+            kernel = rebuilt.kernel()
         assert kernel.backend == "numpy"
         assert kernel.set_sizes() == system.kernel().set_sizes()
         full = (1 << 70) - 1

@@ -10,7 +10,9 @@ naming a definition:
 * any other ``src/`` module, except re-exports: imports in ``__init__.py``
   and ``__all__`` lists do not count;
 * the benchmarks, the examples, the docs (``docs/`` and the README), the CI
-  files and the e2ebench files.
+  files and the e2ebench files.  The generated API pages (``docs/api/``,
+  written by ``docs/gen_api.py``) name every public definition, so they
+  never count.
 
 A kept exception goes in :data:`ALLOWED` with its reason.  An entry whose
 definition is gone or has gained a caller is stale and fails the test too,
@@ -35,6 +37,8 @@ SRC = ROOT / "src"
 #: Files outside ``src/`` whose mentions count, and the suffixes read there.
 OTHER_FILES = ("benchmarks/**/*", "examples/**/*", "docs/**/*", ".github/**/*", "e2ebench/**/*")
 OTHER_SUFFIXES = (".py", ".md", ".yml", ".yaml")
+#: Generated output inside those globs, which never counts as a use.
+GENERATED_DIRS = ("docs/api",)
 
 _E2EBENCH = (
     "e2ebench's tracer imports its module by name, so it stays until the "
@@ -126,13 +130,23 @@ def _scan() -> Tuple[List[Tuple[str, Counter]], Counter, Dict[str, Counter]]:
                 start = min([node.lineno] + [d.lineno for d in node.decorator_list])
                 own = counted - _identifiers(lines[start - 1 : node.end_lineno])
                 definitions.append((f"{module}:{node.name}", own))
-    outside: Counter = Counter()
+    return definitions, _outside_identifiers(ROOT), per_module
+
+
+def _outside_identifiers(root: Path) -> Counter:
+    """Identifier counts over the files outside ``src/`` whose mentions count."""
+    generated = [root / name for name in GENERATED_DIRS]
+    counts: Counter = Counter()
     for pattern in OTHER_FILES:
-        for path in ROOT.glob(pattern):
-            if path.is_file() and path.suffix in OTHER_SUFFIXES:
-                outside.update(_identifiers([path.read_text()]))
-    outside.update(_identifiers([(ROOT / "README.md").read_text()]))
-    return definitions, outside, per_module
+        for path in root.glob(pattern):
+            if (
+                path.is_file()
+                and path.suffix in OTHER_SUFFIXES
+                and not any(path.is_relative_to(directory) for directory in generated)
+            ):
+                counts.update(_identifiers([path.read_text()]))
+    counts.update(_identifiers([(root / "README.md").read_text()]))
+    return counts
 
 
 def test_only_tests_reach_nothing_outside_the_allowlist():
@@ -152,6 +166,16 @@ def test_only_tests_reach_nothing_outside_the_allowlist():
     )
     stale = sorted(set(ALLOWED) - set(unreached))
     assert not stale, f"allowlist entries that are gone or now reached: {stale}"
+
+
+def test_generated_api_pages_do_not_count_as_uses(tmp_path):
+    (tmp_path / "docs" / "api").mkdir(parents=True)
+    (tmp_path / "docs" / "api" / "page.md").write_text("only_in_generated_docs")
+    (tmp_path / "docs" / "guide.md").write_text("named_in_written_docs")
+    (tmp_path / "README.md").write_text("")
+    counts = _outside_identifiers(tmp_path)
+    assert counts["named_in_written_docs"] == 1
+    assert counts["only_in_generated_docs"] == 0
 
 
 def _unused_imports(tree: ast.Module) -> List[str]:

@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from repro.setcover.instance import SetCoverInstance
+from repro.setcover.instance import SetCoverInstance, SetSystem
 from repro.setcover.source import MmapSource
 from repro.workloads.io import (
     dump_instance,
@@ -26,7 +26,7 @@ class TestGenerateToFile:
         in_memory = random_set_system(32, 300, seed=7)
         assert descriptor.digest == in_memory.content_digest()
         with MmapSource.open(tmp_path / "a.repro") as source:
-            assert source.system().to_packed().buffer == in_memory.to_packed().buffer
+            assert SetSystem.from_source(source).to_packed().buffer == in_memory.to_packed().buffer
 
     def test_set_size_path_matches_in_memory(self, tmp_path):
         descriptor = generate_to_file(
