@@ -1,12 +1,11 @@
 """Figure generation: matplotlib when available, text charts always.
 
-Every figure function returns a :class:`FigureArtifact` that is either a PNG
-written under an output directory (matplotlib installed — the ``repro[viz]``
-extra — *and* the caller asked for files) or a deterministic Unicode text
-chart.  The renderer embeds either kind, so reports are identical in
-structure with and without matplotlib; only the figure fidelity changes.
-Pass ``use_mpl=False`` to force the text path (that is also how the fallback
-stays covered by tests on machines that do have matplotlib).
+Every figure function returns a :class:`FigureArtifact` that is a PNG
+written under an output directory exactly when the caller gives one and
+matplotlib (the ``repro[viz]`` extra) imports, and a deterministic Unicode
+text chart otherwise.  The renderer embeds either kind, so reports are
+identical in structure with and without matplotlib; only the figure
+fidelity changes.
 
 Example — a sparkline and a bar are plain strings::
 
@@ -75,14 +74,8 @@ def hbar(value: float, maximum: float, width: int = 20) -> str:
     return BAR_FULL * filled + BAR_EMPTY * (width - filled)
 
 
-def _use_matplotlib(outdir: Optional[PathLike], use_mpl: Optional[bool]) -> bool:
-    if use_mpl is False or outdir is None:
-        return False
-    if use_mpl is True and not HAVE_MATPLOTLIB:
-        raise RuntimeError(
-            "matplotlib requested but not installed; pip install -e .[viz]"
-        )
-    return HAVE_MATPLOTLIB
+def _use_matplotlib(outdir: Optional[PathLike]) -> bool:
+    return outdir is not None and HAVE_MATPLOTLIB
 
 
 def _pyplot():  # pragma: no cover - exercised only with matplotlib installed
@@ -109,7 +102,6 @@ def _errorbar_args(envelope) -> Tuple[List[float], List[List[float]]]:
 def space_vs_approximation_figure(
     points: Sequence[TradeoffPoint],
     outdir: Optional[PathLike] = None,
-    use_mpl: Optional[bool] = None,
     slug: str = "space_vs_approximation",
 ) -> FigureArtifact:
     """The headline figure: peak space against approximation ratio per group.
@@ -124,7 +116,7 @@ def space_vs_approximation_figure(
         "across workloads, arrival orders, and seeds."
     )
     usable = [p for p in points if p.ratio is not None and p.space is not None]
-    if _use_matplotlib(outdir, use_mpl):  # pragma: no cover - mpl only
+    if _use_matplotlib(outdir):  # pragma: no cover - mpl only
         plt = _pyplot()
         fig, ax = plt.subplots(figsize=(6.4, 4.2))
         for point in usable:
@@ -170,7 +162,6 @@ def passes_vs_space_figure(
     points: Sequence[TradeoffPoint],
     theory: Sequence[Tuple[float, float]] = (),
     outdir: Optional[PathLike] = None,
-    use_mpl: Optional[bool] = None,
     slug: str = "passes_vs_space",
 ) -> FigureArtifact:
     """Pass count against peak space, with the Θ̃(m·n^{1/α}) reference line."""
@@ -181,7 +172,7 @@ def passes_vs_space_figure(
         "instance shape."
     )
     usable = [p for p in points if p.passes is not None and p.space is not None]
-    if _use_matplotlib(outdir, use_mpl):  # pragma: no cover - mpl only
+    if _use_matplotlib(outdir):  # pragma: no cover - mpl only
         plt = _pyplot()
         fig, ax = plt.subplots(figsize=(6.4, 4.2))
         for point in usable:

@@ -362,13 +362,12 @@ def build_report(
     analysis: StoreAnalysis,
     title: str = "Streaming set cover — tradeoff report",
     figures_dir: Optional[PathLike] = None,
-    use_mpl: Optional[bool] = None,
 ) -> ReportDocument:
     """Assemble the full report document from loaded store analysis.
 
-    ``figures_dir``/``use_mpl`` forward to the figure layer: PNGs land in
-    ``figures_dir`` when matplotlib is available, otherwise every figure is
-    a deterministic text chart embedded in the document itself.
+    ``figures_dir`` forwards to the figure layer: PNGs land there when it is
+    given and matplotlib is available, otherwise every figure is a
+    deterministic text chart embedded in the document itself.
     """
     doc = ReportDocument(title=title)
     doc.blocks.append(_summary_paragraph(analysis))
@@ -385,9 +384,7 @@ def build_report(
         )
     doc.blocks.append(
         FigureBlock(
-            space_vs_approximation_figure(
-                points, outdir=figures_dir, use_mpl=use_mpl
-            )
+            space_vs_approximation_figure(points, outdir=figures_dir)
         )
     )
 
@@ -408,7 +405,6 @@ def build_report(
                 aggregate(workload, by=("algorithm",)),
                 theory=theory,
                 outdir=figures_dir,
-                use_mpl=use_mpl,
             )
         )
     )

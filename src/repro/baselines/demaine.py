@@ -15,7 +15,7 @@ the surviving candidates are re-checked sequentially in arrival order.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.streaming.algorithm_base import StreamingAlgorithm, StreamingResult
 from repro.streaming.stream import SetStream
@@ -27,12 +27,8 @@ class ProgressiveGreedyPasses(StreamingAlgorithm):
 
     name = "demaine-progressive-greedy"
 
-    def __init__(
-        self,
-        num_passes: int,
-        space_budget: Optional[int] = None,
-    ) -> None:
-        super().__init__(space_budget=space_budget)
+    def __init__(self, num_passes: int) -> None:
+        super().__init__()
         if num_passes < 1:
             raise ValueError(f"num_passes must be >= 1, got {num_passes}")
         self.num_passes = num_passes

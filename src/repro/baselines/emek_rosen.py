@@ -18,7 +18,7 @@ the sequential bookkeeping on both kernel backends.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.streaming.algorithm_base import StreamingAlgorithm, StreamingResult
 from repro.streaming.stream import SetStream
@@ -29,9 +29,6 @@ class EmekRosenSemiStreaming(StreamingAlgorithm):
     """One-pass semi-streaming set cover: per-element best-set bookkeeping."""
 
     name = "emek-rosen-semi-streaming"
-
-    def __init__(self, space_budget: Optional[int] = None) -> None:
-        super().__init__(space_budget=space_budget)
 
     def run(self, stream: SetStream) -> StreamingResult:
         n = stream.universe_size

@@ -9,8 +9,6 @@ per-set loop exactly.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.setcover.exact import exact_set_cover
 from repro.setcover.greedy import greedy_set_cover
 from repro.streaming.algorithm_base import StreamingAlgorithm, StreamingResult
@@ -22,12 +20,8 @@ class StoreEverythingSetCover(StreamingAlgorithm):
 
     name = "store-everything-setcover"
 
-    def __init__(
-        self,
-        solver: str = "greedy",
-        space_budget: Optional[int] = None,
-    ) -> None:
-        super().__init__(space_budget=space_budget)
+    def __init__(self, solver: str = "greedy") -> None:
+        super().__init__()
         if solver not in ("exact", "greedy"):
             raise ValueError(f"solver must be 'exact' or 'greedy', got {solver!r}")
         self.solver = solver

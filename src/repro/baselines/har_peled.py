@@ -16,7 +16,7 @@ port of [32]'s pseudo-code.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.core.element_sampling import element_sample_mask, sampling_probability
 from repro.exceptions import InfeasibleInstanceError
@@ -49,9 +49,8 @@ class IterativePruningSetCover(StreamingAlgorithm):
         subinstance_solver: str = "greedy",
         sampling_constant: float = 16.0,
         seed: SeedLike = None,
-        space_budget: Optional[int] = None,
     ) -> None:
-        super().__init__(space_budget=space_budget)
+        super().__init__()
         if alpha < 1:
             raise ValueError(f"alpha must be >= 1, got {alpha}")
         if opt_guess < 1:

@@ -14,7 +14,7 @@ a small-space algorithm that cannot reach (1 − ε) for small ε.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.setcover.instance import SetSystem
 from repro.setcover.maxcover import greedy_max_coverage
@@ -44,9 +44,8 @@ class McGregorVuMaxCoverage(StreamingAlgorithm):
         k: int,
         sketch_size: int = 32,
         seed: SeedLike = None,
-        space_budget: Optional[int] = None,
     ) -> None:
-        super().__init__(space_budget=space_budget)
+        super().__init__()
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         if sketch_size < 1:

@@ -16,8 +16,6 @@ pick rule.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.streaming.algorithm_base import StreamingAlgorithm, StreamingResult
 from repro.streaming.stream import SetStream
 from repro.utils.bitset import bitset_size
@@ -28,12 +26,8 @@ class SahaGetoorGreedy(StreamingAlgorithm):
 
     name = "saha-getoor-greedy"
 
-    def __init__(
-        self,
-        threshold_fraction: float = 0.0,
-        space_budget: Optional[int] = None,
-    ) -> None:
-        super().__init__(space_budget=space_budget)
+    def __init__(self, threshold_fraction: float = 0.0) -> None:
+        super().__init__()
         if not 0.0 <= threshold_fraction < 1.0:
             raise ValueError(
                 f"threshold_fraction must lie in [0, 1), got {threshold_fraction}"

@@ -649,28 +649,34 @@ def _loadgen_command(args: argparse.Namespace) -> int:
 
     Exits non-zero when any verified response was *wrong* — sheds and
     deadline misses are legitimate overload outcomes, an incorrect answer
-    never is.
+    never is — and when no request got an answer at all.
     """
     import json as json_module
 
     from repro.service.instances import DEFAULT_INSTANCE_SPEC
     from repro.service.loadgen import LoadgenConfig, run_load
 
-    config = LoadgenConfig(
-        host=args.host,
-        port=args.port,
-        clients=args.clients,
-        requests_per_client=args.requests,
-        duration_s=args.duration,
-        seed=args.seed,
-        instance_spec=args.instance or DEFAULT_INSTANCE_SPEC,
-        deadline_s=args.deadline,
-        verify=not args.no_verify,
-    )
     try:
-        report = run_load(config)
-    except OSError as exc:
-        raise SystemExit(f"cannot reach service at {args.host}:{args.port}: {exc}")
+        config = LoadgenConfig(
+            host=args.host,
+            port=args.port,
+            clients=args.clients,
+            requests_per_client=args.requests,
+            duration_s=args.duration,
+            seed=args.seed,
+            instance_spec=args.instance or DEFAULT_INSTANCE_SPEC,
+            deadline_s=args.deadline,
+            verify=not args.no_verify,
+        )
+    except ValueError as exc:
+        raise SystemExit(str(exc))
+    report = run_load(config)
+    lost = report.statuses.get("transport_error", 0)
+    if report.requests and lost == report.requests:
+        raise SystemExit(
+            f"cannot reach service at {args.host}:{args.port}: "
+            f"no request got an answer ({lost} transport errors)"
+        )
     payload = report.to_dict()
     print(json_module.dumps(payload, indent=2, sort_keys=True))
     if args.json:

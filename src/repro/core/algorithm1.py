@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.core.element_sampling import element_sample_mask, sampling_probability
 from repro.exceptions import InfeasibleInstanceError
@@ -90,9 +90,8 @@ class StreamingSetCover(StreamingAlgorithm):
         self,
         config: AlgorithmOneConfig,
         seed: SeedLike = None,
-        space_budget: Optional[int] = None,
     ) -> None:
-        super().__init__(space_budget=space_budget)
+        super().__init__()
         self.config = config
         self._rng: RandomSource = spawn_rng(seed)
 

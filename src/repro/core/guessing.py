@@ -63,20 +63,17 @@ class OptGuessingSetCover(StreamingAlgorithm):
         sampling_constant: float = 16.0,
         subinstance_solver: str = "exact",
         seed: SeedLike = None,
-        space_budget: Optional[int] = None,
-        guesses: Optional[List[int]] = None,
     ) -> None:
-        super().__init__(space_budget=space_budget)
+        super().__init__()
         self.alpha = alpha
         self.epsilon = epsilon
         self.sampling_constant = sampling_constant
         self.subinstance_solver = subinstance_solver
         self._rng = spawn_rng(seed)
-        self._explicit_guesses = guesses
 
     def run(self, stream: SetStream) -> StreamingResult:
         n = stream.universe_size
-        guesses = self._explicit_guesses or geometric_guesses(n, self.epsilon)
+        guesses = geometric_guesses(n, self.epsilon)
         best_solution: Optional[List[int]] = None
         best_metadata: dict = {}
         outcomes: List[GuessOutcome] = []

@@ -15,7 +15,7 @@ example applications (blog-watch) as the coverage-maximisation primitive.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.core.element_sampling import element_sample
 from repro.setcover.instance import SetSystem
@@ -52,9 +52,8 @@ class StreamingMaxCoverage(StreamingAlgorithm):
         solver: str = "exact",
         sampling_constant: float = 4.0,
         seed: SeedLike = None,
-        space_budget: Optional[int] = None,
     ) -> None:
-        super().__init__(space_budget=space_budget)
+        super().__init__()
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         if not 0 < epsilon < 1:

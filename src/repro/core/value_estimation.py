@@ -44,9 +44,8 @@ class SetCoverValueEstimator(StreamingAlgorithm):
         sampling_constant: float = 16.0,
         subinstance_solver: str = "exact",
         seed: SeedLike = None,
-        space_budget: Optional[int] = None,
     ) -> None:
-        super().__init__(space_budget=space_budget)
+        super().__init__()
         if alpha < 1:
             raise ValueError(f"alpha must be >= 1, got {alpha}")
         self.alpha = alpha
@@ -103,9 +102,6 @@ class CountingBoundEstimator(StreamingAlgorithm):
     """
 
     name = "counting-bound-estimator"
-
-    def __init__(self, space_budget: Optional[int] = None) -> None:
-        super().__init__(space_budget=space_budget)
 
     def run(self, stream: SetStream) -> StreamingResult:
         n = stream.universe_size

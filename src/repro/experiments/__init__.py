@@ -1,9 +1,11 @@
 """Experiment harness: parameter sweeps, result tables, scaling fits.
 
-Each experiment E1–E12 of DESIGN.md has a ``run_*`` function here that
-produces a :class:`~repro.experiments.harness.ExperimentResult`; the
-``benchmarks/`` directory wraps these in pytest-benchmark targets and prints
-the resulting tables, and ``EXPERIMENTS.md`` records representative output.
+Each of the paper's twelve reproducible claims, experiments E1–E12 (listed
+with one line each in ``EXPERIMENT_DESCRIPTIONS`` and by ``repro list``), has
+a ``run_*`` function here that produces a
+:class:`~repro.experiments.harness.ExperimentResult`; the ``benchmarks/``
+directory wraps these in pytest-benchmark targets and prints the resulting
+tables.
 """
 
 from repro.experiments.harness import ExperimentResult

@@ -1,4 +1,4 @@
-"""The twelve experiments of DESIGN.md (the paper's reproducible claims).
+"""The twelve experiments E1–E12 (the paper's reproducible claims).
 
 Every ``run_*`` function is deterministic given its ``seed`` and returns an
 :class:`~repro.experiments.harness.ExperimentResult`.  Default parameters are

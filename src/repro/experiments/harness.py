@@ -15,14 +15,14 @@ class ExperimentResult:
     Attributes
     ----------
     experiment_id:
-        E1..E12 identifier from DESIGN.md.
+        E1..E12 identifier (a key of ``EXPERIMENT_REGISTRY``).
     title:
         Human-readable description of the reproduced claim.
     table:
         The rows the experiment reports (the analogue of a paper table).
     findings:
         Named scalar conclusions (fitted exponents, gaps, error rates) that
-        the benchmark assertions and EXPERIMENTS.md reference.
+        the benchmark assertions check.
     """
 
     experiment_id: str

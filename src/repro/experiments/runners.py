@@ -14,20 +14,11 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict
 
-from repro.experiments.experiment_defs import (
-    EXPERIMENT_DESCRIPTIONS,
-    EXPERIMENT_REGISTRY,
-)
-from repro.experiments.workload_defs import WORKLOAD_DESCRIPTIONS, WORKLOAD_RUNNERS
+from repro.experiments.experiment_defs import EXPERIMENT_REGISTRY
+from repro.experiments.workload_defs import WORKLOAD_RUNNERS
 
 #: Every schedulable runner: the paper experiments plus the workload sweeps.
 RUNNER_REGISTRY: Dict[str, Callable[..., Any]] = {
     **EXPERIMENT_REGISTRY,
     **WORKLOAD_RUNNERS,
-}
-
-#: Human-readable descriptions for every registered runner.
-RUNNER_DESCRIPTIONS: Dict[str, str] = {
-    **EXPERIMENT_DESCRIPTIONS,
-    **WORKLOAD_DESCRIPTIONS,
 }

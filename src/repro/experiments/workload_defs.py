@@ -380,7 +380,3 @@ def run_workload_sweep(
 
 #: Runners this module contributes to the runner registry.
 WORKLOAD_RUNNERS = {"WL": run_workload_sweep}
-
-WORKLOAD_DESCRIPTIONS = {
-    "WL": "Workload sweep: {dsc,dmc,random,coverage} x arrival order x algorithm",
-}

@@ -93,7 +93,7 @@ def check_fact_a2(
     """Fact A.2: if A ⊥ D | C then I(A : B | C) <= I(A : B | C, D).
 
     The caller is responsible for supplying a distribution satisfying the
-    independence premise; :func:`conditional_independence_gap` can verify it.
+    independence premise, i.e. one where I(A : D | C) is 0.
     """
     lhs = conditional_mutual_information(distribution, [a], [b], [c])
     rhs = conditional_mutual_information(distribution, [a], [b], [c, d])
@@ -123,17 +123,3 @@ def check_fact_a4(
     lhs = conditional_mutual_information(distribution, [a], [b], [c])
     rhs = mutual_information(distribution, [a], [b]) + entropy(distribution, [c])
     return FactCheck("A.4 conditioning bounded by H(C)", lhs, rhs, lhs <= rhs + 1e-6)
-
-
-def conditional_independence_gap(
-    distribution: JointDistribution,
-    a: str,
-    d: str,
-    given: Sequence[str],
-) -> float:
-    """Return I(A : D | given), which is 0 iff A ⊥ D | given.
-
-    Used by tests to confirm that the premises of Facts A.2 / A.3 hold before
-    asserting their conclusions.
-    """
-    return conditional_mutual_information(distribution, [a], [d], list(given))

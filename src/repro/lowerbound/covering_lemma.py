@@ -7,8 +7,7 @@ Lemma 2.2: let ``S_1, ..., S_k`` be independent uniformly random
     P( |U \\ (S_1 ∪ ... ∪ S_k)| < (|U|/2)·(s/2n)^k ) < 2·exp(−(|U|/8)·(s/2n)^k).
 
 The E4 benchmark runs the random process directly and compares the empirical
-shortfall probability against the lemma's bound, including the coupling-to-
-independent-drops distribution ``D'`` the proof introduces.
+shortfall probability against the lemma's bound.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, List, Sequence
 
-from repro.utils.bitset import bitset_from_indices, bitset_size, universe_mask
+from repro.utils.bitset import bitset_size, universe_mask
 from repro.utils.rng import SeedLike, spawn_rng, spent_subset_masks
 
 
@@ -84,33 +83,16 @@ def coverage_shortfall_trial(
     s: int,
     k: int,
     seed: SeedLike = None,
-    independent_drops: bool = False,
 ) -> CoverageTrial:
     """Run one trial of the Lemma 2.2 process.
 
-    Parameters
-    ----------
-    universe_size, u_size, s, k:
-        n, |U|, s and k of the lemma.  U is taken to be a fixed ``u_size``-
-        subset (the lemma only requires independence from the S_i, which
-        holds for any fixed U).
-    independent_drops:
-        When True, sample from the proof's auxiliary distribution ``D'``
-        (every element dropped from each set independently with probability
-        s/2n) instead of exact ``(n−s)``-subsets.
+    ``universe_size``, ``u_size``, ``s`` and ``k`` are n, |U|, s and k of the
+    lemma.  U is taken to be a fixed ``u_size``-subset (the lemma only
+    requires independence from the S_i, which holds for any fixed U).
     """
     _check_trial_parameters(universe_size, u_size, s, k)
     rng = spawn_rng(seed)
-    if independent_drops:
-        drop_probability = s / (2.0 * universe_size)
-        drops = (
-            bitset_from_indices(
-                [e for e in range(universe_size) if rng.bernoulli(drop_probability)]
-            )
-            for _ in range(k)
-        )
-    else:
-        drops = (rng.subset_mask(universe_size, s) for _ in range(k))
+    drops = (rng.subset_mask(universe_size, s) for _ in range(k))
     return _trial_outcome(universe_size, u_size, s, k, drops)
 
 
@@ -121,7 +103,6 @@ def estimate_uncovered_probability(
     k: int,
     trials: int,
     seed: SeedLike = None,
-    independent_drops: bool = False,
 ) -> float:
     """Empirical probability of the lemma's bad event over ``trials`` draws.
 
@@ -137,12 +118,10 @@ def estimate_uncovered_probability(
     _check_trial_parameters(universe_size, u_size, s, k)
     rng = spawn_rng(seed)
     children = [rng.spawn() for _ in range(trials)]
-    drawn = None if independent_drops else spent_subset_masks(children, universe_size, s, k)
+    drawn = spent_subset_masks(children, universe_size, s, k)
     if drawn is None:
         outcomes = [
-            coverage_shortfall_trial(
-                universe_size, u_size, s, k, seed=child, independent_drops=independent_drops
-            )
+            coverage_shortfall_trial(universe_size, u_size, s, k, seed=child)
             for child in children
         ]
     else:

@@ -31,7 +31,7 @@ Example — a seeded plan decides faults deterministically::
     4
 """
 
-from repro.resilience.degrade import DEGRADATION_LADDER, record_degradation
+from repro.resilience.degrade import record_degradation
 from repro.resilience.durability import (
     StatsJournal,
     atomic_write_json,
@@ -41,7 +41,6 @@ from repro.resilience.durability import (
     sum_journals,
 )
 from repro.resilience.faults import (
-    DATA_KINDS,
     FAULTS_ENV_VAR,
     FAULT_KINDS,
     FAULT_SITES,
@@ -74,9 +73,7 @@ from repro.resilience.chaos import ChaosReport, run_chaos  # isort: skip  (impor
 __all__ = [
     "CircuitBreaker",
     "ChaosReport",
-    "DATA_KINDS",
     "DEFAULT_POLICY",
-    "DEGRADATION_LADDER",
     "DRAIN_SIGNALS",
     "FAULTS_ENV_VAR",
     "FAULT_KINDS",

@@ -15,9 +15,9 @@ byte-identical to the preferred path:
    the surrounding grid (PR 4's outcome-row discipline).
 
 This module is the ladder's bookkeeping: :func:`record_degradation` stamps a
-telemetry counter and event per rung so a chaos run's report shows exactly
-which fallbacks fired, and :data:`DEGRADATION_LADDER` names the rungs for
-docs and tests.
+telemetry counter and event per rung (``kernel_backend``,
+``serial_execution``, ``outcome_row``) so a chaos run's report shows exactly
+which fallbacks fired.
 
 Example — degradations are counted under ``degrade.<rung>``::
 
@@ -35,24 +35,15 @@ from typing import Any
 from repro.telemetry import metrics
 from repro.telemetry.spans import event
 
-#: The rungs of the degradation ladder, in preference order.
-DEGRADATION_LADDER = (
-    "kernel_backend",  # numpy kernel -> pure-python kernel
-    "serial_execution",  # process pool -> in-process serial
-    "outcome_row",  # grid cell failure -> recorded outcome, grid continues
-)
-
 
 def record_degradation(rung: str, reason: str = "", **attrs: Any) -> None:
     """Count and trace one degradation (no-op cost when telemetry is off).
 
-    ``rung`` should be one of :data:`DEGRADATION_LADDER`; unknown rungs are
-    still recorded (forward compatibility for downstream ladders) but tests
-    pin the canonical names.
+    ``rung`` names the fallback that fired: one of the three rungs above.
     """
     metrics.add("degrade.total")
     metrics.add(f"degrade.{rung}")
     event("degrade", rung=rung, reason=reason, **attrs)
 
 
-__all__ = ["DEGRADATION_LADDER", "record_degradation"]
+__all__ = ["record_degradation"]

@@ -76,10 +76,6 @@ FAULT_SITES = (
 #: The failure kinds a rule may request.
 FAULT_KINDS = ("crash", "hang", "corrupt", "raise", "torn")
 
-#: Kinds the *caller* must act on (data corruption) rather than the injector
-#: raising/crashing on their behalf; :func:`inject` returns these.
-DATA_KINDS = ("corrupt", "torn")
-
 #: 2^64, the denominator turning a derived seed into a uniform in [0, 1).
 _SEED_SPACE = float(1 << 64)
 
@@ -337,7 +333,6 @@ def inject(site: str, key: str, attempt: Optional[int] = None) -> Optional[str]:
 
 
 __all__ = [
-    "DATA_KINDS",
     "FAULTS_ENV_VAR",
     "FAULT_KINDS",
     "FAULT_SITES",

@@ -5,8 +5,8 @@ engine:
 
 * :mod:`repro.runtime.scenarios` — declarative registry of workloads
   (:class:`ScenarioSpec`, :class:`ScenarioGrid`), with E1–E12 pre-registered;
-* :mod:`repro.runtime.seeding` — hierarchical deterministic seed streams
-  (``scenario seed → repetition seed → named subsystem streams``);
+* :mod:`repro.runtime.seeding` — hierarchical deterministic seeds
+  (``scenario seed → repetition seed``);
 * :mod:`repro.runtime.tasks` — the picklable unit of work and its worker
   entry point;
 * :mod:`repro.runtime.executor` — in-process or chunked process-pool
@@ -21,7 +21,7 @@ Example — declare a two-repetition scenario and expand its tasks::
     ...                          repetitions=2)
     >>> [task.key for task in tasks_from_scenario(spec)]
     ['runtime-doc-demo#r0', 'runtime-doc-demo#r1']
-    >>> unregister_scenario("runtime-doc-demo")
+    >>> del SCENARIO_REGISTRY["runtime-doc-demo"]
 """
 
 from repro.runtime.executor import (
@@ -41,15 +41,8 @@ from repro.runtime.scenarios import (
     iter_scenarios,
     register_grid,
     register_scenario,
-    unregister_scenario,
 )
-from repro.runtime.seeding import (
-    DEFAULT_ROOT_SEED,
-    SeedStreams,
-    repetition_seed,
-    scenario_seed,
-    stream_seed,
-)
+from repro.runtime.seeding import DEFAULT_ROOT_SEED, repetition_seed, scenario_seed
 from repro.runtime.store import STORE_FORMAT_VERSION, ResultStore, task_fingerprint
 from repro.runtime.tasks import RuntimeTask, execute_task, tasks_from_scenario
 
@@ -63,7 +56,6 @@ __all__ = [
     "SCENARIO_REGISTRY",
     "ScenarioGrid",
     "ScenarioSpec",
-    "SeedStreams",
     "ResultStore",
     "TaskExecutor",
     "TaskOutcome",
@@ -76,8 +68,6 @@ __all__ = [
     "register_scenario",
     "repetition_seed",
     "scenario_seed",
-    "stream_seed",
     "task_fingerprint",
     "tasks_from_scenario",
-    "unregister_scenario",
 ]

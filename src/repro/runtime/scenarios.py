@@ -26,7 +26,7 @@ Example — a 2×1 grid expands into one registered scenario per cell::
     >>> get_scenario("scenario-doc-demo[workload=dmc]").kwargs()
     {'workload': 'dmc'}
     >>> for spec in specs:
-    ...     unregister_scenario(spec.name)
+    ...     del SCENARIO_REGISTRY[spec.name]
 """
 
 from __future__ import annotations
@@ -221,11 +221,6 @@ def register_grid(
     for spec in specs:
         SCENARIO_REGISTRY[spec.name] = spec
     return specs
-
-
-def unregister_scenario(name: str) -> None:
-    """Remove a scenario from the registry (used by tests)."""
-    SCENARIO_REGISTRY.pop(name, None)
 
 
 def get_scenario(name: str) -> ScenarioSpec:

@@ -45,20 +45,13 @@ Example — the deadline token is ambient and cooperative::
     expired
 """
 
-from repro.service.deadline import (
-    Deadline,
-    check_deadline,
-    deadline_scope,
-    remaining_budget,
-)
+from repro.service.deadline import Deadline, check_deadline, deadline_scope
 from repro.service.protocol import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     STATUSES,
     decode_frame,
     encode_frame,
-    recv_message,
-    send_message,
 )
 
 __all__ = [
@@ -70,7 +63,4 @@ __all__ = [
     "deadline_scope",
     "decode_frame",
     "encode_frame",
-    "recv_message",
-    "remaining_budget",
-    "send_message",
 ]

@@ -1,11 +1,10 @@
-"""Clients for the solver service: blocking socket and asyncio stream.
+"""The solver service's client: one asyncio connection, requests in order.
 
-Both speak the framing in :mod:`repro.service.protocol` and return the raw
-response dict — status handling is the caller's business (a ``shed`` or
-``deadline`` is a *valid answer* from a service under load, not an
-exception).  :class:`ServiceClient` is the blocking client the CLI and
-tests use; :class:`AsyncServiceClient` is what the load generator drives by
-the thousand.
+:class:`AsyncServiceClient` speaks the framing in
+:mod:`repro.service.protocol` and returns the raw response dict — status
+handling is the caller's business (a ``shed`` or ``deadline`` is a *valid
+answer* from a service under load, not an exception).  ``repro loadgen``
+drives it by the thousand; a one-off probe wraps it in ``asyncio.run``.
 
 Example — request construction is pure and deterministic::
 
@@ -19,15 +18,12 @@ Example — request construction is pure and deterministic::
 from __future__ import annotations
 
 import asyncio
-import socket
 from typing import Any, Dict, Optional
 
 from repro.service.protocol import (
     PROTOCOL_VERSION,
     FrameError,
     read_message,
-    recv_message,
-    send_message,
     write_message,
 )
 
@@ -54,67 +50,8 @@ def build_request(
     return request
 
 
-class ServiceClient:
-    """A blocking client over one connection; requests run strictly in order."""
-
-    def __init__(self, host: str, port: int, timeout: Optional[float] = 30.0) -> None:
-        self.host = host
-        self.port = port
-        self._sock = socket.create_connection((host, port), timeout=timeout)
-        self._seq = 0
-
-    def close(self) -> None:
-        try:
-            self._sock.close()
-        except OSError:  # pragma: no cover - close is best-effort
-            pass
-
-    def __enter__(self) -> "ServiceClient":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
-    def request(
-        self,
-        kind: str,
-        params: Optional[Dict[str, Any]] = None,
-        instance: Optional[str] = None,
-        deadline_s: Optional[float] = None,
-        request_id: Optional[str] = None,
-    ) -> Dict[str, Any]:
-        """Send one request and block for its response.
-
-        Every call of this client goes through here, so a server that dies
-        mid-response raises :class:`ServiceUnavailableError` on each of them.
-        """
-        self._seq += 1
-        rid = request_id or f"c{self._seq}"
-        send_message(
-            self._sock,
-            build_request(rid, kind, params=params, instance=instance, deadline_s=deadline_s),
-        )
-        try:
-            response = recv_message(self._sock)
-        except FrameError as exc:
-            raise ServiceUnavailableError(str(exc)) from exc
-        if response is None:
-            raise ServiceUnavailableError(
-                f"service at {self.host}:{self.port} closed the connection"
-            )
-        return response
-
-    def ping(self) -> Dict[str, Any]:
-        """Liveness probe (answered inline even while draining)."""
-        return self.request("ping")
-
-    def health(self) -> Dict[str, Any]:
-        """Readiness probe: queue depth, cache stats, pool state, counters."""
-        return self.request("health")
-
-
 class AsyncServiceClient:
-    """The asyncio twin of :class:`ServiceClient` (one in-order connection)."""
+    """A client over one connection; requests run strictly in order."""
 
     def __init__(self, host: str, port: int) -> None:
         self.host = host
@@ -185,7 +122,6 @@ class AsyncServiceClient:
 
 __all__ = [
     "AsyncServiceClient",
-    "ServiceClient",
     "ServiceUnavailableError",
     "build_request",
 ]

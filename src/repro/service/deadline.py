@@ -23,8 +23,6 @@ Example — an expired deadline trips the check, an absent one is free::
     >>> check_deadline()  # no deadline armed: a no-op
     >>> with deadline_scope(Deadline.after(3600.0)):
     ...     check_deadline()  # plenty of budget left
-    ...     remaining_budget() > 3590.0
-    True
     >>> with deadline_scope(Deadline(expires_at=0.0)):  # already in the past
     ...     try:
     ...         check_deadline()
@@ -110,23 +108,9 @@ def check_deadline() -> None:
         raise DeadlineExceededError(overrun)
 
 
-def remaining_budget(default: Optional[float] = None) -> Optional[float]:
-    """Seconds left on the ambient deadline, or ``default`` when none is armed.
-
-    Never negative: an expired deadline reports 0.0 (callers use this to ship
-    a non-negative budget across a process boundary; the expiry itself is
-    :func:`check_deadline`'s job).
-    """
-    deadline = _DEADLINE.get()
-    if deadline is None:
-        return default
-    return max(0.0, deadline.remaining())
-
-
 __all__ = [
     "Deadline",
     "check_deadline",
     "clock",
     "deadline_scope",
-    "remaining_budget",
 ]

@@ -18,8 +18,8 @@ Grammar: ``NAME=GENERATOR:key=value,...``.  Generators:
                ``overlap``, ``seed``
 ``file``       a container file written by
                :func:`~repro.workloads.outofcore.generate_to_file` or
-               ``SetSystem.to_file`` — key ``path`` (required); the file
-               is opened windowed off disk
+               :func:`~repro.setcover.source.write_container` — key
+               ``path`` (required); the file is opened windowed off disk
 =============  ==========================================================
 
 A spec names the instance only: no key picks a compute kernel or a

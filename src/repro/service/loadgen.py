@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
@@ -48,7 +49,11 @@ POPULATION: Tuple[Tuple[str, Dict[str, Any]], ...] = (
 
 @dataclass(frozen=True)
 class LoadgenConfig:
-    """One load scenario (fully determined by its fields — reruns match)."""
+    """One load scenario (fully determined by its fields — reruns match).
+
+    ``duration_s``, when given, must be positive and finite: a run that
+    could never end, or never send, is refused up front.
+    """
 
     host: str = "127.0.0.1"
     port: int = 0
@@ -59,7 +64,12 @@ class LoadgenConfig:
     instance_spec: str = DEFAULT_INSTANCE_SPEC
     deadline_s: Optional[float] = None
     verify: bool = True
-    connect_retries: int = 3
+
+    def __post_init__(self) -> None:
+        if self.duration_s is not None and not 0 < self.duration_s < math.inf:
+            raise ValueError(
+                f"duration_s must be positive and finite, got {self.duration_s}"
+            )
 
 
 @dataclass

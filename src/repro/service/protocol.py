@@ -26,8 +26,8 @@ Responses echo ``id`` and report a ``status`` from :data:`STATUSES`:
 ==============  ==========================================================
 
 The module is deliberately transport-agnostic and import-light: pure
-``bytes`` codecs plus thin sync-socket and asyncio helpers, so the client,
-the server, and the load generator all share one framing implementation.
+``bytes`` codecs plus thin asyncio stream helpers, so the client, the
+server, and the load generator all share one framing implementation.
 
 Example — a message round-trips through the frame codec::
 
@@ -41,7 +41,6 @@ Example — a message round-trips through the frame codec::
 from __future__ import annotations
 
 import json
-import socket
 import struct
 from typing import Any, Dict, Optional
 
@@ -106,41 +105,7 @@ def frame_length(prefix: bytes) -> int:
     return length
 
 
-# -- sync socket helpers (client side / tests) -----------------------------
-
-
-def _recv_exact(sock: socket.socket, count: int) -> Optional[bytes]:
-    """Read exactly ``count`` bytes, or ``None`` on a clean EOF at a boundary."""
-    chunks = []
-    got = 0
-    while got < count:
-        chunk = sock.recv(count - got)
-        if not chunk:
-            if got == 0:
-                return None
-            raise FrameError("connection closed mid-frame")
-        chunks.append(chunk)
-        got += len(chunk)
-    return b"".join(chunks)
-
-
-def send_message(sock: socket.socket, message: Dict[str, Any]) -> None:
-    """Send one framed message over a blocking socket."""
-    sock.sendall(encode_frame(message))
-
-
-def recv_message(sock: socket.socket) -> Optional[Dict[str, Any]]:
-    """Receive one framed message; ``None`` on clean EOF."""
-    prefix = _recv_exact(sock, _LENGTH.size)
-    if prefix is None:
-        return None
-    body = _recv_exact(sock, frame_length(prefix))
-    if body is None:
-        raise FrameError("connection closed between length prefix and body")
-    return decode_frame(body)
-
-
-# -- asyncio helpers (server side / load generator) ------------------------
+# -- asyncio helpers (server, client and load generator) -------------------
 
 
 async def read_message(reader) -> Optional[Dict[str, Any]]:
@@ -202,7 +167,5 @@ __all__ = [
     "frame_length",
     "make_response",
     "read_message",
-    "recv_message",
-    "send_message",
     "write_message",
 ]

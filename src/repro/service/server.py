@@ -32,6 +32,7 @@ that *nothing* in this file can grow or wait without limit:
 from __future__ import annotations
 
 import asyncio
+import math
 import signal
 import threading
 from dataclasses import dataclass, field
@@ -93,8 +94,10 @@ class ServiceConfig:
                 "default_deadline_s must be None or a positive number of seconds, "
                 f"got {self.default_deadline_s!r}"
             )
-        if self.drain_grace_s < 0:
-            raise ValueError(f"drain_grace_s must be >= 0, got {self.drain_grace_s}")
+        if not 0 <= self.drain_grace_s < math.inf:
+            raise ValueError(
+                f"drain_grace_s must be finite and >= 0, got {self.drain_grace_s}"
+            )
         if not self.instances:
             raise ValueError("at least one instance spec is required")
 

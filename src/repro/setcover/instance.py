@@ -283,16 +283,6 @@ class SetSystem:
             return SourceBackedSetSystem(source)
         return cls.from_packed(source.to_packed())
 
-    def to_file(self, path: str):
-        """Write this system to an on-disk container file.
-
-        Returns the :class:`~repro.setcover.source.SourceDescriptor` that
-        reopens it (``open_source`` / ``repro run --instance-file``).
-        """
-        from repro.setcover.source import write_container
-
-        return write_container(path, self.to_packed())
-
     def content_digest(self) -> str:
         """SHA-256 of the packed incidence buffer — the system's identity.
 

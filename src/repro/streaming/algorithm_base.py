@@ -45,15 +45,17 @@ class StreamingAlgorithm(abc.ABC):
     """Base class: a streaming algorithm consumes a :class:`SetStream`.
 
     Subclasses implement :meth:`run`, calling ``stream.iterate_pass()`` once
-    per pass and charging their retained state to ``self.space``.  The base
-    class owns the space meter so the engine can enforce budgets uniformly.
+    per pass and charging their retained state to ``self.space``.  The
+    engine arms a fresh meter there for every run, carrying its space budget
+    if it has one; the unbudgeted meter made here serves a direct
+    :meth:`run` call.
     """
 
     #: Human-readable name used in experiment tables.
     name: str = "streaming-algorithm"
 
-    def __init__(self, space_budget: Optional[int] = None) -> None:
-        self.space = SpaceMeter(budget=space_budget)
+    def __init__(self) -> None:
+        self.space = SpaceMeter()
 
     @abc.abstractmethod
     def run(self, stream: SetStream) -> StreamingResult:

@@ -36,13 +36,14 @@ class EngineConfig:
     """Configuration for a single engine run.
 
     ``pass_budget`` bounds the passes an algorithm may consume;
-    ``space_budget`` (words) arms a fresh :class:`SpaceMeter` on the
-    algorithm for the run, so exceeding the analysed space bound raises
-    :class:`~repro.exceptions.SpaceBudgetExceededError` mid-run (Remark 3.9)
-    and the final :class:`~repro.streaming.space.SpaceReport` lands on the
-    :class:`StreamingResult`.  ``verify_solution`` checks the returned cover
-    against the instance — set it to ``False`` only for estimation-only or
-    max-coverage algorithms whose solutions are not meant to be covers.
+    ``space_budget`` (words) is the budget of the fresh :class:`SpaceMeter`
+    each run arms on the algorithm, so exceeding the analysed space bound
+    raises :class:`~repro.exceptions.SpaceBudgetExceededError` mid-run
+    (Remark 3.9); ``None`` leaves the meter unbudgeted.  The engine is the
+    only place a budget is set.  ``verify_solution`` checks the returned
+    cover against the instance — set it to ``False`` only for
+    estimation-only or max-coverage algorithms whose solutions are not meant
+    to be covers.
     """
 
     order: StreamOrder = StreamOrder.ADVERSARIAL
@@ -65,6 +66,12 @@ class MultiPassEngine:
     ) -> StreamingResult:
         """Execute the algorithm and enforce the configured budgets.
 
+        Every run starts the algorithm on a fresh :class:`SpaceMeter` (with
+        the configured space budget), so the result's
+        :class:`~repro.streaming.space.SpaceReport` is this run's alone, and
+        after a budget overrun ``algorithm.space`` holds the charges up to
+        the overrun.
+
         Cooperative deadlines: an ambient request deadline (armed by the
         service front end via :mod:`repro.service.deadline`) is checked here
         before any work starts, at every pass grant inside
@@ -74,24 +81,7 @@ class MultiPassEngine:
         algorithm is never torn down mid-kernel-call.
         """
         check_deadline()
-        current = algorithm.space
-        if self.config.space_budget is not None:
-            # Arm a fresh budgeted meter for this run; the algorithm charges
-            # its retained state to it, so the budget is enforced mid-run and
-            # the meter's report is what _finalize puts on the result (and
-            # what a caller inspects after a budget overrun).  Remember the
-            # meter this displaces — through chains of budgeted runs — so a
-            # later unbudgeted run can fall back to the algorithm's own
-            # declared budget.
-            meter = SpaceMeter(budget=self.config.space_budget)
-            meter.engine_displaced = getattr(current, "engine_displaced", current)
-            algorithm.space = meter
-        elif hasattr(current, "engine_displaced"):
-            # A previous budgeted engine run armed the current meter; without
-            # an engine budget in force the algorithm must not inherit it (or
-            # its stale charges).  Re-arm a fresh meter carrying whatever
-            # budget the displaced (constructor-time) meter declared.
-            algorithm.space = SpaceMeter(budget=current.engine_displaced.budget)
+        algorithm.space = SpaceMeter(budget=self.config.space_budget)
         stream = SetStream(
             system,
             order=self.config.order,

@@ -105,7 +105,7 @@ class TestBackingParity:
         expected = greedy_cover_trace(system, required_mask=coverable)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "greedy.repro"
-            system.to_file(path)
+            write_container(path, system.to_packed())
             windowed = SetSystem.from_source(MmapSource.open(path))
             actual = greedy_cover_trace(windowed, required_mask=coverable)
             windowed.close()

@@ -21,7 +21,6 @@ def main() -> None:
     doc = build_report(
         fixture_analysis(),
         title="Golden fixture report",
-        use_mpl=False,
     )
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
     GOLDEN_PATH.write_text(render_markdown(doc))

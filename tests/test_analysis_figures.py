@@ -50,7 +50,7 @@ class TestHbar:
 
 class TestSpaceVsApproximationFigure:
     def test_text_fallback_artifact(self):
-        artifact = space_vs_approximation_figure([make_point()], use_mpl=False)
+        artifact = space_vs_approximation_figure([make_point()])
         assert isinstance(artifact, FigureArtifact)
         assert artifact.kind == "text"
         assert artifact.path is None
@@ -60,27 +60,26 @@ class TestSpaceVsApproximationFigure:
     def test_rows_sorted_by_median_space(self):
         big = make_point(label="big", space=(500.0, 600.0, 700.0))
         small = make_point(label="small", space=(10.0, 20.0, 30.0))
-        artifact = space_vs_approximation_figure([big, small], use_mpl=False)
+        artifact = space_vs_approximation_figure([big, small])
         assert artifact.text.index("small") < artifact.text.index("big")
 
     def test_no_usable_points_still_renders(self):
-        artifact = space_vs_approximation_figure([], use_mpl=False)
+        artifact = space_vs_approximation_figure([])
         assert artifact.kind == "text"
         assert "no cells" in artifact.text
 
     def test_points_without_ratio_are_skipped(self):
-        artifact = space_vs_approximation_figure(
-            [make_point(ratio=None)], use_mpl=False
-        )
+        artifact = space_vs_approximation_figure([make_point(ratio=None)])
         assert "no cells" in artifact.text
 
-    def test_forcing_mpl_without_install_raises(self):
+    def test_outdir_without_mpl_means_text(self, tmp_path):
         from repro.analysis import figures
 
         if figures.HAVE_MATPLOTLIB:
-            pytest.skip("matplotlib installed; forcing cannot fail")
-        with pytest.raises(RuntimeError):
-            space_vs_approximation_figure([make_point()], outdir=".", use_mpl=True)
+            pytest.skip("matplotlib installed; the figure is a PNG")
+        artifact = space_vs_approximation_figure([make_point()], outdir=tmp_path)
+        assert artifact.kind == "text"
+        assert list(tmp_path.iterdir()) == []
 
     def test_no_outdir_means_text_even_with_mpl(self):
         artifact = space_vs_approximation_figure([make_point()], outdir=None)
@@ -90,17 +89,17 @@ class TestSpaceVsApproximationFigure:
 class TestPassesVsSpaceFigure:
     def test_text_fallback_with_theory_overlay(self):
         artifact = passes_vs_space_figure(
-            [make_point()], theory=[(1, 640.0), (2, 80.0)], use_mpl=False
+            [make_point()], theory=[(1, 640.0), (2, 80.0)]
         )
         assert artifact.kind == "text"
         assert "theory" in artifact.text
         assert "640" in artifact.text
 
     def test_without_theory(self):
-        artifact = passes_vs_space_figure([make_point()], use_mpl=False)
+        artifact = passes_vs_space_figure([make_point()])
         assert "theory" not in artifact.text
         assert "greedy" in artifact.text
 
     def test_empty_points_message(self):
-        artifact = passes_vs_space_figure([], use_mpl=False)
+        artifact = passes_vs_space_figure([])
         assert "no cells" in artifact.text

@@ -84,7 +84,7 @@ def fixture_analysis():
 
 class TestBuildReport:
     def test_document_sections(self):
-        doc = build_report(fixture_analysis(), use_mpl=False)
+        doc = build_report(fixture_analysis())
         headings = [b.text for b in doc.blocks if isinstance(b, Heading)]
         assert "Space–approximation tradeoff" in headings
         assert "Passes vs space" in headings
@@ -93,23 +93,23 @@ class TestBuildReport:
         assert "Other experiment results" in headings
 
     def test_figures_are_text_without_mpl(self):
-        doc = build_report(fixture_analysis(), use_mpl=False)
+        doc = build_report(fixture_analysis())
         assert len(doc.figures) == 2
         assert all(f.kind == "text" for f in doc.figures)
 
     def test_empty_store_builds_with_explicit_note(self):
-        doc = build_report(StoreAnalysis(root=Path("/nowhere")), use_mpl=False)
+        doc = build_report(StoreAnalysis(root=Path("/nowhere")))
         markdown = render_markdown(doc)
         assert "no readable result cells" in markdown
         assert "Missing cells" in markdown
 
     def test_missing_cells_render_markers(self):
-        markdown = render_markdown(build_report(fixture_analysis(), use_mpl=False))
+        markdown = render_markdown(build_report(fixture_analysis()))
         assert MISSING_MARKER in markdown
         assert "emek_rosen" in markdown
 
     def test_infeasible_cell_shows_outcome_not_ratio(self):
-        markdown = render_markdown(build_report(fixture_analysis(), use_mpl=False))
+        markdown = render_markdown(build_report(fixture_analysis()))
         assert "infeasible" in markdown
 
 
@@ -118,8 +118,7 @@ class TestGoldenMarkdown:
         doc = build_report(
             fixture_analysis(),
             title="Golden fixture report",
-            use_mpl=False,
-        )
+            )
         rendered = render_markdown(doc)
         assert rendered == GOLDEN_PATH.read_text(), (
             "report markdown drifted from tests/data/golden_report.md; "
@@ -152,7 +151,7 @@ class TestRenderMarkdown:
 
 class TestRenderHtml:
     def test_self_contained_page(self):
-        doc = build_report(fixture_analysis(), use_mpl=False)
+        doc = build_report(fixture_analysis())
         html = render_html(doc)
         assert html.startswith("<!DOCTYPE html>")
         assert "<style>" in html
@@ -160,7 +159,7 @@ class TestRenderHtml:
         assert "src=" not in html.replace('src="data:', "")  # no external refs
 
     def test_missing_marker_is_highlighted(self):
-        html = render_html(build_report(fixture_analysis(), use_mpl=False))
+        html = render_html(build_report(fixture_analysis()))
         assert 'class="missing"' in html
 
     def test_html_escapes_content(self):
@@ -172,7 +171,7 @@ class TestRenderHtml:
 
 class TestWriteReport:
     def test_writes_html_and_markdown(self, tmp_path):
-        doc = build_report(fixture_analysis(), use_mpl=False)
+        doc = build_report(fixture_analysis())
         written = write_report(
             doc,
             html_dir=tmp_path / "html",
@@ -183,7 +182,7 @@ class TestWriteReport:
         assert "Missing cells" in written["markdown"].read_text()
 
     def test_nothing_requested_writes_nothing(self, tmp_path):
-        assert write_report(build_report(fixture_analysis(), use_mpl=False)) == {}
+        assert write_report(build_report(fixture_analysis())) == {}
 
 
 class TestExperimentResultsMarkdown:

@@ -138,14 +138,14 @@ class TestRuntimePath:
         assert written["workers"] == written["plain"]
 
     def test_runtime_accepts_registered_scenario_names(self, tmp_path, capsys):
-        from repro.runtime import register_scenario, unregister_scenario
+        from repro.runtime import SCENARIO_REGISTRY, register_scenario
 
         register_scenario("cli-tiny", runner="E12", params={"t": 2}, seed=1)
         try:
             assert main(["run", "cli-tiny", "--quiet", "--store", str(tmp_path)]) == 0
             assert "[cli-tiny] computed" in capsys.readouterr().out
         finally:
-            unregister_scenario("cli-tiny")
+            SCENARIO_REGISTRY.pop("cli-tiny", None)
 
     def test_scenario_names_rejected_on_legacy_path(self):
         with pytest.raises(SystemExit):
@@ -290,6 +290,17 @@ class TestServeParser:
                 main(["serve", "--port", str(port), "--workers", "0"])
         assert str(excinfo.value.code) == f"cannot listen on 127.0.0.1:{port}: Address already in use"
 
+    @pytest.mark.parametrize("grace", ["nan", "inf"])
+    def test_serve_non_finite_drain_grace_exits(self, monkeypatch, grace):
+        import repro.service.server as server
+
+        async def refuse(config):
+            raise AssertionError("a bad drain grace reached serve_main")
+
+        monkeypatch.setattr(server, "serve_main", refuse)
+        with pytest.raises(SystemExit, match="drain_grace_s must be finite"):
+            main(["serve", "--drain-grace", grace])
+
 
 class TestLoadgenParser:
     def test_port_is_required(self):
@@ -357,6 +368,29 @@ class TestLoadgenExitCode:
         assert main(["loadgen", "--port", "1", "--json", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert payload["wrong"] == 0 and payload["ok"] == 1
+
+    @pytest.mark.parametrize("duration", ["nan", "inf", "-1", "0"])
+    def test_non_finite_or_non_positive_duration_exits(self, monkeypatch, duration):
+        import repro.service.loadgen as loadgen
+
+        def refuse(config):
+            raise AssertionError("a bad duration reached run_load")
+
+        monkeypatch.setattr(loadgen, "run_load", refuse)
+        with pytest.raises(SystemExit, match="duration_s must be positive and finite"):
+            main(["loadgen", "--port", "1", "--duration", duration])
+
+    def test_nothing_listening_exits_one_with_one_line(self, capsys):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        with pytest.raises(SystemExit) as excinfo:
+            main(["loadgen", "--port", str(port), "--requests", "3", "--clients", "2", "--no-verify"])
+        assert str(excinfo.value.code) == (
+            f"cannot reach service at 127.0.0.1:{port}: "
+            "no request got an answer (2 transport errors)"
+        )
+        assert capsys.readouterr().out == ""
 
 
 class TestInstancePlaneFlags:

@@ -54,14 +54,6 @@ class TestOptGuessingSetCover:
         assert result.metadata["winning_guess"] is not None
         assert len(result.metadata["outcomes"]) == len(result.metadata["guesses"])
 
-    def test_explicit_guess_list(self, planted_instance):
-        algorithm = OptGuessingSetCover(
-            alpha=2, epsilon=0.5, seed=3, guesses=[planted_instance.planted_opt]
-        )
-        result = run_streaming_algorithm(algorithm, planted_instance.system)
-        assert is_feasible_cover(planted_instance.system, result.solution)
-        assert result.metadata["guesses"] == [planted_instance.planted_opt]
-
     def test_pass_count_bounded_by_single_run(self, planted_instance):
         algorithm = OptGuessingSetCover(alpha=2, epsilon=0.5, seed=3)
         result = run_streaming_algorithm(algorithm, planted_instance.system)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.infotheory.distributions import JointDistribution
+from repro.infotheory.entropy import conditional_mutual_information
 from repro.infotheory.facts import (
     check_fact_a2,
     check_fact_a3,
@@ -11,7 +12,6 @@ from repro.infotheory.facts import (
     check_fact_conditioning_reduces_entropy,
     check_fact_entropy_bounds,
     check_fact_mi_nonnegative,
-    conditional_independence_gap,
 )
 from repro.infotheory.information_cost import (
     information_cost_of_randomized_protocol,
@@ -56,7 +56,7 @@ class TestFactCheckers:
             for c in (0, 1):
                 pmf[(a, a, c, c)] = 0.25
         joint = JointDistribution(["A", "B", "C", "D"], pmf)
-        assert conditional_independence_gap(joint, "A", "D", ["C"]) == pytest.approx(0.0)
+        assert conditional_mutual_information(joint, ["A"], ["D"], ["C"]) == pytest.approx(0.0)
         assert check_fact_a2(joint, "A", "B", "C", "D")
 
     def test_fact_a3_with_premise(self):
@@ -66,9 +66,9 @@ class TestFactCheckers:
             for b in (0, 1):
                 pmf[(a, b, 0, b)] = 0.25
         joint = JointDistribution(["A", "B", "C", "D"], pmf)
-        assert conditional_independence_gap(joint, "A", "D", ["B", "C"]) == pytest.approx(
-            0.0
-        )
+        assert conditional_mutual_information(
+            joint, ["A"], ["D"], ["B", "C"]
+        ) == pytest.approx(0.0)
         assert check_fact_a3(joint, "A", "B", "C", "D")
 
     def test_fact_check_is_truthy(self, correlated_joint):

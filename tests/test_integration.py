@@ -93,6 +93,7 @@ class TestHardInstancePipeline:
         from repro.exceptions import SpaceBudgetExceededError
 
         instance = plant_cover_instance(200, 30, 4, seed=17)
-        algorithm = StoreEverythingSetCover(space_budget=50)
         with pytest.raises(SpaceBudgetExceededError):
-            run_streaming_algorithm(algorithm, instance.system)
+            run_streaming_algorithm(
+                StoreEverythingSetCover(), instance.system, space_budget=50
+            )

@@ -47,10 +47,6 @@ class TestTrials:
         trial = coverage_shortfall_trial(100, 60, 20, 0, seed=2)
         assert trial.uncovered_count == 60
 
-    def test_independent_drops_variant(self):
-        trial = coverage_shortfall_trial(150, 150, 30, 3, seed=3, independent_drops=True)
-        assert 0 <= trial.uncovered_count <= 150
-
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             coverage_shortfall_trial(100, 50, 0, 1)
@@ -83,13 +79,11 @@ class TestEstimates:
         assert {"k", "empirical_failure", "lemma_bound"} <= set(rows[0])
 
 
-def trial_by_trial(universe_size, u_size, s, k, trials, seed, independent_drops=False):
+def trial_by_trial(universe_size, u_size, s, k, trials, seed):
     """The estimate as :func:`coverage_shortfall_trial` on each spawned child."""
     failures = 0
     for _ in range(trials):
-        trial = coverage_shortfall_trial(
-            universe_size, u_size, s, k, seed=seed.spawn(), independent_drops=independent_drops
-        )
+        trial = coverage_shortfall_trial(universe_size, u_size, s, k, seed=seed.spawn())
         failures += trial.below_threshold
     return failures / trials
 
@@ -165,21 +159,12 @@ class TestOneWalkAcrossTrials:
         )
         assert ([row["empirical_failure"] for row in rows], state, counters) == expected
 
-    @pytest.mark.parametrize("independent_drops,s", [(True, 150), (False, 40)])
-    def test_other_draws_stay_trial_by_trial(self, monkeypatch, independent_drops, s):
-        # D' drops elements independently; s = 40 of n = 600 takes
-        # random.sample's set-selection branch.
+    def test_set_branch_draws_stay_trial_by_trial(self, monkeypatch):
+        # s = 40 of n = 600 takes random.sample's set-selection branch.
         calls = walks(monkeypatch)
-        args = (600, 600, s, 2, 20)
-        walked = measured(
-            lambda source: estimate_uncovered_probability(
-                *args, seed=source, independent_drops=independent_drops
-            ),
-            7,
-        )
-        assert walked == measured(
-            lambda source: trial_by_trial(*args, source, independent_drops), 7
-        )
+        args = (600, 600, 40, 2, 20)
+        walked = measured(lambda source: estimate_uncovered_probability(*args, seed=source), 7)
+        assert walked == measured(lambda source: trial_by_trial(*args, source), 7)
         assert calls == []
 
     def test_invalid_parameters_raise_before_any_draw(self):

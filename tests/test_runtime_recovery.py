@@ -437,12 +437,13 @@ class TestSignalDrain:
 
     def test_service_drains_on_sigterm(self):
         """End-to-end: `repro serve` answers, then SIGTERM drains to exit 0."""
+        import asyncio
         import os
         import signal
         import subprocess
         import sys
 
-        from repro.service.client import ServiceClient
+        from repro.service.client import AsyncServiceClient
 
         env = dict(os.environ)
         env["PYTHONPATH"] = "src"
@@ -463,8 +464,12 @@ class TestSignalDrain:
             banner = proc.stdout.readline().strip()
             assert banner.startswith("listening on "), banner
             host, _, port = banner.rpartition(" ")[2].rpartition(":")
-            with ServiceClient(host, int(port)) as client:
-                response = client.request("cover")
+
+            async def cover():
+                async with AsyncServiceClient(host, int(port)) as client:
+                    return await client.request("cover")
+
+            response = asyncio.run(cover())
             assert response["status"] == "ok"
             proc.send_signal(signal.SIGTERM)
             stdout, _ = proc.communicate(timeout=30)

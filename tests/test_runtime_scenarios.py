@@ -12,7 +12,6 @@ from repro.runtime.scenarios import (
     iter_scenarios,
     register_grid,
     register_scenario,
-    unregister_scenario,
 )
 from repro.runtime.tasks import tasks_from_scenario
 
@@ -79,7 +78,7 @@ class TestRegistration:
             register_scenario("tmp-scn", runner="E12", seed=5, replace=True)
             assert get_scenario("tmp-scn").seed == 5
         finally:
-            unregister_scenario("tmp-scn")
+            SCENARIO_REGISTRY.pop("tmp-scn", None)
         assert "tmp-scn" not in SCENARIO_REGISTRY
 
     def test_register_grid_expands_product(self):
@@ -99,7 +98,7 @@ class TestRegistration:
         finally:
             for spec in iter_scenarios():
                 if spec.name.startswith("tmp-grid"):
-                    unregister_scenario(spec.name)
+                    SCENARIO_REGISTRY.pop(spec.name)
 
 
 class TestGridExpansion:

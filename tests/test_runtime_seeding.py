@@ -1,13 +1,7 @@
 """Unit tests for the hierarchical seed-derivation protocol."""
 
-from repro.runtime.seeding import (
-    DEFAULT_ROOT_SEED,
-    SeedStreams,
-    repetition_seed,
-    scenario_seed,
-    stream_seed,
-)
-from repro.utils.rng import derive_seed
+from repro.runtime.seeding import DEFAULT_ROOT_SEED, repetition_seed, scenario_seed
+from repro.utils.rng import derive_seed, spawn_rng
 
 import pytest
 
@@ -51,59 +45,18 @@ class TestScenarioAndRepetitionSeeds:
             repetition_seed(42, -1)
 
 
-class TestSeedStreams:
-    def test_stream_is_cached(self):
-        streams = SeedStreams(9)
-        assert streams.stream("instance") is streams.stream("instance")
-
-    def test_stream_isolation(self):
-        """Extra draws on one named stream must not perturb another."""
-        left = SeedStreams(9)
-        left.stream("noise")  # created first, then drained heavily
-        for _ in range(1000):
-            left.stream("noise").random()
-        left_values = [left.stream("signal").random() for _ in range(5)]
-
-        right = SeedStreams(9)
-        right_values = [right.stream("signal").random() for _ in range(5)]
-        assert left_values == right_values
-
-    def test_stream_order_independence(self):
-        """The order streams are first requested does not change their seeds."""
-        forward = SeedStreams(11)
-        a_first = forward.stream("a").randint(0, 10 ** 9)
-        b_second = forward.stream("b").randint(0, 10 ** 9)
-
-        backward = SeedStreams(11)
-        b_first = backward.stream("b").randint(0, 10 ** 9)
-        a_second = backward.stream("a").randint(0, 10 ** 9)
-        assert (a_first, b_second) == (a_second, b_first)
-
-    def test_seed_for_matches_stream_seed(self):
-        streams = SeedStreams(5)
-        assert streams.seed_for("metrics") == stream_seed(5, "metrics")
-
-    def test_names_sorted(self):
-        streams = SeedStreams(1)
-        streams.stream("b")
-        streams.stream("a")
-        assert streams.names() == ("a", "b")
-        assert list(streams) == ["a", "b"]
-
-
 def repetition_streams(root, name, repetition):
-    """The streams of one repetition of a scenario, as the protocol composes them."""
-    return SeedStreams(repetition_seed(scenario_seed(root, name), repetition))
+    """The generator one repetition of a scenario runs on, as a runner makes it."""
+    return spawn_rng(repetition_seed(scenario_seed(root, name), repetition))
 
 
 class TestRunStreams:
     def test_repetitions_get_distinct_streams(self):
         rep0 = repetition_streams(None, "demo", repetition=0)
         rep1 = repetition_streams(None, "demo", repetition=1)
-        assert rep0.base_seed != rep1.base_seed
-        assert rep0.stream("x").random() != rep1.stream("x").random()
+        assert rep0.random() != rep1.random()
 
     def test_reproducible_across_managers(self):
         first = repetition_streams(77, "demo", repetition=3)
         second = repetition_streams(77, "demo", repetition=3)
-        assert first.stream("x").random() == second.stream("x").random()
+        assert [first.random() for _ in range(3)] == [second.random() for _ in range(3)]

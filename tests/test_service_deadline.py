@@ -5,13 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import DeadlineExceededError, ReproError, TransientTaskError
-from repro.service.deadline import (
-    Deadline,
-    check_deadline,
-    clock,
-    deadline_scope,
-    remaining_budget,
-)
+from repro.service.deadline import Deadline, check_deadline, clock, deadline_scope
 from repro.streaming.stream import SetStream
 from repro.workloads.random_instances import random_set_system
 
@@ -28,30 +22,28 @@ class TestDeadlineValue:
         assert not deadline.expired
         assert 0.0 < deadline.remaining() <= 60.0
 
-    def test_expired_deadline_goes_negative_but_budget_clamps(self):
+    def test_expired_deadline_goes_negative(self):
         assert EXPIRED.expired
-        assert EXPIRED.remaining() < 0.0  # raw remaining is signed...
-        with deadline_scope(EXPIRED):
-            assert remaining_budget() == 0.0  # ...the shippable budget is not
+        assert EXPIRED.remaining() < 0.0
 
 
 class TestAmbientToken:
     def test_no_deadline_by_default(self):
-        assert remaining_budget() is None
         check_deadline()  # must be a no-op, not a raise
-        assert remaining_budget(7.5) == 7.5
 
     def test_scope_sets_and_resets(self):
-        deadline = Deadline.after(60.0)
-        with deadline_scope(deadline):
-            assert remaining_budget(999.0) < 61.0
-        assert remaining_budget() is None
+        with deadline_scope(EXPIRED):
+            with pytest.raises(DeadlineExceededError):
+                check_deadline()
+            with deadline_scope(None):  # an inner scope clears the outer one
+                check_deadline()
+        check_deadline()
 
     def test_scope_resets_after_exception(self):
         with pytest.raises(RuntimeError):
-            with deadline_scope(Deadline.after(60.0)):
+            with deadline_scope(EXPIRED):
                 raise RuntimeError("boom")
-        assert remaining_budget() is None
+        check_deadline()
 
     def test_check_raises_with_positive_overrun(self):
         with deadline_scope(EXPIRED):

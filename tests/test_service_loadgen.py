@@ -41,6 +41,13 @@ def load_against_service(load_overrides=None, **service_overrides):
     return asyncio.run(go())
 
 
+class TestConfig:
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf"), -1.0, 0.0])
+    def test_duration_must_be_positive_and_finite(self, duration):
+        with pytest.raises(ValueError, match="duration_s must be positive and finite"):
+            LoadgenConfig(duration_s=duration)
+
+
 class TestDeterminism:
     def test_population_covers_every_kind(self):
         assert {kind for kind, _ in POPULATION} == {"cover", "maxcover", "estimate"}

@@ -1,19 +1,17 @@
-"""Wire-protocol tests: framing, determinism, bounds, sync/async helpers."""
+"""Wire-protocol tests: framing, determinism, bounds, asyncio helpers."""
 
 from __future__ import annotations
 
 import asyncio
 import json
-import socket
 import struct
 import sys
-import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.service.client import AsyncServiceClient, ServiceClient, ServiceUnavailableError
+from repro.service.client import AsyncServiceClient, ServiceUnavailableError
 from repro.service.protocol import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
@@ -24,8 +22,6 @@ from repro.service.protocol import (
     frame_length,
     make_response,
     read_message,
-    recv_message,
-    send_message,
 )
 
 
@@ -72,36 +68,6 @@ class TestFraming:
             decode_frame(b'{"a":' + b"7" * 5000 + b"}")
 
 
-class TestSyncHelpers:
-    def test_socketpair_round_trip(self):
-        left, right = socket.socketpair()
-        try:
-            send_message(left, {"id": "r9", "kind": "ping"})
-            assert recv_message(right) == {"id": "r9", "kind": "ping"}
-        finally:
-            left.close()
-            right.close()
-
-    def test_clean_eof_returns_none(self):
-        left, right = socket.socketpair()
-        left.close()
-        try:
-            assert recv_message(right) is None
-        finally:
-            right.close()
-
-    def test_mid_frame_eof_raises(self):
-        left, right = socket.socketpair()
-        try:
-            frame = encode_frame({"id": "r1", "kind": "cover"})
-            left.sendall(frame[: len(frame) - 2])
-            left.close()
-            with pytest.raises(FrameError, match="mid-frame"):
-                recv_message(right)
-        finally:
-            right.close()
-
-
 class TestAsyncHelpers:
     def _reader_with(self, data: bytes) -> asyncio.StreamReader:
         reader = asyncio.StreamReader()
@@ -141,26 +107,6 @@ def _truncated_answer() -> bytes:
 
 
 class TestClientsMapTruncatedFrames:
-    @pytest.mark.parametrize("call, args", _CLIENT_CALLS)
-    def test_blocking_client(self, call, args):
-        server = socket.create_server(("127.0.0.1", 0))
-
-        def answer_once():
-            conn, _ = server.accept()
-            with conn:
-                recv_message(conn)
-                conn.sendall(_truncated_answer())
-
-        thread = threading.Thread(target=answer_once, daemon=True)
-        thread.start()
-        try:
-            with ServiceClient("127.0.0.1", server.getsockname()[1], timeout=10) as client:
-                with pytest.raises(ServiceUnavailableError, match="mid-frame"):
-                    getattr(client, call)(*args)
-        finally:
-            thread.join(timeout=10)
-            server.close()
-
     @pytest.mark.parametrize("call, args", _CLIENT_CALLS)
     def test_async_client(self, call, args):
         async def answer_once(reader, writer):

@@ -44,7 +44,7 @@ from repro.service.requests import (
     request_fingerprint,
 )
 from repro.service.server import ServiceConfig, SolverService, _Pending
-from repro.setcover.source import SharedMemorySource
+from repro.setcover.source import SharedMemorySource, write_container
 from repro.telemetry import TelemetrySession
 from repro.utils.env import env_overrides
 
@@ -112,7 +112,7 @@ class TestInstanceSpecs:
     @pytest.mark.parametrize("key", ["backend=python", "backing=heap"])
     def test_file_spec_refuses_a_kernel_or_backing_key(self, tmp_path, key):
         path = tmp_path / "inst.repro"
-        build_instance(SPEC)[1].to_file(path)
+        write_container(path, build_instance(SPEC)[1].to_packed())
         with pytest.raises(InstanceSpecError, match="unknown instance key"):
             build_instance(f"x=file:path={path},{key}")
 
@@ -151,7 +151,7 @@ class TestInstanceSpecs:
         from repro.setcover.source import read_container_header
 
         path = tmp_path / "inst.repro"
-        build_instance(SPEC)[1].to_file(path)
+        write_container(path, build_instance(SPEC)[1].to_packed())
         _, offset = read_container_header(path)
         data = bytearray(path.read_bytes())
         data[offset] ^= 1
@@ -304,6 +304,8 @@ class TestConfig:
             {"default_deadline_s": True},
             {"default_deadline_s": "5"},
             {"drain_grace_s": -0.5},
+            {"drain_grace_s": float("nan")},
+            {"drain_grace_s": float("inf")},
         ],
     )
     def test_invalid_config_rejected(self, overrides):

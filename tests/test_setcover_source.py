@@ -486,7 +486,7 @@ class TestSourceBackedSetSystem:
     def test_matches_resident_system(self, tmp_path):
         system = sample_system()
         path = tmp_path / "sys.repro"
-        system.to_file(path)
+        write_container(path, system.to_packed())
         windowed = SetSystem.from_source(MmapSource.open(path))
         assert isinstance(windowed, SourceBackedSetSystem)
         assert windowed.backing == "mmap"
@@ -499,7 +499,7 @@ class TestSourceBackedSetSystem:
     def test_greedy_identical_to_resident(self, tmp_path):
         system = sample_system(n=40, m=30, seed=11)
         path = tmp_path / "greedy.repro"
-        system.to_file(path)
+        write_container(path, system.to_packed())
         windowed = SetSystem.from_source(MmapSource.open(path))
         coverable = system.coverage_mask(range(system.num_sets))
         expected = greedy_set_cover(system, required_mask=coverable)
@@ -509,7 +509,7 @@ class TestSourceBackedSetSystem:
     def test_pickles_as_descriptor_not_buffer(self, tmp_path):
         system = sample_system(n=64, m=2048, seed=5)
         path = tmp_path / "big.repro"
-        system.to_file(path)
+        write_container(path, system.to_packed())
         windowed = SetSystem.from_source(MmapSource.open(path))
         blob = pickle.dumps(windowed)
         assert len(blob) < 2000  # a descriptor, not 2048 rows of buffer
@@ -528,7 +528,7 @@ class TestLazyMaskRows:
     def test_indexing_slicing_iteration(self, tmp_path):
         system = sample_system(n=30, m=17)
         path = tmp_path / "lazy.repro"
-        system.to_file(path)
+        write_container(path, system.to_packed())
         with MmapSource.open(path) as source:
             rows = LazyMaskRows(source, chunk_rows=4)
             masks = system.masks()
@@ -556,7 +556,7 @@ class TestLazyMaskRows:
         monkeypatch.setattr(source_module, "_decode_rows", spy)
         system = sample_system(n=30, m=17)
         path = tmp_path / "rows.repro"
-        system.to_file(path)
+        write_container(path, system.to_packed())
         masks = system.masks()
         chunk_rows = 4  # 17 rows span 5 windows
         with MmapSource.open(path) as source:
@@ -578,7 +578,7 @@ class TestChunkedKernelParity:
     def make_pair(self, tmp_path, backend, n=50, m=23, seed=13):
         system = random_instance(n, m, density=0.2, seed=seed).system
         path = tmp_path / f"kern-{backend}.repro"
-        system.to_file(path)
+        write_container(path, system.to_packed())
         source = MmapSource.open(path)
         chunked = ChunkedKernel(source, backend=backend, chunk_rows=4)
         resident = kernels.make_kernel(
@@ -620,7 +620,7 @@ class TestChunkedKernelParity:
 
     def test_empty_and_degenerate_cases(self, tmp_path, backend):
         path = tmp_path / f"deg-{backend}.repro"
-        SetSystem(6, []).to_file(path)
+        write_container(path, SetSystem(6, []).to_packed())
         with MmapSource.open(path) as source:
             kernel = ChunkedKernel(source, backend=backend)
             assert kernel.best_gain_index(63) == (-1, 0)

@@ -8,6 +8,7 @@ from repro.baselines.full_storage import StoreEverythingSetCover
 from repro.streaming.algorithm_base import StreamingAlgorithm
 from repro.streaming.engine import EngineConfig, MultiPassEngine, run_streaming_algorithm
 from repro.streaming.stream import StreamOrder
+from repro.workloads.random_instances import plant_cover_instance
 
 
 class TestEngineRuns:
@@ -125,19 +126,17 @@ class TestSpaceBudget:
         result = run_streaming_algorithm(algorithm, planted_instance.system)
         assert result.solution
 
-    def test_constructor_budget_preserved_without_engine_budget(self, planted_instance):
-        algorithm = StoreEverythingSetCover(space_budget=1)
-        with pytest.raises(SpaceBudgetExceededError):
-            run_streaming_algorithm(algorithm, planted_instance.system)
-
-    def test_constructor_budget_survives_engine_budgeted_runs(self, planted_instance):
-        """A constructor budget comes back into force once the engine's lapses."""
-        algorithm = StoreEverythingSetCover(space_budget=1)
-        # Two engine-budgeted runs in a row (the displaced meter chains).
-        run_streaming_algorithm(algorithm, planted_instance.system, space_budget=10 ** 9)
-        run_streaming_algorithm(algorithm, planted_instance.system, space_budget=10 ** 9)
-        with pytest.raises(SpaceBudgetExceededError):
-            run_streaming_algorithm(algorithm, planted_instance.system)
+    def test_unbudgeted_rerun_reports_its_own_peak(self):
+        """Regression: a second run must not report the first run's peak."""
+        large = plant_cover_instance(200, 30, 4, seed=1).system
+        small = plant_cover_instance(40, 10, 2, seed=2).system
+        fresh = run_streaming_algorithm(StoreEverythingSetCover(), small)
+        algorithm = StoreEverythingSetCover()
+        run_streaming_algorithm(algorithm, large)
+        rerun = run_streaming_algorithm(algorithm, small)
+        assert fresh.space.peak_words == 127
+        assert rerun.space == fresh.space
+        assert algorithm.space.budget is None
 
     def test_space_budget_arms_fresh_meter_per_run(self, planted_instance):
         algorithm = StoreEverythingSetCover()
