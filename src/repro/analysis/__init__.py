@@ -37,7 +37,6 @@ from repro.analysis.loader import (
     StoreAnalysis,
     detect_grids,
     load_store,
-    resolve_grid,
 )
 from repro.analysis.records import (
     AnalysisRecord,
@@ -62,7 +61,6 @@ from repro.analysis.tradeoff import (
     aggregate,
     space_approximation_points,
     theoretical_curve,
-    theoretical_space,
     typical_instance_shape,
 )
 
@@ -89,12 +87,10 @@ __all__ = [
     "record_from_entry",
     "render_html",
     "render_markdown",
-    "resolve_grid",
     "space_approximation_points",
     "space_vs_approximation_figure",
     "sparkline",
     "theoretical_curve",
-    "theoretical_space",
     "typical_instance_shape",
     "workload_records",
     "write_report",

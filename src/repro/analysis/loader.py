@@ -9,8 +9,9 @@ registry to find the cells the store does *not* hold yet.  Missing cells are
 first-class data (the report renders them as explicit markers), so a
 partially-resumed or empty store analyses cleanly instead of raising.
 
-Grid resolution mirrors the CLI's ``run`` argument: an exact scenario name,
-a scenario *tag* (``adversarial``), or a grid prefix (``ADV``, matching every
+A grid is named as ``repro run`` names what it runs
+(:func:`~repro.runtime.scenarios.resolve_scenarios`): ``all``, a scenario
+name, a tag (``adversarial``) or a grid prefix (``ADV``, matching every
 ``ADV[...]`` expansion).  With no explicit grid, grids whose cells appear in
 the store are detected from the stored task keys, so ``repro report`` on a
 half-finished ``repro run adversarial --store`` shows exactly the cells that
@@ -37,12 +38,7 @@ from repro.analysis.records import (
     record_from_entry,
     workload_records,
 )
-from repro.runtime.scenarios import (
-    SCENARIO_REGISTRY,
-    ScenarioSpec,
-    iter_scenarios,
-    natural_sort_key,
-)
+from repro.runtime.scenarios import SCENARIO_REGISTRY, natural_sort_key, resolve_scenarios
 from repro.runtime.store import (
     STORE_FORMAT_VERSION,
     entry_fault,
@@ -86,26 +82,6 @@ class StoreAnalysis:
     @property
     def experiment_records(self) -> List[AnalysisRecord]:
         return experiment_records(self.records)
-
-
-def resolve_grid(name: str) -> List[ScenarioSpec]:
-    """Resolve a grid argument exactly like the CLI's ``run`` argument.
-
-    Tries, in order: exact scenario name, scenario tag, grid prefix
-    (``name[...]``).  Raises :class:`KeyError` when nothing matches.
-    """
-    if name in SCENARIO_REGISTRY:
-        return [SCENARIO_REGISTRY[name]]
-    tagged = iter_scenarios(tag=name)
-    if tagged:
-        return tagged
-    prefix = f"{name}["
-    members = [spec for key, spec in SCENARIO_REGISTRY.items() if key.startswith(prefix)]
-    if members:
-        return sorted(members, key=lambda spec: natural_sort_key(spec.name))
-    raise KeyError(
-        f"unknown grid {name!r}: not a scenario name, tag, or grid prefix"
-    )
 
 
 def detect_grids(records: Sequence[AnalysisRecord]) -> Tuple[str, ...]:
@@ -176,7 +152,7 @@ def load_store(
     grid_names = tuple(grids) if grids is not None else detect_grids(records)
     expected: Dict[str, Tuple[str, str]] = {}
     for grid in grid_names:
-        for scenario in resolve_grid(grid):
+        for scenario in resolve_scenarios(grid):
             for task in tasks_from_scenario(scenario, seed_override=seed_override):
                 expected[task_fingerprint(task)] = (task.key, scenario.name)
     held = {record.fingerprint for record in records}

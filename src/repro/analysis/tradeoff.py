@@ -14,8 +14,8 @@ Example — one group, hand-checkable envelope arithmetic::
     >>> lo, mid, hi = Envelope.from_values([4.0, 1.0, 2.0])
     >>> (lo, mid, hi)
     (1.0, 2.0, 4.0)
-    >>> theoretical_space(n=64, m=10, alpha=2)   # m * n^(1/2)
-    80.0
+    >>> theoretical_curve(n=64, m=10, alphas=(1, 2))   # m * n^(1/alpha)
+    [(1.0, 640.0), (2.0, 80.0)]
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.records import AnalysisRecord
+from repro.core.tradeoff import theorem1_space_lower_bound
 
 GroupKey = Tuple[Tuple[str, object], ...]
 
@@ -129,20 +130,15 @@ def space_approximation_points(
     ]
 
 
-def theoretical_space(n: int, m: int, alpha: float) -> float:
-    """The paper's space bound ``m · n^{1/α}`` (Theorem 1, up to polylog)."""
-    if n < 1 or m < 1:
-        raise ValueError(f"need n, m >= 1, got n={n} m={m}")
-    if alpha <= 0:
-        raise ValueError(f"need alpha > 0, got {alpha}")
-    return m * n ** (1.0 / alpha)
-
-
 def theoretical_curve(
     n: int, m: int, alphas: Sequence[float] = (1, 2, 3, 4, 5)
 ) -> List[Tuple[float, float]]:
-    """``(α, m·n^{1/α})`` samples of the paper's tradeoff reference line."""
-    return [(float(alpha), theoretical_space(n, m, alpha)) for alpha in alphas]
+    """``(α, m·n^{1/α})`` samples of the paper's tradeoff reference line.
+
+    Each value is Theorem 1's bound at one pass
+    (:func:`~repro.core.tradeoff.theorem1_space_lower_bound`).
+    """
+    return [(float(alpha), theorem1_space_lower_bound(n, m, alpha)) for alpha in alphas]
 
 
 def typical_instance_shape(

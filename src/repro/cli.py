@@ -66,6 +66,11 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+#: What ``run``, ``chaos`` and ``report --grid`` accept as a name; each
+#: expands through :func:`repro.runtime.scenarios.resolve_scenarios`.
+_NAMES_HELP = "scenario names, experiment ids, tags, grids (e.g. ADV) or 'all'"
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -80,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "experiments",
         nargs="+",
-        help="experiment ids (e.g. E1 E5) or 'all'",
+        help=_NAMES_HELP,
     )
     run_parser.add_argument(
         "--seed", type=int, default=None, help="override the experiment seed"
@@ -172,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_parser.add_argument(
         "scenarios",
         nargs="+",
-        help="scenario names, experiment ids, or tags (e.g. adversarial)",
+        help=_NAMES_HELP,
     )
     chaos_parser.add_argument(
         "--seed", type=int, default=None, help="override the scenario seeds"
@@ -316,8 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         default=None,
         metavar="NAME",
-        help="scenario grid / tag / name whose coverage to check (repeatable; "
-        "default: auto-detect grids from the stored task keys)",
+        help=f"what to check coverage of: {_NAMES_HELP} (repeatable; default: "
+        "auto-detect grids from the stored task keys)",
     )
     report_parser.add_argument(
         "--seed",
@@ -344,34 +349,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def resolve_experiment_ids(requested: Sequence[str]) -> List[str]:
-    """Expand 'all' and validate experiment ids (case-insensitive).
+    """The scenario names ``repro run`` runs for its arguments, in order.
 
-    Names that are not experiment ids may also match any registered runtime
-    scenario, and a name matching a scenario *tag* (e.g. ``adversarial``)
-    expands to every scenario carrying that tag — which is how a whole
-    workload grid runs through the sharded executor with one CLI argument.
+    Each argument expands through
+    :func:`~repro.runtime.scenarios.resolve_scenarios`; ``all`` anywhere
+    means exactly E1–E12.  An unknown name exits with one line.
     """
-    if any(entry.lower() == "all" for entry in requested):
-        return sorted(EXPERIMENT_REGISTRY, key=lambda eid: int(eid[1:]))
-    resolved = []
-    for entry in requested:
-        canonical = entry.upper()
-        if canonical in EXPERIMENT_REGISTRY:
-            resolved.append(canonical)
-            continue
-        from repro.runtime import SCENARIO_REGISTRY, iter_scenarios
+    from repro.runtime import resolve_scenarios
 
-        if entry in SCENARIO_REGISTRY:
-            resolved.append(entry)
-            continue
-        tagged = [spec.name for spec in iter_scenarios(tag=entry)]
-        if tagged:
-            resolved.extend(tagged)
-            continue
-        raise SystemExit(
-            f"unknown experiment {entry!r}; run 'repro list' to see the options"
-        )
-    return resolved
+    if any(entry.lower() == "all" for entry in requested):
+        requested = ["all"]
+    try:
+        return [spec.name for entry in requested for spec in resolve_scenarios(entry)]
+    except KeyError as exc:
+        raise SystemExit(exc.args[0])
 
 
 def _runner_accepts_instance(runner_name: str) -> bool:
@@ -527,7 +518,6 @@ def _scenarios_command(name: Optional[str], tag: Optional[str]) -> int:
         print(f"instance-capable: {capable}")
         print(f"description:  {spec.description or '-'}")
         print(f"seed:         {spec.seed if spec.seed is not None else 'runner default'}")
-        print(f"repetitions:  {spec.repetitions}")
         print(f"tags:         {', '.join(spec.tags) or '-'}")
         print(f"params:       {dict(spec.params) or '{}'}")
         print("tasks:")
@@ -537,8 +527,7 @@ def _scenarios_command(name: Optional[str], tag: Optional[str]) -> int:
     for spec in iter_scenarios(tag=tag):
         tags = f" [{','.join(spec.tags)}]" if spec.tags else ""
         print(
-            f"{spec.name:>6}  runner={spec.runner:<4} reps={spec.repetitions}"
-            f"  {spec.description}{tags}"
+            f"{spec.name:>6}  runner={spec.runner:<4}  {spec.description}{tags}"
         )
     return 0
 

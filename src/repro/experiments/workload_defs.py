@@ -96,26 +96,6 @@ def _build_instance(
     )
 
 
-def _resolve_instance(instance: Any) -> Tuple[SetCoverInstance, int]:
-    """An instance in any of its plane representations, with its opt guess.
-
-    ``SetCoverInstance`` passes through; a bare ``SetSystem`` is wrapped; a
-    :class:`~repro.setcover.source.SourceDescriptor` (heap, shared-memory or
-    container-file reference — what ``repro run --instance-file`` attaches
-    to every task) is answered by the per-process instance cache.
-    """
-    if isinstance(instance, SourceDescriptor):
-        return _INSTANCE_CACHE.get(instance)
-    if isinstance(instance, SetSystem):
-        instance = SetCoverInstance(instance)
-    if not isinstance(instance, SetCoverInstance):
-        raise TypeError(
-            "instance must be a SetCoverInstance, SetSystem, or SourceDescriptor, "
-            f"got {type(instance).__name__}"
-        )
-    return instance, _offline_opt_guess(instance)
-
-
 def _offline_opt_guess(instance: SetCoverInstance) -> int:
     """Opt guess for the guess-driven algorithms: planted opt or greedy bound.
 
@@ -230,7 +210,7 @@ def run_workload_sweep(
     theta: Optional[int] = None,
     space_budget: Optional[int] = None,
     seed: int = 20170,
-    instance: Optional[Any] = None,
+    instance: Optional[SourceDescriptor] = None,
 ) -> ExperimentResult:
     """Run one workload × algorithm × arrival-order combination.
 
@@ -240,20 +220,19 @@ def run_workload_sweep(
     category) so hard-instance sweeps through the runtime executor report
     exactly what Theorem 2's space accounting measures.
 
-    ``instance`` short-circuits generation: pass a concrete
-    :class:`SetCoverInstance` / :class:`SetSystem` (the caller keeps
-    ownership of it), or a :class:`~repro.setcover.source.SourceDescriptor`
-    referencing a heap, shared or file-backed instance, opened through the
-    per-process instance cache (``workload`` then only labels the rows, and
-    the generator knobs are ignored).  The instance-seed child stream is
-    not spawned on this path, so two runs handed the same descriptor — on
-    any backing, in-process or on the pool — draw identical algorithm
-    and shuffle seeds and report identical bytes.
+    ``instance`` short-circuits generation: a
+    :class:`~repro.setcover.source.SourceDescriptor` referencing a heap,
+    shared or file-backed instance, opened through the per-process instance
+    cache (``workload`` then only labels the rows, and the generator knobs
+    are ignored).  The instance-seed child stream is not spawned on this
+    path, so two runs handed the same descriptor — on any backing,
+    in-process or on the pool — draw identical algorithm and shuffle seeds
+    and report identical bytes.
     """
     stream_order = StreamOrder(order)
     rng = spawn_rng(seed)
     if instance is not None:
-        instance, opt_guess = _resolve_instance(instance)
+        instance, opt_guess = _INSTANCE_CACHE.get(instance)
     else:
         instance = _build_instance(
             workload,

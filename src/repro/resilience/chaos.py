@@ -35,7 +35,7 @@ import shutil
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.resilience.durability import canonical_json
 from repro.resilience.faults import (
@@ -104,29 +104,6 @@ class ChaosReport:
         return "\n".join(lines)
 
 
-def _expand_tasks(names: Sequence[str], seed: Optional[int] = None) -> List[Any]:
-    """Resolve scenario names / experiment ids / tags to a task list."""
-    # Imported lazily: repro.runtime imports this package at module load.
-    from repro.runtime import SCENARIO_REGISTRY, get_scenario, iter_scenarios, tasks_from_scenario
-
-    tasks: List[Any] = []
-    for name in names:
-        if name in SCENARIO_REGISTRY:
-            specs = [get_scenario(name)]
-        elif name.upper() in SCENARIO_REGISTRY:
-            specs = [get_scenario(name.upper())]
-        else:
-            specs = list(iter_scenarios(tag=name))
-            if not specs:
-                raise KeyError(
-                    f"unknown scenario, experiment, or tag {name!r}; "
-                    "run 'repro scenarios' to see the options"
-                )
-        for spec in specs:
-            tasks.extend(tasks_from_scenario(spec, seed_override=seed))
-    return tasks
-
-
 def _store_payloads(root: Path) -> Dict[str, str]:
     """Map fingerprint → canonical JSON of the stored ``result`` payload.
 
@@ -156,6 +133,9 @@ def run_chaos(
 ) -> ChaosReport:
     """Run ``scenarios`` clean and under faults; diff the result stores.
 
+    Each name expands through
+    :func:`~repro.runtime.scenarios.resolve_scenarios`, as in ``repro run``.
+
     ``faults`` is a ``REPRO_FAULTS`` spec string or a :class:`FaultPlan`
     (default: :data:`DEFAULT_CHAOS_SPEC`); ``retry`` optionally overrides the
     ambient retry policy the same way.  Both are exported through the
@@ -163,7 +143,8 @@ def run_chaos(
     restored afterwards.  ``root`` keeps the two stores somewhere inspectable
     (``keep=True`` skips cleanup of a temporary root).
     """
-    from repro.runtime import ResultStore, TaskExecutor
+    # Imported lazily: repro.runtime imports this package at module load.
+    from repro.runtime import ResultStore, TaskExecutor, resolve_scenarios, tasks_from_scenario
     from repro.telemetry import TelemetrySession
 
     plan = faults if isinstance(faults, FaultPlan) else parse_fault_spec(
@@ -171,7 +152,12 @@ def run_chaos(
     )
     retry_spec = retry.spec() if isinstance(retry, RetryPolicy) else retry
 
-    tasks = _expand_tasks(scenarios, seed=seed)
+    tasks = [
+        task
+        for name in scenarios
+        for spec in resolve_scenarios(name)
+        for task in tasks_from_scenario(spec, seed_override=seed)
+    ]
     base = Path(root) if root is not None else Path(tempfile.mkdtemp(prefix="repro-chaos-"))
     owns_root = root is None and not keep
     clean_root = base / "clean"

@@ -10,8 +10,8 @@ after ``max_pool_respawns`` worker-loss generations.
 
 Backoff is exponential with *deterministic* jitter: the jitter fraction for
 attempt ``k`` is a uniform derived by hashing ``(seed, path, k)`` through
-:func:`repro.utils.rng.derive_seed` — the same discipline as the runtime's
-seed streams — so two runs of the same schedule wait the same milliseconds
+:func:`repro.utils.rng.derive_seed` — the same discipline as the fault
+schedules — so two runs of the same schedule wait the same milliseconds
 and a retry storm still de-synchronises across tasks (each task's seed gives
 it a different jitter stream).  Retries cost wall-clock, never bytes.
 

@@ -1,12 +1,12 @@
-"""Parallel experiment runtime: scenarios, seeding, sharded execution, caching.
+"""Parallel experiment runtime: scenarios, sharded execution, caching.
 
 The runtime turns the ad-hoc experiment scripts into a schedulable workload
 engine:
 
 * :mod:`repro.runtime.scenarios` — declarative registry of workloads
-  (:class:`ScenarioSpec`, :class:`ScenarioGrid`), with E1–E12 pre-registered;
-* :mod:`repro.runtime.seeding` — hierarchical deterministic seeds
-  (``scenario seed → repetition seed``);
+  (:class:`ScenarioSpec`, :func:`register_grid`), with E1–E12
+  pre-registered, and :func:`resolve_scenarios`, what a command-line name
+  means;
 * :mod:`repro.runtime.tasks` — the picklable unit of work and its worker
   entry point;
 * :mod:`repro.runtime.executor` — in-process or chunked process-pool
@@ -15,12 +15,11 @@ engine:
 * :mod:`repro.runtime.store` — content-addressed on-disk result cache giving
   skip/resume semantics for repeated runs.
 
-Example — declare a two-repetition scenario and expand its tasks::
+Example — declare a scenario and expand it into its one task::
 
-    >>> spec = register_scenario("runtime-doc-demo", runner="WL", seed=7,
-    ...                          repetitions=2)
-    >>> [task.key for task in tasks_from_scenario(spec)]
-    ['runtime-doc-demo#r0', 'runtime-doc-demo#r1']
+    >>> spec = register_scenario("runtime-doc-demo", runner="WL", seed=7)
+    >>> [(task.key, task.seed) for task in tasks_from_scenario(spec)]
+    [('runtime-doc-demo', 7)]
     >>> del SCENARIO_REGISTRY["runtime-doc-demo"]
 """
 
@@ -34,27 +33,24 @@ from repro.runtime.executor import (
 )
 from repro.runtime.scenarios import (
     SCENARIO_REGISTRY,
-    ScenarioGrid,
     ScenarioSpec,
     freeze_params,
     get_scenario,
     iter_scenarios,
     register_grid,
     register_scenario,
+    resolve_scenarios,
 )
-from repro.runtime.seeding import DEFAULT_ROOT_SEED, repetition_seed, scenario_seed
 from repro.runtime.store import STORE_FORMAT_VERSION, ResultStore, task_fingerprint
 from repro.runtime.tasks import RuntimeTask, execute_task, tasks_from_scenario
 
 __all__ = [
-    "DEFAULT_ROOT_SEED",
     "RunReport",
     "RuntimeTask",
     "STATUS_CACHED",
     "STATUS_COMPUTED",
     "STORE_FORMAT_VERSION",
     "SCENARIO_REGISTRY",
-    "ScenarioGrid",
     "ScenarioSpec",
     "ResultStore",
     "TaskExecutor",
@@ -66,8 +62,7 @@ __all__ = [
     "default_chunksize",
     "register_grid",
     "register_scenario",
-    "repetition_seed",
-    "scenario_seed",
+    "resolve_scenarios",
     "task_fingerprint",
     "tasks_from_scenario",
 ]

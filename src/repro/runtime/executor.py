@@ -24,12 +24,10 @@ and telemetry are flushed, and a partial report (``interrupted=True``) is
 returned instead of a traceback.  No worker outlives a run, and a worker
 whose parent dies exits on its own.
 
-Instances embedded in tasks cross the worker boundary in the packed wire
-form (:class:`~repro.setcover.PackedSetSystem`): one contiguous bytes buffer
-per system instead of per-set Python objects, adopted zero-copy by the
-worker's NumPy kernel.  Tasks that fan a single instance out to many workers
-carry a :class:`~repro.setcover.source.SourceDescriptor` instead, so only
-the shared segment's or the file's name crosses the boundary.
+A task that runs on an attached instance carries it as a
+:class:`~repro.setcover.source.SourceDescriptor`: a heap descriptor ships
+the packed bytes, a shared-memory or file descriptor only the segment's or
+the file's name, so one instance fans out to many workers cheaply.
 
 Example — one task through the serial executor, and the chunk heuristic::
 

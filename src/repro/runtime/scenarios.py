@@ -1,11 +1,11 @@
 """Declarative scenario registry for the experiment runtime.
 
-A *scenario* names one reproducible workload: which experiment runner to
-call, with which parameter overrides, how many repetitions, and under which
-root seed.  A *grid* is a cartesian product of parameter axes that expands
-into one scenario per combination.  Registered scenarios are what the
-executor shards across workers and what the result store fingerprints, so a
-new workload sweep is a one-liner registration here rather than a new script.
+A *scenario* names one reproducible task: which experiment runner to call,
+with which parameter overrides, under which seed.  A *grid* is a cartesian
+product of parameter axes that registers one scenario per combination.
+Registered scenarios are what the executor shards across workers and what
+the result store fingerprints, so a new workload sweep is a one-liner
+registration here rather than a new script.
 
 The twelve paper experiments (E1–E12) are auto-registered at import time,
 wrapping :data:`repro.experiments.experiment_defs.EXPERIMENT_REGISTRY`, so
@@ -17,13 +17,18 @@ expands ``{dsc, dmc, random, coverage} × {adversarial, random} arrival ×
 the sharded executor, the result store, and the shared-memory instance
 backing like any other workload.
 
-Example — a 2×1 grid expands into one registered scenario per cell::
+:func:`resolve_scenarios` is what a name on the command line means:
+``repro run``, ``repro chaos`` and ``repro report --grid`` all expand their
+names through it.
+
+Example — a 2×1 grid registers one scenario per cell, and its name resolves
+to the cells in natural order::
 
     >>> specs = register_grid("scenario-doc-demo", runner="WL",
     ...                       axes={"workload": ["dsc", "dmc"]}, seed=3)
-    >>> [spec.name for spec in specs]
-    ['scenario-doc-demo[workload=dsc]', 'scenario-doc-demo[workload=dmc]']
-    >>> get_scenario("scenario-doc-demo[workload=dmc]").kwargs()
+    >>> [spec.name for spec in resolve_scenarios("scenario-doc-demo")]
+    ['scenario-doc-demo[workload=dmc]', 'scenario-doc-demo[workload=dsc]']
+    >>> dict(get_scenario("scenario-doc-demo[workload=dmc]").params)
     {'workload': 'dmc'}
     >>> for spec in specs:
     ...     del SCENARIO_REGISTRY[spec.name]
@@ -88,18 +93,14 @@ class ScenarioSpec:
     params:
         Frozen keyword overrides passed to the runner.
     seed:
-        Root seed of the scenario, or ``None`` to use the runner's built-in
+        Seed of the scenario, or ``None`` to use the runner's built-in
         default (so ``repro run E5`` without ``--seed`` keeps E5's own).
-    repetitions:
-        Number of independent repetitions; repetition ``r`` runs with
-        :func:`repro.runtime.seeding.repetition_seed`.
     """
 
     name: str
     runner: str
     params: ParamItems = ()
     seed: Optional[int] = None
-    repetitions: int = 1
     description: str = ""
     tags: Tuple[str, ...] = ()
 
@@ -108,57 +109,6 @@ class ScenarioSpec:
             raise KeyError(
                 f"scenario {self.name!r} references unknown runner {self.runner!r}"
             )
-        if self.repetitions < 1:
-            raise ValueError(
-                f"scenario {self.name!r} needs >= 1 repetition, got {self.repetitions}"
-            )
-
-    def kwargs(self) -> Dict[str, Any]:
-        """The runner keyword overrides as a plain dict."""
-        return dict(self.params)
-
-
-@dataclass(frozen=True)
-class ScenarioGrid:
-    """A cartesian product of parameter axes expanding into scenarios.
-
-    ``axes`` maps parameter names to value sequences; :meth:`expand` yields
-    one :class:`ScenarioSpec` per combination, named
-    ``"<name>[k1=v1,k2=v2]"`` with keys in sorted order so the expansion is
-    deterministic.
-    """
-
-    name: str
-    runner: str
-    axes: ParamItems = ()
-    base_params: ParamItems = ()
-    seed: Optional[int] = None
-    repetitions: int = 1
-    description: str = ""
-    tags: Tuple[str, ...] = ()
-
-    def expand(self) -> List[ScenarioSpec]:
-        """Materialise the grid as concrete scenario specs."""
-        axis_items = sorted(self.axes)
-        keys = [key for key, _ in axis_items]
-        value_lists = [list(values) for _, values in axis_items]
-        specs: List[ScenarioSpec] = []
-        for combo in itertools.product(*value_lists):
-            label = ",".join(f"{k}={v}" for k, v in zip(keys, combo))
-            params = dict(self.base_params)
-            params.update(zip(keys, combo))
-            specs.append(
-                ScenarioSpec(
-                    name=f"{self.name}[{label}]" if label else self.name,
-                    runner=self.runner,
-                    params=freeze_params(params),
-                    seed=self.seed,
-                    repetitions=self.repetitions,
-                    description=self.description,
-                    tags=self.tags,
-                )
-            )
-        return specs
 
 
 #: All registered scenarios, keyed by name.  Mutated only through
@@ -171,23 +121,20 @@ def register_scenario(
     runner: str,
     params: Optional[Mapping[str, Any]] = None,
     seed: Optional[int] = None,
-    repetitions: int = 1,
     description: str = "",
     tags: Sequence[str] = (),
-    replace: bool = False,
 ) -> ScenarioSpec:
     """Create and register a scenario; returns the registered spec."""
+    if name in SCENARIO_REGISTRY:
+        raise KeyError(f"scenario {name!r} is already registered")
     spec = ScenarioSpec(
         name=name,
         runner=runner,
         params=freeze_params(params),
         seed=seed,
-        repetitions=repetitions,
         description=description,
         tags=tuple(tags),
     )
-    if not replace and name in SCENARIO_REGISTRY:
-        raise KeyError(f"scenario {name!r} is already registered")
     SCENARIO_REGISTRY[name] = spec
     return spec
 
@@ -196,27 +143,33 @@ def register_grid(
     name: str,
     runner: str,
     axes: Mapping[str, Sequence[Any]],
-    base_params: Optional[Mapping[str, Any]] = None,
     seed: Optional[int] = None,
-    repetitions: int = 1,
     description: str = "",
     tags: Sequence[str] = (),
-    replace: bool = False,
 ) -> List[ScenarioSpec]:
-    """Expand and register a scenario grid; returns the expanded specs."""
-    grid = ScenarioGrid(
-        name=name,
-        runner=runner,
-        axes=freeze_params(axes),
-        base_params=freeze_params(base_params),
-        seed=seed,
-        repetitions=repetitions,
-        description=description,
-        tags=tuple(tags),
-    )
-    specs = grid.expand()
+    """Register one scenario per combination of axis values; returns them.
+
+    A cell is named ``"<name>[k1=v1,k2=v2]"`` with its keys in sorted order,
+    so the expansion is deterministic; empty ``axes`` register ``name``
+    itself.
+    """
+    axis_items = freeze_params(axes)
+    keys = [key for key, _ in axis_items]
+    specs: List[ScenarioSpec] = []
+    for combo in itertools.product(*(values for _, values in axis_items)):
+        label = ",".join(f"{k}={v}" for k, v in zip(keys, combo))
+        specs.append(
+            ScenarioSpec(
+                name=f"{name}[{label}]" if label else name,
+                runner=runner,
+                params=freeze_params(dict(zip(keys, combo))),
+                seed=seed,
+                description=description,
+                tags=tuple(tags),
+            )
+        )
     clashes = [spec.name for spec in specs if spec.name in SCENARIO_REGISTRY]
-    if clashes and not replace:
+    if clashes:
         raise KeyError(f"grid {name!r} clashes with registered scenarios: {clashes}")
     for spec in specs:
         SCENARIO_REGISTRY[spec.name] = spec
@@ -246,6 +199,37 @@ def iter_scenarios(tag: Optional[str] = None) -> List[ScenarioSpec]:
         for _, spec in sorted(SCENARIO_REGISTRY.items(), key=lambda kv: natural_sort_key(kv[0]))
         if tag is None or tag in spec.tags
     ]
+    return specs
+
+
+def resolve_scenarios(name: str) -> List[ScenarioSpec]:
+    """The scenarios a name on the command line stands for, in run order.
+
+    Tries, in turn:
+
+    1. ``all`` (any case): the paper experiments E1–E12, in numeric order;
+    2. a scenario name, as given or upper-cased (:func:`get_scenario`);
+    3. a tag: every scenario carrying it, in natural-name order;
+    4. a grid prefix: ``ADV`` is every ``ADV[...]`` cell, in natural-name
+       order.
+
+    Raises :class:`KeyError` with a one-line message when nothing matches.
+    """
+    if name.lower() == "all":
+        ids = sorted(EXPERIMENT_REGISTRY, key=natural_sort_key)
+        return [SCENARIO_REGISTRY[eid] for eid in ids]
+    try:
+        return [get_scenario(name)]
+    except KeyError:
+        pass
+    specs = iter_scenarios(tag=name)
+    if not specs:
+        specs = [spec for spec in iter_scenarios() if spec.name.startswith(f"{name}[")]
+    if not specs:
+        raise KeyError(
+            f"unknown scenario, experiment id, tag or grid {name!r}; "
+            "run 'repro scenarios' to see the options"
+        )
     return specs
 
 

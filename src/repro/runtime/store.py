@@ -282,11 +282,7 @@ class ResultStore:
                 path.write_text(text[: max(1, len(text) // 2)])
             else:
                 atomic_write_json(path, entry)
-            written = self._load(path)
-            if (
-                isinstance(written, dict)
-                and written.get("checksum") == written_checksum(written)
-            ):
+            if entry_fault(self._load(path), fingerprint) is None:
                 return path
             self.quarantine(path, reason="torn-put")
             _count("store.put_retries")
@@ -344,8 +340,3 @@ class ResultStore:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ResultStore(root={str(self.root)!r}, hits={self.hits}, misses={self.misses})"
-
-
-def written_checksum(entry: Dict[str, Any]) -> str:
-    """The checksum a just-written entry should carry (read-back validation)."""
-    return entry_checksum(entry)

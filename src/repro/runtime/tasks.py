@@ -1,7 +1,7 @@
 """The unit of schedulable work: one experiment run with fixed inputs.
 
 A :class:`RuntimeTask` is a frozen, picklable description of a single runner
-invocation — scenario repetition, parameter overrides, resolved seed.  Tasks
+invocation — scenario name, parameter overrides, resolved seed.  Tasks
 reference their experiment by registry *name* so a worker process can
 re-resolve the callable after ``fork``/``spawn``; :func:`execute_task` is the
 module-level entry point the process pool maps over.
@@ -24,8 +24,6 @@ from typing import Any, Dict, List, Optional
 from repro.experiments.report import result_to_dict
 from repro.experiments.runners import RUNNER_REGISTRY
 from repro.runtime.scenarios import ParamItems, ScenarioSpec
-from repro.runtime.seeding import repetition_seed, scenario_seed
-from repro.setcover.instance import SetSystem
 
 
 @dataclass(frozen=True)
@@ -65,25 +63,16 @@ class RuntimeTask:
 def _listify(value: Any) -> Any:
     """Convert frozen tuples back to lists for canonical JSON hashing.
 
-    A :class:`~repro.setcover.SetSystem` parameter (tasks that carry a
-    concrete instance rather than generator knobs) is fingerprinted by the
-    digest of its packed incidence buffer — stable across processes and
-    backends, and a few dozen bytes in the store instead of the instance.
-    A :class:`~repro.setcover.source.SourceDescriptor` parameter (tasks
-    that carry a *reference* to a shared or file-backed instance)
-    fingerprints to the **same** shape from its carried digest — so a
-    sweep over an mmap-backed instance hits exactly the cache entries a
-    heap-backed run of the same bytes wrote, which is what makes
-    skip/resume backing-independent.
+    A :class:`~repro.setcover.source.SourceDescriptor` parameter (a task
+    that carries a reference to a heap, shared or file-backed instance) is
+    fingerprinted by its content digest and shape — a few dozen bytes in
+    the store instead of the instance, and the same for every backing of
+    the same bytes, so a sweep over an mmap-backed instance hits exactly the
+    cache entries a heap-backed run wrote, which is what makes skip/resume
+    backing-independent.
     """
     if isinstance(value, tuple):
         return [_listify(item) for item in value]
-    if isinstance(value, SetSystem):
-        return {
-            "__set_system__": value.content_digest(),
-            "universe_size": value.universe_size,
-            "num_sets": value.num_sets,
-        }
     from repro.setcover.source import SourceDescriptor
 
     if isinstance(value, SourceDescriptor):
@@ -104,26 +93,14 @@ def _listify(value: Any) -> Any:
 def tasks_from_scenario(
     spec: ScenarioSpec, seed_override: Optional[int] = None
 ) -> List[RuntimeTask]:
-    """Expand a scenario into its repetition tasks.
+    """A scenario's one task, keyed by its name, as a list to extend with.
 
-    A single-repetition scenario without an explicit seed keeps ``seed=None``
-    so the runner's built-in default applies.  Multi-repetition scenarios
-    always derive per-repetition seeds from the scenario root via the
-    seeding protocol.
+    The task runs under ``seed_override`` when given, else the scenario's
+    own seed; a scenario without one keeps ``seed=None`` so the runner's
+    built-in default applies.
     """
-    root = seed_override if seed_override is not None else spec.seed
-    if spec.repetitions == 1:
-        return [RuntimeTask(key=spec.name, runner=spec.runner, params=spec.params, seed=root)]
-    resolved_root = scenario_seed(root, spec.name)
-    return [
-        RuntimeTask(
-            key=f"{spec.name}#r{rep}",
-            runner=spec.runner,
-            params=spec.params,
-            seed=repetition_seed(resolved_root, rep),
-        )
-        for rep in range(spec.repetitions)
-    ]
+    seed = seed_override if seed_override is not None else spec.seed
+    return [RuntimeTask(key=spec.name, runner=spec.runner, params=spec.params, seed=seed)]
 
 
 def execute_task(task: RuntimeTask) -> Dict[str, Any]:

@@ -153,11 +153,11 @@ def build_instance(spec: str) -> Tuple[str, SetSystem]:
 def instance_digest(system: SetSystem) -> str:
     """The packed-buffer identity of a served instance.
 
-    The same digest the runtime's task fingerprinting uses for concrete
-    systems (:func:`repro.runtime.tasks._listify`): SHA-256 over the packed
-    incidence buffer, stable across processes, compute backends, and
-    instance backings — a file-backed system answers from its container
-    header digest without materialising the buffer.
+    The digest a :class:`~repro.setcover.source.SourceDescriptor` carries and
+    the runtime's task fingerprints name: SHA-256 over the packed incidence
+    buffer, stable across processes, compute backends, and instance
+    backings — a file-backed system answers from its container header
+    digest without materialising the buffer.
     """
     return system.content_digest()
 

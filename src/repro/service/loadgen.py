@@ -106,6 +106,8 @@ class LoadReport:
         return ranked[index]
 
     def to_dict(self) -> Dict[str, Any]:
+        # Throughput counts answered requests; ``requests`` counts attempts.
+        answered = self.requests - self.statuses.get("transport_error", 0)
         return {
             "requests": self.requests,
             "ok": self.ok,
@@ -114,7 +116,7 @@ class LoadReport:
             "shed_rate": round(self.shed_rate, 6),
             "clients": self.clients,
             "wall_s": round(self.wall_s, 4),
-            "throughput_rps": round(self.requests / self.wall_s, 2) if self.wall_s else 0.0,
+            "throughput_rps": round(answered / self.wall_s, 2) if self.wall_s else 0.0,
             "latency_s": {
                 "p50": round(self.percentile(50), 6),
                 "p95": round(self.percentile(95), 6),

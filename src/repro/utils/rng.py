@@ -550,11 +550,10 @@ def derive_seed(root: int, *path: Union[int, str]) -> int:
 
     The derivation hashes ``root`` together with the path components, so the
     result depends only on the *values* of ``(root, path)`` — never on call
-    order or on how many other seeds were derived before.  This is the
-    primitive underneath :mod:`repro.runtime.seeding`: hierarchical seed trees
-    (``scenario seed → repetition seed → named subsystem stream``) are built
-    by chaining paths, and two runs that derive the same path always get the
-    same stream regardless of interleaving.
+    order or on how many other seeds were derived before.  Fault decisions,
+    retry backoff jitter and the load generator's request picks draw this
+    way, so two runs that derive the same path always get the same seed
+    regardless of interleaving.
     """
     # Length-prefix each component so the encoding is injective: without it,
     # a single component "a:b" would collide with the two components ("a","b").

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.analysis.loader import detect_grids, load_store, resolve_grid
+from repro.analysis.loader import detect_grids, load_store
 from repro.runtime import (
     ResultStore,
     TaskExecutor,
@@ -136,24 +136,6 @@ class TestMissingCells:
         analysis = load_store(wl_store.root, grids=["ADV"])
         keys = [cell.key for cell in analysis.missing]
         assert keys == sorted(keys)
-
-
-class TestResolveGrid:
-    def test_exact_scenario_name(self):
-        assert [spec.name for spec in resolve_grid("WL")] == ["WL"]
-
-    def test_tag_resolution(self):
-        specs = resolve_grid("adversarial")
-        assert len(specs) == 48
-
-    def test_grid_prefix_resolution(self):
-        specs = resolve_grid("ADV")
-        assert len(specs) == 48
-        assert all(spec.name.startswith("ADV[") for spec in specs)
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(KeyError):
-            resolve_grid("definitely-not-registered")
 
 
 class TestDetectGrids:

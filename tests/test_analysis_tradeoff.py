@@ -8,7 +8,6 @@ from repro.analysis.tradeoff import (
     aggregate,
     space_approximation_points,
     theoretical_curve,
-    theoretical_space,
     typical_instance_shape,
 )
 
@@ -133,9 +132,11 @@ class TestSpaceApproximationPoints:
 
 class TestTheory:
     def test_hand_computed_bound(self):
-        assert theoretical_space(n=64, m=10, alpha=2) == pytest.approx(80.0)
-        assert theoretical_space(n=64, m=10, alpha=1) == pytest.approx(640.0)
-        assert theoretical_space(n=4096, m=1, alpha=3) == pytest.approx(16.0)
+        assert theoretical_curve(n=64, m=10, alphas=(1, 2)) == [
+            (1.0, pytest.approx(640.0)),
+            (2.0, pytest.approx(80.0)),
+        ]
+        assert theoretical_curve(n=4096, m=1, alphas=(3,)) == [(3.0, pytest.approx(16.0))]
 
     def test_curve_is_decreasing_in_alpha(self):
         curve = theoretical_curve(n=1024, m=32)
@@ -145,9 +146,7 @@ class TestTheory:
 
     def test_invalid_arguments_rejected(self):
         with pytest.raises(ValueError):
-            theoretical_space(n=0, m=5, alpha=1)
-        with pytest.raises(ValueError):
-            theoretical_space(n=5, m=5, alpha=0)
+            theoretical_curve(n=5, m=5, alphas=(0,))
 
 
 class TestTypicalShape:

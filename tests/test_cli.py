@@ -14,6 +14,8 @@ from repro.cli import (
     run_experiments,
 )
 from repro.experiments.experiment_defs import EXPERIMENT_REGISTRY
+from repro.runtime import SCENARIO_REGISTRY, TaskExecutor, resolve_scenarios
+from repro.runtime.scenarios import natural_sort_key
 
 
 class TestResolution:
@@ -40,6 +42,92 @@ class TestResolution:
         ids = resolve_experiment_ids(["adversarial"])
         assert len(ids) == 48
         assert all(name.startswith("ADV[") for name in ids)
+
+
+PAPER = [f"E{i}" for i in range(1, 13)]
+ADV = sorted((key for key in SCENARIO_REGISTRY if key.startswith("ADV[")), key=natural_sort_key)
+
+#: Every command reads each of these names as these scenarios, in this order.
+NAME_TABLE = {
+    "all": PAPER,
+    "e12": ["E12"],
+    "ADV": ADV,
+    "adversarial": ADV,
+    "WL": ["WL"],
+    "paper": PAPER,
+}
+
+
+class _Resolved(Exception):
+    """Stops a command once it has turned its names into scenarios."""
+
+
+def _executed_keys(argv, monkeypatch):
+    """The task keys ``main(argv)`` hands the executor (nothing runs)."""
+    seen = []
+
+    def stop(self, tasks):
+        seen.append([task.key for task in tasks])
+        raise _Resolved
+
+    monkeypatch.setattr(TaskExecutor, "run", stop)
+    with pytest.raises(_Resolved):
+        main(argv)
+    return seen[0]
+
+
+def _checked_keys(argv, monkeypatch):
+    """The grid cells ``repro report`` checks an empty store against."""
+    import repro.analysis as analysis
+
+    load_store, seen = analysis.load_store, []
+
+    def spy(*args, **kwargs):
+        seen.append([cell.key for cell in load_store(*args, **kwargs).missing])
+        raise _Resolved
+
+    monkeypatch.setattr(analysis, "load_store", spy)
+    with pytest.raises(_Resolved):
+        main(argv)
+    return seen[0]
+
+
+class TestNameResolution:
+    """`run`, `chaos` and `report --grid` mean the same thing by a name."""
+
+    @pytest.mark.parametrize("name", sorted(NAME_TABLE))
+    def test_resolver_expands_name(self, name):
+        assert [spec.name for spec in resolve_scenarios(name)] == NAME_TABLE[name]
+
+    @pytest.mark.parametrize("name", sorted(NAME_TABLE))
+    @pytest.mark.parametrize("command", ["run", "chaos", "report"])
+    def test_command_expands_name(self, command, name, monkeypatch, tmp_path):
+        if command == "run":
+            keys = _executed_keys(["run", name, "--quiet"], monkeypatch)
+        elif command == "chaos":
+            keys = _executed_keys(["chaos", name, "--root", str(tmp_path)], monkeypatch)
+        else:
+            keys = _checked_keys(["report", str(tmp_path), "--grid", name], monkeypatch)
+        assert keys == NAME_TABLE[name]
+
+    def test_all_anywhere_in_run_means_the_paper_experiments(self):
+        assert resolve_experiment_ids(["WL", "ALL", "ADV"]) == PAPER
+
+    def test_unknown_name_exits_with_one_line_everywhere(self, tmp_path):
+        with pytest.raises(KeyError):
+            resolve_scenarios("nope")
+        messages = []
+        for argv in (
+            ["run", "nope"],
+            ["chaos", "nope"],
+            ["report", str(tmp_path), "--grid", "nope"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            messages.append(exc.value.code)
+        # A string exit code prints as one stderr line and exits with status 1.
+        assert isinstance(messages[0], str) and "\n" not in messages[0]
+        assert messages == [messages[0]] * 3
 
 
 class TestParser:

@@ -99,7 +99,8 @@ class TestReportCommand:
         assert "1 unreadable" in capsys.readouterr().out
 
     def test_unknown_grid_exits_with_message(self, tmp_path):
-        with pytest.raises(SystemExit, match="unknown grid"):
+        message = "unknown scenario, experiment id, tag or grid 'nope'"
+        with pytest.raises(SystemExit, match=message):
             main(["report", str(tmp_path), "--grid", "nope"])
 
     def test_seed_override_matches_seeded_run(self, tmp_path, capsys):

@@ -47,7 +47,7 @@ class TestGenApi:
         section = gen_api.render_module_section("repro.analysis.tradeoff")
         assert section.startswith("## `repro.analysis.tradeoff`")
         assert "m·n^{1/α}" in section
-        assert "theoretical_space" in section
+        assert "theoretical_curve" in section
 
     def test_module_needing_a_missing_extra_is_read_from_source(self, gen_api, monkeypatch):
         def missing(dependency):

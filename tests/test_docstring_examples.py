@@ -16,7 +16,6 @@ AUDITED_MODULES = [
     "repro.runtime",
     "repro.runtime.executor",
     "repro.runtime.scenarios",
-    "repro.runtime.seeding",
     "repro.runtime.store",
     "repro.runtime.tasks",
     "repro.kernels",

@@ -5,7 +5,6 @@ import pytest
 from repro.experiments.experiment_defs import EXPERIMENT_REGISTRY
 from repro.runtime.scenarios import (
     SCENARIO_REGISTRY,
-    ScenarioGrid,
     ScenarioSpec,
     freeze_params,
     get_scenario,
@@ -21,7 +20,6 @@ class TestBuiltinRegistry:
         for experiment_id in EXPERIMENT_REGISTRY:
             spec = get_scenario(experiment_id)
             assert spec.runner == experiment_id
-            assert spec.repetitions == 1
             assert "paper" in spec.tags
 
     def test_lookup_is_case_insensitive_for_experiments(self):
@@ -57,15 +55,13 @@ class TestScenarioSpec:
         with pytest.raises(KeyError):
             ScenarioSpec(name="bad", runner="E99")
 
-    def test_zero_repetitions_rejected(self):
-        with pytest.raises(ValueError):
-            ScenarioSpec(name="bad", runner="E12", repetitions=0)
-
     def test_kwargs_round_trip(self):
+        """A scenario's params reach its runner as keyword arguments."""
         spec = ScenarioSpec(
-            name="t", runner="E12", params=freeze_params({"t": 2})
+            name="t", runner="E12", params=freeze_params({"t": 2}), seed=4
         )
-        assert spec.kwargs() == {"t": 2}
+        (task,) = tasks_from_scenario(spec)
+        assert task.kwargs() == {"t": 2, "seed": 4}
 
 
 class TestRegistration:
@@ -75,8 +71,6 @@ class TestRegistration:
             assert SCENARIO_REGISTRY["tmp-scn"] is spec
             with pytest.raises(KeyError):
                 register_scenario("tmp-scn", runner="E12")
-            register_scenario("tmp-scn", runner="E12", seed=5, replace=True)
-            assert get_scenario("tmp-scn").seed == 5
         finally:
             SCENARIO_REGISTRY.pop("tmp-scn", None)
         assert "tmp-scn" not in SCENARIO_REGISTRY
@@ -91,7 +85,7 @@ class TestRegistration:
             names = [spec.name for spec in specs]
             assert len(specs) == 4
             assert "tmp-grid[seed=1,t=2]" in names
-            assert get_scenario("tmp-grid[seed=2,t=3]").kwargs() == {
+            assert dict(get_scenario("tmp-grid[seed=2,t=3]").params) == {
                 "seed": 2,
                 "t": 3,
             }
@@ -103,20 +97,12 @@ class TestRegistration:
 
 class TestGridExpansion:
     def test_empty_axes_single_spec(self):
-        grid = ScenarioGrid(name="g", runner="E12")
-        specs = grid.expand()
-        assert [spec.name for spec in specs] == ["g"]
-
-    def test_base_params_merged_and_overridable(self):
-        grid = ScenarioGrid(
-            name="g",
-            runner="E12",
-            axes=freeze_params({"t": [2, 3]}),
-            base_params=freeze_params({"seed": 11, "t": 99}),
-        )
-        specs = grid.expand()
-        assert all(spec.kwargs()["seed"] == 11 for spec in specs)
-        assert sorted(spec.kwargs()["t"] for spec in specs) == [2, 3]
+        try:
+            specs = register_grid("tmp-empty", runner="E12", axes={})
+            assert [spec.name for spec in specs] == ["tmp-empty"]
+            assert get_scenario("tmp-empty").params == ()
+        finally:
+            SCENARIO_REGISTRY.pop("tmp-empty", None)
 
 
 class TestTasksFromScenario:
@@ -129,17 +115,3 @@ class TestTasksFromScenario:
     def test_seed_override_passes_through(self):
         tasks = tasks_from_scenario(get_scenario("E12"), seed_override=7)
         assert tasks[0].seed == 7
-
-    def test_repetitions_expand_with_derived_seeds(self):
-        spec = ScenarioSpec(name="reps", runner="E12", seed=3, repetitions=3)
-        tasks = tasks_from_scenario(spec)
-        assert [task.key for task in tasks] == ["reps#r0", "reps#r1", "reps#r2"]
-        seeds = {task.seed for task in tasks}
-        assert len(seeds) == 3
-        assert all(seed is not None for seed in seeds)
-
-    def test_repetition_seeds_are_stable(self):
-        spec = ScenarioSpec(name="reps", runner="E12", seed=3, repetitions=2)
-        assert [t.seed for t in tasks_from_scenario(spec)] == [
-            t.seed for t in tasks_from_scenario(spec)
-        ]

@@ -6,7 +6,12 @@ from repro.runtime.scenarios import freeze_params
 from repro.runtime.store import STORE_FORMAT_VERSION, ResultStore, task_fingerprint
 from repro.runtime.tasks import RuntimeTask, execute_task
 from repro.setcover.instance import SetSystem
+from repro.setcover.source import HeapSource
 from repro.workloads.random_instances import random_instance
+
+
+def heap_descriptor(system):
+    return HeapSource.from_packed(system.to_packed()).descriptor()
 
 
 def tiny_task(seed=5, key="E12"):
@@ -108,19 +113,23 @@ class TestInvalidation:
 class TestTaskFingerprints:
     def test_system_params_fingerprint_by_digest(self):
         system = random_instance(48, 20, density=0.15, seed=3).system
-        task = RuntimeTask(key="k", runner="r", params=(("system", system),))
+        task = RuntimeTask(key="k", runner="r", params=(("system", heap_descriptor(system)),))
         payload = task.fingerprint_payload()
         entry = payload["params"][0][1]
-        assert set(entry) == {"__set_system__", "universe_size", "num_sets"}
+        assert entry == {
+            "__set_system__": system.content_digest(),
+            "universe_size": system.universe_size,
+            "num_sets": system.num_sets,
+        }
         # Same content, fresh object -> same fingerprint; different content
         # -> different fingerprint.
         clone = SetSystem.from_masks(system.universe_size, system.masks())
-        same = RuntimeTask(key="k", runner="r", params=(("system", clone),))
+        same = RuntimeTask(key="k", runner="r", params=(("system", heap_descriptor(clone)),))
         assert same.fingerprint_payload() == payload
         mask0 = system.mask(0)
         free_bit = next(
             e for e in range(system.universe_size) if not (mask0 >> e) & 1
         )
         patched = system.with_patched_mask(0, 1 << free_bit)
-        other = RuntimeTask(key="k", runner="r", params=(("system", patched),))
+        other = RuntimeTask(key="k", runner="r", params=(("system", heap_descriptor(patched)),))
         assert other.fingerprint_payload() != payload

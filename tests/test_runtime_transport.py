@@ -1,8 +1,8 @@
 """How instances travel to pool workers.
 
-A ``SetSystem`` task parameter pickles as its packed buffer; a
-shared-memory descriptor names a segment each worker attaches.  Either way
-a 2-worker fan-out computes the same payloads as the serial run.
+A heap descriptor pickles with its packed buffer; a shared-memory
+descriptor names a segment each worker attaches.  Either way a 2-worker
+fan-out computes the same payloads as the serial run.
 """
 
 import pytest
@@ -11,7 +11,7 @@ from repro.resilience.durability import canonical_json
 from repro.resilience.faults import FAULTS_ENV_VAR
 from repro.resilience.policy import RETRY_ENV_VAR
 from repro.runtime import RuntimeTask, TaskExecutor, freeze_params
-from repro.setcover.source import SharedMemorySource
+from repro.setcover.source import HeapSource, SharedMemorySource
 from repro.workloads.random_instances import plant_cover_instance, random_instance
 
 
@@ -19,6 +19,10 @@ from repro.workloads.random_instances import plant_cover_instance, random_instan
 def no_ambient_faults(monkeypatch):
     monkeypatch.delenv(FAULTS_ENV_VAR, raising=False)
     monkeypatch.delenv(RETRY_ENV_VAR, raising=False)
+
+
+def _heap(system):
+    return HeapSource.from_packed(system.to_packed()).descriptor()
 
 
 def _solve_tasks(instances, seeds):
@@ -48,16 +52,17 @@ def _payloads(tasks, workers):
 
 class TestParallelRoundTrip:
     def test_parallel_map_matches_serial_through_packed_pickle(self):
-        systems = [
-            random_instance(48, 20, density=0.15, seed=seed).system for seed in range(6)
+        descriptors = [
+            _heap(random_instance(48, 20, density=0.15, seed=seed).system)
+            for seed in range(6)
         ]
-        tasks = _solve_tasks(systems, seeds=range(6))
+        tasks = _solve_tasks(descriptors, seeds=range(6))
         assert _payloads(tasks, workers=2) == _payloads(tasks, workers=1)
 
     def test_shared_memory_fanout_matches_serial(self):
         system = plant_cover_instance(60, 24, 4, seed=11).system
         seeds = range(1, 5)
-        serial = _payloads(_solve_tasks([system] * 4, seeds), workers=1)
+        serial = _payloads(_solve_tasks([_heap(system)] * 4, seeds), workers=1)
         shared = SharedMemorySource.publish(system.to_packed())
         try:
             descriptor = shared.descriptor()

@@ -90,6 +90,14 @@ class TestReportMath:
         assert report.percentile(99) == pytest.approx(0.99)
         assert report.percentile(100) == pytest.approx(1.00)
 
+    def test_throughput_counts_answered_requests_only(self):
+        report = LoadReport(wall_s=1.0)
+        for status in ("ok", "ok", "ok", "transport_error", "transport_error"):
+            report.record(status, 0.01 if status == "ok" else None)
+        payload = report.to_dict()
+        assert payload["requests"] == 5
+        assert payload["throughput_rps"] == 3.0
+
     def test_empty_report_is_all_zeros(self):
         payload = LoadReport().to_dict()
         assert payload["requests"] == 0

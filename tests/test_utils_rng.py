@@ -33,6 +33,24 @@ class TestDeriveSeed:
         seed = derive_seed(5, "x")
         assert RandomSource(seed).random() == RandomSource(seed).random()
 
+    def test_deterministic(self):
+        assert derive_seed(7, "a", 1) == derive_seed(7, "a", 1)
+
+    def test_path_sensitive(self):
+        seeds = {
+            derive_seed(7),
+            derive_seed(7, "a"),
+            derive_seed(7, "b"),
+            derive_seed(7, "a", 0),
+            derive_seed(7, "a", 1),
+            derive_seed(8, "a", 1),
+        }
+        assert len(seeds) == 6
+
+    def test_64_bit_range(self):
+        seed = derive_seed(123456789, "stream", "x")
+        assert 0 <= seed < 2 ** 64
+
 
 class TestDeterminism:
     def test_same_seed_same_sequence(self):
