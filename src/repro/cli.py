@@ -7,7 +7,7 @@ Usage (after ``pip install -e .``)::
     python -m repro.cli run all --json results.json --markdown report.md
     python -m repro.cli run E1 E5 --workers 4 --store /tmp/rstore
     python -m repro.cli run adversarial --workers 4 --store /tmp/rstore
-    python -m repro.cli scenarios --tag adversarial
+    python -m repro.cli scenarios adversarial
     python -m repro.cli report /tmp/rstore --html report/
     python -m repro.cli chaos adversarial --workers 4
     python -m repro.cli run E1 --workers 4 --faults seed=7,executor.submit:crash:0.2
@@ -66,8 +66,8 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
-#: What ``run``, ``chaos`` and ``report --grid`` accept as a name; each
-#: expands through :func:`repro.runtime.scenarios.resolve_scenarios`.
+#: What ``run``, ``chaos``, ``report --grid`` and ``scenarios`` accept as a
+#: name; each expands through :func:`repro.runtime.scenarios.resolve_scenarios`.
 _NAMES_HELP = "scenario names, experiment ids, tags, grids (e.g. ADV) or 'all'"
 
 
@@ -304,10 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
         "scenarios", help="list the registered runtime scenarios"
     )
     scenarios_parser.add_argument(
-        "name", nargs="?", default=None, help="show one scenario in detail"
-    )
-    scenarios_parser.add_argument(
-        "--tag", type=str, default=None, help="only list scenarios with this tag"
+        "name", nargs="?", default=None,
+        help=f"what to list: {_NAMES_HELP} (one scenario shows in detail)",
     )
 
     report_parser = subparsers.add_parser(
@@ -501,17 +499,25 @@ def run_experiments(
     return results
 
 
-def _scenarios_command(name: Optional[str], tag: Optional[str]) -> int:
-    """Implement the ``scenarios`` subcommand (list or show one)."""
-    from repro.runtime import get_scenario, iter_scenarios, task_fingerprint, tasks_from_scenario
+def _scenarios_command(name: Optional[str]) -> int:
+    """Implement the ``scenarios`` subcommand: list scenarios, or show one.
 
-    if name is not None:
+    A name expands through
+    :func:`~repro.runtime.scenarios.resolve_scenarios`, as in ``run``: one
+    scenario prints in detail, several as list lines, and an unknown name
+    exits with one line.
+    """
+    from repro.runtime import iter_scenarios, resolve_scenarios, task_fingerprint, tasks_from_scenario
+
+    if name is None:
+        specs = iter_scenarios()
+    else:
         try:
-            spec = get_scenario(name)
-        except KeyError:
-            raise SystemExit(
-                f"unknown scenario {name!r}; run 'repro scenarios' to see the options"
-            )
+            specs = resolve_scenarios(name)
+        except KeyError as exc:
+            raise SystemExit(exc.args[0])
+    if name is not None and len(specs) == 1:
+        spec = specs[0]
         print(f"name:         {spec.name}")
         print(f"runner:       {spec.runner}")
         capable = "yes" if _runner_accepts_instance(spec.runner) else "no"
@@ -524,7 +530,7 @@ def _scenarios_command(name: Optional[str], tag: Optional[str]) -> int:
         for task in tasks_from_scenario(spec):
             print(f"  {task.key}  fingerprint={task_fingerprint(task)[:16]}…")
         return 0
-    for spec in iter_scenarios(tag=tag):
+    for spec in specs:
         tags = f" [{','.join(spec.tags)}]" if spec.tags else ""
         print(
             f"{spec.name:>6}  runner={spec.runner:<4}  {spec.description}{tags}"
@@ -784,7 +790,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
 
     if args.command == "scenarios":
-        return _scenarios_command(args.name, args.tag)
+        return _scenarios_command(args.name)
 
     fault_retry_env = _fault_retry_env(args)
     experiment_ids = resolve_experiment_ids(args.experiments)

@@ -22,12 +22,17 @@ every cell the same :class:`~repro.setcover.source.SourceDescriptor`.  What
 depends only on that instance — the opened (and so digest-verified) source,
 its system and the greedy opt guess — is computed once per process and kept
 in a one-entry cache keyed by the descriptor; the executor empties it when
-a run ends (:func:`release_instance_cache`).
+a run ends (:func:`release_instance_cache`).  On that path ``workload`` only
+labels the rows, so the engine run is reused too: cells of one process that
+share the descriptor and every other keyword (the ``ADV`` grid's four
+workload labels per algorithm and order) run the engine once, and each
+builds its own table, findings, title and ``outcome_row`` degradation from
+the shared outcome.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, NamedTuple, Optional, Tuple
 
 from repro.baselines import (
     EmekRosenSemiStreaming,
@@ -45,7 +50,9 @@ from repro.setcover.instance import SetCoverInstance, SetSystem
 from repro.setcover.source import InstanceSource, SourceDescriptor
 from repro.setcover.verify import is_feasible_cover
 from repro.streaming.engine import run_streaming_algorithm
+from repro.streaming.space import SpaceReport
 from repro.streaming.stream import StreamOrder
+from repro.telemetry import metrics
 from repro.telemetry.instrument import rebind_kernel
 from repro.utils.rng import RandomSource, spawn_rng
 from repro.utils.tables import Table
@@ -114,17 +121,37 @@ def _offline_opt_guess(instance: SetCoverInstance) -> int:
         return 1
 
 
+class _Outcome(NamedTuple):
+    """What one cell's engine run produced; nothing in it depends on ``workload``."""
+
+    solution_size: Optional[int]
+    feasible: bool
+    passes: Optional[int]
+    space: SpaceReport
+    budget_exceeded: bool = False
+    infeasible: bool = False
+
+
+#: The outcomes of the cells run on one instance, keyed by every keyword of
+#: :func:`run_workload_sweep` but ``workload``.
+_Outcomes = Dict[Tuple[Any, ...], _Outcome]
+
+
 class _InstanceCache:
     """The derived data of the last descriptor opened in this process.
 
-    One entry: the open source, its :class:`SetCoverInstance` and its
-    :func:`_offline_opt_guess`, keyed by the whole descriptor (kind, shape,
-    location and digest; a heap descriptor's inline bytes too).  A miss
-    opens the descriptor, which verifies its bytes against its digest, so
-    an entry only ever answers for the bytes its key names; it replaces
-    (and closes) the previous entry.  A hit reopens and recomputes nothing;
-    it only moves the cached kernel's meters to the hitting task's
-    telemetry session.  The cached system's kernel may switch strategy as
+    One entry: the open source, its :class:`SetCoverInstance`, its
+    :func:`_offline_opt_guess` and the engine outcomes of the cells run on
+    it, keyed by the whole descriptor (kind, shape, location and digest; a
+    heap descriptor's inline bytes too).  A miss opens the descriptor,
+    which verifies its bytes against its digest, so an entry only ever
+    answers for the bytes its key names; it replaces (and closes) the
+    previous entry, outcomes included.  A hit reopens and recomputes
+    nothing; it only moves the cached kernel's meters to the hitting task's
+    telemetry session.  Outcomes are keyed by every runner keyword except
+    ``workload``, the one input that only labels a cell's rows; what a cell
+    builds from its outcome (table, findings, title, degradation record) is
+    built per cell.  The cached system's kernel may switch strategy as
     cells run on it (the NumPy inverted index), never its answers, so no
     cell's result depends on the cells that ran before it.  A process runs
     one task at a time (serially, or one per pool worker), so the entry
@@ -133,9 +160,9 @@ class _InstanceCache:
 
     def __init__(self) -> None:
         self._key: Optional[SourceDescriptor] = None
-        self._entry: Optional[Tuple[InstanceSource, SetCoverInstance, int]] = None
+        self._entry: Optional[Tuple[InstanceSource, SetCoverInstance, int, _Outcomes]] = None
 
-    def get(self, descriptor: SourceDescriptor) -> Tuple[SetCoverInstance, int]:
+    def get(self, descriptor: SourceDescriptor) -> Tuple[SetCoverInstance, int, _Outcomes]:
         if self._entry is None or self._key != descriptor:
             from repro.setcover.source import open_source
 
@@ -147,10 +174,10 @@ class _InstanceCache:
             except BaseException:
                 source.close()
                 raise
-            self._key, self._entry = descriptor, (source, instance, opt_guess)
+            self._key, self._entry = descriptor, (source, instance, opt_guess, {})
         else:
             rebind_kernel(self._entry[1].system.kernel())
-        return self._entry[1], self._entry[2]
+        return self._entry[1:]
 
     def clear(self) -> None:
         """Drop the entry and close its source (idempotent)."""
@@ -197,6 +224,42 @@ def _build_algorithm(algorithm: str, alpha: int, opt_guess: int, rng: RandomSour
     )
 
 
+def _compute_cell(
+    system: SetSystem,
+    algorithm: str,
+    alpha: int,
+    opt_guess: int,
+    rng: RandomSource,
+    stream_order: StreamOrder,
+    space_budget: Optional[int],
+) -> _Outcome:
+    """Build the algorithm and stream ``system`` to it: the cell's engine run."""
+    runner = _build_algorithm(algorithm, alpha, opt_guess, rng)
+    stream_seed = rng.spawn()
+    try:
+        result = run_streaming_algorithm(
+            runner,
+            system,
+            order=stream_order,
+            seed=stream_seed,
+            space_budget=space_budget,
+            verify_solution=False,
+        )
+    except SpaceBudgetExceededError:
+        return _Outcome(None, False, None, runner.space.report(), budget_exceeded=True)
+    except InfeasibleInstanceError:
+        # A θ=0 hard instance can be uncoverable outright; algorithms with
+        # offline sub-solves surface that as an exception.  It is a workload
+        # outcome, not a sweep failure.
+        return _Outcome(None, False, None, runner.space.report(), infeasible=True)
+    return _Outcome(
+        result.solution_size,
+        is_feasible_cover(system, result.solution),
+        result.passes,
+        result.space,
+    )
+
+
 def run_workload_sweep(
     workload: str = "dsc",
     algorithm: str = "algorithm1",
@@ -227,13 +290,17 @@ def run_workload_sweep(
     are ignored).  The instance-seed child stream is not spawned on this
     path, so two runs handed the same descriptor — on any backing,
     in-process or on the pool — draw identical algorithm and shuffle seeds
-    and report identical bytes.
+    and report identical bytes.  The engine outcome (solution size,
+    feasibility, passes, space report, overrun and uncoverable flags) is
+    kept in the cache entry under every keyword but ``workload``, so a
+    later cell of the same process that differs only in its label reuses
+    it (counted as ``workload.cells_reused``) instead of running the
+    engine; the table, findings, title and ``outcome_row`` degradation
+    are still built per cell.
     """
     stream_order = StreamOrder(order)
-    rng = spawn_rng(seed)
-    if instance is not None:
-        instance, opt_guess = _INSTANCE_CACHE.get(instance)
-    else:
+    if instance is None:
+        rng = spawn_rng(seed)
         instance = _build_instance(
             workload,
             rng,
@@ -246,53 +313,32 @@ def run_workload_sweep(
             theta,
         )
         opt_guess = _offline_opt_guess(instance)
+        outcome = _compute_cell(
+            instance.system, algorithm, alpha, opt_guess, rng, stream_order, space_budget
+        )
+    else:
+        instance, opt_guess, outcomes = _INSTANCE_CACHE.get(instance)
+        key = (algorithm, order, universe_size, num_sets, num_pairs, alpha,
+               epsilon, cover_size, theta, space_budget, seed)
+        outcome = outcomes.get(key)
+        if outcome is None:
+            outcome = outcomes[key] = _compute_cell(
+                instance.system, algorithm, alpha, opt_guess, spawn_rng(seed),
+                stream_order, space_budget,
+            )
+        else:
+            metrics.add("workload.cells_reused")
+    solution_size, feasible, passes, space, budget_exceeded, infeasible = outcome
+    if budget_exceeded or infeasible:
+        # Per cell, reused or not: one outcome row per overrun or
+        # uncoverable cell, under this cell's workload label.
+        record_degradation(
+            "outcome_row",
+            reason="space budget exceeded" if budget_exceeded else "instance uncoverable",
+            workload=workload,
+            algorithm=algorithm,
+        )
     system = instance.system
-    runner = _build_algorithm(algorithm, alpha, opt_guess, rng)
-    stream_seed = rng.spawn()
-
-    budget_exceeded = False
-    infeasible = False
-    try:
-        result = run_streaming_algorithm(
-            runner,
-            system,
-            order=stream_order,
-            seed=stream_seed,
-            space_budget=space_budget,
-            verify_solution=False,
-        )
-        solution_size: Optional[int] = result.solution_size
-        feasible = is_feasible_cover(system, result.solution)
-        passes = result.passes
-        space = result.space
-    except SpaceBudgetExceededError:
-        budget_exceeded = True
-        solution_size = None
-        feasible = False
-        passes = None
-        space = runner.space.report()
-        record_degradation(
-            "outcome_row",
-            reason="space budget exceeded",
-            workload=workload,
-            algorithm=algorithm,
-        )
-    except InfeasibleInstanceError:
-        # A θ=0 hard instance can be uncoverable outright; algorithms with
-        # offline sub-solves surface that as an exception.  It is a workload
-        # outcome, not a sweep failure.
-        infeasible = True
-        solution_size = None
-        feasible = False
-        passes = None
-        space = runner.space.report()
-        record_degradation(
-            "outcome_row",
-            reason="instance uncoverable",
-            workload=workload,
-            algorithm=algorithm,
-        )
-
     table = Table(
         [
             "workload",

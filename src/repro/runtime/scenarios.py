@@ -18,8 +18,8 @@ the sharded executor, the result store, and the shared-memory instance
 backing like any other workload.
 
 :func:`resolve_scenarios` is what a name on the command line means:
-``repro run``, ``repro chaos`` and ``repro report --grid`` all expand their
-names through it.
+``repro run``, ``repro chaos``, ``repro report --grid`` and ``repro
+scenarios`` all expand their names through it.
 
 Example — a 2×1 grid registers one scenario per cell, and its name resolves
 to the cells in natural order::

@@ -92,22 +92,33 @@ def _checked_keys(argv, monkeypatch):
     return seen[0]
 
 
+def _listed_keys(argv, capsys):
+    """The scenarios ``repro scenarios NAME`` prints: one in detail, or a list."""
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    if lines[0].startswith("name:"):
+        return [lines[0].split()[1]]
+    return [line.split()[0] for line in lines]
+
+
 class TestNameResolution:
-    """`run`, `chaos` and `report --grid` mean the same thing by a name."""
+    """`run`, `chaos`, `report --grid` and `scenarios` mean the same thing by a name."""
 
     @pytest.mark.parametrize("name", sorted(NAME_TABLE))
     def test_resolver_expands_name(self, name):
         assert [spec.name for spec in resolve_scenarios(name)] == NAME_TABLE[name]
 
     @pytest.mark.parametrize("name", sorted(NAME_TABLE))
-    @pytest.mark.parametrize("command", ["run", "chaos", "report"])
-    def test_command_expands_name(self, command, name, monkeypatch, tmp_path):
+    @pytest.mark.parametrize("command", ["run", "chaos", "report", "scenarios"])
+    def test_command_expands_name(self, command, name, monkeypatch, tmp_path, capsys):
         if command == "run":
             keys = _executed_keys(["run", name, "--quiet"], monkeypatch)
         elif command == "chaos":
             keys = _executed_keys(["chaos", name, "--root", str(tmp_path)], monkeypatch)
-        else:
+        elif command == "report":
             keys = _checked_keys(["report", str(tmp_path), "--grid", name], monkeypatch)
+        else:
+            keys = _listed_keys(["scenarios", name], capsys)
         assert keys == NAME_TABLE[name]
 
     def test_all_anywhere_in_run_means_the_paper_experiments(self):
@@ -121,13 +132,14 @@ class TestNameResolution:
             ["run", "nope"],
             ["chaos", "nope"],
             ["report", str(tmp_path), "--grid", "nope"],
+            ["scenarios", "nope"],
         ):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             messages.append(exc.value.code)
         # A string exit code prints as one stderr line and exits with status 1.
         assert isinstance(messages[0], str) and "\n" not in messages[0]
-        assert messages == [messages[0]] * 3
+        assert messages == [messages[0]] * 4
 
 
 class TestParser:
@@ -297,10 +309,6 @@ class TestScenariosCommand:
     def test_unknown_scenario_exits(self):
         with pytest.raises(SystemExit):
             main(["scenarios", "nope"])
-
-    def test_tag_filter(self, capsys):
-        assert main(["scenarios", "--tag", "no-such-tag"]) == 0
-        assert capsys.readouterr().out.strip() == ""
 
 
 class TestMainEntryPoint:

@@ -145,6 +145,12 @@ def adv_tasks(descriptor):
     ]
 
 
+def numpy_sized_descriptor():
+    """A heap descriptor of an instance large enough for the NumPy kernel."""
+    system = random_set_system(256, 512, seed=7)
+    return HeapSource.from_packed(system.to_packed()).descriptor()
+
+
 class TestInstanceCache:
     """Instance-invariant work happens once per process, never per cell."""
 
@@ -198,9 +204,12 @@ class TestInstanceCache:
             opened[0][1].view()
 
     def test_hit_meters_its_kernel_work_in_its_own_session(self):
-        system = random_set_system(256, 512, seed=7)
-        descriptor = HeapSource.from_packed(system.to_packed()).descriptor()
-        first, second = [task for task in adv_tasks(descriptor) if "saha_getoor" in task.key][:2]
+        descriptor = numpy_sized_descriptor()
+        # Cells of two algorithms: a second cell of the first one's algorithm
+        # and order would reuse its engine run and call no kernel primitive.
+        tasks = adv_tasks(descriptor)
+        first = next(task for task in tasks if "saha_getoor" in task.key)
+        second = next(task for task in tasks if "demaine" in task.key)
         try:
             with TelemetrySession(label="miss"):
                 execute_task(first)
@@ -211,18 +220,20 @@ class TestInstanceCache:
         counters = session.registry.snapshot()["counters"]
         assert counters.get("kernel.calls.gains", 0) > 0
 
-    def run_in_three_orders(self):
+    def run_in_three_orders(self, distinct_seeds=False):
         """Per order of the ADV cells: the payload digest and the index crossing.
 
         The crossing is the first cell after which the NumPy kernel's shared
         inverted index exists (None on the pure-Python kernel, which has
-        none).
+        none).  ``distinct_seeds`` gives every cell a seed of its own, so no
+        cell reuses another's engine run and every cell rescans.
         """
-        # A heap instance large enough for the NumPy kernel, whose shared
-        # inverted index is built once its rescans pass the break-even.
-        system = random_set_system(256, 512, seed=7)
-        descriptor = HeapSource.from_packed(system.to_packed()).descriptor()
+        # The NumPy kernel's shared inverted index is built once its rescans
+        # pass the break-even.
+        descriptor = numpy_sized_descriptor()
         tasks = adv_tasks(descriptor)
+        if distinct_seeds:
+            tasks = [dataclasses.replace(task, seed=index) for index, task in enumerate(tasks)]
         shuffled = list(tasks)
         random.Random(17).shuffle(shuffled)
         runs = []
@@ -231,7 +242,7 @@ class TestInstanceCache:
             try:
                 for task in order:
                     payloads[task.key] = canonical_json(execute_task(task))
-                    instance, _ = workload_defs._INSTANCE_CACHE.get(descriptor)
+                    instance = workload_defs._INSTANCE_CACHE.get(descriptor)[0]
                     index = getattr(instance.system.kernel(), "_inverted", None)
                     if crossing is None and index is not None:
                         crossing = task.key
@@ -251,11 +262,43 @@ class TestInstanceCache:
 
     @requires_numpy
     def test_each_order_crosses_to_the_index_at_its_own_cell(self):
-        crossings = {crossing for _, crossing in self.run_in_three_orders()}
+        crossings = {crossing for _, crossing in self.run_in_three_orders(distinct_seeds=True)}
         assert None not in crossings and len(crossings) == 3
+
+    def test_cells_differing_only_in_workload_share_one_engine_run(self):
+        descriptor = numpy_sized_descriptor()
+        with TelemetrySession(label="grid") as session:
+            report = TaskExecutor().run(adv_tasks(descriptor))
+        counters = session.registry.snapshot()["counters"]
+        assert len(report) == 48
+        # One run per algorithm and order; the four workload labels share it.
+        assert counters["engine.runs"] == 12
+        assert counters["workload.cells_reused"] == 36
+        assert counters["executor.tasks.computed"] == 48
+
+    def test_reused_overrun_keeps_its_payload_and_degradation(self):
+        descriptor = numpy_sized_descriptor()
+        tasks = [
+            dataclasses.replace(task, params=task.params + (("space_budget", 1),))
+            for task in adv_tasks(descriptor)
+        ]
+        with TelemetrySession(label="overrun") as session:
+            report = TaskExecutor().run(tasks)
+        counters = session.registry.snapshot()["counters"]
+        digest = hashlib.sha256()
+        for outcome in report.outcomes:
+            assert outcome.payload["findings"]["budget_exceeded"] is True
+            digest.update(canonical_json(outcome.payload).encode())
+        assert digest.hexdigest() == OVERRUN_PER_CELL_DIGEST
+        assert counters["workload.cells_reused"] == 36
+        assert counters["degrade.outcome_row"] == 48
 
 
 #: sha256 over the canonical JSON of the 48 ADV payloads, in submission
 #: order, on ``random_set_system(256, 512, seed=7)`` as computed when every
 #: cell opened and solved its instance afresh.
 OPEN_PER_CELL_DIGEST = "5ce0948bbce6df3ada9a72b619d02d0868955d1388812e06cd6e6b5b96f1bdf7"
+
+#: The same digest over the 48 ADV payloads with ``space_budget=1``, which
+#: every cell overruns, as computed when every cell ran its own engine.
+OVERRUN_PER_CELL_DIGEST = "041e38eed8ecf3c0ed0cf45b03b8334157a212564ca55a707b548eec9cfb9237"
