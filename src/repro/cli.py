@@ -454,9 +454,11 @@ def run_experiments(
         from dataclasses import replace as dataclass_replace
 
         descriptor, publication = _open_instance_file(instance_file, instance_backing)
+        capable = {runner for runner in {task.runner for task in tasks}
+                   if _runner_accepts_instance(runner)}
         attached = 0
         for index, task in enumerate(tasks):
-            if _runner_accepts_instance(task.runner):
+            if task.runner in capable:
                 tasks[index] = dataclass_replace(
                     task, params=task.params + (("instance", descriptor),)
                 )

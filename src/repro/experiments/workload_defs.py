@@ -27,12 +27,15 @@ labels the rows, so the engine run is reused too: cells of one process that
 share the descriptor and every other keyword (the ``ADV`` grid's four
 workload labels per algorithm and order) run the engine once, and each
 builds its own table, findings, title and ``outcome_row`` degradation from
-the shared outcome.
+the shared outcome.  The key of that shared run, :func:`outcome_key`, also
+plans the executor's chunks: a pool ships a group's cells to one worker,
+so the grid runs each engine computation once at any worker count.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, NamedTuple, Optional, Tuple
+import inspect
+from typing import Any, Dict, Mapping, NamedTuple, Optional, Tuple
 
 from repro.baselines import (
     EmekRosenSemiStreaming,
@@ -132,8 +135,7 @@ class _Outcome(NamedTuple):
     infeasible: bool = False
 
 
-#: The outcomes of the cells run on one instance, keyed by every keyword of
-#: :func:`run_workload_sweep` but ``workload``.
+#: The outcomes of the cells run on one instance, keyed by :func:`outcome_key`.
 _Outcomes = Dict[Tuple[Any, ...], _Outcome]
 
 
@@ -148,14 +150,14 @@ class _InstanceCache:
     answers for the bytes its key names; it replaces (and closes) the
     previous entry, outcomes included.  A hit reopens and recomputes
     nothing; it only moves the cached kernel's meters to the hitting task's
-    telemetry session.  Outcomes are keyed by every runner keyword except
-    ``workload``, the one input that only labels a cell's rows; what a cell
-    builds from its outcome (table, findings, title, degradation record) is
-    built per cell.  The cached system's kernel may switch strategy as
-    cells run on it (the NumPy inverted index), never its answers, so no
-    cell's result depends on the cells that ran before it.  A process runs
-    one task at a time (serially, or one per pool worker), so the entry
-    needs no lock.
+    telemetry session.  Outcomes are keyed by :func:`outcome_key`: every
+    runner keyword except ``workload``, the one input that only labels a
+    cell's rows; what a cell builds from its outcome (table, findings,
+    title, degradation record) is built per cell.  The cached system's
+    kernel may switch strategy as cells run on it (the NumPy inverted
+    index), never its answers, so no cell's result depends on the cells
+    that ran before it.  A process runs one task at a time (serially, or
+    one per pool worker), so the entry needs no lock.
     """
 
     def __init__(self) -> None:
@@ -260,6 +262,22 @@ def _compute_cell(
     )
 
 
+def outcome_key(runner: str, kwargs: Mapping[str, Any]) -> Optional[Tuple[Any, ...]]:
+    """The engine run a task's cell shares with other cells, or ``None``.
+
+    A WL cell on an attached instance shares its run with every cell that
+    names the same runner, descriptor, seed and resolved keywords (defaults
+    filled in) but ``workload``, which only labels its rows.  An experiment,
+    or a WL cell that generates its instance, shares none.  The key names
+    an outcome in the instance cache, and the executor plans its chunks by
+    it, so the cells of one run reach one worker.
+    """
+    if runner != "WL" or kwargs.get("instance") is None:
+        return None
+    resolved = {**_SWEEP_DEFAULTS, **kwargs}
+    return (runner,) + tuple(item for item in resolved.items() if item[0] != "workload")
+
+
 def run_workload_sweep(
     workload: str = "dsc",
     algorithm: str = "algorithm1",
@@ -298,6 +316,7 @@ def run_workload_sweep(
     engine; the table, findings, title and ``outcome_row`` degradation
     are still built per cell.
     """
+    keywords = dict(locals())  # every resolved keyword, for outcome_key
     stream_order = StreamOrder(order)
     if instance is None:
         rng = spawn_rng(seed)
@@ -318,8 +337,7 @@ def run_workload_sweep(
         )
     else:
         instance, opt_guess, outcomes = _INSTANCE_CACHE.get(instance)
-        key = (algorithm, order, universe_size, num_sets, num_pairs, alpha,
-               epsilon, cover_size, theta, space_budget, seed)
+        key = outcome_key("WL", keywords)
         outcome = outcomes.get(key)
         if outcome is None:
             outcome = outcomes[key] = _compute_cell(
@@ -402,6 +420,12 @@ def run_workload_sweep(
         findings=findings,
     )
 
+
+#: The keywords of :func:`run_workload_sweep` with their defaults.
+_SWEEP_DEFAULTS = {
+    name: parameter.default
+    for name, parameter in inspect.signature(run_workload_sweep).parameters.items()
+}
 
 #: Runners this module contributes to the runner registry.
 WORKLOAD_RUNNERS = {"WL": run_workload_sweep}

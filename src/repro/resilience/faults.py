@@ -210,6 +210,10 @@ _IN_WORKER = False
 #: re-evaluates its fault decisions at the new attempt.
 _ATTEMPT: "ContextVar[int]" = ContextVar("repro_fault_attempt", default=0)
 
+#: Key of the task whose attempt is running (``None`` where no task runs,
+#: as in the service); see :func:`task_scoped`.
+_TASK: "ContextVar[Optional[str]]" = ContextVar("repro_fault_task", default=None)
+
 
 def mark_worker_process() -> None:
     """Record that this process is a disposable pool worker (see ``crash``)."""
@@ -223,13 +227,24 @@ def current_attempt() -> int:
 
 
 @contextmanager
-def attempt_scope(attempt: int) -> Iterator[None]:
-    """Make ``attempt`` ambient for injection sites inside the block."""
-    token = _ATTEMPT.set(attempt)
+def attempt_scope(attempt: int, task: Optional[str] = None) -> Iterator[None]:
+    """Make ``attempt``, and the running ``task``'s key, ambient in the block."""
+    attempt_token, task_token = _ATTEMPT.set(attempt), _TASK.set(task)
     try:
         yield
     finally:
-        _ATTEMPT.reset(token)
+        _TASK.reset(task_token)
+        _ATTEMPT.reset(attempt_token)
+
+
+def task_scoped(key: str) -> str:
+    """``key`` prefixed with the ambient task's key, when a task is running.
+
+    A site that every task reaches under the same keys (a pass number)
+    draws its decisions per task this way, not once for all of them.
+    """
+    task = _TASK.get()
+    return key if task is None else f"{task}/{key}"
 
 
 def install_plan(plan: Optional[FaultPlan]):
@@ -347,4 +362,5 @@ __all__ = [
     "install_plan",
     "mark_worker_process",
     "parse_fault_spec",
+    "task_scoped",
 ]

@@ -2,12 +2,14 @@
 
 The executor partitions a list of :class:`~repro.runtime.tasks.RuntimeTask`
 into store hits (skipped) and pending work, runs the pending tasks either
-in-process or on a pool of N worker processes — shipped in contiguous chunks
-to amortise per-task pickle/IPC overhead on large scenario grids — and merges
-the outcomes back **in submission order**.  Because every task carries its
-own derived seed and the merge order is input order (never completion order
-or chunk boundaries), a parallel run's output is byte-identical to the
-serial run's for any ``chunksize``.
+in-process or on a pool of N worker processes — shipped in chunks of about
+``default_chunksize`` tasks to amortise per-task pickle/IPC overhead on
+large scenario grids — and merges the outcomes back **in submission
+order**.  A chunk holds whole cell groups (:func:`plan_chunks`): the cells
+that share one engine run go to one worker, which runs it once.  Because
+every task carries its own derived seed and the merge order is input order
+(never completion order or chunk boundaries), a parallel run's output is
+byte-identical to the serial run's for any ``chunksize``.
 
 The workers are the program's one kind of worker process
 (:mod:`repro.resilience.workers`): forked, one duplex pipe each, driven by
@@ -51,7 +53,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 from repro.exceptions import PayloadIntegrityError
 from repro.experiments.harness import ExperimentResult
 from repro.experiments.report import result_from_dict
-from repro.experiments.workload_defs import release_instance_cache
+from repro.experiments.workload_defs import outcome_key, release_instance_cache
 from repro.resilience.degrade import record_degradation
 from repro.resilience.durability import canonical_checksum
 from repro.resilience.faults import attempt_scope, faults_enabled, inject
@@ -160,7 +162,8 @@ def _timed_execute(
 
     When fault injection is active (``REPRO_FAULTS``), each attempt runs
     inside :func:`~repro.resilience.faults.attempt_scope` starting at
-    ``base_attempt`` (the chunk's re-execution generation), the
+    ``base_attempt`` (the chunk's re-execution generation) with the task's
+    key ambient, so per-pass sites draw per task, the
     ``executor.submit`` injection point is evaluated per attempt, transient
     failures are retried in place under the ambient
     :class:`~repro.resilience.policy.RetryPolicy`, and the payload carries
@@ -186,7 +189,7 @@ def _timed_execute(
 
     def attempt_run(relative: int) -> Dict[str, Any]:
         attempt = base_attempt + relative
-        with attempt_scope(attempt):
+        with attempt_scope(attempt, task=task.key):
             kind = inject("executor.submit", key=task.key, attempt=attempt)
             shipped: Optional[Dict[str, Any]] = None
             if capture:
@@ -250,6 +253,36 @@ def default_chunksize(pending: int, workers: int) -> int:
     return max(1, math.ceil(pending / (max(workers, 1) * 4)))
 
 
+def plan_chunks(
+    pending: List[Tuple[int, RuntimeTask]], size: int
+) -> List[List[Tuple[int, RuntimeTask]]]:
+    """Cut pending ``(index, task)`` pairs into chunks of whole cell groups.
+
+    The tasks that share one engine run (one
+    :func:`~repro.experiments.workload_defs.outcome_key`) form a group, and
+    a task that shares none is a group of its own.  Groups fill chunks in
+    the order of their first task, and a chunk closes once it holds
+    ``size`` tasks or more, so every group's cells reach one worker, which
+    runs the engine once for them.  Each chunk lists its tasks in
+    submission order.  A batch with no shared run chunks as
+    ``pending[i:i + size]``.
+    """
+    groups: Dict[Any, List[Tuple[int, RuntimeTask]]] = {}
+    for index, task in pending:
+        key = outcome_key(task.runner, task.kwargs())
+        groups.setdefault(index if key is None else key, []).append((index, task))
+    chunks: List[List[Tuple[int, RuntimeTask]]] = []
+    chunk: List[Tuple[int, RuntimeTask]] = []
+    for group in groups.values():
+        chunk.extend(group)
+        if len(chunk) >= size:
+            chunks.append(chunk)
+            chunk = []
+    if chunk:
+        chunks.append(chunk)
+    return [sorted(chunk, key=lambda item: item[0]) for chunk in chunks]
+
+
 #: A queued chunk: its (index, task) pairs, the attempt generation its tasks
 #: run at, and the wall-clock instant it entered the queue (queue-wait
 #: accounting).
@@ -264,13 +297,14 @@ class TaskExecutor:
     """Runs task batches serially or across worker processes, with caching.
 
     ``workers=1`` (the default) runs in-process; ``workers=N`` shards pending
-    tasks over N owned worker processes, sending them in contiguous chunks
-    (``chunksize`` tasks per pipe round trip; an auto heuristic when unset)
-    to cut per-task overhead on large grids.  If a worker cannot start
-    (restricted sandboxes), execution degrades to serial and records the
-    ``serial_execution`` degradation — the output is identical either way
-    (merging is by submission order, never completion order), only
-    wall-clock changes.
+    tasks over N owned worker processes, sending them in chunks of whole
+    cell groups (:func:`plan_chunks`) to cut per-task overhead on large
+    grids: ``chunksize`` (:func:`default_chunksize` when unset) is the
+    target size of a chunk, which rounds up to the end of a group.  If a
+    worker cannot start (restricted sandboxes), execution degrades to
+    serial and records the ``serial_execution`` degradation — the output
+    is identical either way (merging is by submission order, never
+    completion order), only wall-clock changes.
 
     Failure handling follows the ambient
     :class:`~repro.resilience.policy.RetryPolicy` (``REPRO_RETRY``): a lost
@@ -496,14 +530,15 @@ class TaskExecutor:
     ) -> Iterator[Tuple[int, RuntimeTask, Dict[str, Any], float, float]]:
         """Run the pending tasks on owned worker processes, a chunk at a time.
 
-        Tasks ship in contiguous chunks, so a large grid pays one pipe round
-        trip per chunk instead of per task.  One thread waits on every
-        worker's pipe at once and gives a worker that replies its next chunk
-        before it yields the reply's results.  ``submit_wall`` is the
-        wall-clock instant a chunk entered the queue (queue-wait
-        accounting); ``capture`` turns on telemetry capture inside the
-        workers.  A task's own exception comes back over the pipe and
-        propagates unchanged.
+        Tasks ship in chunks of whole cell groups (:func:`plan_chunks`), so a
+        large grid pays one pipe round trip per chunk instead of per task,
+        and the cells that share an engine run share a worker.  One thread
+        waits on every worker's pipe at once and gives a worker that replies
+        its next chunk before it yields the reply's results.
+        ``submit_wall`` is the wall-clock instant a chunk entered the queue
+        (queue-wait accounting); ``capture`` turns on telemetry capture
+        inside the workers.  A task's own exception comes back over the
+        pipe and propagates unchanged.
 
         A worker whose pipe reads EOF or fails, or that misses its chunk's
         deadline, is killed and replaced, and only its chunk runs again, at
@@ -516,7 +551,9 @@ class TaskExecutor:
         reaped before this generator returns, raises or is closed.
         """
         policy = policy_from_env()
-        size = self.chunksize or default_chunksize(len(pending), self.workers)
+        chunks = plan_chunks(
+            pending, self.chunksize or default_chunksize(len(pending), self.workers)
+        )
         breaker = CircuitBreaker(policy.breaker_threshold)
         idle: List[Worker] = []
         busy: _Busy = {}
@@ -524,15 +561,12 @@ class TaskExecutor:
         reason: Optional[str] = None
         try:
             try:
-                for _ in range(min(self.workers, math.ceil(len(pending) / size))):
+                for _ in range(min(self.workers, len(chunks))):
                     idle.append(spawn(_run_chunk))
             except OSError:
                 reason = "pool workers failed to start"
             queued = time.time()
-            queue: "deque[_Chunk]" = deque(
-                (pending[start : start + size], 0, queued)
-                for start in range(0, len(pending), size)
-            )
+            queue: "deque[_Chunk]" = deque((chunk, 0, queued) for chunk in chunks)
             while reason is None and (queue or busy):
                 while queue and idle:
                     _send(idle.pop(), queue.popleft(), busy, capture, policy)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from repro.resilience.faults import inject
+from repro.resilience.faults import inject, task_scoped
 from repro.service.deadline import check_deadline
 from repro.setcover.instance import SetSystem
 from repro.telemetry import metrics
@@ -114,7 +114,7 @@ class SetStream:
         context-variable load — the batch path pays nothing.
         """
         check_deadline()
-        inject("engine.pass", key=f"iterate:{self._passes_consumed + 1}")
+        inject("engine.pass", key=task_scoped(f"iterate:{self._passes_consumed + 1}"))
         self._passes_consumed += 1
         # A zero-duration event rather than a span: this is a generator, and
         # holding a span open across yields would leak its parent token into
@@ -147,7 +147,7 @@ class SetStream:
         charged, and the check is free when no deadline is armed.
         """
         check_deadline()
-        inject("engine.pass", key=f"batched:{self._passes_consumed + 1}")
+        inject("engine.pass", key=task_scoped(f"batched:{self._passes_consumed + 1}"))
         self._passes_consumed += 1
         event(
             "stream.pass",

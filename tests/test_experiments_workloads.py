@@ -7,6 +7,7 @@ import random
 import pytest
 
 from repro import kernels
+from repro.exceptions import InjectedFaultError
 from repro.experiments import workload_defs
 from repro.experiments.runners import RUNNER_REGISTRY
 from repro.experiments.workload_defs import (
@@ -16,11 +17,14 @@ from repro.experiments.workload_defs import (
     run_workload_sweep,
 )
 from repro.resilience.durability import canonical_json
+from repro.resilience.faults import fault_plan_active, parse_fault_spec
 from repro.runtime.executor import TaskExecutor
 from repro.runtime.scenarios import SCENARIO_REGISTRY, get_scenario, iter_scenarios
+from repro.runtime.store import ResultStore
 from repro.runtime.tasks import execute_task, tasks_from_scenario
 from repro.setcover.source import HeapSource, write_container
 from repro.telemetry import TelemetrySession
+from repro.utils.env import env_overrides
 from repro.workloads.random_instances import random_set_system
 
 requires_numpy = pytest.mark.skipif(not kernels.HAS_NUMPY, reason="NumPy not installed")
@@ -262,7 +266,11 @@ class TestInstanceCache:
 
     @requires_numpy
     def test_each_order_crosses_to_the_index_at_its_own_cell(self):
-        crossings = {crossing for _, crossing in self.run_in_three_orders(distinct_seeds=True)}
+        # The NumPy kernel is the one with an index, whatever REPRO_KERNEL
+        # this suite runs under.
+        with env_overrides({"REPRO_KERNEL": "numpy"}):
+            runs = self.run_in_three_orders(distinct_seeds=True)
+        crossings = {crossing for _, crossing in runs}
         assert None not in crossings and len(crossings) == 3
 
     def test_cells_differing_only_in_workload_share_one_engine_run(self):
@@ -292,6 +300,63 @@ class TestInstanceCache:
         assert digest.hexdigest() == OVERRUN_PER_CELL_DIGEST
         assert counters["workload.cells_reused"] == 36
         assert counters["degrade.outcome_row"] == 48
+
+
+class TestPooledGrid:
+    """A pool runs each shared engine run once, at any worker count and order."""
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_each_group_runs_its_engine_once(self, workers, shuffled):
+        tasks = adv_tasks(numpy_sized_descriptor())
+        if shuffled:
+            random.Random(23).shuffle(tasks)
+        serial = TaskExecutor().run(tasks)
+        with TelemetrySession(label="pooled") as session:
+            pooled = TaskExecutor(workers=workers).run(tasks)
+        counters = session.registry.snapshot()["counters"]
+        assert [o.payload for o in pooled.outcomes] == [o.payload for o in serial.outcomes]
+        assert counters["engine.runs"] == 12
+        assert counters["stream.passes"] == 26
+        assert counters["workload.cells_reused"] == 36
+        assert counters["executor.tasks.computed"] == 48
+
+    def test_engine_pass_faults_are_drawn_per_task(self, tmp_path, monkeypatch):
+        import repro.streaming.stream as stream_module
+
+        spec = "seed=20,executor.submit:crash:0.2,store.put:torn:0.25,engine.pass:raise:0.1"
+        tasks = adv_tasks(numpy_sized_descriptor())
+        TaskExecutor(store=ResultStore(tmp_path / "clean")).run(tasks)
+        fired = []
+        original = stream_module.inject
+
+        def recording(site, key, attempt=None):
+            try:
+                return original(site, key, attempt)
+            except InjectedFaultError:
+                fired.append(key)
+                raise
+
+        monkeypatch.setattr(stream_module, "inject", recording)
+        with fault_plan_active(parse_fault_spec(spec)):
+            TaskExecutor(store=ResultStore(tmp_path / "serial")).run(tasks)
+            TaskExecutor(workers=4, store=ResultStore(tmp_path / "pooled")).run(tasks)
+        # Only the serial run's faults reach this process.  Drawn per pass
+        # number alone, this seed would fire on none of an ADV cell's (at
+        # most four) passes.
+        assert fired
+        clean = store_entries(tmp_path / "clean")
+        assert store_entries(tmp_path / "serial") == clean
+        assert store_entries(tmp_path / "pooled") == clean
+
+
+def store_entries(root):
+    """A store's entry files by relative path (stats journals and quarantine excluded)."""
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in sorted(root.rglob("*.json"))
+        if "quarantine" not in path.parts and not path.name.startswith("stats_journal")
+    }
 
 
 #: sha256 over the canonical JSON of the 48 ADV payloads, in submission

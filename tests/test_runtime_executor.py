@@ -1,14 +1,20 @@
 """Tests for the sharded executor: determinism, caching, ordered merging."""
 
+import dataclasses
+import random
+
 from repro.runtime.executor import (
     STATUS_CACHED,
     STATUS_COMPUTED,
     TaskExecutor,
     default_chunksize,
+    plan_chunks,
 )
-from repro.runtime.scenarios import freeze_params
+from repro.runtime.scenarios import freeze_params, iter_scenarios
 from repro.runtime.store import ResultStore
-from repro.runtime.tasks import RuntimeTask
+from repro.runtime.tasks import RuntimeTask, tasks_from_scenario
+from repro.setcover.source import HeapSource
+from repro.workloads.random_instances import random_set_system
 
 import pytest
 
@@ -132,3 +138,52 @@ class TestChunkedSubmission:
         # ~4 chunks per worker on big grids, never zero.
         assert default_chunksize(1000, 4) == 63
         assert default_chunksize(5, 1) == 2
+
+
+def adv_pending(attached=True):
+    """The 48 ADV cells as pending ``(index, task)`` pairs, on one instance if ``attached``."""
+    tasks = [
+        task for spec in iter_scenarios(tag="adversarial") for task in tasks_from_scenario(spec)
+    ]
+    if attached:
+        system = random_set_system(16, 8, seed=1)
+        descriptor = HeapSource.from_packed(system.to_packed()).descriptor()
+        tasks = [
+            dataclasses.replace(task, params=task.params + (("instance", descriptor),))
+            for task in tasks
+        ]
+    return list(enumerate(tasks))
+
+
+class TestChunkPlan:
+    """Chunks carry whole cell groups; tasks without a shared run chunk as slices."""
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 6, 48])
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_a_group_never_spans_two_chunks(self, size, shuffled):
+        pending = adv_pending()
+        if shuffled:
+            random.Random(5).shuffle(pending)
+        chunks = plan_chunks(pending, size)
+        chunk_of_group = {}
+        for number, chunk in enumerate(chunks):
+            indices = [index for index, _ in chunk]
+            assert indices == sorted(indices)
+            for _, task in chunk:
+                params = dict(task.params)
+                group = (params["algorithm"], params["order"])
+                assert chunk_of_group.setdefault(group, number) == number
+        assert len(chunk_of_group) == 12
+        assert sorted(index for chunk in chunks for index, _ in chunk) == list(range(48))
+
+    def test_the_adv_grid_ships_two_groups_per_chunk_on_two_workers(self):
+        chunks = plan_chunks(adv_pending(), default_chunksize(48, 2))
+        assert [len(chunk) for chunk in chunks] == [8] * 6
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 5, 48])
+    def test_tasks_without_a_shared_run_chunk_as_slices(self, size):
+        # Experiments, and WL cells that generate their own instance.
+        tasks = grid_tasks() + [task for _, task in adv_pending(attached=False)]
+        pending = list(enumerate(tasks))
+        chunks = plan_chunks(pending, size)
+        assert chunks == [pending[start : start + size] for start in range(0, len(pending), size)]
