@@ -20,11 +20,12 @@ process, or sharded over worker processes and backed by a persistent result
 store — prints the tables, and optionally persists JSON / markdown reports
 via :mod:`repro.experiments.report`.
 
-Every ``run`` goes through the runtime executor (in-process and with no
-store unless ``--workers``/``--store`` say otherwise).  Status
-lines on stdout are deterministic ``computed``/``cached`` markers, so a
-parallel run's stdout is byte-identical to the serial run's and cache hits
-are observable; the elapsed time goes to stderr.
+Every ``run`` goes through the runtime executor, with one worker process
+per CPU the process may run on (in-process on one CPU) and no store unless
+``--workers``/``--store`` say otherwise.  Status lines on stdout are
+deterministic ``computed``/``cached`` markers, so a parallel run's stdout
+is byte-identical to the serial run's and cache hits are observable; the
+elapsed time goes to stderr.
 """
 
 from __future__ import annotations
@@ -102,8 +103,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--workers",
         type=_positive_int,
-        default=1,
-        help="shard execution across N worker processes (via repro.runtime)",
+        default=None,
+        help="shard execution across N worker processes (via repro.runtime; "
+        "default: one per CPU this process may run on; 1 runs in-process)",
     )
     run_parser.add_argument(
         "--store",
@@ -794,8 +796,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "scenarios":
         return _scenarios_command(args.name)
 
+    from repro.runtime import default_workers
+
     fault_retry_env = _fault_retry_env(args)
     experiment_ids = resolve_experiment_ids(args.experiments)
+    workers = args.workers or default_workers()
 
     def _execute() -> Optional[List[ExperimentResult]]:
         """The run's results, or None when SIGINT or SIGTERM interrupted it."""
@@ -808,7 +813,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 return run_experiments(
                     experiment_ids,
                     seed=args.seed,
-                    workers=args.workers,
+                    workers=workers,
                     store_dir=args.store,
                     quiet=args.quiet,
                     instance_file=args.instance_file,
@@ -820,7 +825,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.trace:
         from repro.telemetry import TelemetrySession
 
-        session_attrs = {"workers": args.workers, "seed": args.seed}
+        session_attrs = {"workers": workers, "seed": args.seed}
         if args.instance_file is not None:
             session_attrs["instance_backing"] = args.instance_backing
         with TelemetrySession(

@@ -30,6 +30,7 @@ from repro.runtime.executor import (
     TaskExecutor,
     TaskOutcome,
     default_chunksize,
+    default_workers,
 )
 from repro.runtime.scenarios import (
     SCENARIO_REGISTRY,
@@ -60,6 +61,7 @@ __all__ = [
     "get_scenario",
     "iter_scenarios",
     "default_chunksize",
+    "default_workers",
     "register_grid",
     "register_scenario",
     "resolve_scenarios",

@@ -43,9 +43,11 @@ Example — one task through the serial executor, and the chunk heuristic::
 from __future__ import annotations
 
 import math
+import os
 import time
 import traceback
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from multiprocessing.connection import Connection, wait
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
@@ -149,16 +151,22 @@ class RunReport:
 
 
 def _timed_execute(
-    task: RuntimeTask, capture: bool = False, base_attempt: int = 0
+    task: RuntimeTask,
+    capture: bool = False,
+    base_attempt: int = 0,
+    prior: Optional[Dict[str, Any]] = None,
 ) -> Tuple[Dict[str, Any], float]:
     """Worker entry point: run one task, returning (payload, elapsed seconds).
 
     Durations come from ``perf_counter`` (wall clocks drift and step; the
     monotonic clock is the only honest duration source).  With ``capture``
-    on, the task runs inside its own telemetry session and the session
-    snapshot rides back under :data:`TELEMETRY_KEY` in the payload.
-    The snapshot is a *sibling* of the result data, popped by the executor
-    before anything downstream sees the payload.
+    on, the task runs inside its own telemetry session, one for all of its
+    attempts, so a failed attempt's counters and spans stay in the capture,
+    and the session snapshot rides back under :data:`TELEMETRY_KEY` in the
+    payload.  ``prior`` is an earlier snapshot of the same task (a payload
+    the parent rejected) that the session takes in first.  The snapshot is
+    a *sibling* of the result data, popped by the executor before anything
+    downstream sees the payload.
 
     When fault injection is active (``REPRO_FAULTS``), each attempt runs
     inside :func:`~repro.resilience.faults.attempt_scope` starting at
@@ -168,63 +176,57 @@ def _timed_execute(
     failures are retried in place under the ambient
     :class:`~repro.resilience.policy.RetryPolicy`, and the payload carries
     its end-to-end checksum under :data:`INTEGRITY_KEY` for the parent to
-    verify.  Fault-free runs take the original zero-overhead path.
+    verify.  Fault-free runs make one attempt and attach no checksum.
     """
     started_wall = time.time()
     started = clock()
-    if not faults_enabled():
-        if not capture:
-            payload = execute_task(task)
-            return payload, clock() - started
-        with TelemetrySession(label=task.key) as session:
-            with span("task.run", key=task.key):
-                payload = execute_task(task)
-        elapsed = clock() - started
+    with (TelemetrySession(label=task.key) if capture else nullcontext()) as session:
+        if session is not None:
+            session.absorb(prior)
+        if faults_enabled():
+            payload = _run_attempts(task, base_attempt)
+        else:
+            payload = _run_once(task)
+    elapsed = clock() - started
+    if session is not None:
         payload[TELEMETRY_KEY] = {
             "snapshot": session.snapshot(),
             "started_wall": started_wall,
             "elapsed": elapsed,
         }
-        return payload, elapsed
+    return payload, elapsed
+
+
+def _run_once(task: RuntimeTask) -> Dict[str, Any]:
+    """One attempt at a task, under its ``task.run`` span."""
+    with span("task.run", key=task.key):
+        return execute_task(task)
+
+
+def _run_attempts(task: RuntimeTask, base_attempt: int) -> Dict[str, Any]:
+    """Run a task under the active fault plan, retrying transient failures."""
 
     def attempt_run(relative: int) -> Dict[str, Any]:
         attempt = base_attempt + relative
         with attempt_scope(attempt, task=task.key):
             kind = inject("executor.submit", key=task.key, attempt=attempt)
-            shipped: Optional[Dict[str, Any]] = None
-            if capture:
-                with TelemetrySession(label=task.key) as session:
-                    with span("task.run", key=task.key):
-                        payload = execute_task(task)
-                shipped = {
-                    "snapshot": session.snapshot(),
-                    "started_wall": started_wall,
-                    "elapsed": 0.0,
-                }
-            else:
-                payload = execute_task(task)
-            checksum = payload_checksum(payload)
-            if kind == "corrupt":
-                # In-flight corruption: the bytes change after the checksum
-                # was taken, so the parent's verification rejects the payload
-                # and recomputes — never merges it.
-                payload = dict(payload)
-                payload["__corrupted__"] = attempt
-            payload[INTEGRITY_KEY] = {"checksum": checksum, "attempt": attempt}
-            if shipped is not None:
-                payload[TELEMETRY_KEY] = shipped
-            return payload
+            payload = _run_once(task)
+        checksum = payload_checksum(payload)
+        if kind == "corrupt":
+            # In-flight corruption: the bytes change after the checksum was
+            # taken, so the parent's verification rejects the payload and
+            # recomputes — never merges it.
+            payload = dict(payload)
+            payload["__corrupted__"] = attempt
+        payload[INTEGRITY_KEY] = {"checksum": checksum, "attempt": attempt}
+        return payload
 
-    payload = retry_call(
+    return retry_call(
         attempt_run,
         policy=policy_from_env(),
         seed=task.seed or 0,
         path=("task", task.key),
     )
-    elapsed = clock() - started
-    if TELEMETRY_KEY in payload:
-        payload[TELEMETRY_KEY]["elapsed"] = elapsed
-    return payload, elapsed
 
 
 def _run_chunk(message: Tuple[List[RuntimeTask], bool, int]) -> Tuple[Any, Optional[str]]:
@@ -251,6 +253,18 @@ def default_chunksize(pending: int, workers: int) -> int:
     if pending <= 0:
         return 1
     return max(1, math.ceil(pending / (max(workers, 1) * 4)))
+
+
+def default_workers() -> int:
+    """Worker count ``repro run`` uses when ``--workers`` is not given.
+
+    One per CPU this process may run on: the size of its affinity mask
+    where the platform has one, else ``os.cpu_count()``, and never fewer
+    than one, so a one-CPU process runs in-process and starts no worker.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
+    return max(1, os.cpu_count() or 1)
 
 
 def plan_chunks(
@@ -466,7 +480,8 @@ class TaskExecutor:
         pass through untouched.  A mismatch means the bytes were corrupted in
         flight: the payload is discarded — never merged — and the task is
         re-executed in-process at the next attempt generation under the
-        ambient retry policy.
+        ambient retry policy.  The discarded payload's telemetry carries
+        over into the recomputation's.
         """
         if not isinstance(payload, dict):
             raise PayloadIntegrityError(
@@ -478,13 +493,19 @@ class TaskExecutor:
 
         metrics.add("executor.payload_rejected")
         event("payload.reject", key=task.key, attempt=integrity.get("attempt"))
+        rejected = payload.get(TELEMETRY_KEY)
 
         def recompute(relative: int) -> Tuple[Dict[str, Any], float]:
+            nonlocal rejected
             fresh, fresh_elapsed = _timed_execute(
-                task, capture, base_attempt=base_attempt + 1 + relative
+                task,
+                capture,
+                base_attempt=base_attempt + 1 + relative,
+                prior=rejected["snapshot"] if rejected else None,
             )
             check = fresh.pop(INTEGRITY_KEY, None)
             if check is not None and check.get("checksum") != payload_checksum(fresh):
+                rejected = fresh.get(TELEMETRY_KEY)
                 raise PayloadIntegrityError(
                     f"task {task.key!r} payload failed its checksum after recompute"
                 )

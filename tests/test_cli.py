@@ -187,10 +187,18 @@ class TestRuntimePath:
         assert args.workers == 4
         assert args.store == "/tmp/rstore"
 
-    def test_parser_defaults_stay_legacy(self):
+    def test_parser_defaults_stay_legacy(self, monkeypatch):
+        import repro.cli as cli
+
         args = build_parser().parse_args(["run", "E12"])
-        assert args.workers == 1
+        assert args.workers is None  # resolved when the run starts
         assert args.store is None
+        seen = []
+        monkeypatch.setattr(
+            cli, "run_experiments", lambda ids, **kw: seen.append(kw["workers"]) or []
+        )
+        assert main(["run", "E12"]) == 0
+        assert seen == [len(os.sched_getaffinity(0))]
 
     def test_parser_rejects_non_positive_workers(self):
         with pytest.raises(SystemExit):
@@ -252,6 +260,40 @@ class TestRuntimePath:
             resolve_experiment_ids(["cli-unknown"])
 
 
+class TestDefaultWorkers:
+    """Without ``--workers``, ``repro run`` starts one worker per usable CPU."""
+
+    def forks(self, monkeypatch, cpus, argv):
+        """How many processes ``main(argv)`` forks when ``cpus`` CPUs are usable."""
+        forked = []
+        fork = os.fork
+
+        def counting_fork():
+            forked.append(os.getpid())
+            return fork()
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(os, "fork", counting_fork)
+        assert main(argv) == 0
+        return len(forked)
+
+    def test_one_cpu_forks_nothing(self, monkeypatch, capsys):
+        assert self.forks(monkeypatch, 1, ["run", "E1", "E2", "--quiet"]) == 0
+
+    def test_two_cpus_start_two_workers_with_serial_bytes(self, tmp_path, monkeypatch, capsys):
+        pooled, serial = tmp_path / "pooled.json", tmp_path / "serial.json"
+        argv = ["run", "E1", "E2", "--quiet", "--json"]
+        assert self.forks(monkeypatch, 2, [*argv, str(pooled)]) == 2
+        pooled_out = capsys.readouterr().out.replace(str(pooled), "F")
+        assert self.forks(monkeypatch, 2, [*argv, str(serial), "--workers", "1"]) == 0
+        assert capsys.readouterr().out.replace(str(serial), "F") == pooled_out
+        assert pooled.read_bytes() == serial.read_bytes()
+
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    def test_explicit_one_worker_never_forks(self, cpus, monkeypatch, capsys):
+        assert self.forks(monkeypatch, cpus, ["run", "E1", "E2", "--quiet", "--workers", "1"]) == 0
+
+
 class TestInterruptedRun:
     def test_fault_env_is_set_for_the_run_and_restored_when_it_raises(self, monkeypatch):
         import repro.cli as cli
@@ -281,7 +323,11 @@ class TestInterruptedRun:
         store = str(tmp_path / "store")
         out = tmp_path / "out.json"
         monkeypatch.setitem(RUNNER_REGISTRY, "E7", interrupt)
-        argv = ["run", "E12", "E7", "E9", "--quiet", "--store", store, "--json", str(out)]
+        # A KeyboardInterrupt raised by a task is an interrupt only
+        # in-process; in a pool worker it reads as a lost worker.
+        # tests/test_runtime_recovery.py delivers real signals to pooled runs.
+        argv = ["run", "E12", "E7", "E9", "--quiet", "--store", store, "--json", str(out),
+                "--workers", "1"]
         assert main(argv) == 130
         captured = capsys.readouterr()
         assert "interrupted: 1 of 3 tasks finished" in captured.err
@@ -594,7 +640,8 @@ class TestInstancePlaneFlags:
                 records.append(json.loads(line))
         sessions = [r for r in records if r.get("attrs", {}).get("instance_backing")]
         assert any(
-            r["attrs"]["instance_backing"] == "mmap" and r["attrs"].get("workers") == 1
+            r["attrs"]["instance_backing"] == "mmap"
+            and r["attrs"].get("workers") == len(os.sched_getaffinity(0))
             for r in sessions
         )
         passes = [r for r in records if r.get("name") == "stream.pass"]

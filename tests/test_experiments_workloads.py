@@ -349,6 +349,26 @@ class TestPooledGrid:
         assert store_entries(tmp_path / "serial") == clean
         assert store_entries(tmp_path / "pooled") == clean
 
+    @pytest.mark.parametrize(
+        "spec, names",
+        [
+            ("seed=20,engine.pass:raise:0.1", ("retry.attempts", "fault.injected")),
+            ("seed=20,executor.submit:corrupt:0.1", ("executor.payload_rejected", "fault.injected")),
+        ],
+    )
+    def test_failed_attempts_keep_their_telemetry(self, spec, names):
+        """A failed or rejected attempt's counters reach the session at any worker count."""
+        tasks = adv_tasks(numpy_sized_descriptor())
+        counts = []
+        with fault_plan_active(parse_fault_spec(spec)):
+            for workers in (1, 2):
+                with TelemetrySession(label="faulted") as session:
+                    TaskExecutor(workers=workers).run(tasks)
+                counters = session.registry.snapshot()["counters"]
+                counts.append([counters.get(name, 0) for name in names])
+        assert counts[0] == counts[1]
+        assert all(counts[0])
+
 
 def store_entries(root):
     """A store's entry files by relative path (stats journals and quarantine excluded)."""

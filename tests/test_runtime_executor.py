@@ -1,6 +1,7 @@
 """Tests for the sharded executor: determinism, caching, ordered merging."""
 
 import dataclasses
+import os
 import random
 
 from repro.runtime.executor import (
@@ -8,6 +9,7 @@ from repro.runtime.executor import (
     STATUS_COMPUTED,
     TaskExecutor,
     default_chunksize,
+    default_workers,
     plan_chunks,
 )
 from repro.runtime.scenarios import freeze_params, iter_scenarios
@@ -138,6 +140,16 @@ class TestChunkedSubmission:
         # ~4 chunks per worker on big grids, never zero.
         assert default_chunksize(1000, 4) == 63
         assert default_chunksize(5, 1) == 2
+
+    def test_default_workers_counts_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        assert default_workers() == 3
+        # Without an affinity mask: the CPU count, and never fewer than one.
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert default_workers() == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert default_workers() == 1
 
 
 def adv_pending(attached=True):
