@@ -12,9 +12,9 @@ Before anything is timed, every algorithm's whole :class:`StreamingResult`
 (solution, estimate, passes, space report, metadata) on every backend must
 equal its golden (``benchmarks/goldens/bench_streaming.json``).  The
 goldens were written on every ``FULL_GRID`` entry by the pre-kernel
-implementations (per-set ``iterate_pass`` loops, full-rescan offline
-solvers) before they were retired; ``tests/test_microbench.py`` checks
-them in the tier-1 suite.
+implementations (loops that streamed one ``(index, mask)`` pair at a time,
+full-rescan offline solvers) before they were retired;
+``tests/test_microbench.py`` checks them in the tier-1 suite.
 
 Writes the results as JSON (default ``BENCH_streaming.json`` at the repo
 root, the committed baseline).  Run it directly::
@@ -104,9 +104,7 @@ def sweep_algorithms():
         ("demaine", lambda: ProgressiveGreedyPasses(num_passes=4), True),
         (
             "har_peled",
-            lambda: IterativePruningSetCover(
-                alpha=2, opt_guess=OPT_GUESS, subinstance_solver="greedy", seed=HP_SEED
-            ),
+            lambda: IterativePruningSetCover(alpha=2, opt_guess=OPT_GUESS, seed=HP_SEED),
             True,
         ),
         ("store_everything", lambda: StoreEverythingSetCover(solver="greedy"), True),

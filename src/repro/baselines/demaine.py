@@ -7,10 +7,10 @@ retained state is just the uncovered universe and the solution, so its space
 is small but its approximation guarantee is log n-ish rather than α — the
 other historical point on the tradeoff curve for E11.
 
-Each pass is batched: the threshold is fixed for the duration of a pass and
-per-set gains only shrink as picks land, so one kernel call against the
-pass-entry universe prunes every set that cannot reach the threshold; only
-the surviving candidates are re-checked sequentially in arrival order.
+Each pass is the threshold pass in arrival order that Algorithm 1's and
+Har-Peled's pruning also make
+(:meth:`~repro.streaming.algorithm_base.StreamingAlgorithm._admission_pass`);
+only the thresholds differ.
 """
 
 from __future__ import annotations
@@ -48,20 +48,7 @@ class ProgressiveGreedyPasses(StreamingAlgorithm):
             final_pass = pass_index == self.num_passes - 1
             if final_pass:
                 threshold = 1.0
-            system = stream.batched_pass()
-            entry_gains = system.kernel().gains(uncovered)
-            for set_index in stream.arrival_order:
-                if uncovered == 0:
-                    break
-                if set_index in chosen or entry_gains[set_index] < threshold:
-                    continue
-                mask = system.mask(set_index)
-                gain = bitset_size(mask & uncovered)
-                if gain >= threshold:
-                    chosen.add(set_index)
-                    solution.append(set_index)
-                    uncovered &= ~mask
-                    self.space.set_usage("solution", len(solution))
+            uncovered = self._admission_pass(stream, uncovered, threshold, chosen, solution)
 
         metadata = {"uncovered_after_run": bitset_size(uncovered)}
         return self._finalize(stream, solution, metadata=metadata)

@@ -20,9 +20,7 @@ from typing import Dict, List
 
 from repro.core.element_sampling import element_sample_mask, sampling_probability
 from repro.exceptions import InfeasibleInstanceError
-from repro.setcover.exact import exact_set_cover
 from repro.setcover.greedy import greedy_set_cover
-from repro.setcover.instance import SetSystem
 from repro.streaming.algorithm_base import StreamingAlgorithm, StreamingResult
 from repro.streaming.stream import SetStream
 from repro.utils.bitset import bitset_size
@@ -34,9 +32,10 @@ class IterativePruningSetCover(StreamingAlgorithm):
 
     Parameters mirror :class:`~repro.core.algorithm1.AlgorithmOneConfig`; the
     key differences from Algorithm 1 are (a) pruning happens inside every
-    iteration with a geometrically decreasing threshold and (b) the element
+    iteration with a geometrically decreasing threshold, (b) the element
     sampling rate uses the weaker exponent ``2/α`` (the "Θ(1/α) with constant
-    ≥ 2" of the original analysis), so the stored projections are larger.
+    ≥ 2" of the original analysis), so the stored projections are larger, and
+    (c) each sampled sub-instance is covered greedily.
     """
 
     name = "har-peled-iterative-pruning"
@@ -46,7 +45,6 @@ class IterativePruningSetCover(StreamingAlgorithm):
         alpha: int,
         opt_guess: int,
         epsilon: float = 0.5,
-        subinstance_solver: str = "greedy",
         sampling_constant: float = 16.0,
         seed: SeedLike = None,
     ) -> None:
@@ -58,7 +56,6 @@ class IterativePruningSetCover(StreamingAlgorithm):
         self.alpha = alpha
         self.opt_guess = opt_guess
         self.epsilon = epsilon
-        self.subinstance_solver = subinstance_solver
         self.sampling_constant = sampling_constant
         self._rng = spawn_rng(seed)
 
@@ -78,22 +75,10 @@ class IterativePruningSetCover(StreamingAlgorithm):
             if uncovered == 0:
                 break
             # Iterative pruning pass: threshold decays with the iteration.
-            # Batched like Algorithm 1's pruning: the threshold is fixed for
-            # the pass and gains only shrink, so one kernel call rules out
-            # every set that starts below it; survivors are re-checked in
-            # arrival order against the live uncovered mask.
             threshold = n / (self.epsilon * self.opt_guess * (2 ** iteration))
-            system = stream.batched_pass()
-            entry_gains = system.kernel().gains(uncovered)
-            for set_index in stream.arrival_order:
-                if set_index in chosen or entry_gains[set_index] < max(1.0, threshold):
-                    continue
-                mask = system.mask(set_index)
-                if bitset_size(mask & uncovered) >= max(1.0, threshold):
-                    chosen.add(set_index)
-                    solution.append(set_index)
-                    uncovered &= ~mask
-                    self.space.set_usage("solution", len(solution))
+            uncovered = self._admission_pass(
+                stream, uncovered, max(1.0, threshold), chosen, solution
+            )
             if uncovered == 0:
                 break
 
@@ -130,16 +115,12 @@ class IterativePruningSetCover(StreamingAlgorithm):
             target &= kernel.union()
             round_solution: List[int] = []
             if target:
+                # Every gain against a subset of the sample is equal on the
+                # projection and the full set, so greedy runs directly on the
+                # streamed system's cached kernel — no projected system is
+                # ever materialised.
                 try:
-                    if self.subinstance_solver == "exact":
-                        projected = SetSystem.from_masks(n, kernel.restrict(sample_mask))
-                        round_solution = exact_set_cover(projected, target_mask=target)
-                    else:
-                        # Every gain against a subset of the sample is equal
-                        # on the projection and the full set, so greedy runs
-                        # directly on the streamed system's cached kernel —
-                        # no projected system is ever materialised.
-                        round_solution = greedy_set_cover(streamed, required_mask=target)
+                    round_solution = greedy_set_cover(streamed, required_mask=target)
                 except InfeasibleInstanceError:
                     round_solution = []
 
@@ -155,21 +136,7 @@ class IterativePruningSetCover(StreamingAlgorithm):
             self.space.reset_category("sampled_universe")
 
         if uncovered:
-            # Clean-up pass, batched: sets disjoint from the pass-entry
-            # uncovered universe stay disjoint as it shrinks.
-            system = stream.batched_pass()
-            entry_gains = system.kernel().gains(uncovered)
-            for set_index in stream.arrival_order:
-                if uncovered == 0:
-                    break
-                if set_index in chosen or entry_gains[set_index] == 0:
-                    continue
-                mask = system.mask(set_index)
-                if mask & uncovered:
-                    chosen.add(set_index)
-                    solution.append(set_index)
-                    uncovered &= ~mask
-                    self.space.set_usage("solution", len(solution))
+            uncovered = self._admission_pass(stream, uncovered, 1, chosen, solution)
             metadata["cleanup_used"] = True
 
         metadata["uncovered_after_run"] = bitset_size(uncovered)

@@ -55,10 +55,10 @@ class AlgorithmOneConfig:
         ``"exact"`` uses the branch-and-bound optimum (as the paper assumes —
         computation is free in the model); ``"greedy"`` trades the per-round
         guarantee for speed on large sampled sub-instances.
-    ensure_feasible:
-        When True, a final clean-up pass greedily covers any elements left
-        uncovered after the α rounds (the failure event of Lemma 3.11), so the
-        returned solution is always a feasible cover.
+
+    Elements left uncovered after the α rounds (the failure event of Lemma
+    3.11) are covered by one extra clean-up pass, so the returned solution is
+    a feasible cover whenever the instance has one.
     """
 
     alpha: int = 2
@@ -66,7 +66,6 @@ class AlgorithmOneConfig:
     epsilon: float = 0.5
     sampling_constant: float = 16.0
     subinstance_solver: str = "exact"
-    ensure_feasible: bool = True
 
     def __post_init__(self) -> None:
         if self.alpha < 1:
@@ -119,32 +118,16 @@ class StreamingSetCover(StreamingAlgorithm):
 
         # ------------------------------------------------------------------
         # Pass 1: pruning — pick every set covering >= n / (eps * opt_guess)
-        # still-uncovered elements.  One batched kernel call computes every
-        # gain against the pass-entry universe; gains only shrink as picks
-        # land, so sets below the threshold up front can never cross it and
-        # only the surviving candidates are re-checked in arrival order.
+        # still-uncovered elements.
         # ------------------------------------------------------------------
         threshold = n / (cfg.epsilon * cfg.opt_guess)
         with span("alg1.prune", threshold=threshold) as prune_span:
             uncovered_at_entry = bitset_size(uncovered_mask)
-            system = stream.batched_pass()
-            entry_gains = system.kernel().gains(uncovered_mask)
-            for set_index in stream.arrival_order:
-                if set_index in chosen or entry_gains[set_index] < threshold:
-                    continue
-                mask = system.mask(set_index)
-                gain = bitset_size(mask & uncovered_mask)
-                if gain >= threshold:
-                    chosen.add(set_index)
-                    solution.append(set_index)
-                    uncovered_mask &= ~mask
-                    self.space.set_usage("solution", len(solution))
+            uncovered_mask = self._admission_pass(
+                stream, uncovered_mask, threshold, chosen, solution
+            )
             covered = uncovered_at_entry - bitset_size(uncovered_mask)
-            prune_span.set(sets_admitted=len(solution), elements_covered=covered)
-            metrics.add("alg1.sets_admitted", len(solution))
-            metrics.add("alg1.elements_covered", covered)
-            metrics.observe("pass.sets_admitted", len(solution))
-            metrics.observe("pass.elements_covered", covered)
+            _record_phase(prune_span, len(solution), covered)
 
         # ------------------------------------------------------------------
         # alpha iterations of element sampling.
@@ -208,31 +191,24 @@ class StreamingSetCover(StreamingAlgorithm):
                 self.space.reset_category("stored_incidences")
                 self.space.reset_category("sampled_universe")
                 covered = uncovered_at_entry - bitset_size(uncovered_mask)
-                round_span.set(sets_admitted=admitted, elements_covered=covered)
-                metrics.add("alg1.sets_admitted", admitted)
-                metrics.add("alg1.elements_covered", covered)
-                metrics.observe("pass.sets_admitted", admitted)
-                metrics.observe("pass.elements_covered", covered)
+                _record_phase(round_span, admitted, covered)
 
         # ------------------------------------------------------------------
-        # Optional clean-up pass: guarantee feasibility even when the
+        # Clean-up pass, taken only when elements are left: admit every set
+        # that still covers one, so the solution is feasible even when the
         # low-probability failure event of Lemma 3.11 occurs.
         # ------------------------------------------------------------------
-        if cfg.ensure_feasible and uncovered_mask != 0:
+        if uncovered_mask != 0:
             metadata["cleanup_used"] = True
             with span("alg1.cleanup") as cleanup_span:
                 uncovered_at_entry = bitset_size(uncovered_mask)
                 picks_before = len(solution)
-                uncovered_mask = self._cleanup_pass(
-                    stream, uncovered_mask, chosen, solution
+                uncovered_mask = self._admission_pass(
+                    stream, uncovered_mask, 1, chosen, solution
                 )
                 admitted = len(solution) - picks_before
                 covered = uncovered_at_entry - bitset_size(uncovered_mask)
-                cleanup_span.set(sets_admitted=admitted, elements_covered=covered)
-                metrics.add("alg1.sets_admitted", admitted)
-                metrics.add("alg1.elements_covered", covered)
-                metrics.observe("pass.sets_admitted", admitted)
-                metrics.observe("pass.elements_covered", covered)
+                _record_phase(cleanup_span, admitted, covered)
 
         metadata["uncovered_after_run"] = bitset_size(uncovered_mask)
         return self._finalize(stream, solution, metadata=metadata)
@@ -275,33 +251,14 @@ class StreamingSetCover(StreamingAlgorithm):
                 return exact_set_cover(system, target_mask=residual)
             return greedy_set_cover(system, required_mask=residual)
 
-    def _cleanup_pass(
-        self,
-        stream: SetStream,
-        uncovered_mask: int,
-        chosen: set,
-        solution: List[int],
-    ) -> int:
-        """Greedily cover whatever is left in one extra pass.
 
-        Batched like the pruning pass: sets disjoint from the pass-entry
-        uncovered universe stay disjoint as it shrinks, so one kernel call
-        prunes them and only live candidates are re-checked in arrival order.
-        """
-        system = stream.batched_pass()
-        entry_gains = system.kernel().gains(uncovered_mask)
-        for set_index in stream.arrival_order:
-            if uncovered_mask == 0:
-                break
-            if set_index in chosen or entry_gains[set_index] == 0:
-                continue
-            mask = system.mask(set_index)
-            if mask & uncovered_mask:
-                chosen.add(set_index)
-                solution.append(set_index)
-                uncovered_mask &= ~mask
-                self.space.set_usage("solution", len(solution))
-        return uncovered_mask
+def _record_phase(active_span, admitted: int, covered: int) -> None:
+    """Report a phase's admitted sets and newly covered elements."""
+    active_span.set(sets_admitted=admitted, elements_covered=covered)
+    metrics.add("alg1.sets_admitted", admitted)
+    metrics.add("alg1.elements_covered", covered)
+    metrics.observe("pass.sets_admitted", admitted)
+    metrics.observe("pass.elements_covered", covered)
 
 
 def expected_pass_count(alpha: int, cleanup: bool = False) -> int:

@@ -86,7 +86,6 @@ class OptGuessingSetCover(StreamingAlgorithm):
                 epsilon=self.epsilon,
                 sampling_constant=self.sampling_constant,
                 subinstance_solver=self.subinstance_solver,
-                ensure_feasible=True,
             )
             inner = StreamingSetCover(config, seed=self._rng.spawn())
             # Each guess runs over its own view of the stream; physical passes
@@ -119,11 +118,7 @@ class OptGuessingSetCover(StreamingAlgorithm):
         # Record the shared passes on the outer stream object so the engine's
         # pass accounting reflects the parallel-run model.
         for _ in range(total_passes):
-            iterator = stream.iterate_pass()
-            # Drain lazily-created iterator without touching items: parallel
-            # copies observed the same items; we only need the pass counter.
-            for _item in iterator:
-                break
+            stream.batched_pass()
 
         if best_solution is None:
             # No guess produced a feasible cover — the instance itself is

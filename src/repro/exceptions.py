@@ -40,15 +40,6 @@ class SpaceBudgetExceededError(ReproError):
         self.budget = budget
 
 
-class PassBudgetExceededError(ReproError):
-    """Raised when a streaming algorithm requests more passes than allowed."""
-
-    def __init__(self, used: int, budget: int) -> None:
-        super().__init__(f"pass budget exceeded: used {used} passes, budget {budget}")
-        self.used = used
-        self.budget = budget
-
-
 class TransientTaskError(ReproError):
     """Base class for failures that are safe to retry.
 

@@ -210,9 +210,7 @@ def _build_algorithm(algorithm: str, alpha: int, opt_guess: int, rng: RandomSour
             seed=rng.spawn(),
         )
     if algorithm == "har_peled":
-        return IterativePruningSetCover(
-            alpha=alpha, opt_guess=opt_guess, subinstance_solver="greedy", seed=rng.spawn()
-        )
+        return IterativePruningSetCover(alpha=alpha, opt_guess=opt_guess, seed=rng.spawn())
     if algorithm == "demaine":
         return ProgressiveGreedyPasses(num_passes=2 * alpha)
     if algorithm == "saha_getoor":

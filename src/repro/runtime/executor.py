@@ -522,11 +522,15 @@ class TaskExecutor:
         self,
         chunk: List[Tuple[int, RuntimeTask]],
         capture: bool,
-        base_attempt: int = 0,
+        base_attempt: int,
+        submit_wall: float,
     ) -> Iterator[Tuple[int, RuntimeTask, Dict[str, Any], float, float]]:
-        """Run a chunk in-process, yielding settled results."""
+        """Run a chunk in-process, yielding settled results.
+
+        ``submit_wall`` is the wall-clock instant the chunk was queued, so a
+        task's queue wait counts the tasks that ran before it.
+        """
         for index, task in chunk:
-            submit_wall = time.time()
             payload, elapsed = _timed_execute(task, capture, base_attempt)
             payload, elapsed = self._settle(task, payload, elapsed, capture, base_attempt)
             yield index, task, payload, elapsed, submit_wall
@@ -543,7 +547,7 @@ class TaskExecutor:
         the choice can never change the merged bytes.
         """
         if self.workers == 1 or len(pending) <= 1:
-            return self._execute_serial(pending, capture)
+            return self._execute_serial(pending, capture, 0, time.time())
         return self._execute_pool(pending, capture)
 
     def _execute_pool(
@@ -624,8 +628,10 @@ class TaskExecutor:
             kill(*idle, *(worker for worker, _, _ in busy.values()))
         if reason is not None:
             record_degradation("serial_execution", reason=reason, respawns=lost_generations)
-        for chunk, attempt, _ in sorted(left, key=lambda item: item[0][0][0]):
-            yield from self._execute_serial(chunk, capture, max(attempt, lost_generations))
+        for chunk, attempt, submit_wall in sorted(left, key=lambda item: item[0][0][0]):
+            yield from self._execute_serial(
+                chunk, capture, max(attempt, lost_generations), submit_wall
+            )
 
 
 def _send(worker: Worker, chunk: _Chunk, busy: _Busy, capture: bool, policy: RetryPolicy) -> None:

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 from repro.streaming.space import SpaceMeter, SpaceReport
 from repro.streaming.stream import SetStream
+from repro.utils.bitset import bitset_size
 
 
 @dataclass
@@ -44,11 +45,11 @@ class StreamingResult:
 class StreamingAlgorithm(abc.ABC):
     """Base class: a streaming algorithm consumes a :class:`SetStream`.
 
-    Subclasses implement :meth:`run`, calling ``stream.iterate_pass()`` once
-    per pass and charging their retained state to ``self.space``.  The
-    engine arms a fresh meter there for every run, carrying its space budget
-    if it has one; the unbudgeted meter made here serves a direct
-    :meth:`run` call.
+    Subclasses implement :meth:`run`, calling ``stream.batched_pass()`` once
+    per pass (directly or through :meth:`_admission_pass`) and charging
+    their retained state to ``self.space``.  The engine arms a fresh meter
+    there for every run, carrying its space budget if it has one; the
+    unbudgeted meter made here serves a direct :meth:`run` call.
     """
 
     #: Human-readable name used in experiment tables.
@@ -79,3 +80,36 @@ class StreamingAlgorithm(abc.ABC):
             space=self.space.report(),
             metadata=dict(metadata or {}),
         )
+
+    def _admission_pass(
+        self,
+        stream: SetStream,
+        uncovered: int,
+        threshold: float,
+        chosen: Set[int],
+        solution: List[int],
+    ) -> int:
+        """One pass admitting every set that still covers ``threshold`` elements.
+
+        Walks :attr:`~SetStream.arrival_order` and admits each set not yet in
+        ``chosen`` whose gain against the live ``uncovered`` mask is at least
+        ``threshold``, charging ``solution`` on every admission, until nothing
+        is left uncovered.  One kernel call computes every gain against the
+        pass-entry universe: gains only shrink as picks land, so a set below
+        the threshold there can never reach it, and only the survivors are
+        re-checked.  Returns the uncovered mask after the pass.
+        """
+        system = stream.batched_pass()
+        entry_gains = system.kernel().gains(uncovered)
+        for set_index in stream.arrival_order:
+            if uncovered == 0:
+                break
+            if set_index in chosen or entry_gains[set_index] < threshold:
+                continue
+            mask = system.mask(set_index)
+            if bitset_size(mask & uncovered) >= threshold:
+                chosen.add(set_index)
+                solution.append(set_index)
+                uncovered &= ~mask
+                self.space.set_usage("solution", len(solution))
+        return uncovered

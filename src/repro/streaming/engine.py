@@ -1,12 +1,12 @@
-"""Engine for running streaming algorithms with pass/space enforcement.
+"""Engine for running streaming algorithms with space enforcement.
 
-The engine is deliberately thin: it builds the stream, hands it to the
-algorithm, then verifies the result against the declared budgets and (when
-asked) against the instance itself.  Keeping verification outside the
-algorithms means an algorithm cannot accidentally report better numbers than
-it achieved — in particular, an empty solution is verified like any other,
-so a broken algorithm cannot report an unverified "cover" of size 0 over a
-nonempty universe.
+The engine is deliberately thin: it builds the stream, arms the algorithm's
+space meter with the declared budget, hands it the stream, then (when asked)
+verifies the result against the instance itself.  Keeping verification
+outside the algorithms means an algorithm cannot accidentally report better
+numbers than it achieved — in particular, an empty solution is verified like
+any other, so a broken algorithm cannot report an unverified "cover" of size
+0 over a nonempty universe.
 
 The engine never inspects which compute-kernel backend the instance rides
 on: a run is byte-identical whether the batched primitives execute on the
@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.exceptions import PassBudgetExceededError
 from repro.service.deadline import check_deadline
 from repro.setcover.instance import SetSystem
 from repro.setcover.verify import verify_cover
@@ -35,7 +34,6 @@ from repro.utils.rng import SeedLike
 class EngineConfig:
     """Configuration for a single engine run.
 
-    ``pass_budget`` bounds the passes an algorithm may consume;
     ``space_budget`` (words) is the budget of the fresh :class:`SpaceMeter`
     each run arms on the algorithm, so exceeding the analysed space bound
     raises :class:`~repro.exceptions.SpaceBudgetExceededError` mid-run
@@ -48,7 +46,6 @@ class EngineConfig:
 
     order: StreamOrder = StreamOrder.ADVERSARIAL
     seed: SeedLike = None
-    pass_budget: Optional[int] = None
     space_budget: Optional[int] = None
     verify_solution: bool = True
 
@@ -64,7 +61,7 @@ class MultiPassEngine:
         algorithm: StreamingAlgorithm,
         system: SetSystem,
     ) -> StreamingResult:
-        """Execute the algorithm and enforce the configured budgets.
+        """Execute the algorithm under the configured space budget.
 
         Every run starts the algorithm on a fresh :class:`SpaceMeter` (with
         the configured space budget), so the result's
@@ -102,11 +99,6 @@ class MultiPassEngine:
                 solution_size=len(result.solution),
                 peak_words=result.space.peak_words if result.space else 0,
             )
-        if (
-            self.config.pass_budget is not None
-            and result.passes > self.config.pass_budget
-        ):
-            raise PassBudgetExceededError(result.passes, self.config.pass_budget)
         if self.config.verify_solution:
             check_deadline()
             with span("engine.verify", solution_size=len(result.solution)):
@@ -119,7 +111,6 @@ def run_streaming_algorithm(
     system: SetSystem,
     order: StreamOrder = StreamOrder.ADVERSARIAL,
     seed: SeedLike = None,
-    pass_budget: Optional[int] = None,
     space_budget: Optional[int] = None,
     verify_solution: bool = True,
 ) -> StreamingResult:
@@ -128,7 +119,6 @@ def run_streaming_algorithm(
         EngineConfig(
             order=order,
             seed=seed,
-            pass_budget=pass_budget,
             space_budget=space_budget,
             verify_solution=verify_solution,
         )

@@ -3,14 +3,14 @@
 A :class:`SetStream` wraps a :class:`~repro.setcover.SetSystem` together with
 an arrival order.  Orders can be adversarial (the system's native order),
 uniformly random (as in Theorem 1's random arrival setting), or an explicit
-permutation.  The stream counts how many passes have been consumed so the
-engine can enforce pass budgets.
+permutation.  The stream counts how many passes have been consumed; that
+count is the pass figure every result reports.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.resilience.faults import inject, task_scoped
 from repro.service.deadline import check_deadline
@@ -29,7 +29,7 @@ class StreamOrder(enum.Enum):
 
 
 class SetStream:
-    """A multi-pass stream of ``(set_index, set_mask)`` items.
+    """A multi-pass stream of the sets of a system, in a fixed arrival order.
 
     Parameters
     ----------
@@ -98,68 +98,33 @@ class SetStream:
         """Number of full passes handed out so far."""
         return self._passes_consumed
 
-    # -- iteration -----------------------------------------------------------
-    def iterate_pass(self) -> Iterator[Tuple[int, int]]:
-        """Yield ``(original_set_index, set_mask)`` for one full pass.
+    # -- passes --------------------------------------------------------------
+    def batched_pass(self) -> SetSystem:
+        """Consume one pass and return the underlying system for batched access.
 
-        Each call counts as one pass over the stream regardless of whether the
-        caller exhausts the iterator (a conservative accounting choice: partial
-        passes still cost a pass, as they would in the streaming model).
+        The only way to take a pass: an algorithm phrases the pass as kernel
+        calls over the whole system (all marginal gains, all projections) and
+        walks :attr:`arrival_order` where the order of arrival matters.
+        Each call costs one pass, whatever the caller reads.
 
         Pass grants are the cooperative cancellation points of the serving
         path: when an ambient request deadline (see
         :mod:`repro.service.deadline`) has expired, the grant raises
-        :class:`~repro.exceptions.DeadlineExceededError` instead of handing
-        out another full pass.  Without an armed deadline the check is one
-        context-variable load — the batch path pays nothing.
-        """
-        check_deadline()
-        inject("engine.pass", key=task_scoped(f"iterate:{self._passes_consumed + 1}"))
-        self._passes_consumed += 1
-        # A zero-duration event rather than a span: this is a generator, and
-        # holding a span open across yields would leak its parent token into
-        # the caller's context between items.
-        event(
-            "stream.pass",
-            number=self._passes_consumed,
-            mode="iterate",
-            m=self._system.num_sets,
-            backing=self._system.backing,
-        )
-        metrics.add("stream.passes")
-        metrics.add("stream.sets_streamed", self._system.num_sets)
-        for set_index in self._permutation:
-            yield set_index, self._system.mask(set_index)
-
-    def batched_pass(self) -> SetSystem:
-        """Consume one pass and return the underlying system for batched access.
-
-        The batched equivalent of :meth:`iterate_pass`: an algorithm that can
-        phrase a whole pass as one kernel call (all marginal gains, all
-        projections) reads the system directly instead of iterating
-        ``(index, mask)`` pairs — but it still pays the pass, keeping the
-        streaming model's accounting identical to the per-set loop.  Arrival
-        order, where it matters, comes from :attr:`arrival_order`.
-
-        Like :meth:`iterate_pass`, the grant is a cooperative cancellation
-        point: an expired ambient deadline raises
         :class:`~repro.exceptions.DeadlineExceededError` before the pass is
-        charged, and the check is free when no deadline is armed.
+        charged.  Without an armed deadline the check is one context-variable
+        load — the batch path pays nothing.
         """
         check_deadline()
+        # The key keeps its ``batched:`` prefix so seeded fault schedules
+        # draw the same faults as when a second kind of pass existed.
         inject("engine.pass", key=task_scoped(f"batched:{self._passes_consumed + 1}"))
         self._passes_consumed += 1
         event(
             "stream.pass",
             number=self._passes_consumed,
-            mode="batched",
             m=self._system.num_sets,
             backing=self._system.backing,
         )
         metrics.add("stream.passes")
         metrics.add("stream.sets_streamed", self._system.num_sets)
         return self._system
-
-    def reset(self) -> None:
-        """Reset the pass counter (the arrival order is preserved)."""
-        self._passes_consumed = 0

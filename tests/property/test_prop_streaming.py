@@ -55,22 +55,22 @@ class TestStreamProperties:
     @settings(max_examples=40, deadline=None)
     def test_random_order_is_permutation(self, system, seed):
         stream = SetStream(system, order=StreamOrder.RANDOM, seed=seed)
-        indices = [index for index, _ in stream.iterate_pass()]
-        assert sorted(indices) == list(range(system.num_sets))
+        assert sorted(stream.arrival_order) == list(range(system.num_sets))
 
     @given(arbitrary_systems(), st.integers(min_value=0, max_value=10 ** 6))
     @settings(max_examples=40, deadline=None)
     def test_masks_match_system(self, system, seed):
         stream = SetStream(system, order=StreamOrder.RANDOM, seed=seed)
-        for index, mask in stream.iterate_pass():
-            assert mask == system.mask(index)
+        streamed = stream.batched_pass()
+        for index in stream.arrival_order:
+            assert streamed.mask(index) == system.mask(index)
 
     @given(arbitrary_systems(), st.integers(min_value=1, max_value=5))
     @settings(max_examples=30, deadline=None)
     def test_pass_counter_matches_iterations(self, system, passes):
         stream = SetStream(system)
         for _ in range(passes):
-            list(stream.iterate_pass())
+            stream.batched_pass()
         assert stream.passes_consumed == passes
 
 

@@ -139,6 +139,20 @@ class TestAdversarialGrid:
         names = [spec.name for spec in iter_scenarios(tag="paper")]
         assert names == [f"E{i}" for i in range(1, 13)]
 
+    def test_generated_grid_payloads_match_pinned_digest(self):
+        # Each cell generates its own instance (no attached container).
+        tasks = [
+            task
+            for spec in iter_scenarios(tag="adversarial")
+            for task in tasks_from_scenario(spec)
+        ]
+        report = TaskExecutor(workers=1).run(tasks)
+        digest = hashlib.sha256()
+        for outcome in report.outcomes:
+            digest.update(canonical_json(outcome.payload).encode())
+        assert len(report) == 48
+        assert digest.hexdigest() == GENERATED_GRID_DIGEST
+
 
 def adv_tasks(descriptor):
     """The 48 ADV grid cells, each attached to ``descriptor``."""
@@ -378,6 +392,11 @@ def store_entries(root):
         if "quarantine" not in path.parts and not path.name.startswith("stats_journal")
     }
 
+
+#: sha256 over the canonical JSON of the 48 ADV payloads, in submission
+#: order, each cell on the instance its workload generates, as computed when
+#: every threshold pass still had its own loop.
+GENERATED_GRID_DIGEST = "45c6355d13d5a602047e4a9ea13b758f0bef66bed5fd2adcaf38f4a0e1c90aad"
 
 #: sha256 over the canonical JSON of the 48 ADV payloads, in submission
 #: order, on ``random_set_system(256, 512, seed=7)`` as computed when every

@@ -2,9 +2,17 @@
 
 import pytest
 
-from repro.exceptions import PassBudgetExceededError, SpaceBudgetExceededError
-from repro.baselines.saha_getoor import SahaGetoorGreedy
-from repro.baselines.full_storage import StoreEverythingSetCover
+from repro.exceptions import SpaceBudgetExceededError
+from repro.baselines import (
+    EmekRosenSemiStreaming,
+    IterativePruningSetCover,
+    ProgressiveGreedyPasses,
+    SahaGetoorGreedy,
+    StoreEverythingSetCover,
+)
+from repro.core.algorithm1 import AlgorithmOneConfig, StreamingSetCover
+from repro.core.guessing import OptGuessingSetCover
+from repro.setcover.instance import SetSystem
 from repro.streaming.algorithm_base import StreamingAlgorithm
 from repro.streaming.engine import EngineConfig, MultiPassEngine, run_streaming_algorithm
 from repro.streaming.stream import StreamOrder
@@ -16,13 +24,6 @@ class TestEngineRuns:
         result = run_streaming_algorithm(SahaGetoorGreedy(), planted_instance.system)
         assert result.passes == 1
         assert result.solution_size >= planted_instance.planted_opt
-
-    def test_pass_budget_enforced(self, planted_instance):
-        algorithm = StoreEverythingSetCover()
-        with pytest.raises(PassBudgetExceededError):
-            run_streaming_algorithm(
-                algorithm, planted_instance.system, pass_budget=0
-            )
 
     def test_verification_failure_raises(self, tiny_system):
         class BadAlgorithm(SahaGetoorGreedy):
@@ -81,15 +82,42 @@ class TestEmptySolutionVerification:
             run_streaming_algorithm(EmptyAlgorithm(), tiny_system)
 
     def test_empty_cover_of_empty_universe_passes(self):
-        from repro.setcover.instance import SetSystem
-
         class NoopAlgorithm(StreamingAlgorithm):
             def run(self, stream):
-                for _ in stream.iterate_pass():
-                    pass
+                stream.batched_pass()
                 return self._finalize(stream, [])
 
         result = run_streaming_algorithm(NoopAlgorithm(), SetSystem(0, [[], []]))
+        assert result.solution == []
+
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            lambda: StreamingSetCover(AlgorithmOneConfig(alpha=2, opt_guess=1)),
+            lambda: OptGuessingSetCover(alpha=2),
+            lambda: IterativePruningSetCover(alpha=2, opt_guess=1),
+            lambda: ProgressiveGreedyPasses(num_passes=4),
+            lambda: SahaGetoorGreedy(),
+            lambda: EmekRosenSemiStreaming(),
+            lambda: StoreEverythingSetCover(),
+        ],
+        ids=[
+            "algorithm1",
+            "guessing",
+            "har_peled",
+            "demaine",
+            "saha_getoor",
+            "emek_rosen",
+            "store_everything",
+        ],
+    )
+    def test_empty_universe_needs_no_set(self, factory):
+        """Regression: Algorithm 1's pruning threshold n/(ε·õpt) is 0 at n = 0.
+
+        Its pruning pass admitted every set anyway, because it never looked
+        at the uncovered mask, so a cover of nothing took all three sets.
+        """
+        result = run_streaming_algorithm(factory(), SetSystem(0, [[], [], []]))
         assert result.solution == []
 
 

@@ -8,9 +8,9 @@ from repro.analysis import build_report, load_store
 from repro.analysis.render import render_markdown
 from repro.cli import main
 from repro.runtime.executor import TELEMETRY_KEY, TaskExecutor
-from repro.runtime.scenarios import freeze_params
+from repro.runtime.scenarios import freeze_params, get_scenario
 from repro.runtime.store import ResultStore, read_store_stats
-from repro.runtime.tasks import RuntimeTask
+from repro.runtime.tasks import RuntimeTask, tasks_from_scenario
 from repro.telemetry import TelemetrySession, validate_trace_dir, validate_trace_file
 
 
@@ -45,6 +45,21 @@ class TestExecutorAggregation:
         assert [s["attrs"]["key"] for s in lifecycles] == [t.key for t in tasks]
         merged = report.telemetry
         assert merged is not None and merged["entries"] == len(tasks)
+
+    def test_serial_queue_wait_counts_the_tasks_run_before(self):
+        tasks = (
+            tasks_from_scenario(get_scenario("E12"))
+            + tasks_from_scenario(get_scenario("E7"))
+            + tasks_from_scenario(get_scenario("E12"), seed_override=5)
+        )
+        with TelemetrySession(label="serial") as session:
+            TaskExecutor(workers=1).run(tasks)
+        spans = session.tracer.spans
+        waits = [s["dur"] for s in spans if s["name"] == "task.queue_wait"]
+        runs = [s["dur"] for s in spans if s["name"] == "task.run"]
+        # The whole batch is queued at once, so the second task waits at
+        # least as long as the first one ran.
+        assert waits[1] >= runs[0] > 0.0
 
     def test_reserved_payload_key_never_leaks(self):
         tasks = grid_tasks()
